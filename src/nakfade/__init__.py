@@ -1,5 +1,7 @@
 """Outage-probability lower bounds for discrete-input Nakagami-m block-fading channels."""
 
+__version__ = "0.1.0"
+
 from .asymptotics import (
     BlockLengthScale,
     DiversityReport,
@@ -23,6 +25,7 @@ from .bound import (
     conditional_cdf_A,
     convolve_power,
     outage_lower_bound,
+    outage_lower_bounds,
     success_rate,
 )
 from .constellation import Constellation, from_name, make_psk, make_qam
@@ -39,5 +42,3 @@ from .fading import (
 )
 from .montecarlo import McEstimate, mc_lower_bound, mc_outage
 from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_capped, mi_discrete, mi_discrete_array, mi_gaussian
-
-__version__ = "0.1.0"

@@ -9,13 +9,15 @@ tabulated cell masses:
 
     P_out_lower = sum_{t=0}^{ceil(BR/M)-1} F_{Y_t}(BR - tM) C(B,t) p^t (1-p)^(B-t)
 
-with Y_t the sum of B - t copies of A.
+with Y_t the sum of B - t copies of A.  Only p and A's law depend on the
+SNR, so outage_lower_bounds evaluates a whole rate grid at one SNR from a
+single pmf: each Y_t is convolved once and read at every rate that needs it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +36,7 @@ __all__ = [
     "convolve_power",
     "cdf_Y_at",
     "outage_lower_bound",
+    "outage_lower_bounds",
 ]
 
 # Grid cells over [0, M]; doubling this moves acceptance-grid bound values
@@ -65,12 +68,14 @@ class TabulatedPmf:
 
     Cell k holds the probability of [origin + k*step, origin + (k+1)*step).
     Freshly built pmfs start at origin = 0; convolution outputs carry the
-    half-cell alignment offset (see convolve_power).
+    half-cell alignment offset (see convolve_power).  The masses must not
+    change after construction: their forward FFTs are cached per size.
     """
 
     grid_step: float
     masses: np.ndarray
     origin: float = 0.0
+    _spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         masses = np.asarray(self.masses, dtype=float)
@@ -91,6 +96,19 @@ class TabulatedPmf:
     @property
     def support_top(self) -> float:
         return self.origin + self.n_cells * self.grid_step
+
+    def spectrum(self, size: int) -> np.ndarray:
+        """rfft of the masses zero-padded to size, computed once per size.
+
+        Threads sharing a pmf may both compute a missing size; they store
+        the same array, so neither result is lost or wrong.
+        """
+        freq = self._spectra.get(size)
+        if freq is None:
+            freq = np.fft.rfft(self.masses, size)
+            freq.flags.writeable = False
+            self._spectra[size] = freq
+        return freq
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +231,7 @@ def convolve_power(pmf: TabulatedPmf, n: int) -> TabulatedPmf:
     N = masses.size
     out_len = n * (N - 1) + 1
     size = 1 << (n * N - 1).bit_length()
-    freq = np.fft.rfft(masses, size) ** n
-    out = np.fft.irfft(freq, size)[:out_len]
+    out = np.fft.irfft(pmf.spectrum(size) ** n, size)[:out_len]
     if out.min() < -1e-12:
         raise ArithmeticError(f"FFT convolution produced mass {out.min()} below tolerance")
     out = np.maximum(out, 0.0)
@@ -245,23 +262,46 @@ def threshold_terms(spec: ChannelSpec) -> int:
     return int(math.ceil(spec.B * spec.rate / spec.M - 1e-12))
 
 
-def outage_lower_bound(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> BoundResult:
-    """Evaluate the outage lower bound at one SNR point.
+def outage_lower_bounds(
+    snr: Snr, B: int, M: int, fading: NakagamiParam, rates, n_cells: int = DEFAULT_CELLS
+) -> list[BoundResult]:
+    """Evaluate the outage lower bound at one SNR point for every rate.
 
-    Terms with t >= ceil(BR/M) have BR - tM <= 0 and vanish because A is
-    positive, so the sum stops at ceil(BR/M) - 1.
+    p, the binomial weights and pmf_A do not depend on the rate, so they are
+    built once.  The loop runs over the mixture terms: Y_{B-t} is convolved
+    once, read at every rate that still has a term t, and dropped before the
+    next power.  Terms with t >= ceil(BR/M) have BR - tM <= 0 and vanish
+    because A is positive, so each rate stops at ceil(BR/M) - 1.  Every rate
+    sums its terms in ascending t, so a value does not depend on which other
+    rates share the call.
     """
-    p, q = _success_rate_pair(snr, spec)
-    mix = BinomialMixture.from_rates(p, spec.B, one_minus_p=q)
-    pmf_a = build_pmf_A(snr, spec, n_cells)
-    per_term = []
-    total = 0.0
-    for t in range(threshold_terms(spec)):
-        pmf_y = convolve_power(pmf_a, spec.B - t)
-        f_y = cdf_Y_at(pmf_y, spec.B * spec.rate - t * spec.M)
-        product = f_y * float(mix.weights[t])
-        per_term.append((t, f_y, float(mix.weights[t]), product))
-        total += product
-    if not math.isfinite(total):
-        raise ArithmeticError("outage bound evaluated to a non-finite value")
-    return BoundResult(min(max(total, 0.0), 1.0), per_term)
+    specs = [ChannelSpec(B, M, fading, r) for r in rates]
+    if not specs:
+        return []
+    p, q = _success_rate_pair(snr, specs[0])
+    mix = BinomialMixture.from_rates(p, B, one_minus_p=q)
+    pmf_a = build_pmf_A(snr, specs[0], n_cells)
+    n_terms = [threshold_terms(s) for s in specs]
+    per_term = [[] for _ in specs]
+    totals = [0.0] * len(specs)
+    for t in range(max(n_terms)):
+        pmf_y = convolve_power(pmf_a, B - t)
+        weight = float(mix.weights[t])
+        for i, s in enumerate(specs):
+            if t < n_terms[i]:
+                f_y = cdf_Y_at(pmf_y, B * s.rate - t * M)
+                product = f_y * weight
+                per_term[i].append((t, f_y, weight, product))
+                totals[i] += product
+        del pmf_y
+    results = []
+    for total, terms in zip(totals, per_term):
+        if not math.isfinite(total):
+            raise ArithmeticError("outage bound evaluated to a non-finite value")
+        results.append(BoundResult(min(max(total, 0.0), 1.0), terms))
+    return results
+
+
+def outage_lower_bound(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> BoundResult:
+    """Evaluate the outage lower bound at one SNR point and one rate."""
+    return outage_lower_bounds(snr, spec.B, spec.M, spec.fading, [spec.rate], n_cells)[0]

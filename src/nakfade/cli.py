@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import click
 
-from . import asymptotics, bound, montecarlo
+from . import __version__, asymptotics, bound, montecarlo
 from .constellation import KNOWN_NAMES, from_name
 from .fading import NakagamiParam
 from .mutual_info import DEFAULT_ORDER, Snr, hermite_rule, mi_discrete_array
@@ -39,7 +39,7 @@ class RunConfig:
     snr_db_fixed: float = 10.0
     rate_grid: tuple = (0.25, 3.75, 0.25)
     cells: int = bound.DEFAULT_CELLS
-    order: int = DEFAULT_ORDER
+    order: int | None = None  # resolved per subcommand in __post_init__
     samples: int = 10**5
     seed: int = 0
     mode: str = "lowerbound"
@@ -47,6 +47,14 @@ class RunConfig:
     per_term: bool = False
     workers: int = 1
     out: str | None = None
+
+    def __post_init__(self) -> None:
+        # mi prints MI values, so it takes the order whose doubling moves
+        # none of them by 1e-6; mc runs one quadrature per sample, where the
+        # library's cheaper MC_QUAD_ORDER keeps the quadrature bias far
+        # below the Monte Carlo noise.
+        if self.order is None:
+            self.order = montecarlo.MC_QUAD_ORDER if self.subcommand == "mc" else DEFAULT_ORDER
 
 
 def _fmt(v) -> str:
@@ -101,9 +109,18 @@ def _pmap(workers: int, fn, items: list) -> list:
         return list(pool.map(fn, items))
 
 
-def _header(cfg: RunConfig, rate_repr: str | None = None) -> str:
-    r = rate_repr if rate_repr is not None else _fmt(cfg.rate)
-    return f"# nakfade {cfg.subcommand} B={cfg.blocks} M={cfg.bits} m={_fmt(cfg.m)} R={r} cells={cfg.cells} seed={cfg.seed}"
+def _header(cfg: RunConfig, fields: list) -> str:
+    """Metadata comment: the subcommand and every parameter its numbers depend on."""
+    return " ".join([f"# nakfade {cfg.subcommand}"] + [f"{k}={_fmt(v)}" for k, v in fields])
+
+
+def _bound_fields(cfg: RunConfig, rate, *extra) -> list:
+    """Header fields of the analytical commands: channel, extras, cells, seed."""
+    return [("B", cfg.blocks), ("M", cfg.bits), ("m", cfg.m), ("R", rate), *extra, ("cells", cfg.cells), ("seed", cfg.seed)]
+
+
+def _grid_repr(spec3: tuple) -> str:
+    return ":".join(_fmt(v) for v in spec3)
 
 
 def _emit(cfg: RunConfig, header: str, columns: list, rows: list) -> int:
@@ -147,19 +164,18 @@ def _run_curve(cfg: RunConfig) -> int:
             for _, f_y, w, _ in res.per_term:
                 row += [f_y, w]
         rows.append(row)
-    return _emit(cfg, _header(cfg), columns, rows)
+    return _emit(cfg, _header(cfg, _bound_fields(cfg, cfg.rate)), columns, rows)
 
 
 def _run_ratesweep(cfg: RunConfig) -> int:
+    # One SNR, so every rate reads the same pmf and convolution powers:
+    # a single evaluator call in this thread, whatever cfg.workers says.
     rates = _grid(cfg.rate_grid)
-    snr = Snr.from_db(cfg.snr_db_fixed)
-
-    def point(r: float) -> float:
-        return bound.outage_lower_bound(snr, _channel_spec(cfg, r), cfg.cells).value
-
-    vals = _pmap(cfg.workers, point, rates)
-    rate_repr = ":".join(_fmt(v) for v in cfg.rate_grid)
-    return _emit(cfg, _header(cfg, rate_repr), ["rate", "p_out_lower"], list(zip(rates, vals)))
+    for r in rates:
+        _channel_spec(cfg, r)  # a grid point past M is a usage error naming the field
+    results = bound.outage_lower_bounds(Snr.from_db(cfg.snr_db_fixed), cfg.blocks, cfg.bits, NakagamiParam(cfg.m), rates, cfg.cells)
+    header = _header(cfg, _bound_fields(cfg, _grid_repr(cfg.rate_grid), ("snr_db", cfg.snr_db_fixed)))
+    return _emit(cfg, header, ["rate", "p_out_lower"], [(r, res.value) for r, res in zip(rates, results)])
 
 
 def _run_asymptote(cfg: RunConfig) -> int:
@@ -172,7 +188,7 @@ def _run_asymptote(cfg: RunConfig) -> int:
         rho = Snr.from_db(db)
         return (db, bound.outage_lower_bound(rho, spec, cfg.cells).value, gain * rho.rho**-d_exp)
 
-    return _emit(cfg, _header(cfg), ["snr_db", "p_out_lower", "asymptote"], _pmap(cfg.workers, point, dbs))
+    return _emit(cfg, _header(cfg, _bound_fields(cfg, cfg.rate)), ["snr_db", "p_out_lower", "asymptote"], _pmap(cfg.workers, point, dbs))
 
 
 def _run_exponent(cfg: RunConfig) -> int:
@@ -189,8 +205,7 @@ def _run_exponent(cfg: RunConfig) -> int:
         return row
 
     columns = ["rate", "d_singleton", "d_optimal"] + [f"d_random_lambda{v:g}" for v in cfg.lambda_scaled]
-    rate_repr = ":".join(_fmt(v) for v in cfg.rate_grid)
-    return _emit(cfg, _header(cfg, rate_repr), columns, _pmap(cfg.workers, point, rates))
+    return _emit(cfg, _header(cfg, _bound_fields(cfg, _grid_repr(cfg.rate_grid))), columns, _pmap(cfg.workers, point, rates))
 
 
 def _run_mc(cfg: RunConfig) -> int:
@@ -214,7 +229,11 @@ def _run_mc(cfg: RunConfig) -> int:
 
     ests = _pmap(cfg.workers, point, list(enumerate(dbs)))
     rows = [(db, e.p_hat, e.std_err, e.n_samples) for db, e in zip(dbs, ests)]
-    return _emit(cfg, _header(cfg), ["snr_db", "p_hat", "std_err", "n"], rows)
+    fields = [("mode", cfg.mode), ("B", cfg.blocks), ("M", cfg.bits), ("m", cfg.m), ("R", cfg.rate)]
+    if cfg.mode == "outage":
+        fields += [("constellation", cfg.constellation), ("order", cfg.order)]
+    fields += [("samples", cfg.samples), ("seed", cfg.seed)]
+    return _emit(cfg, _header(cfg, fields), ["snr_db", "p_hat", "std_err", "n"], rows)
 
 
 def _run_mi(cfg: RunConfig) -> int:
@@ -222,7 +241,8 @@ def _run_mi(cfg: RunConfig) -> int:
     rule = hermite_rule(cfg.order)
     dbs = _grid(cfg.snr_db)
     vals = _pmap(cfg.workers, lambda db: float(mi_discrete_array([Snr.from_db(db).rho], c, rule)[0]), dbs)
-    return _emit(cfg, _header(cfg), ["rho_db", "mi_bits"], list(zip(dbs, vals)))
+    fields = [("constellation", cfg.constellation), ("order", cfg.order)]
+    return _emit(cfg, _header(cfg, fields), ["rho_db", "mi_bits"], list(zip(dbs, vals)))
 
 
 _DISPATCH = {
@@ -299,7 +319,7 @@ _shared = [
     click.option("--bits", "-M", "bits", type=int, default=None, help="Bits per symbol M (2^M-point input)."),
     click.option("--m", "m", type=float, default=None, help="Nakagami shape m (m=1 is Rayleigh)."),
     click.option("--cells", type=int, default=None, help="Grid cells over [0, M] for the tabulated pmf."),
-    click.option("--workers", type=int, default=None, help="Worker threads over grid points."),
+    click.option("--workers", type=int, default=None, help="Worker threads over grid points (ratesweep runs in one thread)."),
     click.option("--out", "-o", "out", type=click.Path(dir_okay=False), default=None, help="Output CSV path (default: stdout)."),
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config file; explicit flags override it."),
 ]
@@ -312,7 +332,7 @@ def _with_shared(fn):
 
 
 @click.group()
-@click.version_option(package_name="nakfade")
+@click.version_option(version=__version__, prog_name="nakfade")
 def main() -> None:
     """Outage lower bounds for discrete-input Nakagami-m block-fading channels.
 

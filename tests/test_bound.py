@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from nakfade import bound, cli
 from nakfade.bound import (
     BinomialMixture,
     ChannelSpec,
@@ -12,10 +14,11 @@ from nakfade.bound import (
     conditional_cdf_A,
     convolve_power,
     outage_lower_bound,
+    outage_lower_bounds,
     success_rate,
     threshold_terms,
 )
-from nakfade.fading import NakagamiParam
+from nakfade.fading import NakagamiParam, reg_gamma_pq
 from nakfade.montecarlo import mc_lower_bound
 from nakfade.mutual_info import Snr
 
@@ -145,6 +148,14 @@ class TestConvolvePower:
         with pytest.raises(ValueError):
             convolve_power(TabulatedPmf(1.0, np.array([1.0])), 0)
 
+    def test_spectrum_is_computed_once_per_size(self):
+        pmf = TabulatedPmf(0.5, np.full(8, 0.125))
+        freq = pmf.spectrum(32)
+        assert pmf.spectrum(32) is freq
+        assert np.array_equal(freq, np.fft.rfft(pmf.masses, 32))
+        assert not freq.flags.writeable
+        assert pmf.spectrum(16).shape == (9,)
+
 
 class TestCdfYAt:
     def test_below_support(self):
@@ -223,3 +234,109 @@ class TestOutageLowerBound:
         est = mc_lower_bound(snr, s, n=10**7, seed=20260809)
         se = max(est.std_err, math.sqrt(analytic * (1 - analytic) / est.n_samples))
         assert abs(est.p_hat - analytic) <= 3.0 * se
+
+
+def per_rate_reference(snr, spec, n_cells):
+    """The bound as evaluated one rate at a time, each with a fresh pmf and
+    fresh forward FFTs (the evaluation that outage_lower_bounds replaced)."""
+    q, p = reg_gamma_pq(spec.fading.m, spec.fading.m * (2.0**spec.M - 1.0) / snr.rho)
+    mix = BinomialMixture.from_rates(float(p), spec.B, one_minus_p=float(q))
+    pmf = build_pmf_A(snr, spec, n_cells)
+    masses = pmf.masses
+    terms = []
+    total = 0.0
+    for t in range(threshold_terms(spec)):
+        n = spec.B - t
+        pmf_y = pmf
+        if n > 1:
+            size = 1 << (n * masses.size - 1).bit_length()
+            out = np.fft.irfft(np.fft.rfft(masses, size) ** n, size)[: n * (masses.size - 1) + 1]
+            out = np.maximum(out, 0.0)
+            out /= out.sum()
+            pmf_y = TabulatedPmf(pmf.grid_step, out, n * pmf.origin + (n - 1) * pmf.grid_step / 2.0)
+        f_y = cdf_Y_at(pmf_y, spec.B * spec.rate - t * spec.M)
+        w = float(mix.weights[t])
+        terms.append((t, f_y, w, f_y * w))
+        total += f_y * w
+    return min(max(total, 0.0), 1.0), terms
+
+
+def sweep_rates(B, M):
+    """The CLI's default rate grid inside (0, M], rates with integer BR/M, and R = M."""
+    grid = [0.25 * k for k in range(1, 16) if 0.25 * k <= M]
+    return sorted(set(grid) | {j * M / B for j in range(1, B + 1)})
+
+
+class TestSharedEvaluator:
+    @pytest.mark.parametrize("B", [1, 2, 4, 16])
+    @pytest.mark.parametrize("M", [2, 4])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_bit_identical_to_per_rate_loop(self, B, M, m):
+        fading = NakagamiParam(m)
+        rates = sweep_rates(B, M)
+        for db in (3.0, 14.0):
+            snr = Snr.from_db(db)
+            got = outage_lower_bounds(snr, B, M, fading, rates, 512)
+            assert len(got) == len(rates)
+            for r, res in zip(rates, got):
+                value, terms = per_rate_reference(snr, ChannelSpec(B, M, fading, r), 512)
+                assert res.value == value, (B, M, m, r, db)
+                assert res.per_term == terms
+
+    def test_bit_identical_at_default_cells(self):
+        snr, fading = Snr.from_db(10.0), NakagamiParam(1.0)
+        rates = sweep_rates(16, 4)
+        got = outage_lower_bounds(snr, 16, 4, fading, rates)
+        for r, res in zip(rates, got):
+            assert res.value == per_rate_reference(snr, ChannelSpec(16, 4, fading, r), bound.DEFAULT_CELLS)[0]
+
+    def test_one_rate_call_is_outage_lower_bound(self):
+        spec, snr = spec44(MH, 2.5), Snr.from_db(9.0)
+        one = outage_lower_bound(snr, spec)
+        shared = outage_lower_bounds(snr, 4, 4, MH, [0.5, 2.5, 4.0])[1]
+        assert one.value == shared.value
+        assert one.per_term == shared.per_term
+
+    def test_empty_and_invalid_rates(self):
+        assert outage_lower_bounds(Snr(10.0), 4, 4, M1, []) == []
+        with pytest.raises(ValueError):
+            outage_lower_bounds(Snr(10.0), 4, 4, M1, [1.0, 4.5])
+
+    def test_ratesweep_rows_equal_curve(self):
+        runner = CliRunner()
+        sweep = runner.invoke(cli.main, ["ratesweep", "--m", "0.5", "--snr-db-fixed", "7", "--rate", "0.5:4:0.5"])
+        assert sweep.exit_code == 0
+        rows = sweep.output.splitlines()[2:]
+        assert len(rows) == 8
+        for i, row in enumerate(rows):
+            rate = 0.5 + i * 0.5
+            curve = runner.invoke(cli.main, ["curve", "--m", "0.5", "--snr-db", "7:7:1", "--rate", repr(rate)])
+            assert curve.exit_code == 0
+            assert row.split(",")[1] == curve.output.splitlines()[2].split(",")[1]
+
+    def test_ratesweep_shares_pmf_and_spectra(self, monkeypatch, tmp_path):
+        calls = {"build_pmf_A": 0, "convolve_power": 0}
+        rfft_sizes = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        rfft = np.fft.rfft
+
+        def counted_rfft(a, n=None, *args, **kwargs):
+            rfft_sizes.append(n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(bound, "build_pmf_A", counted("build_pmf_A", bound.build_pmf_A))
+        monkeypatch.setattr(bound, "convolve_power", counted("convolve_power", bound.convolve_power))
+        monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+        B = 8
+        cfg = cli.RunConfig(subcommand="ratesweep", blocks=B, rate_grid=(0.25, 3.75, 0.25), cells=1024, out=str(tmp_path / "r.csv"))
+        assert cli.run(cfg) == 0
+        assert calls["build_pmf_A"] == 1
+        assert calls["convolve_power"] <= B
+        assert rfft_sizes and len(rfft_sizes) == len(set(rfft_sizes))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +127,61 @@ class TestMi:
         header, data = rows_of(res.output)
         assert header == ["rho_db", "mi_bits"]
         assert float(data[0][1]) == pytest.approx(0.7214515907903881, abs=1e-6)
+
+
+class TestHeaders:
+    # test_spec_example_grid pins the curve header.
+    def first_line(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        return res.output.splitlines()[0]
+
+    def test_ratesweep_names_fixed_snr(self, runner):
+        args = ["ratesweep", "--m", "2", "--rate", "1:3:1", "--snr-db-fixed"]
+        assert self.first_line(runner, args + ["0"]) == "# nakfade ratesweep B=4 M=4 m=2 R=1:3:1 snr_db=0 cells=4096 seed=0"
+        assert self.first_line(runner, args + ["10"]) == "# nakfade ratesweep B=4 M=4 m=2 R=1:3:1 snr_db=10 cells=4096 seed=0"
+
+    def test_asymptote(self, runner):
+        line = self.first_line(runner, ["asymptote", "--m", "2", "--rate", "2", "--snr-db", "20:40:20"])
+        assert line == "# nakfade asymptote B=4 M=4 m=2 R=2 cells=4096 seed=0"
+
+    def test_exponent(self, runner):
+        line = self.first_line(runner, ["exponent", "--rate", "0.5:3.5:0.5"])
+        assert line == "# nakfade exponent B=4 M=4 m=1 R=0.5:3.5:0.5 cells=4096 seed=0"
+
+    def test_mc_lowerbound(self, runner):
+        args = ["mc", "--mode", "lowerbound", "--samples", "1000", "--seed", "3", "--rate", "1", "--snr-db", "5:5:1"]
+        assert self.first_line(runner, args) == "# nakfade mc mode=lowerbound B=4 M=4 m=1 R=1 samples=1000 seed=3"
+
+    def test_mc_outage_names_constellation_and_order(self, runner):
+        args = ["mc", "--mode", "outage", "--samples", "200", "--seed", "3", "--rate", "1", "--snr-db", "5:5:1"]
+        line = self.first_line(runner, args + ["--order", "16"])
+        assert line == "# nakfade mc mode=outage B=4 M=4 m=1 R=1 constellation=qam16 order=16 samples=200 seed=3"
+
+    def test_mi_names_only_what_it_uses(self, runner):
+        line = self.first_line(runner, ["mi", "--constellation", "psk2", "--snr-db", "0:6:3", "--order", "32"])
+        assert line == "# nakfade mi constellation=psk2 order=32"
+
+
+class TestDefaults:
+    def test_mc_order_defaults_to_library_order(self, runner):
+        args = ["mc", "--mode", "outage", "--samples", "300", "--seed", "5", "--rate", "2", "--snr-db", "4:8:4"]
+        default = runner.invoke(main, args)
+        explicit = runner.invoke(main, args + ["--order", "32"])
+        assert default.exit_code == 0
+        assert default.output == explicit.output
+
+    def test_mi_order_default_is_96(self, runner):
+        res = runner.invoke(main, ["mi", "--snr-db", "0:0:1"])
+        assert res.output.splitlines()[0] == "# nakfade mi constellation=qam16 order=96"
+
+    def test_version_from_source_tree(self, tmp_path):
+        # No installed package metadata: the version comes from the source.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        res = subprocess.run([sys.executable, "-m", "nakfade.cli", "--version"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "nakfade, version 0.1.0"
 
 
 class TestConfigAndErrors:
