@@ -41,4 +41,4 @@ from .fading import (
     sample_gain,
 )
 from .montecarlo import McEstimate, mc_lower_bound, mc_outage
-from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_capped, mi_discrete, mi_discrete_array, mi_gaussian
+from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete, mi_discrete_array

@@ -1,8 +1,9 @@
 """nakfade command line: CSV-emitting front end for the outage machinery.
 
 Every subcommand writes a CSV whose first line is a `#` metadata comment
-echoing the resolved parameters, so outputs are self-describing and safe to
-diff across runs.  All randomness is driven by an explicit --seed (there is
+echoing the resolved parameters in their exact (round-trip) form and the
+package version, so outputs are self-describing and safe to diff across
+runs.  All randomness is driven by an explicit --seed (there is
 deliberately no environment-variable override); re-running a command with
 the same configuration reproduces the output byte for byte.
 """
@@ -58,8 +59,17 @@ class RunConfig:
 
 
 def _fmt(v) -> str:
+    """Data-row format: 12 significant digits."""
     if isinstance(v, float):
         return f"{v:.12g}"
+    return str(v)
+
+
+def _fmt_exact(v) -> str:
+    """Header format: the shortest text that parses back to the same float."""
+    if isinstance(v, float):
+        text = repr(v)
+        return text[:-2] if text.endswith(".0") else text
     return str(v)
 
 
@@ -110,8 +120,9 @@ def _pmap(workers: int, fn, items: list) -> list:
 
 
 def _header(cfg: RunConfig, fields: list) -> str:
-    """Metadata comment: the subcommand and every parameter its numbers depend on."""
-    return " ".join([f"# nakfade {cfg.subcommand}"] + [f"{k}={_fmt(v)}" for k, v in fields])
+    """Metadata comment: the subcommand, every parameter its numbers depend on, the version."""
+    fields = [*fields, ("version", __version__)]
+    return " ".join([f"# nakfade {cfg.subcommand}"] + [f"{k}={_fmt_exact(v)}" for k, v in fields])
 
 
 def _bound_fields(cfg: RunConfig, rate, *extra) -> list:
@@ -120,7 +131,7 @@ def _bound_fields(cfg: RunConfig, rate, *extra) -> list:
 
 
 def _grid_repr(spec3: tuple) -> str:
-    return ":".join(_fmt(v) for v in spec3)
+    return ":".join(_fmt_exact(v) for v in spec3)
 
 
 def _emit(cfg: RunConfig, header: str, columns: list, rows: list) -> int:

@@ -6,9 +6,21 @@ The per-block mutual information of a 2^M-point constellation is
 
 with Z complex Gaussian, unit variance.  The expectation is a 2-D integral
 with weight e^(-|z|^2)/pi over (Re z, Im z), evaluated by a tensor product
-of one-dimensional Gauss-Hermite rules.  For square QAM the constellation
-is a product of two real grids and the node sums factorize, which the batch
-evaluator exploits; the generic path handles any point set.
+of one-dimensional Gauss-Hermite rules.  Both batch evaluators reassociate
+that one rule per dimension:
+
+* square QAM is a product of two real grids, so the inner sum over x' is a
+  product of two real sums (side^2 order exponentials per rho);
+* any other point set (PSK) still has an exponent that is a sum of a real-
+  and an imaginary-part term, so for each x the inner sums at all order^2
+  nodes are one matrix product over x' of two per-dimension exponential
+  tables: 2 K^2 order exponentials, K^2 order^2 multiply-adds and K order^2
+  logs per rho, against K^2 order^2 exponentials for the plain tensor sum.
+
+The per-dimension max-shifts keep every generic inner sum above
+e^-(t_i^2 + t_j^2), so it can underflow only at tail nodes of orders above
+~190; such nodes are dropped when their weight is negligible and raise
+ArithmeticError otherwise, so no order returns NaN or inf.
 """
 
 from __future__ import annotations
@@ -28,8 +40,6 @@ __all__ = [
     "DEFAULT_ORDER",
     "mi_discrete",
     "mi_discrete_array",
-    "mi_gaussian",
-    "mi_capped",
 ]
 
 # Smallest order for which doubling it moves the MI of every supported
@@ -37,6 +47,19 @@ __all__ = [
 DEFAULT_ORDER = 96
 
 _LN2 = math.log(2.0)
+
+# Batch limits of mi_discrete_array: at most _BATCH_RHOS SNRs, and about
+# _BATCH_ELEMS elements in the largest temporary, so a batch stays in cache.
+_BATCH_RHOS = 128
+_BATCH_ELEMS = 2**16
+
+# Largest 2-D tensor weight allowed on a node whose factorized inner sum
+# underflowed (_mi_batch_generic).  Golub-Welsch weights do not fall to
+# e^-(t^2) in the tails but stop near 1e-60 (eigenvector round-off), so such
+# nodes carry up to ~1e-115 at order 256 and ~4e-70 at order 400.  Counting
+# log S = 0 there moves the node's term by at most its weight times
+# t_i^2 + t_j^2 < 4 order + 2, far below double precision for any usable order.
+_MASKED_WEIGHT_LIMIT = 1e-30
 
 
 @dataclass(frozen=True)
@@ -98,16 +121,6 @@ def hermite_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
     return QuadratureRule.gauss_hermite(order)
 
 
-def mi_gaussian(rho: Snr) -> float:
-    """Gaussian-input mutual information log2(1 + rho) in bits."""
-    return math.log2(1.0 + rho.rho)
-
-
-def mi_capped(rho: Snr, M: int) -> float:
-    """min{M, log2(1 + rho)}: the cap every 2^M-ary input obeys."""
-    return min(float(M), math.log2(1.0 + rho.rho))
-
-
 def _mi_batch_separable(rhos: np.ndarray, levels: np.ndarray, M: int, rule: QuadratureRule) -> np.ndarray:
     """Batch MI for grid QAM: the tensor quadrature factorizes per dimension.
 
@@ -137,33 +150,57 @@ def _mi_batch_separable(rhos: np.ndarray, levels: np.ndarray, M: int, rule: Quad
 def _mi_batch_generic(rhos: np.ndarray, points: np.ndarray, M: int, rule: QuadratureRule) -> np.ndarray:
     """Batch MI for an arbitrary point set over the full 2-D tensor rule.
 
-    The exponent -|sqrt(rho)(x-x') + z|^2 + |z|^2 simplifies to
-    -(rho |d|^2 + 2 sqrt(rho) Re(d conj(z))); the inner log-sum is taken
-    with max-subtraction so no order or SNR can overflow it (the x'=x term
-    pins the max at >= 0).
+    The exponent -|sqrt(rho)(x-x') + z|^2 + |z|^2 splits into one term per
+    dimension, f(d, t) = -(rho d^2 + 2 sqrt(rho) d t), taken at (Re d, t_i)
+    and at (Im d, t_j).  Each part is shifted by its maximum over x' (>= 0,
+    the x'=x term) and exponentiated on its own order-long node axis, so for
+    every x the inner sums at all order^2 nodes are one matrix product
+    S = E_r^T E_i over x'.  Same rule, reassociated: 2 K^2 order exponentials
+    and K order^2 logs per rho instead of K^2 order^2 exponentials.
+
+    The x'=x term keeps S_ij >= e^-(t_i^2 + t_j^2), so S underflows to 0 only
+    at nodes far out in the tails (orders above ~190).  Those nodes count
+    log S = 0, which is harmless while their tensor weight is negligible;
+    a larger weight raises ArithmeticError rather than return a wrong value.
     """
     K = points.size
     t = rule.nodes
     w = rule.weights
-    zr = np.repeat(t, rule.order)
-    zi = np.tile(t, rule.order)
-    w2 = np.repeat(w, rule.order) * np.tile(w, rule.order) / math.pi
-    sq = np.sqrt(rhos)
-    acc = np.zeros(rhos.size)
-    for x in range(K):
-        d = points[x] - points
-        cross = 2.0 * (d.real[:, None] * zr[None, :] + d.imag[:, None] * zi[None, :])
-        e = -(rhos[:, None, None] * (np.abs(d) ** 2)[None, :, None] + sq[:, None, None] * cross[None, :, :])
-        shift = e.max(axis=1)
-        log_inner = shift + np.log(np.exp(e - shift[:, None, :]).sum(axis=1))
-        acc += log_inner @ w2
+    d = points[:, None] - points[None, :]
+    sq = np.sqrt(rhos)[:, None, None, None]
+
+    def factor(dd: np.ndarray) -> tuple:
+        # g = rho d^2 + 2 sqrt(rho) d t = -f, shape (n, x, x', node)
+        u = sq * dd[None, :, :, None]
+        g = u + 2.0 * t
+        g *= u
+        g_min = g.min(axis=2)
+        np.subtract(g_min[:, :, None, :], g, out=g)
+        np.exp(g, out=g)
+        return g, -g_min
+
+    e_r, max_r = factor(d.real)
+    e_i, max_i = factor(d.imag)
+    s = np.matmul(e_r.transpose(0, 1, 3, 2), e_i)  # (n, x, t_i, t_j)
+    if not s.all():
+        under = s == 0.0
+        w_under = np.broadcast_to(np.outer(w, w) / math.pi, s.shape)[under]
+        if w_under.max() > _MASKED_WEIGHT_LIMIT:
+            raise ArithmeticError(f"quadrature inner sum underflowed at a node of weight {w_under.max():.3g} (order {rule.order})")
+        s[under] = 1.0
+    np.log(s, out=s)
+    log_s = (s @ w) @ w / math.pi
+    shifts = (max_r + max_i) @ w * (w.sum() / math.pi)
+    acc = (log_s + shifts).sum(axis=1)
     return M - acc / (K * _LN2)
 
 
 def mi_discrete_array(rhos, c: Constellation, rule: QuadratureRule | None = None) -> np.ndarray:
     """Mutual information in bits for an array of linear SNR values.
 
-    Evaluated in bounded-memory chunks; results are clamped to [0, M].
+    Evaluated in cache-sized batches, each rho independently of the others
+    (the same value whatever the batch); results are clamped to [0, M].
+    Raises ArithmeticError instead of returning a non-finite value.
     """
     if rule is None:
         rule = hermite_rule()
@@ -172,14 +209,15 @@ def mi_discrete_array(rhos, c: Constellation, rule: QuadratureRule | None = None
     M = c.bits_per_symbol
     out = np.empty(flat.size)
     if c.grid_levels is not None:
-        side = c.grid_levels.size
-        chunk = max(1, int(4e6 / (side * side * rule.order)))
-        for lo in range(0, flat.size, chunk):
-            out[lo : lo + chunk] = _mi_batch_separable(flat[lo : lo + chunk], c.grid_levels, M, rule)
+        batch, args, per_rho = _mi_batch_separable, c.grid_levels, c.grid_levels.size**2 * rule.order
     else:
-        chunk = max(1, int(4e6 / (c.size * rule.order**2)))
+        batch, args, per_rho = _mi_batch_generic, c.points, c.size * rule.order**2
+    chunk = min(_BATCH_RHOS, max(1, _BATCH_ELEMS // per_rho))
+    with np.errstate(under="ignore"):
         for lo in range(0, flat.size, chunk):
-            out[lo : lo + chunk] = _mi_batch_generic(flat[lo : lo + chunk], c.points, M, rule)
+            out[lo : lo + chunk] = batch(flat[lo : lo + chunk], args, M, rule)
+    if not np.all(np.isfinite(out)):
+        raise ArithmeticError(f"non-finite mutual information for {c.size} points at order {rule.order}")
     return np.clip(out, 0.0, float(M)).reshape(rhos.shape)
 
 

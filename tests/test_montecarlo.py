@@ -73,6 +73,21 @@ class TestMcOutage:
         multi = mc_outage(Snr(10.0), spec44(M2, 1), make_qam(4), workers=3, **kw)
         assert single.p_hat == multi.p_hat
 
+    # Event counts at fixed seeds, frozen from the direct (unfactorized)
+    # tensor-rule evaluation; 6000 samples span two sampler chunks.
+    @pytest.mark.parametrize(
+        "c,M,m,rate,db,n,seed,count",
+        [
+            (make_psk(3), 3, M1, 1.5, 8.0, 6000, 21, 781),
+            (make_psk(3), 3, M2, 1.5, 6.0, 6000, 22, 747),
+            (make_qam(4), 4, M1, 2.0, 12.0, 50_000, 23, 2171),
+        ],
+        ids=["psk8-m1", "psk8-m2", "qam16-m1"],
+    )
+    def test_pinned_event_counts(self, c, M, m, rate, db, n, seed, count):
+        est = mc_outage(Snr.from_db(db), ChannelSpec(4, M, m, rate), c, n=n, seed=seed)
+        assert est.p_hat == McEstimate.from_count(count, n, seed).p_hat
+
     @pytest.mark.parametrize("m,db", [(M2, 5.0), (M2, 9.0), (NakagamiParam(0.5), 5.0), (NakagamiParam(0.5), 15.0)])
     def test_lower_bound_estimate_below_outage_estimate(self, m, db):
         s = spec44(m, 2.0)

@@ -10,11 +10,37 @@ from nakfade.mutual_info import (
     QuadratureRule,
     Snr,
     hermite_rule,
-    mi_capped,
     mi_discrete,
     mi_discrete_array,
-    mi_gaussian,
 )
+
+
+def direct_mi(rho: float, c: Constellation, rule: QuadratureRule) -> float:
+    """Reference: the 2-D tensor rule summed node by node, with a log-sum-exp per node.
+
+    Forms -|sqrt(rho)(x-x') + z|^2 + |z|^2 on the full K x order^2 grid of
+    every x, takes the inner log-sum with max-subtraction (no underflow),
+    then the weighted node sum; no factorization of any kind.
+    """
+    K, t, w = c.size, rule.nodes, rule.weights
+    zr = np.repeat(t, rule.order)
+    zi = np.tile(t, rule.order)
+    w2 = np.repeat(w, rule.order) * np.tile(w, rule.order) / math.pi
+    acc = 0.0
+    for x in range(K):
+        d = c.points[x] - c.points
+        e = -(rho * (np.abs(d) ** 2)[:, None] + 2.0 * math.sqrt(rho) * (d.real[:, None] * zr + d.imag[:, None] * zi))
+        shift = e.max(axis=0)
+        acc += (shift + np.log(np.exp(e - shift).sum(axis=0))) @ w2
+    return c.bits_per_symbol - acc / (K * math.log(2.0))
+
+
+def bare(c: Constellation) -> Constellation:
+    """The same points without grid metadata, so they take the generic path."""
+    return Constellation(c.points, c.bits_per_symbol)
+
+
+GENERIC_SETS = {"psk2": make_psk(1), "psk4": make_psk(2), "psk8": make_psk(3), "qam4": bare(make_qam(2)), "qam16": bare(make_qam(4))}
 
 # Adaptive 2-D quadrature of the defining integral for BPSK at rho = 1,
 # frozen from a 25-digit evaluation (cross-checked against the equivalent
@@ -69,7 +95,7 @@ class TestMiDiscrete:
     @pytest.mark.parametrize("c", [make_qam(4), make_psk(1), make_psk(3)])
     def test_below_cap(self, c):
         for rho in np.logspace(-2, 4, 13):
-            assert mi_discrete(Snr(rho), c) <= mi_capped(Snr(rho), c.bits_per_symbol) + 1e-6
+            assert mi_discrete(Snr(rho), c) <= min(c.bits_per_symbol, math.log2(1.0 + rho)) + 1e-6
 
     def test_monotone_in_snr(self):
         vals = mi_discrete_array(np.logspace(-2, 4, 41), make_qam(4))
@@ -102,13 +128,39 @@ class TestMiDiscrete:
         assert np.all(vals >= 0.0) and np.all(vals <= 4.0)
 
 
-class TestCappedAndGaussian:
-    def test_gaussian(self):
-        assert mi_gaussian(Snr(1.0)) == 1.0
-        assert mi_gaussian(Snr(0.0)) == 0.0
-        assert mi_gaussian(Snr(15.0)) == pytest.approx(4.0, rel=1e-15)
+class TestGenericPath:
+    @pytest.mark.parametrize("order", [8, 32, 96, 192, 256])
+    @pytest.mark.parametrize("name", sorted(GENERIC_SETS))
+    def test_matches_direct_tensor_rule(self, name, order):
+        c, rule = GENERIC_SETS[name], hermite_rule(order)
+        rhos = np.logspace(-6, 9, 11)
+        got = mi_discrete_array(rhos, c, rule)
+        want = np.clip([direct_mi(r, c, rule) for r in rhos], 0.0, c.bits_per_symbol)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_capped(self):
-        assert mi_capped(Snr(2.0**4 - 1.0), 4) == pytest.approx(4.0, rel=1e-15)
-        assert mi_capped(Snr(0.0), 4) == 0.0
-        assert mi_capped(Snr(1e9), 4) == 4.0
+    @pytest.mark.parametrize("order", [256, 400])
+    @pytest.mark.parametrize("name", ["psk4", "psk8"])
+    def test_finite_at_high_order(self, name, order):
+        # At these orders the factorized inner sums underflow at tail nodes.
+        c = GENERIC_SETS[name]
+        with np.errstate(all="raise"):
+            vals = mi_discrete_array(np.logspace(-6, 9, 16), c, hermite_rule(order))
+        assert np.all(np.isfinite(vals))
+        assert np.all((vals >= 0.0) & (vals <= c.bits_per_symbol))
+
+    def test_underflow_at_a_heavy_node_raises(self):
+        # Two nodes at +-30 with weight sqrt(pi)/2 each: at rho = 1000 the
+        # inner sum of a psk8 point underflows where the weight is 1/4.
+        rule = QuadratureRule(2, np.array([-30.0, 30.0]), np.full(2, math.sqrt(math.pi) / 2))
+        assert math.isfinite(direct_mi(1000.0, make_psk(3), rule))
+        with pytest.raises(ArithmeticError):
+            mi_discrete_array([1000.0], make_psk(3), rule)
+
+
+class TestBatching:
+    @pytest.mark.parametrize("c", [make_qam(4), make_psk(3)], ids=["qam16", "psk8"])
+    def test_batch_equals_one_at_a_time(self, c):
+        rule = hermite_rule(32)
+        rhos = np.random.default_rng(5).gamma(1.0, 1.0, 1200) * 20.0
+        batched = mi_discrete_array(rhos, c, rule)
+        assert np.array_equal(batched, [mi_discrete_array([r], c, rule)[0] for r in rhos])
