@@ -4,13 +4,10 @@ __version__ = "0.1.0"
 
 from .asymptotics import (
     BlockLengthScale,
-    DiversityReport,
-    OptimalExponent,
     asymptote,
     asymptotic_cdf_A,
     asymptotic_pmf_A,
     coding_gain,
-    diversity_report,
     optimal_exponent,
     random_coding_exponent,
     singleton_bound,
@@ -29,16 +26,6 @@ from .bound import (
     success_rate,
 )
 from .constellation import Constellation, from_name, make_psk, make_qam
-from .fading import (
-    FadingGain,
-    GainStream,
-    NakagamiParam,
-    gain_block,
-    gain_cdf,
-    gain_pdf,
-    gamma_upper_incomplete,
-    rician_k_to_m,
-    sample_gain,
-)
+from .fading import NakagamiParam, gain_block, gain_cdf, gain_pdf, rician_k_to_m
 from .montecarlo import McEstimate, mc_lower_bound, mc_outage
 from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete, mi_discrete_array

@@ -24,9 +24,7 @@ from .fading import NakagamiParam
 from .mutual_info import Snr
 
 __all__ = [
-    "OptimalExponent",
     "BlockLengthScale",
-    "DiversityReport",
     "singleton_bound",
     "optimal_exponent",
     "asymptotic_cdf_A",
@@ -34,23 +32,20 @@ __all__ = [
     "coding_gain",
     "asymptote",
     "random_coding_exponent",
-    "diversity_report",
 ]
 
 _LN2 = math.log(2.0)
 
 # Rates where B(1 - R/M) is within this of an integer sit on a diversity
-# discontinuity; they are flagged, not excluded.
+# discontinuity: the floor in d_B(R) must see the integer, not float fuzz.
 _DISCONT_TOL = 1e-9
 
 
-def _diversity_arg(B: int, M: int, R: float) -> tuple[float, bool]:
+def _diversity_arg(B: int, M: int, R: float) -> float:
     """B(1 - R/M), snapped to integers within 1e-9 to absorb float fuzz."""
     v = B * (M - R) / M
     snapped = round(v)
-    if abs(v - snapped) < _DISCONT_TOL:
-        return float(snapped), True
-    return v, False
+    return float(snapped) if abs(v - snapped) < _DISCONT_TOL else v
 
 
 def singleton_bound(B: int, M: int, R: float) -> int:
@@ -59,16 +54,7 @@ def singleton_bound(B: int, M: int, R: float) -> int:
         raise ValueError("B and M must be positive integers")
     if not (0.0 < R <= M):
         raise ValueError(f"rate must lie in (0, M={M}], got {R}")
-    v, _ = _diversity_arg(B, M, R)
-    return 1 + int(math.floor(v))
-
-
-@dataclass(frozen=True)
-class OptimalExponent:
-    """m d_B(R), flagged when B(1 - R/M) is an integer (open boundary case)."""
-
-    value: float
-    on_discontinuity: bool
+    return 1 + int(math.floor(_diversity_arg(B, M, R)))
 
 
 @dataclass(frozen=True)
@@ -82,27 +68,9 @@ class BlockLengthScale:
             raise ValueError(f"block-length scale must be >= 0, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class DiversityReport:
-    """Diversity quantities at one rate."""
-
-    rate: float
-    d_singleton: int
-    d_optimal: float
-    d_random: float
-    coding_gain: float
-    on_discontinuity: bool
-
-    def __post_init__(self) -> None:
-        if self.d_random > self.d_optimal + 1e-12:
-            raise ValueError("random-coding exponent cannot exceed the optimal exponent")
-
-
-def optimal_exponent(spec: ChannelSpec) -> OptimalExponent:
+def optimal_exponent(spec: ChannelSpec) -> float:
     """Optimal SNR exponent m d_B(R) of the outage probability."""
-    d = singleton_bound(spec.B, spec.M, spec.rate)
-    _, on_edge = _diversity_arg(spec.B, spec.M, spec.rate)
-    return OptimalExponent(spec.fading.m * d, on_edge)
+    return spec.fading.m * singleton_bound(spec.B, spec.M, spec.rate)
 
 
 def asymptotic_cdf_A(xi, M: int, m: NakagamiParam):
@@ -149,8 +117,7 @@ def asymptote(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> floa
     """High-SNR power law K * rho^(-m d_B(R)) of the outage lower bound."""
     if snr.rho <= 0:
         raise ValueError("asymptote requires rho > 0")
-    d = singleton_bound(spec.B, spec.M, spec.rate)
-    return coding_gain(spec, n_cells) * snr.rho ** (-spec.fading.m * d)
+    return coding_gain(spec, n_cells) * snr.rho ** -optimal_exponent(spec)
 
 
 def random_coding_exponent(spec: ChannelSpec, scale: BlockLengthScale) -> float:
@@ -165,22 +132,9 @@ def random_coding_exponent(spec: ChannelSpec, scale: BlockLengthScale) -> float:
     if not (0.0 < R <= M):
         raise ValueError(f"rate must lie in (0, M={M}], got {R}")
     lam = scale.lam
-    v, _ = _diversity_arg(B, M, R)
+    v = _diversity_arg(B, M, R)
     d = 1 + int(math.floor(v))
     if lam * M * _LN2 < m:
         return lam * B * M * _LN2 * (1.0 - R / M)
     return m * (d - 1) + min(m, lam * M * _LN2 * (v - d + 1))
 
-
-def diversity_report(spec: ChannelSpec, scale: BlockLengthScale, n_cells: int = DEFAULT_CELLS) -> DiversityReport:
-    """Bundle the diversity quantities at spec.rate for one lambda."""
-    d_s = singleton_bound(spec.B, spec.M, spec.rate)
-    opt = optimal_exponent(spec)
-    return DiversityReport(
-        rate=spec.rate,
-        d_singleton=d_s,
-        d_optimal=opt.value,
-        d_random=random_coding_exponent(spec, scale),
-        coding_gain=coding_gain(spec, n_cells),
-        on_discontinuity=opt.on_discontinuity,
-    )

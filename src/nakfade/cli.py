@@ -74,9 +74,10 @@ def _fmt_exact(v) -> str:
 
 
 def _grid(spec3: tuple) -> list:
+    """start, start + step, ... up to stop; a point that rounds past stop is stop."""
     start, stop, step = spec3
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    return [min(start + i * step, stop) for i in range(n)]
 
 
 def _parse_grid(value, name: str) -> tuple:
@@ -100,15 +101,7 @@ def _parse_grid(value, name: str) -> tuple:
 
 
 def _channel_spec(cfg: RunConfig, rate: float | None = None) -> bound.ChannelSpec:
-    r = cfg.rate if rate is None else rate
-    try:
-        return bound.ChannelSpec(cfg.blocks, cfg.bits, NakagamiParam(cfg.m), r)
-    except ValueError as exc:
-        msg = str(exc)
-        for name, needle in (("blocks", "block"), ("bits", "bit per symbol"), ("m", "shape"), ("rate", "rate")):
-            if needle in msg:
-                raise click.UsageError(f"field '{name}': {msg}")
-        raise click.UsageError(msg)
+    return bound.ChannelSpec(cfg.blocks, cfg.bits, NakagamiParam(cfg.m), cfg.rate if rate is None else rate)
 
 
 def _pmap(workers: int, fn, items: list) -> list:
@@ -182,8 +175,6 @@ def _run_ratesweep(cfg: RunConfig) -> int:
     # One SNR, so every rate reads the same pmf and convolution powers:
     # a single evaluator call in this thread, whatever cfg.workers says.
     rates = _grid(cfg.rate_grid)
-    for r in rates:
-        _channel_spec(cfg, r)  # a grid point past M is a usage error naming the field
     results = bound.outage_lower_bounds(Snr.from_db(cfg.snr_db_fixed), cfg.blocks, cfg.bits, NakagamiParam(cfg.m), rates, cfg.cells)
     header = _header(cfg, _bound_fields(cfg, _grid_repr(cfg.rate_grid), ("snr_db", cfg.snr_db_fixed)))
     return _emit(cfg, header, ["rate", "p_out_lower"], [(r, res.value) for r, res in zip(rates, results)])
@@ -193,7 +184,7 @@ def _run_asymptote(cfg: RunConfig) -> int:
     spec = _channel_spec(cfg)
     dbs = _grid(cfg.snr_db)
     gain = asymptotics.coding_gain(spec, cfg.cells)
-    d_exp = spec.fading.m * asymptotics.singleton_bound(spec.B, spec.M, spec.rate)
+    d_exp = asymptotics.optimal_exponent(spec)
 
     def point(db: float) -> tuple:
         rho = Snr.from_db(db)
@@ -210,8 +201,7 @@ def _run_exponent(cfg: RunConfig) -> int:
     def point(r: float) -> list:
         spec = _channel_spec(cfg, r)
         d_s = asymptotics.singleton_bound(cfg.blocks, cfg.bits, r)
-        opt = asymptotics.optimal_exponent(spec)
-        row = [r, d_s, opt.value]
+        row = [r, d_s, asymptotics.optimal_exponent(spec)]
         row += [asymptotics.random_coding_exponent(spec, sc) for sc in scales]
         return row
 
@@ -224,8 +214,6 @@ def _run_mc(cfg: RunConfig) -> int:
     dbs = _grid(cfg.snr_db)
     if cfg.mode == "outage":
         c = from_name(cfg.constellation)
-        if c.bits_per_symbol != cfg.bits:
-            raise click.UsageError(f"field 'constellation': {cfg.constellation!r} carries {c.bits_per_symbol} bits, spec needs {cfg.bits}")
         rule = hermite_rule(cfg.order)
 
         def point(idx_db: tuple) -> object:
@@ -248,10 +236,11 @@ def _run_mc(cfg: RunConfig) -> int:
 
 
 def _run_mi(cfg: RunConfig) -> int:
+    # One evaluator call over the whole grid in this thread, whatever
+    # cfg.workers says: each value does not depend on its batch.
     c = from_name(cfg.constellation)
-    rule = hermite_rule(cfg.order)
     dbs = _grid(cfg.snr_db)
-    vals = _pmap(cfg.workers, lambda db: float(mi_discrete_array([Snr.from_db(db).rho], c, rule)[0]), dbs)
+    vals = mi_discrete_array([Snr.from_db(db).rho for db in dbs], c, hermite_rule(cfg.order)).tolist()
     fields = [("constellation", cfg.constellation), ("order", cfg.order)]
     return _emit(cfg, _header(cfg, fields), ["rho_db", "mi_bits"], list(zip(dbs, vals)))
 
@@ -295,34 +284,52 @@ def _build_config(subcommand: str, config_path: str | None, flags: dict) -> RunC
             if key in ("snr_db", "rate_grid"):
                 value = _parse_grid(value, key)
             elif key == "lambda_scaled":
-                value = tuple(float(v) for v in value) if not isinstance(value, (int, float)) else (float(value),)
+                value = tuple(value) if isinstance(value, (list, tuple)) else (value,)
             setattr(cfg, key, value)
     _validate(cfg)
     return cfg
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _validate(cfg: RunConfig) -> None:
-    checks = [
-        ("blocks", cfg.blocks >= 1, "must be a positive integer"),
-        ("bits", cfg.bits >= 1, "must be a positive integer"),
-        ("m", isinstance(cfg.m, (int, float)) and math.isfinite(cfg.m) and cfg.m > 0, "must be a positive finite real"),
-        ("cells", cfg.cells >= 2, "must be at least 2"),
-        ("order", cfg.order >= 1, "must be a positive integer"),
-        ("samples", cfg.samples >= 1, "must be a positive integer"),
-        ("workers", cfg.workers >= 1, "must be a positive integer"),
-        ("mode", cfg.mode in ("outage", "lowerbound"), "must be 'outage' or 'lowerbound'"),
-        ("seed", isinstance(cfg.seed, int), "must be an integer"),
-    ]
-    if cfg.subcommand in ("curve", "asymptote", "mc"):
-        checks.append(("rate", 0 < cfg.rate <= cfg.bits, f"must lie in (0, M={cfg.bits}]"))
-    if cfg.subcommand in ("ratesweep", "exponent"):
-        lo, hi, _ = cfg.rate_grid
-        checks.append(("rate_grid", 0 < lo and hi <= cfg.bits, f"grid must stay inside (0, M={cfg.bits}]"))
-    if cfg.subcommand == "exponent":
-        checks.append(("lambda_scaled", all(v > 0 for v in cfg.lambda_scaled), "entries must be positive"))
-    for name, ok, msg in checks:
+    """Exit 2 naming the first bad field; a config that passes runs without a usage error."""
+
+    def need(name: str, ok: bool, msg: str) -> None:
         if not ok:
             raise click.UsageError(f"field '{name}': {msg}")
+
+    for name in ("blocks", "bits", "order", "samples", "workers"):
+        value = getattr(cfg, name)
+        need(name, _is_int(value) and value >= 1, "must be a positive integer")
+    need("cells", _is_int(cfg.cells) and cfg.cells >= 2, "must be an integer >= 2")
+    need("seed", _is_int(cfg.seed), "must be an integer")
+    need("m", _is_real(cfg.m) and math.isfinite(cfg.m) and cfg.m > 0, "must be a positive finite real")
+    need("rate", _is_real(cfg.rate), "must be a real number")
+    need("snr_db_fixed", _is_real(cfg.snr_db_fixed) and math.isfinite(cfg.snr_db_fixed), "must be a finite real")
+    need("lambda_scaled", all(_is_real(v) and v > 0 for v in cfg.lambda_scaled), "entries must be positive reals")
+    need("per_term", isinstance(cfg.per_term, bool), "must be true or false")
+    need("out", cfg.out is None or isinstance(cfg.out, str), "must be a file path")
+    need("mode", cfg.mode in ("outage", "lowerbound"), "must be 'outage' or 'lowerbound'")
+    if cfg.subcommand == "mi" or (cfg.subcommand == "mc" and cfg.mode == "outage"):
+        need("constellation", isinstance(cfg.constellation, str), "must be a name such as 'qam16'")
+        try:
+            bits = from_name(cfg.constellation).bits_per_symbol
+        except ValueError as exc:
+            raise click.UsageError(f"field 'constellation': {exc}")
+        if cfg.subcommand == "mc":
+            need("constellation", bits == cfg.bits, f"{cfg.constellation!r} carries {bits} bits, spec needs {cfg.bits}")
+    if cfg.subcommand in ("curve", "asymptote", "mc"):
+        need("rate", 0 < cfg.rate <= cfg.bits, f"must lie in (0, M={cfg.bits}]")
+    if cfg.subcommand in ("ratesweep", "exponent"):
+        lo, hi, _ = cfg.rate_grid
+        need("rate_grid", 0 < lo and hi <= cfg.bits, f"grid must stay inside (0, M={cfg.bits}]")
 
 
 _shared = [
@@ -330,7 +337,7 @@ _shared = [
     click.option("--bits", "-M", "bits", type=int, default=None, help="Bits per symbol M (2^M-point input)."),
     click.option("--m", "m", type=float, default=None, help="Nakagami shape m (m=1 is Rayleigh)."),
     click.option("--cells", type=int, default=None, help="Grid cells over [0, M] for the tabulated pmf."),
-    click.option("--workers", type=int, default=None, help="Worker threads over grid points (ratesweep runs in one thread)."),
+    click.option("--workers", type=int, default=None, help="Worker threads over grid points (ratesweep and mi run in one thread)."),
     click.option("--out", "-o", "out", type=click.Path(dir_okay=False), default=None, help="Output CSV path (default: stdout)."),
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config file; explicit flags override it."),
 ]

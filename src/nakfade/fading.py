@@ -3,29 +3,24 @@
 The fading power gain gamma = |h|^2 of a Nakagami-m channel is
 Gamma-distributed with shape m and scale 1/m (unit mean).  This module
 provides the incomplete-gamma machinery behind its pdf/cdf, plus a
-counter-based seeded sampler whose draws are reproducible independent of
-how the sample range is partitioned across workers.
+counter-based seeded block sampler whose draws are reproducible independent
+of how the sample range is partitioned across workers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NakagamiParam",
-    "FadingGain",
-    "GainStream",
-    "gamma_upper_incomplete",
     "reg_gamma_p",
-    "reg_gamma_q",
     "reg_gamma_pq",
     "gain_pdf",
     "gain_cdf",
     "gain_block",
-    "sample_gain",
     "rician_k_to_m",
 ]
 
@@ -50,17 +45,6 @@ class NakagamiParam:
             raise ValueError(f"Nakagami shape must be a real number, got {m!r}")
         if not math.isfinite(m) or m <= 0:
             raise ValueError(f"Nakagami shape must be positive and finite, got {m}")
-
-
-@dataclass(frozen=True)
-class FadingGain:
-    """Fading power gain gamma = |h|^2 (linear, nonnegative)."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not (self.gamma >= 0):
-            raise ValueError(f"fading power gain must be >= 0, got {self.gamma}")
 
 
 def _reg_p_series(a: float, x: np.ndarray) -> np.ndarray:
@@ -153,23 +137,6 @@ def reg_gamma_p(a: float, x):
     return float(p) if np.isscalar(x) else p
 
 
-def reg_gamma_q(a: float, x):
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a,x)/Gamma(a)."""
-    _, q = reg_gamma_pq(a, x)
-    return float(q) if np.isscalar(x) else q
-
-
-def gamma_upper_incomplete(a: float, x):
-    """Upper incomplete gamma function Gamma(a, x) = int_x^inf t^(a-1) e^-t dt.
-
-    Uses the series representation for x < a+1 and the continued fraction
-    otherwise; relative error is at the 1e-15 term-ratio level, comfortably
-    inside 1e-12.  Gamma(a, 0) = Gamma(a).
-    """
-    q = reg_gamma_q(a, x)
-    return q * math.exp(math.lgamma(a))
-
-
 def gain_pdf(xi, p: NakagamiParam):
     """Pdf of the fading power gain: m^m xi^(m-1) e^(-m xi) / Gamma(m).
 
@@ -251,34 +218,3 @@ def gain_block(
         hi = min(first + count, (c + 1) * CHUNK)
         out[lo - first : hi - first] = vals[lo - c * CHUNK : hi - c * CHUNK]
     return out
-
-
-@dataclass
-class GainStream:
-    """Stateful view of a gain stream for one-at-a-time draws.
-
-    Draw index i from stream (seed, stream_id) returns exactly what
-    gain_block(..., first=i, count=1) produces, so scalar and block use
-    interleave freely.
-    """
-
-    seed: int
-    stream_id: int = 0
-    index: int = 0
-    _cache_key: tuple = field(default=None, repr=False, compare=False)
-    _cache: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def next_gain(self, p: NakagamiParam) -> float:
-        c, r = divmod(self.index, CHUNK)
-        key = (p.m, c)
-        if self._cache_key != key:
-            rng = _chunk_rng(self.seed, self.stream_id, c)
-            self._cache = rng.gamma(shape=p.m, scale=1.0 / p.m, size=(CHUNK, 1))
-            self._cache_key = key
-        self.index += 1
-        return float(self._cache[r, 0])
-
-
-def sample_gain(p: NakagamiParam, stream: GainStream) -> FadingGain:
-    """Next fading power gain from a seeded stream (Gamma(m, 1/m) law)."""
-    return FadingGain(stream.next_gain(p))

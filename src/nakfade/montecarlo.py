@@ -31,24 +31,23 @@ MC_QUAD_ORDER = 32
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Binomial-proportion estimate with its standard error."""
+    """Binomial-proportion estimate; its standard error follows from p_hat and n."""
 
     p_hat: float
-    std_err: float
     n_samples: int
     seed: int
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
-        expected = math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_samples)
-        if abs(self.std_err - expected) > 1e-12:
-            raise ValueError("std_err does not match the binomial-proportion formula")
+
+    @property
+    def std_err(self) -> float:
+        return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_samples)
 
     @classmethod
     def from_count(cls, count: int, n: int, seed: int) -> "McEstimate":
-        p = count / n
-        return cls(p, math.sqrt(p * (1.0 - p) / n), n, seed)
+        return cls(count / n, n, seed)
 
 
 def _count_chunks(n: int, seed: int, stream_id: int, workers: int, chunk_counter) -> int:

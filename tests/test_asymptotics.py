@@ -5,12 +5,10 @@ import pytest
 
 from nakfade.asymptotics import (
     BlockLengthScale,
-    DiversityReport,
     asymptote,
     asymptotic_cdf_A,
     asymptotic_pmf_A,
     coding_gain,
-    diversity_report,
     optimal_exponent,
     random_coding_exponent,
     singleton_bound,
@@ -54,16 +52,12 @@ class TestSingletonBound:
 
 class TestOptimalExponent:
     def test_b4_m4_exponents(self):
-        assert optimal_exponent(ChannelSpec(4, 4, M2, 1.0)).value == pytest.approx(8.0)
-        assert optimal_exponent(ChannelSpec(4, 4, MH, 3.0)).value == pytest.approx(1.0)
+        assert optimal_exponent(ChannelSpec(4, 4, M2, 1.0)) == pytest.approx(8.0)
+        assert optimal_exponent(ChannelSpec(4, 4, MH, 3.0)) == pytest.approx(1.0)
 
     def test_rayleigh_reduction(self):
         for rate in (0.5, 1.7, 3.3):
-            assert optimal_exponent(ChannelSpec(4, 4, M1, rate)).value == singleton_bound(4, 4, rate)
-
-    def test_discontinuity_flag(self):
-        assert optimal_exponent(ChannelSpec(4, 4, M2, 1.0)).on_discontinuity  # B(1-R/M) = 3
-        assert not optimal_exponent(ChannelSpec(4, 4, M2, 1.1)).on_discontinuity
+            assert optimal_exponent(ChannelSpec(4, 4, M1, rate)) == singleton_bound(4, 4, rate)
 
 
 class TestAsymptoticLaw:
@@ -140,7 +134,7 @@ class TestRandomCodingExponent:
     def test_large_lambda_attains_optimal_off_discontinuity(self):
         spec = ChannelSpec(4, 4, M2, 1.5)  # B(1 - R/M) = 2.5, not integer
         got = random_coding_exponent(spec, BlockLengthScale(1e3))
-        assert got == pytest.approx(optimal_exponent(spec).value, rel=1e-12)
+        assert got == pytest.approx(optimal_exponent(spec), rel=1e-12)
 
     @pytest.mark.parametrize("scaled", [0.5, 1.0, 2.0, 1000.0])
     def test_never_exceeds_optimal(self, scaled):
@@ -158,16 +152,3 @@ class TestRandomCodingExponent:
             lo = random_coding_exponent(spec, BlockLengthScale(lam_star * (1 - 1e-12)))
             hi = random_coding_exponent(spec, BlockLengthScale(lam_star * (1 + 1e-12)))
             assert abs(lo - hi) < 1e-9
-
-
-class TestDiversityReport:
-    def test_fields_consistent(self):
-        spec = ChannelSpec(4, 4, M2, 1.3)
-        rep = diversity_report(spec, BlockLengthScale(2.0 * 2.0 / (4.0 * LN2)))
-        assert rep.d_optimal == pytest.approx(2.0 * rep.d_singleton)
-        assert rep.d_random <= rep.d_optimal + 1e-12
-        assert rep.coding_gain > 0
-
-    def test_rejects_inconsistent(self):
-        with pytest.raises(ValueError):
-            DiversityReport(1.0, 4, 8.0, 9.0, 1.0, False)

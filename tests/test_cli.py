@@ -69,6 +69,18 @@ class TestRatesweep:
         vals = np.array([float(r[1]) for r in data])
         assert np.all(np.diff(vals) >= 0)
 
+    def test_grid_ending_at_m_stops_at_m(self, runner):
+        # 0.1 + 29 * 0.1 rounds to 3.0000000000000004, past M = 3
+        res = runner.invoke(main, ["ratesweep", "-M", "3", "-B", "2", "--rate", "0.1:3:0.1", "--snr-db-fixed", "10"])
+        assert res.exit_code == 0
+        _, data = rows_of(res.output)
+        assert len(data) == 30
+        assert data[-1][0] == "3"
+        curve = runner.invoke(main, ["curve", "-M", "3", "-B", "2", "--rate", "3", "--snr-db", "10:10:1"])
+        assert curve.exit_code == 0
+        assert data[-1][1] == rows_of(curve.output)[1][0][1]
+        assert runner.invoke(main, ["exponent", "-M", "3", "--rate", "0.1:3:0.1"]).exit_code == 0
+
 
 class TestAsymptote:
     def test_columns_and_convergence(self, runner):
@@ -216,6 +228,31 @@ class TestConfigAndErrors:
         res = runner.invoke(main, ["curve", "--snr-db", "10:0:2"])
         assert res.exit_code == 2
         assert "snr_db" in res.output
+
+    @pytest.mark.parametrize(
+        "args,config,field",
+        [
+            pytest.param(["curve"], {"blocks": "4"}, "blocks", id="blocks-str"),
+            pytest.param(["curve"], {"blocks": True}, "blocks", id="blocks-bool"),
+            pytest.param(["curve"], {"cells": 4096.0}, "cells", id="cells-float"),
+            pytest.param(["curve"], {"rate": "1"}, "rate", id="rate-str"),
+            pytest.param(["curve"], {"m": True}, "m", id="m-bool"),
+            pytest.param(["ratesweep"], {"snr_db_fixed": "x"}, "snr_db_fixed", id="snr_db_fixed-str"),
+            pytest.param(["exponent"], {"lambda_scaled": ["a"]}, "lambda_scaled", id="lambda_scaled-str"),
+            pytest.param(["mc"], {"samples": 10.5}, "samples", id="samples-float"),
+            pytest.param(["mc"], {"order": None}, "order", id="order-null"),
+            pytest.param(["mi", "--constellation", "foo"], None, "constellation", id="constellation-unknown"),
+            pytest.param(["mc", "--mode", "outage", "--constellation", "qam8", "-M", "3"], None, "constellation", id="constellation-qam8"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_field(self, runner, tmp_path, args, config, field):
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            args = args + ["--config", str(path)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert f"field '{field}'" in res.output
 
     def test_numerical_failure_exits_3(self, runner, monkeypatch):
         from nakfade import cli

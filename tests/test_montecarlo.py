@@ -21,7 +21,7 @@ class TestMcEstimate:
         est = McEstimate.from_count(37, 1000, seed=1)
         assert est.std_err == pytest.approx(math.sqrt(0.037 * 0.963 / 1000), abs=1e-15)
         with pytest.raises(ValueError):
-            McEstimate(0.5, 0.9, 100, 1)
+            McEstimate(0.5, 0, 1)
 
     def test_degenerate_counts(self):
         assert McEstimate.from_count(0, 10, 0).std_err == 0.0
