@@ -183,12 +183,18 @@ def conditional_cdf_A(xi, snr: Snr, spec: ChannelSpec):
     0 below and 1 above.  Both factors are regularized lower incomplete
     gammas, so the ratio keeps full relative accuracy at high SNR.
     """
+    return _conditional_cdf_A(xi, snr, spec, None)
+
+
+def _conditional_cdf_A(xi, snr: Snr, spec: ChannelSpec, den: float | None):
+    """conditional_cdf_A, with den = F_gamma((2^M - 1)/SNR) if the caller has it."""
     if snr.rho <= 0:
         raise ValueError("conditional cdf requires rho > 0")
     m = spec.fading.m
     M = spec.M
     arr = np.asarray(xi, dtype=float)
-    den = reg_gamma_p(m, m * (2.0**M - 1.0) / snr.rho)
+    if den is None:
+        den = reg_gamma_p(m, m * (2.0**M - 1.0) / snr.rho)
     if den <= 0.0:
         raise ArithmeticError("conditioning probability underflowed; SNR too large for this grid")
     out = np.zeros_like(arr)
@@ -200,17 +206,21 @@ def conditional_cdf_A(xi, snr: Snr, spec: ChannelSpec):
     return float(out) if np.isscalar(xi) else out
 
 
-def build_pmf_A(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> TabulatedPmf:
+def build_pmf_A(
+    snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS, *, _den: float | None = None
+) -> TabulatedPmf:
     """Tabulate A's cell masses on [0, M] as cdf differences.
 
     Per-cell probabilities are exact, so the gamma^(m-1) density blow-up at
-    zero for m < 1 never gets point-evaluated.
+    zero for m < 1 never gets point-evaluated.  outage_lower_bounds passes
+    the conditioning probability it already computed as _den, the same value
+    conditional_cdf_A would compute.
     """
     if n_cells < 2:
         raise ValueError(f"need at least 2 cells, got {n_cells}")
     step = spec.M / n_cells
     grid = np.linspace(0.0, float(spec.M), n_cells + 1)
-    cdf = conditional_cdf_A(grid, snr, spec)
+    cdf = _conditional_cdf_A(grid, snr, spec, _den)
     return TabulatedPmf(step, np.diff(cdf))
 
 
@@ -280,7 +290,7 @@ def outage_lower_bounds(
         return []
     p, q = _success_rate_pair(snr, specs[0])
     mix = BinomialMixture.from_rates(p, B, one_minus_p=q)
-    pmf_a = build_pmf_A(snr, specs[0], n_cells)
+    pmf_a = build_pmf_A(snr, specs[0], n_cells, _den=q)
     n_terms = [threshold_terms(s) for s in specs]
     per_term = [[] for _ in specs]
     totals = [0.0] * len(specs)

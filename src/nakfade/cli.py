@@ -51,8 +51,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # mi prints MI values, so it takes the order whose doubling moves
-        # none of them by 1e-6; mc runs one quadrature per sample, where the
-        # library's cheaper MC_QUAD_ORDER keeps the quadrature bias far
+        # none of them by 1e-6; mc decides samples from many MI values, where
+        # the library's cheaper MC_QUAD_ORDER keeps the quadrature bias far
         # below the Monte Carlo noise.
         if self.order is None:
             self.order = montecarlo.MC_QUAD_ORDER if self.subcommand == "mc" else DEFAULT_ORDER

@@ -213,8 +213,11 @@ def gain_block(
     last = first + count - 1
     for c in range(first // CHUNK, last // CHUNK + 1):
         rng = _chunk_rng(seed, stream_id, c)
-        vals = rng.gamma(shape=m, scale=1.0 / m, size=(CHUNK, width))
         lo = max(first, c * CHUNK)
         hi = min(first + count, (c + 1) * CHUNK)
-        out[lo - first : hi - first] = vals[lo - c * CHUNK : hi - c * CHUNK]
+        # The generator fills rows in order from one stream, so drawing only
+        # up to row hi gives the same rows as a full chunk; rows before lo
+        # are still drawn because they advance the stream.
+        vals = rng.gamma(shape=m, scale=1.0 / m, size=(hi - c * CHUNK, width))
+        out[lo - first : hi - first] = vals[lo - c * CHUNK :]
     return out

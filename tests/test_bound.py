@@ -314,6 +314,22 @@ class TestSharedEvaluator:
             assert curve.exit_code == 0
             assert row.split(",")[1] == curve.output.splitlines()[2].split(",")[1]
 
+    def test_conditioning_probability_computed_once(self, monkeypatch):
+        points = []
+
+        def counted(fn):
+            def wrapper(a, x):
+                points.append(np.size(x))
+                return fn(a, x)
+
+            return wrapper
+
+        monkeypatch.setattr(bound, "reg_gamma_p", counted(bound.reg_gamma_p))
+        monkeypatch.setattr(bound, "reg_gamma_pq", counted(bound.reg_gamma_pq))
+        outage_lower_bounds(Snr.from_db(8.0), 4, 4, M1, [1.0, 2.5], 512)
+        # One scalar call for p and 1-p, one over the 511 interior grid points.
+        assert sorted(points) == [1, 511]
+
     def test_ratesweep_shares_pmf_and_spectra(self, monkeypatch, tmp_path):
         calls = {"build_pmf_A": 0, "convolve_power": 0}
         rfft_sizes = []

@@ -158,6 +158,14 @@ class TestSampling:
         )
         assert np.array_equal(whole[: parts.shape[0]], parts)
 
+    @pytest.mark.parametrize("m", [0.1, 0.5, 1.0, 2.0, 5.0])
+    def test_ranges_ending_mid_chunk_match_full_chunk_draws(self, m):
+        p = NakagamiParam(m)
+        full = gain_block(p, seed=8, first=0, count=2 * CHUNK, width=3, stream_id=2)
+        for first, count in [(CHUNK, 1), (CHUNK, 24), (CHUNK, 1950), (CHUNK, CHUNK - 1), (CHUNK + 7, 100), (CHUNK - 5, 29)]:
+            part = gain_block(p, seed=8, first=first, count=count, width=3, stream_id=2)
+            assert np.array_equal(part, full[first : first + count])
+
     def test_deterministic_per_index(self):
         p = NakagamiParam(2)
         a = gain_block(p, seed=9, first=123, count=1)

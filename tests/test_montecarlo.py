@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
+from nakfade import fading, montecarlo
 from nakfade.bound import ChannelSpec, outage_lower_bound
-from nakfade.constellation import make_psk, make_qam
+from nakfade.constellation import KNOWN_NAMES, from_name, make_psk, make_qam
 from nakfade.fading import NakagamiParam
 from nakfade.montecarlo import McEstimate, mc_lower_bound, mc_outage
-from nakfade.mutual_info import Snr
+from nakfade.mutual_info import Snr, hermite_rule, mi_discrete_array
 
 M1 = NakagamiParam(1)
 M2 = NakagamiParam(2)
@@ -104,3 +106,54 @@ class TestMcOutage:
         b = mc_outage(snr, s, make_qam(4), n=10**6, seed=202)
         pooled = math.hypot(a.std_err, b.std_err)
         assert abs(a.p_hat - b.p_hat) <= 6.0 * pooled
+
+
+def direct_outage_count(snr, spec, c, n, seed, stream_id, rule):
+    """Oracle: MI quadrature at every block of every sample, each row decided by its mean."""
+    gains = fading.gain_block(spec.fading, seed, 0, n, width=spec.B, stream_id=stream_id)
+    mi = mi_discrete_array(gains * snr.rho, c, rule)
+    return int(np.count_nonzero(mi.mean(axis=1) < spec.rate))
+
+
+SCREEN_SNRS = [("zero", Snr(0.0))] + [(f"{db:g}dB", Snr.from_db(db)) for db in (-10.0, 5.0, 15.0, 40.0)]
+
+# Every constellation meets every m once; the SNR and the worker count cycle
+# with the case, so every SNR and both worker counts recur.
+SCREEN_CASES = [
+    (name, m, *SCREEN_SNRS[(i + j) % len(SCREEN_SNRS)], (1, 3)[(i + j) % 2])
+    for i, name in enumerate(KNOWN_NAMES)
+    for j, m in enumerate((0.1, 0.5, 1.0, 2.0))
+]
+
+
+class TestScreening:
+    # Rate M/2 puts the threshold inside the MI range; n spans three sampler
+    # chunks, the last one partial.  B = 2 and order 8 keep the oracle
+    # cheap; the default order is checked by test_pinned_event_counts.
+    @pytest.mark.parametrize(
+        "name,m,snr_id,snr,workers", SCREEN_CASES, ids=[f"{c[0]}-m{c[1]:g}-{c[2]}-w{c[4]}" for c in SCREEN_CASES]
+    )
+    def test_counts_equal_direct_quadrature(self, name, m, snr_id, snr, workers):
+        c = from_name(name)
+        M = c.bits_per_symbol
+        spec = ChannelSpec(2, M, NakagamiParam(m), M / 2)
+        rule = hermite_rule(8)
+        n, seed, stream_id = 2 * fading.CHUNK + 321, 31, 5
+        est = mc_outage(snr, spec, c, rule, n=n, seed=seed, stream_id=stream_id, workers=workers)
+        want = direct_outage_count(snr, spec, c, n, seed, stream_id, rule)
+        assert est.p_hat == McEstimate.from_count(want, n, seed).p_hat
+
+    def test_screen_leaves_few_snrs_to_evaluate(self, monkeypatch):
+        # A silent fall-back to evaluating every sample would still give
+        # the right count; the number of evaluated SNRs catches it.
+        evaluated = []
+
+        def counting(rhos, c, rule=None):
+            evaluated.append(np.size(rhos))
+            return mi_discrete_array(rhos, c, rule)
+
+        monkeypatch.setattr(montecarlo, "mi_discrete_array", counting)
+        n, B = 50_000, 4
+        est = mc_outage(Snr.from_db(12.0), ChannelSpec(B, 4, M1, 2.0), make_qam(4), n=n, seed=23)
+        assert est.p_hat == McEstimate.from_count(2171, n, 23).p_hat
+        assert sum(evaluated) < n * B / 5

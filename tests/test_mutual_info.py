@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from nakfade.constellation import Constellation, make_psk, make_qam
+from nakfade.constellation import KNOWN_NAMES, Constellation, from_name, make_psk, make_qam
 from nakfade.mutual_info import (
     DEFAULT_ORDER,
     QuadratureRule,
@@ -164,3 +164,15 @@ class TestBatching:
         rhos = np.random.default_rng(5).gamma(1.0, 1.0, 1200) * 20.0
         batched = mi_discrete_array(rhos, c, rule)
         assert np.array_equal(batched, [mi_discrete_array([r], c, rule)[0] for r in rhos])
+
+
+class TestMonotone:
+    # mc_outage decides samples from the MI at the grid nodes that bracket
+    # their SNRs (8 per octave), which gives the direct counts only if the
+    # computed I(rho) never decreases.  Checked at 64 points per octave.
+    @pytest.mark.parametrize("order", [8, 32, 96])
+    @pytest.mark.parametrize("name", KNOWN_NAMES)
+    def test_nondecreasing_on_dense_grid(self, name, order):
+        rhos = np.exp2(np.arange(-40 * 64, 40 * 64 + 1) / 64)
+        vals = mi_discrete_array(rhos, from_name(name), hermite_rule(order))
+        assert np.diff(vals).min() >= 0.0
