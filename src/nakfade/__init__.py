@@ -6,7 +6,6 @@ from .asymptotics import (
     BlockLengthScale,
     asymptote,
     asymptotic_cdf_A,
-    asymptotic_pmf_A,
     coding_gain,
     optimal_exponent,
     random_coding_exponent,

@@ -28,7 +28,6 @@ __all__ = [
     "singleton_bound",
     "optimal_exponent",
     "asymptotic_cdf_A",
-    "asymptotic_pmf_A",
     "coding_gain",
     "asymptote",
     "random_coding_exponent",
@@ -84,14 +83,6 @@ def asymptotic_cdf_A(xi, M: int, m: NakagamiParam):
     return float(out) if np.isscalar(xi) else out
 
 
-def asymptotic_pmf_A(M: int, m: NakagamiParam, n_cells: int = DEFAULT_CELLS) -> TabulatedPmf:
-    """Tabulated cell masses of the limit law on [0, M] (cdf differences)."""
-    if n_cells < 2:
-        raise ValueError(f"need at least 2 cells, got {n_cells}")
-    grid = np.linspace(0.0, float(M), n_cells + 1)
-    return TabulatedPmf(M / n_cells, np.diff(asymptotic_cdf_A(grid, M, m)))
-
-
 def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     """SNR-free prefactor K of the bound's power-law decay.
 
@@ -101,7 +92,7 @@ def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     """
     B, M, R, m = spec.B, spec.M, spec.rate, spec.fading.m
     d = singleton_bound(B, M, R)
-    pmf = asymptotic_pmf_A(M, spec.fading, n_cells)
+    pmf = TabulatedPmf.from_cdf(lambda xi: asymptotic_cdf_A(xi, M, spec.fading), M, n_cells)
     f_y = cdf_Y_at(convolve_power(pmf, d), B * R - (B - d) * M)
     log_k = (
         math.lgamma(B + 1)

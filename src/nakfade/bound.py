@@ -89,13 +89,21 @@ class TabulatedPmf:
         if abs(masses.sum() - 1.0) > 1e-9:
             raise ValueError(f"cell masses must sum to 1, got {masses.sum()!r}")
 
+    @classmethod
+    def from_cdf(cls, cdf, top: float, n_cells: int) -> "TabulatedPmf":
+        """Cell masses on [0, top] as differences of cdf at the n_cells + 1 cell edges.
+
+        Per-cell probabilities are exact, so a density that blows up at an
+        edge (gamma^(m-1) at zero for m < 1) never gets point-evaluated.
+        """
+        if n_cells < 2:
+            raise ValueError(f"need at least 2 cells, got {n_cells}")
+        grid = np.linspace(0.0, float(top), n_cells + 1)
+        return cls(top / n_cells, np.diff(cdf(grid)))
+
     @property
     def n_cells(self) -> int:
         return self.masses.size
-
-    @property
-    def support_top(self) -> float:
-        return self.origin + self.n_cells * self.grid_step
 
     def spectrum(self, size: int) -> np.ndarray:
         """rfft of the masses zero-padded to size, computed once per size.
@@ -211,17 +219,10 @@ def build_pmf_A(
 ) -> TabulatedPmf:
     """Tabulate A's cell masses on [0, M] as cdf differences.
 
-    Per-cell probabilities are exact, so the gamma^(m-1) density blow-up at
-    zero for m < 1 never gets point-evaluated.  outage_lower_bounds passes
-    the conditioning probability it already computed as _den, the same value
-    conditional_cdf_A would compute.
+    outage_lower_bounds passes the conditioning probability it already
+    computed as _den, the same value conditional_cdf_A would compute.
     """
-    if n_cells < 2:
-        raise ValueError(f"need at least 2 cells, got {n_cells}")
-    step = spec.M / n_cells
-    grid = np.linspace(0.0, float(spec.M), n_cells + 1)
-    cdf = _conditional_cdf_A(grid, snr, spec, _den)
-    return TabulatedPmf(step, np.diff(cdf))
+    return TabulatedPmf.from_cdf(lambda grid: _conditional_cdf_A(grid, snr, spec, _den), spec.M, n_cells)
 
 
 def convolve_power(pmf: TabulatedPmf, n: int) -> TabulatedPmf:

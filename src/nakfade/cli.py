@@ -93,6 +93,8 @@ def _parse_grid(value, name: str) -> tuple:
         start, stop, step = (float(p) for p in parts)
     except (ValueError, TypeError):
         raise click.UsageError(f"field '{name}': non-numeric grid bounds in {value!r}")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise click.UsageError(f"field '{name}': grid bounds must be finite in {value!r}")
     if step <= 0:
         raise click.UsageError(f"field '{name}': step must be positive, got {step}")
     if stop < start:
@@ -102,14 +104,6 @@ def _parse_grid(value, name: str) -> tuple:
 
 def _channel_spec(cfg: RunConfig, rate: float | None = None) -> bound.ChannelSpec:
     return bound.ChannelSpec(cfg.blocks, cfg.bits, NakagamiParam(cfg.m), cfg.rate if rate is None else rate)
-
-
-def _pmap(workers: int, fn, items: list) -> list:
-    """Map preserving item order; grid points are independent work units."""
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _header(cfg: RunConfig, fields: list) -> str:
@@ -156,7 +150,7 @@ def run(config: RunConfig) -> int:
 def _run_curve(cfg: RunConfig) -> int:
     spec = _channel_spec(cfg)
     dbs = _grid(cfg.snr_db)
-    results = _pmap(cfg.workers, lambda db: bound.outage_lower_bound(Snr.from_db(db), spec, cfg.cells), dbs)
+    results = [bound.outage_lower_bound(Snr.from_db(db), spec, cfg.cells) for db in dbs]
     columns = ["snr_db", "p_out_lower"]
     if cfg.per_term:
         for t in range(bound.threshold_terms(spec)):
@@ -172,8 +166,8 @@ def _run_curve(cfg: RunConfig) -> int:
 
 
 def _run_ratesweep(cfg: RunConfig) -> int:
-    # One SNR, so every rate reads the same pmf and convolution powers:
-    # a single evaluator call in this thread, whatever cfg.workers says.
+    # One SNR, so every rate reads the same pmf and convolution powers in
+    # a single evaluator call.
     rates = _grid(cfg.rate_grid)
     results = bound.outage_lower_bounds(Snr.from_db(cfg.snr_db_fixed), cfg.blocks, cfg.bits, NakagamiParam(cfg.m), rates, cfg.cells)
     header = _header(cfg, _bound_fields(cfg, _grid_repr(cfg.rate_grid), ("snr_db", cfg.snr_db_fixed)))
@@ -190,7 +184,7 @@ def _run_asymptote(cfg: RunConfig) -> int:
         rho = Snr.from_db(db)
         return (db, bound.outage_lower_bound(rho, spec, cfg.cells).value, gain * rho.rho**-d_exp)
 
-    return _emit(cfg, _header(cfg, _bound_fields(cfg, cfg.rate)), ["snr_db", "p_out_lower", "asymptote"], _pmap(cfg.workers, point, dbs))
+    return _emit(cfg, _header(cfg, _bound_fields(cfg, cfg.rate)), ["snr_db", "p_out_lower", "asymptote"], [point(db) for db in dbs])
 
 
 def _run_exponent(cfg: RunConfig) -> int:
@@ -206,7 +200,7 @@ def _run_exponent(cfg: RunConfig) -> int:
         return row
 
     columns = ["rate", "d_singleton", "d_optimal"] + [f"d_random_lambda{v:g}" for v in cfg.lambda_scaled]
-    return _emit(cfg, _header(cfg, _bound_fields(cfg, _grid_repr(cfg.rate_grid))), columns, _pmap(cfg.workers, point, rates))
+    return _emit(cfg, _header(cfg, _bound_fields(cfg, _grid_repr(cfg.rate_grid))), columns, [point(r) for r in rates])
 
 
 def _run_mc(cfg: RunConfig) -> int:
@@ -226,7 +220,9 @@ def _run_mc(cfg: RunConfig) -> int:
             idx, db = idx_db
             return montecarlo.mc_lower_bound(Snr.from_db(db), spec, n=cfg.samples, seed=cfg.seed, stream_id=idx)
 
-    ests = _pmap(cfg.workers, point, list(enumerate(dbs)))
+    # Grid points are independent work units; map keeps them in grid order.
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        ests = list(pool.map(point, enumerate(dbs)))
     rows = [(db, e.p_hat, e.std_err, e.n_samples) for db, e in zip(dbs, ests)]
     fields = [("mode", cfg.mode), ("B", cfg.blocks), ("M", cfg.bits), ("m", cfg.m), ("R", cfg.rate)]
     if cfg.mode == "outage":
@@ -236,8 +232,8 @@ def _run_mc(cfg: RunConfig) -> int:
 
 
 def _run_mi(cfg: RunConfig) -> int:
-    # One evaluator call over the whole grid in this thread, whatever
-    # cfg.workers says: each value does not depend on its batch.
+    # One evaluator call over the whole grid: each value does not depend
+    # on its batch.
     c = from_name(cfg.constellation)
     dbs = _grid(cfg.snr_db)
     vals = mi_discrete_array([Snr.from_db(db).rho for db in dbs], c, hermite_rule(cfg.order)).tolist()
@@ -337,7 +333,6 @@ _shared = [
     click.option("--bits", "-M", "bits", type=int, default=None, help="Bits per symbol M (2^M-point input)."),
     click.option("--m", "m", type=float, default=None, help="Nakagami shape m (m=1 is Rayleigh)."),
     click.option("--cells", type=int, default=None, help="Grid cells over [0, M] for the tabulated pmf."),
-    click.option("--workers", type=int, default=None, help="Worker threads over grid points (ratesweep and mi run in one thread)."),
     click.option("--out", "-o", "out", type=click.Path(dir_okay=False), default=None, help="Output CSV path (default: stdout)."),
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config file; explicit flags override it."),
 ]
@@ -408,6 +403,7 @@ def exponent(config_path, **flags) -> None:
 @click.option("--mode", type=click.Choice(["outage", "lowerbound"]), default=None, help="Estimate true outage or the capped-rate bound event.")
 @click.option("--constellation", type=str, default=None, help=f"Signal set for outage mode ({', '.join(KNOWN_NAMES)}).")
 @click.option("--order", type=int, default=None, help="Gauss-Hermite order per dimension for outage mode.")
+@click.option("--workers", type=int, default=None, help="Worker threads over Monte Carlo grid points.")
 def mc(config_path, **flags) -> None:
     """Monte Carlo outage estimates across an SNR grid."""
     sys.exit(run(_build_config("mc", config_path, flags)))

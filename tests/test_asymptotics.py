@@ -7,7 +7,6 @@ from nakfade.asymptotics import (
     BlockLengthScale,
     asymptote,
     asymptotic_cdf_A,
-    asymptotic_pmf_A,
     coding_gain,
     optimal_exponent,
     random_coding_exponent,
@@ -71,7 +70,7 @@ class TestAsymptoticLaw:
 
     @pytest.mark.parametrize("m", [MH, M1, M2])
     def test_pmf_cumulative_matches_cdf(self, m):
-        pmf = asymptotic_pmf_A(4, m, 2048)
+        pmf = TabulatedPmf.from_cdf(lambda xi: asymptotic_cdf_A(xi, 4, m), 4, 2048)
         grid = (1 + np.arange(pmf.n_cells)) * pmf.grid_step
         assert np.max(np.abs(np.cumsum(pmf.masses) - asymptotic_cdf_A(grid, 4, m))) < 1e-12
 

@@ -52,11 +52,10 @@ class TestCurve:
         assert runner.invoke(main, args + ["--out", str(out2)]).exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_workers_do_not_change_output(self, runner):
-        args = ["curve", "--rate", "1", "--snr-db", "0:20:5"]
-        a = runner.invoke(main, args + ["--workers", "1"])
-        b = runner.invoke(main, args + ["--workers", "4"])
-        assert a.output == b.output
+    def test_workers_option_rejected(self, runner):
+        # Analytic commands evaluate their grid in one thread; only mc takes --workers.
+        res = runner.invoke(main, ["curve", "--rate", "1", "--snr-db", "0:4:2", "--workers", "2"])
+        assert res.exit_code == 2
 
 
 class TestRatesweep:
@@ -126,6 +125,23 @@ class TestMc:
         assert res.exit_code == 0
         _, data = rows_of(res.output)
         assert 0.0 <= float(data[0][1]) <= 1.0
+
+    @pytest.mark.parametrize(
+        "mode_args",
+        [
+            pytest.param(["--mode", "lowerbound", "--m", "0.5", "--samples", "3000"], id="lowerbound"),
+            pytest.param(["--mode", "outage", "--constellation", "qam4", "-M", "2", "--samples", "2000"], id="outage-qam4"),
+        ],
+    )
+    def test_workers_do_not_change_output(self, runner, tmp_path, mode_args):
+        args = ["mc", "--seed", "13", "--rate", "1", "--snr-db", "0:12:3", *mode_args]
+        outs = [tmp_path / f"w{w}.csv" for w in (1, 3)]
+        for w, out in zip((1, 3), outs):
+            res = runner.invoke(main, args + ["--workers", str(w), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        _, data = rows_of(outs[0].read_text())
+        assert len(data) == 5
 
     def test_mismatched_constellation_rejected(self, runner):
         res = runner.invoke(main, ["mc", "--mode", "outage", "--constellation", "psk2", "--bits", "4"])
@@ -243,6 +259,14 @@ class TestConfigAndErrors:
             pytest.param(["mc"], {"order": None}, "order", id="order-null"),
             pytest.param(["mi", "--constellation", "foo"], None, "constellation", id="constellation-unknown"),
             pytest.param(["mc", "--mode", "outage", "--constellation", "qam8", "-M", "3"], None, "constellation", id="constellation-qam8"),
+            pytest.param(["curve", "--snr-db", "nan:10:1"], None, "snr_db", id="snr_db-nan-start"),
+            pytest.param(["mc", "--snr-db", "0:10:nan"], None, "snr_db", id="snr_db-nan-step"),
+            pytest.param(["curve", "--snr-db", "0:inf:1"], None, "snr_db", id="snr_db-inf-stop"),
+            pytest.param(["mi", "--snr-db", "-inf:0:1"], None, "snr_db", id="snr_db-neg-inf-start"),
+            pytest.param(["curve", "--snr-db", "0:10:inf"], None, "snr_db", id="snr_db-inf-step"),
+            pytest.param(["ratesweep", "--rate", "0.25:3.75:inf"], None, "rate_grid", id="rate_grid-inf-step-ratesweep"),
+            pytest.param(["exponent", "--rate", "0.25:3.75:inf"], None, "rate_grid", id="rate_grid-inf-step-exponent"),
+            pytest.param(["curve"], {"snr_db": [0, "nan", 1]}, "snr_db", id="snr_db-config-nan"),
         ],
     )
     def test_bad_value_exits_2_naming_field(self, runner, tmp_path, args, config, field):
