@@ -112,9 +112,9 @@ def _header(cfg: RunConfig, fields: list) -> str:
     return " ".join([f"# nakfade {cfg.subcommand}"] + [f"{k}={_fmt_exact(v)}" for k, v in fields])
 
 
-def _bound_fields(cfg: RunConfig, rate, *extra) -> list:
-    """Header fields of the analytical commands: channel, extras, cells, seed."""
-    return [("B", cfg.blocks), ("M", cfg.bits), ("m", cfg.m), ("R", rate), *extra, ("cells", cfg.cells), ("seed", cfg.seed)]
+def _channel_fields(cfg: RunConfig, rate) -> list:
+    """Header fields of the channel: B, M, m and the rate (or rate grid)."""
+    return [("B", cfg.blocks), ("M", cfg.bits), ("m", cfg.m), ("R", rate)]
 
 
 def _grid_repr(spec3: tuple) -> str:
@@ -141,13 +141,14 @@ def _emit(cfg: RunConfig, header: str, columns: list, rows: list) -> int:
 def run(config: RunConfig) -> int:
     """Dispatch one resolved configuration and write its CSV."""
     try:
-        return _DISPATCH[config.subcommand](config)
+        return _COMMANDS[config.subcommand][0](config)
     except (ArithmeticError, FloatingPointError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
 
 
 def _run_curve(cfg: RunConfig) -> int:
+    """Outage lower bound across an SNR grid."""
     spec = _channel_spec(cfg)
     dbs = _grid(cfg.snr_db)
     results = [bound.outage_lower_bound(Snr.from_db(db), spec, cfg.cells) for db in dbs]
@@ -162,19 +163,21 @@ def _run_curve(cfg: RunConfig) -> int:
             for _, f_y, w, _ in res.per_term:
                 row += [f_y, w]
         rows.append(row)
-    return _emit(cfg, _header(cfg, _bound_fields(cfg, cfg.rate)), columns, rows)
+    return _emit(cfg, _header(cfg, [*_channel_fields(cfg, cfg.rate), ("cells", cfg.cells)]), columns, rows)
 
 
 def _run_ratesweep(cfg: RunConfig) -> int:
+    """Outage lower bound across a rate grid at fixed SNR."""
     # One SNR, so every rate reads the same pmf and convolution powers in
     # a single evaluator call.
     rates = _grid(cfg.rate_grid)
     results = bound.outage_lower_bounds(Snr.from_db(cfg.snr_db_fixed), cfg.blocks, cfg.bits, NakagamiParam(cfg.m), rates, cfg.cells)
-    header = _header(cfg, _bound_fields(cfg, _grid_repr(cfg.rate_grid), ("snr_db", cfg.snr_db_fixed)))
+    header = _header(cfg, [*_channel_fields(cfg, _grid_repr(cfg.rate_grid)), ("snr_db", cfg.snr_db_fixed), ("cells", cfg.cells)])
     return _emit(cfg, header, ["rate", "p_out_lower"], [(r, res.value) for r, res in zip(rates, results)])
 
 
 def _run_asymptote(cfg: RunConfig) -> int:
+    """Outage lower bound next to its high-SNR power-law asymptote."""
     spec = _channel_spec(cfg)
     dbs = _grid(cfg.snr_db)
     gain = asymptotics.coding_gain(spec, cfg.cells)
@@ -184,10 +187,12 @@ def _run_asymptote(cfg: RunConfig) -> int:
         rho = Snr.from_db(db)
         return (db, bound.outage_lower_bound(rho, spec, cfg.cells).value, gain * rho.rho**-d_exp)
 
-    return _emit(cfg, _header(cfg, _bound_fields(cfg, cfg.rate)), ["snr_db", "p_out_lower", "asymptote"], [point(db) for db in dbs])
+    header = _header(cfg, [*_channel_fields(cfg, cfg.rate), ("cells", cfg.cells)])
+    return _emit(cfg, header, ["snr_db", "p_out_lower", "asymptote"], [point(db) for db in dbs])
 
 
 def _run_exponent(cfg: RunConfig) -> int:
+    """Singleton bound, optimal exponent, and random-coding exponents."""
     rates = _grid(cfg.rate_grid)
     ln2 = math.log(2.0)
     scales = [asymptotics.BlockLengthScale(v * cfg.m / (cfg.bits * ln2)) for v in cfg.lambda_scaled]
@@ -200,10 +205,11 @@ def _run_exponent(cfg: RunConfig) -> int:
         return row
 
     columns = ["rate", "d_singleton", "d_optimal"] + [f"d_random_lambda{v:g}" for v in cfg.lambda_scaled]
-    return _emit(cfg, _header(cfg, _bound_fields(cfg, _grid_repr(cfg.rate_grid))), columns, [point(r) for r in rates])
+    return _emit(cfg, _header(cfg, _channel_fields(cfg, _grid_repr(cfg.rate_grid))), columns, [point(r) for r in rates])
 
 
 def _run_mc(cfg: RunConfig) -> int:
+    """Monte Carlo outage estimates across an SNR grid."""
     spec = _channel_spec(cfg)
     dbs = _grid(cfg.snr_db)
     if cfg.mode == "outage":
@@ -224,7 +230,7 @@ def _run_mc(cfg: RunConfig) -> int:
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         ests = list(pool.map(point, enumerate(dbs)))
     rows = [(db, e.p_hat, e.std_err, e.n_samples) for db, e in zip(dbs, ests)]
-    fields = [("mode", cfg.mode), ("B", cfg.blocks), ("M", cfg.bits), ("m", cfg.m), ("R", cfg.rate)]
+    fields = [("mode", cfg.mode), *_channel_fields(cfg, cfg.rate)]
     if cfg.mode == "outage":
         fields += [("constellation", cfg.constellation), ("order", cfg.order)]
     fields += [("samples", cfg.samples), ("seed", cfg.seed)]
@@ -232,6 +238,7 @@ def _run_mc(cfg: RunConfig) -> int:
 
 
 def _run_mi(cfg: RunConfig) -> int:
+    """Discrete-input mutual information across an SNR grid."""
     # One evaluator call over the whole grid: each value does not depend
     # on its batch.
     c = from_name(cfg.constellation)
@@ -241,19 +248,7 @@ def _run_mi(cfg: RunConfig) -> int:
     return _emit(cfg, _header(cfg, fields), ["rho_db", "mi_bits"], list(zip(dbs, vals)))
 
 
-_DISPATCH = {
-    "curve": _run_curve,
-    "ratesweep": _run_ratesweep,
-    "asymptote": _run_asymptote,
-    "exponent": _run_exponent,
-    "mc": _run_mc,
-    "mi": _run_mi,
-}
-
-_FIELDS = {f for f in RunConfig.__dataclass_fields__ if f != "subcommand"}
-
-
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, subcommand: str, keys) -> dict:
     if path is None:
         return {}
     try:
@@ -266,16 +261,20 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(data, dict):
         raise click.UsageError("field 'config': top level must be a JSON object")
     for key in data:
-        if key not in _FIELDS:
-            raise click.UsageError(f"field '{key}': unknown configuration field")
+        if key not in keys:
+            raise click.UsageError(f"field '{key}': not an option of {subcommand}")
     return data
 
 
 def _build_config(subcommand: str, config_path: str | None, flags: dict) -> RunConfig:
-    """Start from defaults, apply the JSON config file, then CLI flags."""
+    """Start from defaults, apply the JSON config file, then CLI flags.
+
+    flags maps each of the command's options to its value, None (or () for a
+    repeatable option) when not given; its keys are the keys the file may set.
+    """
     cfg = RunConfig(subcommand=subcommand)
-    file_values = _load_config(config_path)
-    for source in (file_values, {k: v for k, v in flags.items() if v is not None}):
+    file_values = _load_config(config_path, subcommand, flags.keys())
+    for source in (file_values, {k: v for k, v in flags.items() if v is not None and v != ()}):
         for key, value in source.items():
             if key in ("snr_db", "rate_grid"):
                 value = _parse_grid(value, key)
@@ -305,7 +304,7 @@ def _validate(cfg: RunConfig) -> None:
         value = getattr(cfg, name)
         need(name, _is_int(value) and value >= 1, "must be a positive integer")
     need("cells", _is_int(cfg.cells) and cfg.cells >= 2, "must be an integer >= 2")
-    need("seed", _is_int(cfg.seed), "must be an integer")
+    need("seed", _is_int(cfg.seed) and 0 <= cfg.seed < 2**64, "must be an integer in [0, 2^64)")
     need("m", _is_real(cfg.m) and math.isfinite(cfg.m) and cfg.m > 0, "must be a positive finite real")
     need("rate", _is_real(cfg.rate), "must be a real number")
     need("snr_db_fixed", _is_real(cfg.snr_db_fixed) and math.isfinite(cfg.snr_db_fixed), "must be a finite real")
@@ -328,20 +327,38 @@ def _validate(cfg: RunConfig) -> None:
         need("rate_grid", 0 < lo and hi <= cfg.bits, f"grid must stay inside (0, M={cfg.bits}]")
 
 
-_shared = [
-    click.option("--blocks", "-B", "blocks", type=int, default=None, help="Fading blocks per codeword B."),
-    click.option("--bits", "-M", "bits", type=int, default=None, help="Bits per symbol M (2^M-point input)."),
-    click.option("--m", "m", type=float, default=None, help="Nakagami shape m (m=1 is Rayleigh)."),
-    click.option("--cells", type=int, default=None, help="Grid cells over [0, M] for the tabulated pmf."),
-    click.option("--out", "-o", "out", type=click.Path(dir_okay=False), default=None, help="Output CSV path (default: stdout)."),
-    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config file; explicit flags override it."),
-]
+# Every field a command can take: its flags and click settings.  The option's
+# name is the field's name, which is also its key in a config file.
+_OPTIONS = {
+    "blocks": (["--blocks", "-B"], dict(type=int, help="Fading blocks per codeword B.")),
+    "bits": (["--bits", "-M"], dict(type=int, help="Bits per symbol M (2^M-point input).")),
+    "m": (["--m"], dict(type=float, help="Nakagami shape m (m=1 is Rayleigh).")),
+    "cells": (["--cells"], dict(type=int, help="Grid cells over [0, M] for the tabulated pmf.")),
+    "rate": (["--rate"], dict(type=float, help="Code rate R in bits per channel use.")),
+    "rate_grid": (["--rate"], dict(type=str, help="Rate grid as start:stop:step.")),
+    "snr_db": (["--snr-db"], dict(type=str, help="SNR grid in dB as start:stop:step.")),
+    "snr_db_fixed": (["--snr-db-fixed"], dict(type=float, help="Fixed SNR in dB.")),
+    "per_term": (["--per-term"], dict(is_flag=True, help="Append per-term cdf / weight columns.")),
+    "lambda_scaled": (["--lambda-scaled"], dict(type=float, multiple=True, help="lambda M ln2 / m; repeat for extra columns.")),
+    "samples": (["--samples"], dict(type=int, help="Monte Carlo samples per grid point.")),
+    "seed": (["--seed"], dict(type=int, help="Explicit 64-bit seed, in [0, 2^64).")),
+    "mode": (["--mode"], dict(type=click.Choice(["outage", "lowerbound"]), help="Estimate true outage or the capped-rate bound event.")),
+    "constellation": (["--constellation"], dict(type=str, help=f"Signal set ({', '.join(KNOWN_NAMES)}); mc reads it in outage mode.")),
+    "order": (["--order"], dict(type=int, help="Gauss-Hermite order per dimension; mc reads it in outage mode.")),
+    "workers": (["--workers"], dict(type=int, help="Worker threads over Monte Carlo grid points.")),
+    "out": (["--out", "-o"], dict(type=click.Path(dir_okay=False), help="Output CSV path (default: stdout).")),
+}
 
-
-def _with_shared(fn):
-    for opt in reversed(_shared):
-        fn = opt(fn)
-    return fn
+# Each command: the function that writes its CSV (whose docstring is the
+# command's help) and the only fields it reads, so the only ones it takes.
+_COMMANDS = {
+    "curve": (_run_curve, "blocks bits m cells rate snr_db per_term out"),
+    "ratesweep": (_run_ratesweep, "blocks bits m cells snr_db_fixed rate_grid out"),
+    "asymptote": (_run_asymptote, "blocks bits m cells rate snr_db out"),
+    "exponent": (_run_exponent, "blocks bits m rate_grid lambda_scaled out"),
+    "mc": (_run_mc, "blocks bits m rate snr_db samples seed mode constellation order workers out"),
+    "mi": (_run_mi, "constellation snr_db order out"),
+}
 
 
 @click.group()
@@ -355,68 +372,20 @@ def main() -> None:
     """
 
 
-@main.command()
-@_with_shared
-@click.option("--rate", type=float, default=None, help="Code rate R in bits per channel use.")
-@click.option("--snr-db", "snr_db", type=str, default=None, help="SNR grid in dB as start:stop:step.")
-@click.option("--per-term", "per_term", is_flag=True, default=None, help="Append per-term cdf / weight columns.")
-def curve(config_path, **flags) -> None:
-    """Outage lower bound across an SNR grid."""
-    sys.exit(run(_build_config("curve", config_path, flags)))
+def _command(name: str) -> click.Command:
+    runner, fields = _COMMANDS[name]
+
+    def callback(config_path, **flags) -> None:
+        sys.exit(run(_build_config(name, config_path, flags)))
+
+    params = [click.Option([*_OPTIONS[f][0], f], default=None, **_OPTIONS[f][1]) for f in fields.split()]
+    config_help = "JSON config file whose keys are this command's option names; explicit flags override it."
+    params.append(click.Option(["--config", "config_path"], type=click.Path(exists=True, dir_okay=False), help=config_help))
+    return click.Command(name, callback=callback, params=params, help=runner.__doc__)
 
 
-@main.command()
-@_with_shared
-@click.option("--snr-db-fixed", "snr_db_fixed", type=float, default=None, help="Fixed SNR in dB.")
-@click.option("--rate", "rate_grid", type=str, default=None, help="Rate grid as start:stop:step.")
-def ratesweep(config_path, **flags) -> None:
-    """Outage lower bound across a rate grid at fixed SNR."""
-    sys.exit(run(_build_config("ratesweep", config_path, flags)))
-
-
-@main.command()
-@_with_shared
-@click.option("--rate", type=float, default=None, help="Code rate R in bits per channel use.")
-@click.option("--snr-db", "snr_db", type=str, default=None, help="SNR grid in dB as start:stop:step.")
-def asymptote(config_path, **flags) -> None:
-    """Outage lower bound next to its high-SNR power-law asymptote."""
-    sys.exit(run(_build_config("asymptote", config_path, flags)))
-
-
-@main.command()
-@_with_shared
-@click.option("--rate", "rate_grid", type=str, default=None, help="Rate grid as start:stop:step.")
-@click.option("--lambda-scaled", "lambda_scaled", type=float, multiple=True, default=None, help="lambda M ln2 / m; repeat for extra columns.")
-def exponent(config_path, **flags) -> None:
-    """Singleton bound, optimal exponent, and random-coding exponents."""
-    if flags.get("lambda_scaled") == ():
-        flags["lambda_scaled"] = None
-    sys.exit(run(_build_config("exponent", config_path, flags)))
-
-
-@main.command()
-@_with_shared
-@click.option("--rate", type=float, default=None, help="Code rate R in bits per channel use.")
-@click.option("--snr-db", "snr_db", type=str, default=None, help="SNR grid in dB as start:stop:step.")
-@click.option("--samples", type=int, default=None, help="Monte Carlo samples per grid point.")
-@click.option("--seed", type=int, default=None, help="Explicit 64-bit seed.")
-@click.option("--mode", type=click.Choice(["outage", "lowerbound"]), default=None, help="Estimate true outage or the capped-rate bound event.")
-@click.option("--constellation", type=str, default=None, help=f"Signal set for outage mode ({', '.join(KNOWN_NAMES)}).")
-@click.option("--order", type=int, default=None, help="Gauss-Hermite order per dimension for outage mode.")
-@click.option("--workers", type=int, default=None, help="Worker threads over Monte Carlo grid points.")
-def mc(config_path, **flags) -> None:
-    """Monte Carlo outage estimates across an SNR grid."""
-    sys.exit(run(_build_config("mc", config_path, flags)))
-
-
-@main.command()
-@_with_shared
-@click.option("--constellation", type=str, default=None, help=f"Signal set ({', '.join(KNOWN_NAMES)}).")
-@click.option("--snr-db", "snr_db", type=str, default=None, help="SNR grid in dB as start:stop:step.")
-@click.option("--order", type=int, default=None, help="Gauss-Hermite order per dimension.")
-def mi(config_path, **flags) -> None:
-    """Discrete-input mutual information across an SNR grid."""
-    sys.exit(run(_build_config("mi", config_path, flags)))
+for _name in _COMMANDS:
+    main.add_command(_command(_name))
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ class McEstimate:
         return cls(count / n, n, seed)
 
 
-def _count_chunks(n: int, seed: int, stream_id: int, workers: int, chunk_counter) -> int:
+def _count_chunks(n: int, workers: int, chunk_counter) -> int:
     """Sum chunk_counter(first, count) over the fixed chunk partition of [0, n)."""
     chunks = [
         (lo, min(fading.CHUNK, n - lo))
@@ -141,7 +141,7 @@ def mc_outage(
         gains = fading.gain_block(spec.fading, seed, first, count, width=spec.B, stream_id=stream_id)
         return _count_outage_rows(gains * rho, rate, c, q)
 
-    return McEstimate.from_count(_count_chunks(n, seed, stream_id, workers, chunk_counter), n, seed)
+    return McEstimate.from_count(_count_chunks(n, workers, chunk_counter), n, seed)
 
 
 def mc_lower_bound(
@@ -162,4 +162,4 @@ def mc_lower_bound(
         mi = np.minimum(cap, np.log2(1.0 + gains * rho))
         return int(np.count_nonzero(mi.mean(axis=1) < rate))
 
-    return McEstimate.from_count(_count_chunks(n, seed, stream_id, workers, chunk_counter), n, seed)
+    return McEstimate.from_count(_count_chunks(n, workers, chunk_counter), n, seed)

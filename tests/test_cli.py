@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from nakfade import __version__
-from nakfade.cli import main
+from nakfade.cli import RunConfig, _build_config, main
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ class TestCurve:
         assert len(data) == 21
         vals = np.array([float(r[1]) for r in data])
         assert np.all(np.diff(vals) <= 0)
-        assert res.output.splitlines()[0] == "# nakfade curve B=4 M=4 m=2 R=1 cells=4096 seed=0 version=0.1.0"
+        assert res.output.splitlines()[0] == "# nakfade curve B=4 M=4 m=2 R=1 cells=4096 version=0.1.0"
 
     def test_per_term_columns(self, runner):
         res = runner.invoke(main, ["curve", "--rate", "3", "--snr-db", "5:10:5", "--per-term"])
@@ -143,6 +143,18 @@ class TestMc:
         _, data = rows_of(outs[0].read_text())
         assert len(data) == 5
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_2(self, runner, seed):
+        # The samplers key their streams on the seed mod 2^64.
+        res = runner.invoke(main, ["mc", f"--seed={seed}", "--samples", "10", "--snr-db", "0:0:1"])
+        assert res.exit_code == 2
+        assert "field 'seed'" in res.output
+
+    def test_largest_seed_accepted(self, runner):
+        res = runner.invoke(main, ["mc", "--seed", str(2**64 - 1), "--samples", "10", "--snr-db", "0:0:1"])
+        assert res.exit_code == 0, res.output
+        assert f"seed={2**64 - 1} " in res.output.splitlines()[0]
+
     def test_mismatched_constellation_rejected(self, runner):
         res = runner.invoke(main, ["mc", "--mode", "outage", "--constellation", "psk2", "--bits", "4"])
         assert res.exit_code == 2
@@ -167,8 +179,8 @@ class TestHeaders:
 
     def test_ratesweep_names_fixed_snr(self, runner):
         args = ["ratesweep", "--m", "2", "--rate", "1:3:1", "--snr-db-fixed"]
-        assert self.first_line(runner, args + ["0"]) == "# nakfade ratesweep B=4 M=4 m=2 R=1:3:1 snr_db=0 cells=4096 seed=0 version=0.1.0"
-        assert self.first_line(runner, args + ["10"]) == "# nakfade ratesweep B=4 M=4 m=2 R=1:3:1 snr_db=10 cells=4096 seed=0 version=0.1.0"
+        assert self.first_line(runner, args + ["0"]) == "# nakfade ratesweep B=4 M=4 m=2 R=1:3:1 snr_db=0 cells=4096 version=0.1.0"
+        assert self.first_line(runner, args + ["10"]) == "# nakfade ratesweep B=4 M=4 m=2 R=1:3:1 snr_db=10 cells=4096 version=0.1.0"
 
     def test_ratesweep_snr_round_trips(self, runner):
         snr = 0.7570692984834314  # 12 significant digits would print 0.757069298483
@@ -179,11 +191,11 @@ class TestHeaders:
 
     def test_asymptote(self, runner):
         line = self.first_line(runner, ["asymptote", "--m", "2", "--rate", "2", "--snr-db", "20:40:20"])
-        assert line == "# nakfade asymptote B=4 M=4 m=2 R=2 cells=4096 seed=0 version=0.1.0"
+        assert line == "# nakfade asymptote B=4 M=4 m=2 R=2 cells=4096 version=0.1.0"
 
     def test_exponent(self, runner):
         line = self.first_line(runner, ["exponent", "--rate", "0.5:3.5:0.5"])
-        assert line == "# nakfade exponent B=4 M=4 m=1 R=0.5:3.5:0.5 cells=4096 seed=0 version=0.1.0"
+        assert line == "# nakfade exponent B=4 M=4 m=1 R=0.5:3.5:0.5 version=0.1.0"
 
     def test_mc_lowerbound(self, runner):
         args = ["mc", "--mode", "lowerbound", "--samples", "1000", "--seed", "3", "--rate", "1", "--snr-db", "5:5:1"]
@@ -287,3 +299,50 @@ class TestConfigAndErrors:
         monkeypatch.setattr(cli.bound, "outage_lower_bound", boom)
         res = runner.invoke(main, ["curve", "--rate", "1", "--snr-db", "0:4:2"])
         assert res.exit_code == 3
+
+
+def _options(name):
+    return {p.name for p in main.commands[name].params} - {"config_path"}
+
+
+def _as_json(cfg, keys):
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(cfg).items() if k in keys}
+
+
+class TestFieldLists:
+    """Each command takes only the fields it reads, as flags and as config keys."""
+
+    @pytest.mark.parametrize(
+        "name,field",
+        [(name, f) for name in main.commands for f in RunConfig.__dataclass_fields__ if f != "subcommand" and f not in _options(name)],
+    )
+    def test_foreign_config_field_exits_2(self, runner, tmp_path, name, field):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(_as_json(RunConfig(subcommand=name), {field})))
+        res = runner.invoke(main, [name, "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"field '{field}'" in res.output
+
+    @pytest.mark.parametrize("name", list(main.commands))
+    def test_config_of_own_fields_accepted(self, tmp_path, name):
+        keys = _options(name)
+        defaults = RunConfig(subcommand=name)
+        data = _as_json(defaults, keys)
+        assert set(data) == keys
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        assert _build_config(name, str(path), dict.fromkeys(keys)) == defaults
+
+    @pytest.mark.parametrize(
+        "args",
+        [["mi", "--blocks", "4"], ["mi", "--m", "2"], ["exponent", "--cells", "17"], ["mc", "--cells", "17"]],
+        ids=lambda a: " ".join(a),
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, runner, args):
+        assert runner.invoke(main, args).exit_code == 2
+
+    @pytest.mark.parametrize("name", list(main.commands))
+    def test_help(self, runner, name):
+        res = runner.invoke(main, [name, "--help"])
+        assert res.exit_code == 0
+        assert "--config" in res.output
