@@ -12,7 +12,6 @@ from .asymptotics import (
     singleton_bound,
 )
 from .bound import (
-    BinomialMixture,
     BoundResult,
     ChannelSpec,
     TabulatedPmf,

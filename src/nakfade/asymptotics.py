@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import DEFAULT_CELLS, ChannelSpec, TabulatedPmf, cdf_Y_at, convolve_power
+from .bound import DEFAULT_CELLS, ChannelSpec, TabulatedPmf, cdf_Y_at, convolve_power, diversity_arg, log_binomial, singleton_bound
 from .fading import NakagamiParam
 from .mutual_info import Snr
 
@@ -34,26 +34,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-
-# Rates where B(1 - R/M) is within this of an integer sit on a diversity
-# discontinuity: the floor in d_B(R) must see the integer, not float fuzz.
-_DISCONT_TOL = 1e-9
-
-
-def _diversity_arg(B: int, M: int, R: float) -> float:
-    """B(1 - R/M), snapped to integers within 1e-9 to absorb float fuzz."""
-    v = B * (M - R) / M
-    snapped = round(v)
-    return float(snapped) if abs(v - snapped) < _DISCONT_TOL else v
-
-
-def singleton_bound(B: int, M: int, R: float) -> int:
-    """Maximum block diversity of rate-R codes: 1 + floor(B(1 - R/M))."""
-    if B < 1 or M < 1:
-        raise ValueError("B and M must be positive integers")
-    if not (0.0 < R <= M):
-        raise ValueError(f"rate must lie in (0, M={M}], got {R}")
-    return 1 + int(math.floor(_diversity_arg(B, M, R)))
 
 
 @dataclass(frozen=True)
@@ -94,13 +74,7 @@ def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     d = singleton_bound(B, M, R)
     pmf = TabulatedPmf.from_cdf(lambda xi: asymptotic_cdf_A(xi, M, spec.fading), M, n_cells)
     f_y = cdf_Y_at(convolve_power(pmf, d), B * R - (B - d) * M)
-    log_k = (
-        math.lgamma(B + 1)
-        - math.lgamma(B - d + 1)
-        - math.lgamma(d + 1)
-        + m * d * math.log(m * (2.0**M - 1.0))
-        - d * (math.log(m) + math.lgamma(m))
-    )
+    log_k = log_binomial(B)[B - d] + m * d * math.log(m * (2.0**M - 1.0)) - d * (math.log(m) + math.lgamma(m))
     return f_y * math.exp(log_k)
 
 
@@ -120,12 +94,9 @@ def random_coding_exponent(spec: ChannelSpec, scale: BlockLengthScale) -> float:
     block-length scale.)
     """
     B, M, R, m = spec.B, spec.M, spec.rate, spec.fading.m
-    if not (0.0 < R <= M):
-        raise ValueError(f"rate must lie in (0, M={M}], got {R}")
+    d = singleton_bound(B, M, R)
     lam = scale.lam
-    v = _diversity_arg(B, M, R)
-    d = 1 + int(math.floor(v))
     if lam * M * _LN2 < m:
         return lam * B * M * _LN2 * (1.0 - R / M)
-    return m * (d - 1) + min(m, lam * M * _LN2 * (v - d + 1))
+    return m * (d - 1) + min(m, lam * M * _LN2 * (diversity_arg(B, M, R) - d + 1))
 

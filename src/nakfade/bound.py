@@ -27,10 +27,10 @@ from .mutual_info import Snr
 __all__ = [
     "ChannelSpec",
     "TabulatedPmf",
-    "BinomialMixture",
     "BoundResult",
     "DEFAULT_CELLS",
     "success_rate",
+    "binomial_weights",
     "conditional_cdf_A",
     "build_pmf_A",
     "convolve_power",
@@ -120,68 +120,78 @@ class TabulatedPmf:
 
 
 @dataclass(frozen=True, eq=False)
-class BinomialMixture:
-    """Binomial(B, p) weights used to mix the conditional-sum cdf values."""
-
-    success_rate: float
-    B: int
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if not (0.0 <= self.success_rate <= 1.0):
-            raise ValueError(f"success rate must be in [0, 1], got {self.success_rate}")
-        if w.shape != (self.B + 1,) or w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be B+1 nonnegative values summing to 1")
-
-    @classmethod
-    def from_rates(cls, p: float, B: int, one_minus_p: float | None = None) -> "BinomialMixture":
-        """Weights C(B,t) p^t (1-p)^(B-t).
-
-        Passing 1-p explicitly preserves relative accuracy at high SNR,
-        where p is within rounding of 1.  Coefficients go through log-gamma
-        so large B cannot overflow.
-        """
-        q = 1.0 - p if one_minus_p is None else one_minus_p
-        t = np.arange(B + 1)
-        logw = math.lgamma(B + 1) - np.array([math.lgamma(i + 1) + math.lgamma(B - i + 1) for i in t])
-        if p > 0:
-            logw = logw + t * math.log(p)
-        else:
-            logw[1:] = -np.inf
-        if q > 0:
-            logw = logw + (B - t) * math.log(q)
-        else:
-            logw[:-1] = -np.inf
-        return cls(p, B, np.exp(logw))
-
-
-@dataclass(frozen=True, eq=False)
 class BoundResult:
     """Bound value plus its per-term decomposition (t, F_Yt, weight, product)."""
 
     value: float
     per_term: list
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError(f"bound value must be in [0, 1], got {self.value}")
+
+# Rates where B(1 - R/M) is within this of an integer sit on a diversity
+# discontinuity: the floor in d_B(R) must see the integer, not float fuzz.
+_DISCONT_TOL = 1e-9
 
 
-def _success_rate_pair(snr: Snr, spec: ChannelSpec) -> tuple[float, float]:
-    """(p, 1-p) for the cap-exceeded event, each with full relative accuracy."""
+def diversity_arg(B: int, M: int, R: float) -> float:
+    """B(1 - R/M), snapped to integers within 1e-9 to absorb float fuzz."""
+    v = B * (M - R) / M
+    snapped = round(v)
+    return float(snapped) if abs(v - snapped) < _DISCONT_TOL else v
+
+
+def singleton_bound(B: int, M: int, R: float) -> int:
+    """Maximum block diversity of rate-R codes: 1 + floor(B(1 - R/M)).
+
+    R > 0, so the diversity is at most B even where the snap lifts a
+    B(1 - R/M) just below B to B itself.
+    """
+    if B < 1 or M < 1:
+        raise ValueError("B and M must be positive integers")
+    if not (0.0 < R <= M):
+        raise ValueError(f"rate must lie in (0, M={M}], got {R}")
+    return min(B, 1 + int(math.floor(diversity_arg(B, M, R))))
+
+
+def threshold_terms(spec: ChannelSpec) -> int:
+    """Number of nonzero terms in the bound: ceil(BR/M) = B + 1 - d_B(R)."""
+    return spec.B + 1 - singleton_bound(spec.B, spec.M, spec.rate)
+
+
+def log_binomial(B: int) -> np.ndarray:
+    """ln C(B, t) for t = 0..B, through log-gamma so large B cannot overflow."""
+    return math.lgamma(B + 1) - np.array([math.lgamma(t + 1) + math.lgamma(B - t + 1) for t in range(B + 1)])
+
+
+def success_rate(snr: Snr, spec: ChannelSpec) -> tuple[float, float]:
+    """(p, 1-p) for p = Pr(gamma > (2^M - 1)/SNR) = Gamma(m, m (2^M-1)/rho) / Gamma(m).
+
+    Both come from one incomplete-gamma pair, so each keeps full relative
+    accuracy: 1-p at high SNR, where p is within rounding of 1, and p at low.
+    """
     if snr.rho <= 0:
         raise ValueError("success rate requires rho > 0")
     m = spec.fading.m
-    x = m * (2.0**spec.M - 1.0) / snr.rho
-    q_low, p_hi = reg_gamma_pq(m, x)  # regularized lower, upper
+    q_low, p_hi = reg_gamma_pq(m, m * (2.0**spec.M - 1.0) / snr.rho)  # regularized lower, upper
     return float(p_hi), float(q_low)
 
 
-def success_rate(snr: Snr, spec: ChannelSpec) -> float:
-    """p = Pr(gamma > (2^M - 1)/SNR) = Gamma(m, m (2^M-1)/rho) / Gamma(m)."""
-    return _success_rate_pair(snr, spec)[0]
+def binomial_weights(p: float, q: float, B: int) -> np.ndarray:
+    """Binomial(B, p) weights C(B,t) p^t q^(B-t) for t = 0..B, with q = 1-p.
+
+    q is passed apart from p so that it keeps its relative accuracy at high
+    SNR (see success_rate); the weights are formed in log space.
+    """
+    t = np.arange(B + 1)
+    logw = log_binomial(B)
+    if p > 0:
+        logw = logw + t * math.log(p)
+    else:
+        logw[1:] = -np.inf
+    if q > 0:
+        logw = logw + (B - t) * math.log(q)
+    else:
+        logw[:-1] = -np.inf
+    return np.exp(logw)
 
 
 def conditional_cdf_A(xi, snr: Snr, spec: ChannelSpec):
@@ -189,40 +199,29 @@ def conditional_cdf_A(xi, snr: Snr, spec: ChannelSpec):
 
     Equals F_gamma((2^xi - 1)/SNR) / F_gamma((2^M - 1)/SNR) on (0, M],
     0 below and 1 above.  Both factors are regularized lower incomplete
-    gammas, so the ratio keeps full relative accuracy at high SNR.
+    gammas, so the ratio keeps full relative accuracy at high SNR; the
+    denominator is the last point of the numerators' call.
     """
-    return _conditional_cdf_A(xi, snr, spec, None)
-
-
-def _conditional_cdf_A(xi, snr: Snr, spec: ChannelSpec, den: float | None):
-    """conditional_cdf_A, with den = F_gamma((2^M - 1)/SNR) if the caller has it."""
     if snr.rho <= 0:
         raise ValueError("conditional cdf requires rho > 0")
     m = spec.fading.m
     M = spec.M
     arr = np.asarray(xi, dtype=float)
-    if den is None:
-        den = reg_gamma_p(m, m * (2.0**M - 1.0) / snr.rho)
+    mid = (arr > 0) & (arr < M)
+    levels = reg_gamma_p(m, m * (2.0 ** np.append(arr[mid], M) - 1.0) / snr.rho)
+    den = levels[-1]
     if den <= 0.0:
         raise ArithmeticError("conditioning probability underflowed; SNR too large for this grid")
     out = np.zeros_like(arr)
-    mid = (arr > 0) & (arr < M)
-    if mid.any():
-        out[mid] = reg_gamma_p(m, m * (2.0 ** arr[mid] - 1.0) / snr.rho) / den
+    out[mid] = levels[:-1] / den
     out[arr >= M] = 1.0
     out = np.minimum(out, 1.0)
     return float(out) if np.isscalar(xi) else out
 
 
-def build_pmf_A(
-    snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS, *, _den: float | None = None
-) -> TabulatedPmf:
-    """Tabulate A's cell masses on [0, M] as cdf differences.
-
-    outage_lower_bounds passes the conditioning probability it already
-    computed as _den, the same value conditional_cdf_A would compute.
-    """
-    return TabulatedPmf.from_cdf(lambda grid: _conditional_cdf_A(grid, snr, spec, _den), spec.M, n_cells)
+def build_pmf_A(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> TabulatedPmf:
+    """Tabulate A's cell masses on [0, M] as cdf differences."""
+    return TabulatedPmf.from_cdf(lambda grid: conditional_cdf_A(grid, snr, spec), spec.M, n_cells)
 
 
 def convolve_power(pmf: TabulatedPmf, n: int) -> TabulatedPmf:
@@ -268,11 +267,6 @@ def cdf_Y_at(pmf: TabulatedPmf, x: float) -> float:
     return float(pmf.masses[:j].sum() + pmf.masses[j] * frac)
 
 
-def threshold_terms(spec: ChannelSpec) -> int:
-    """Number of nonzero terms in the bound: ceil(BR/M)."""
-    return int(math.ceil(spec.B * spec.rate / spec.M - 1e-12))
-
-
 def outage_lower_bounds(
     snr: Snr, B: int, M: int, fading: NakagamiParam, rates, n_cells: int = DEFAULT_CELLS
 ) -> list[BoundResult]:
@@ -282,22 +276,21 @@ def outage_lower_bounds(
     built once.  The loop runs over the mixture terms: Y_{B-t} is convolved
     once, read at every rate that still has a term t, and dropped before the
     next power.  Terms with t >= ceil(BR/M) have BR - tM <= 0 and vanish
-    because A is positive, so each rate stops at ceil(BR/M) - 1.  Every rate
-    sums its terms in ascending t, so a value does not depend on which other
-    rates share the call.
+    because A is positive, so each rate stops at t = B - d_B(R) (see
+    threshold_terms).  Every rate sums its terms in ascending t, so a value
+    does not depend on which other rates share the call.
     """
     specs = [ChannelSpec(B, M, fading, r) for r in rates]
     if not specs:
         return []
-    p, q = _success_rate_pair(snr, specs[0])
-    mix = BinomialMixture.from_rates(p, B, one_minus_p=q)
-    pmf_a = build_pmf_A(snr, specs[0], n_cells, _den=q)
+    weights = binomial_weights(*success_rate(snr, specs[0]), B)
+    pmf_a = build_pmf_A(snr, specs[0], n_cells)
     n_terms = [threshold_terms(s) for s in specs]
     per_term = [[] for _ in specs]
     totals = [0.0] * len(specs)
     for t in range(max(n_terms)):
         pmf_y = convolve_power(pmf_a, B - t)
-        weight = float(mix.weights[t])
+        weight = float(weights[t])
         for i, s in enumerate(specs):
             if t < n_terms[i]:
                 f_y = cdf_Y_at(pmf_y, B * s.rate - t * M)

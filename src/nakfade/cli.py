@@ -274,14 +274,15 @@ def _build_config(subcommand: str, config_path: str | None, flags: dict) -> RunC
     """
     cfg = RunConfig(subcommand=subcommand)
     file_values = _load_config(config_path, subcommand, flags.keys())
-    for source in (file_values, {k: v for k, v in flags.items() if v is not None and v != ()}):
+    flag_values = {k: v for k, v in flags.items() if v is not None and v != ()}
+    for source in (file_values, flag_values):
         for key, value in source.items():
             if key in ("snr_db", "rate_grid"):
                 value = _parse_grid(value, key)
             elif key == "lambda_scaled":
                 value = tuple(value) if isinstance(value, (list, tuple)) else (value,)
             setattr(cfg, key, value)
-    _validate(cfg)
+    _validate(cfg, file_values.keys() | flag_values.keys())
     return cfg
 
 
@@ -293,8 +294,16 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _validate(cfg: RunConfig) -> None:
-    """Exit 2 naming the first bad field; a config that passes runs without a usage error."""
+def _underflows(db: float) -> bool:
+    """Whether the linear SNR of db dB rounds to 0 (a large db would overflow, not underflow)."""
+    return db < 0 and 10.0 ** (db / 10.0) == 0.0
+
+
+def _validate(cfg: RunConfig, given) -> None:
+    """Exit 2 naming the first bad field; a config that passes runs without a usage error.
+
+    given holds the fields set by a flag or a config key.
+    """
 
     def need(name: str, ok: bool, msg: str) -> None:
         if not ok:
@@ -312,6 +321,9 @@ def _validate(cfg: RunConfig) -> None:
     need("per_term", isinstance(cfg.per_term, bool), "must be true or false")
     need("out", cfg.out is None or isinstance(cfg.out, str), "must be a file path")
     need("mode", cfg.mode in ("outage", "lowerbound"), "must be 'outage' or 'lowerbound'")
+    if cfg.subcommand == "mc" and cfg.mode == "lowerbound":
+        for name in ("constellation", "order"):
+            need(name, name not in given, "mc reads it only in --mode outage")
     if cfg.subcommand == "mi" or (cfg.subcommand == "mc" and cfg.mode == "outage"):
         need("constellation", isinstance(cfg.constellation, str), "must be a name such as 'qam16'")
         try:
@@ -322,6 +334,11 @@ def _validate(cfg: RunConfig) -> None:
             need("constellation", bits == cfg.bits, f"{cfg.constellation!r} carries {bits} bits, spec needs {cfg.bits}")
     if cfg.subcommand in ("curve", "asymptote", "mc"):
         need("rate", 0 < cfg.rate <= cfg.bits, f"must lie in (0, M={cfg.bits}]")
+    # The bound needs rho > 0; mc and mi are right at rho = 0.
+    if cfg.subcommand in ("curve", "asymptote"):
+        need("snr_db", not _underflows(cfg.snr_db[0]), f"{_fmt_exact(cfg.snr_db[0])} dB is a linear SNR of 0")
+    if cfg.subcommand == "ratesweep":
+        need("snr_db_fixed", not _underflows(cfg.snr_db_fixed), f"{_fmt_exact(cfg.snr_db_fixed)} dB is a linear SNR of 0")
     if cfg.subcommand in ("ratesweep", "exponent"):
         lo, hi, _ = cfg.rate_grid
         need("rate_grid", 0 < lo and hi <= cfg.bits, f"grid must stay inside (0, M={cfg.bits}]")

@@ -74,7 +74,10 @@ class Snr:
 
     @classmethod
     def from_db(cls, db: float) -> "Snr":
-        return cls(10.0 ** (db / 10.0))
+        try:
+            return cls(10.0 ** (db / 10.0))
+        except OverflowError:
+            raise OverflowError(f"an SNR of {db} dB overflows a float") from None
 
     @property
     def db(self) -> float:

@@ -131,7 +131,7 @@ def test_criterion_08_rayleigh_reduction():
     spec = ChannelSpec(4, 4, m1, 2.0)
     worst = 0.0
     for rho in (10.0, 10**1.5):
-        p = success_rate(Snr(rho), spec)
+        p = success_rate(Snr(rho), spec)[0]
         worst = max(worst, abs(p - math.exp(-15.0 / rho)))
         xs = np.linspace(0.0, 4.0, 100)
         f_a = conditional_cdf_A(xs, Snr(rho), spec)

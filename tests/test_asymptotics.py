@@ -48,6 +48,12 @@ class TestSingletonBound:
         # 49*(4/7) rounds below the exact integer 28 in float arithmetic
         assert singleton_bound(49, 7, 3.0) == 29
 
+    @pytest.mark.parametrize("rate", [1e-10, 1e-300])
+    def test_tiny_rate_has_diversity_b(self, rate):
+        # B(1 - R/M) snaps up to B, but R > 0 keeps d_B(R) at B.
+        assert singleton_bound(4, 4, rate) == 4
+        assert coding_gain(ChannelSpec(4, 4, M1, rate), 64) >= 0.0
+
 
 class TestOptimalExponent:
     def test_b4_m4_exponents(self):

@@ -6,15 +6,16 @@ from click.testing import CliRunner
 
 from nakfade import bound, cli
 from nakfade.bound import (
-    BinomialMixture,
     ChannelSpec,
     TabulatedPmf,
+    binomial_weights,
     build_pmf_A,
     cdf_Y_at,
     conditional_cdf_A,
     convolve_power,
     outage_lower_bound,
     outage_lower_bounds,
+    singleton_bound,
     success_rate,
     threshold_terms,
 )
@@ -47,14 +48,29 @@ class TestChannelSpec:
 
 class TestSuccessRate:
     def test_rayleigh_closed_form(self):
-        assert success_rate(Snr(15.0), spec44(M1, 1)) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert success_rate(Snr(15.0), spec44(M1, 1))[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_high_snr_limit(self):
-        assert success_rate(Snr(1e30), spec44(M2, 1)) == pytest.approx(1.0, abs=1e-15)
+        assert success_rate(Snr(1e30), spec44(M2, 1))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_m2_closed_form(self):
         # Gamma(2, 3)/Gamma(2) = 4 e^-3
-        assert success_rate(Snr(10.0), spec44(M2, 1)) == pytest.approx(4.0 * math.exp(-3.0), rel=1e-12)
+        assert success_rate(Snr(10.0), spec44(M2, 1))[0] == pytest.approx(4.0 * math.exp(-3.0), rel=1e-12)
+
+    def test_one_minus_p_relative_accuracy_at_high_snr(self):
+        # At rho = 1e30, 1 - p is below 1e-28, far under the rounding of p.
+        x = 15.0 / 1e30
+        assert success_rate(Snr(1e30), spec44(M1, 1))[1] == pytest.approx(-math.expm1(-x), rel=1e-12)
+        # m = 2: P(2, y) = 1 - e^-y (1 + y) = y^2/2 - y^3/3 + y^4/8 - ..., y = 2x
+        y = 2.0 * x
+        series = sum((-1) ** k * (k - 1) / math.factorial(k) * y**k for k in range(2, 8))
+        assert success_rate(Snr(1e30), spec44(M2, 1))[1] == pytest.approx(series, rel=1e-12)
+
+    def test_all_capped_weight_at_high_snr(self):
+        # The t = 0 weight (1-p)^4 ~ 5.1e-116 keeps its relative accuracy.
+        x = 15.0 / 1e30
+        weights = binomial_weights(*success_rate(Snr(1e30), spec44(M1, 1)), 4)
+        assert weights[0] == pytest.approx((-math.expm1(-x)) ** 4, rel=1e-12)
 
 
 class TestConditionalCdfA:
@@ -175,13 +191,13 @@ class TestCdfYAt:
 
 class TestBinomialMixture:
     def test_weights_sum_to_one(self):
-        mix = BinomialMixture.from_rates(0.37, 6)
-        assert abs(mix.weights.sum() - 1.0) <= 1e-12
-        assert np.all(mix.weights >= 0)
+        weights = binomial_weights(0.37, 0.63, 6)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert np.all(weights >= 0)
 
     def test_degenerate_rates(self):
-        assert BinomialMixture.from_rates(0.0, 4).weights[0] == 1.0
-        assert BinomialMixture.from_rates(1.0, 4, one_minus_p=0.0).weights[4] == 1.0
+        assert binomial_weights(0.0, 1.0, 4)[0] == 1.0
+        assert binomial_weights(1.0, 0.0, 4)[4] == 1.0
 
 
 class TestOutageLowerBound:
@@ -236,11 +252,38 @@ class TestOutageLowerBound:
         assert abs(est.p_hat - analytic) <= 3.0 * se
 
 
+def term_count_rates():
+    """(B, M, R) with R = kM/B + delta inside (0, M], on and just off the integers BR/M."""
+    for B in range(1, 9):
+        for M in range(1, 5):
+            for k in range(B + 1):
+                for delta in (0.0, 1e-15, -1e-15, 5e-10):
+                    rate = k * M / B + delta
+                    if 0.0 < rate <= M:
+                        yield B, M, rate
+
+
+class TestTermCount:
+    def test_terms_are_b_plus_one_minus_singleton(self):
+        for B, M, rate in term_count_rates():
+            res = outage_lower_bound(Snr(10.0), ChannelSpec(B, M, M1, rate), 8)
+            assert len(res.per_term) == B + 1 - singleton_bound(B, M, rate), (B, M, rate)
+
+    def test_per_term_columns_match(self):
+        runner = CliRunner()
+        for B, M, rate in term_count_rates():
+            args = ["curve", "-B", str(B), "-M", str(M), "--rate", repr(rate), "--snr-db", "10:10:1", "--cells", "8", "--per-term"]
+            res = runner.invoke(cli.main, args)
+            assert res.exit_code == 0, res.output
+            columns = res.output.splitlines()[1].split(",")
+            assert len(columns) == 2 + 2 * (B + 1 - singleton_bound(B, M, rate)), (B, M, rate)
+
+
 def per_rate_reference(snr, spec, n_cells):
     """The bound as evaluated one rate at a time, each with a fresh pmf and
     fresh forward FFTs (the evaluation that outage_lower_bounds replaced)."""
     q, p = reg_gamma_pq(spec.fading.m, spec.fading.m * (2.0**spec.M - 1.0) / snr.rho)
-    mix = BinomialMixture.from_rates(float(p), spec.B, one_minus_p=float(q))
+    weights = binomial_weights(float(p), float(q), spec.B)
     pmf = build_pmf_A(snr, spec, n_cells)
     masses = pmf.masses
     terms = []
@@ -255,7 +298,7 @@ def per_rate_reference(snr, spec, n_cells):
             out /= out.sum()
             pmf_y = TabulatedPmf(pmf.grid_step, out, n * pmf.origin + (n - 1) * pmf.grid_step / 2.0)
         f_y = cdf_Y_at(pmf_y, spec.B * spec.rate - t * spec.M)
-        w = float(mix.weights[t])
+        w = float(weights[t])
         terms.append((t, f_y, w, f_y * w))
         total += f_y * w
     return min(max(total, 0.0), 1.0), terms
@@ -327,8 +370,9 @@ class TestSharedEvaluator:
         monkeypatch.setattr(bound, "reg_gamma_p", counted(bound.reg_gamma_p))
         monkeypatch.setattr(bound, "reg_gamma_pq", counted(bound.reg_gamma_pq))
         outage_lower_bounds(Snr.from_db(8.0), 4, 4, M1, [1.0, 2.5], 512)
-        # One scalar call for p and 1-p, one over the 511 interior grid points.
-        assert sorted(points) == [1, 511]
+        # One scalar call for p and 1-p, one over the 511 interior grid points
+        # and M, whose value is the conditioning probability.
+        assert sorted(points) == [1, 512]
 
     def test_ratesweep_shares_pmf_and_spectra(self, monkeypatch, tmp_path):
         calls = {"build_pmf_A": 0, "convolve_power": 0}

@@ -279,6 +279,13 @@ class TestConfigAndErrors:
             pytest.param(["ratesweep", "--rate", "0.25:3.75:inf"], None, "rate_grid", id="rate_grid-inf-step-ratesweep"),
             pytest.param(["exponent", "--rate", "0.25:3.75:inf"], None, "rate_grid", id="rate_grid-inf-step-exponent"),
             pytest.param(["curve"], {"snr_db": [0, "nan", 1]}, "snr_db", id="snr_db-config-nan"),
+            pytest.param(["curve", "--snr-db", "-4000:-4000:1"], None, "snr_db", id="snr_db-underflow-curve"),
+            pytest.param(["asymptote", "--snr-db", "-4000:0:1000"], None, "snr_db", id="snr_db-underflow-asymptote"),
+            pytest.param(["ratesweep", "--snr-db-fixed", "-4000"], None, "snr_db_fixed", id="snr_db_fixed-underflow"),
+            pytest.param(["mc", "--mode", "lowerbound", "--constellation", "foo", "--order", "7"], None, "constellation", id="lowerbound-constellation"),
+            pytest.param(["mc", "--order", "7"], None, "order", id="lowerbound-order"),
+            pytest.param(["mc"], {"constellation": "qam16"}, "constellation", id="lowerbound-constellation-config"),
+            pytest.param(["mc"], {"order": 32}, "order", id="lowerbound-order-config"),
         ],
     )
     def test_bad_value_exits_2_naming_field(self, runner, tmp_path, args, config, field):
@@ -289,6 +296,17 @@ class TestConfigAndErrors:
         res = runner.invoke(main, args)
         assert res.exit_code == 2, res.output
         assert f"field '{field}'" in res.output
+
+    @pytest.mark.parametrize("args", [["mi"], ["curve"]], ids=["mi", "curve"])
+    def test_snr_overflow_exits_3_naming_db(self, runner, args):
+        res = runner.invoke(main, args + ["--snr-db", "4000:4000:1"])
+        assert res.exit_code == 3
+        assert "4000.0 dB" in res.output
+
+    @pytest.mark.parametrize("args", [["mi"], ["mc", "--samples", "10"], ["mc", "--mode", "outage", "--samples", "10"]], ids=["mi", "mc", "mc-outage"])
+    def test_zero_linear_snr_accepted_where_right(self, runner, args):
+        res = runner.invoke(main, args + ["--snr-db", "-4000:-4000:1"])
+        assert res.exit_code == 0, res.output
 
     def test_numerical_failure_exits_3(self, runner, monkeypatch):
         from nakfade import cli
@@ -326,7 +344,8 @@ class TestFieldLists:
     @pytest.mark.parametrize("name", list(main.commands))
     def test_config_of_own_fields_accepted(self, tmp_path, name):
         keys = _options(name)
-        defaults = RunConfig(subcommand=name)
+        # mc reads constellation and order only in outage mode.
+        defaults = RunConfig(subcommand=name, **({"mode": "outage"} if name == "mc" else {}))
         data = _as_json(defaults, keys)
         assert set(data) == keys
         path = tmp_path / "run.json"

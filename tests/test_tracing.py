@@ -1,0 +1,56 @@
+"""The benchmark's span tracer (bench/tracing.py) still finds every package name it wraps."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from nakfade import asymptotics, bound, cli, constellation, fading, montecarlo, mutual_info
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+COMMANDS = [
+    ["curve", "--rate", "2", "--snr-db", "5:5:1", "--cells", "64"],
+    ["asymptote", "--rate", "2", "--snr-db", "5:5:1", "--cells", "64"],
+    ["ratesweep", "--snr-db-fixed", "5", "--rate", "1:3:1", "--cells", "64"],
+    ["mc", "--mode", "lowerbound", "--snr-db", "5:5:1", "--samples", "100"],
+    ["mc", "--mode", "outage", "--snr-db", "5:5:1", "--samples", "20", "--order", "8"],
+]
+
+
+def load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules while it loads.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_spans_of_every_command(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    nk = dict(
+        bound=bound, asymptotics=asymptotics, fading=fading, montecarlo=montecarlo, cli=cli, mutual_info=mutual_info, constellation=constellation
+    )
+    tracer = tracing.Tracer()
+    tracer.install(nk)
+    try:
+        runner = CliRunner()
+        for args in COMMANDS:
+            res = runner.invoke(cli.main, args)
+            assert res.exit_code == 0, (args, res.output, res.exception)
+    finally:
+        tracer.restore()
+    assert not hasattr(bound.build_pmf_A, "__wrapped__")
+    names = {s.name for s in tracer.spans}
+    expected = {
+        "fading.reg_gamma",
+        "bound.build_pmf",
+        "bound.convolve",
+        "bound.outage_lower_bound",
+        "asymptotics.coding_gain",
+        "montecarlo.mc_lower_bound",
+        "montecarlo.mc_outage",
+    }
+    assert expected <= names
