@@ -75,7 +75,12 @@ def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     pmf = TabulatedPmf.from_cdf(lambda xi: asymptotic_cdf_A(xi, M, spec.fading), M, n_cells)
     f_y = cdf_Y_at(convolve_power(pmf, d), B * R - (B - d) * M)
     log_k = log_binomial(B)[B - d] + m * d * math.log(m * (2.0**M - 1.0)) - d * (math.log(m) + math.lgamma(m))
-    return f_y * math.exp(log_k)
+    try:
+        return f_y * math.exp(log_k)
+    except OverflowError:
+        log10_factor = log_k / math.log(10.0)
+        log10_k = math.log10(f_y) + log10_factor if f_y > 0 else -math.inf
+        raise ArithmeticError(f"coding gain K overflows a float: log10 K = {log10_k:.6g} (cdf {f_y:.6g} times 10^{log10_factor:.6g})") from None
 
 
 def asymptote(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:

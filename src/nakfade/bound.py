@@ -208,7 +208,11 @@ def conditional_cdf_A(xi, snr: Snr, spec: ChannelSpec):
     M = spec.M
     arr = np.asarray(xi, dtype=float)
     mid = (arr > 0) & (arr < M)
-    levels = reg_gamma_p(m, m * (2.0 ** np.append(arr[mid], M) - 1.0) / snr.rho)
+    # At an SNR so small that the argument overflows, inf is its right
+    # limit: P(m, inf) = 1.
+    with np.errstate(over="ignore"):
+        x = m * (2.0 ** np.append(arr[mid], M) - 1.0) / snr.rho
+    levels = reg_gamma_p(m, x)
     den = levels[-1]
     if den <= 0.0:
         raise ArithmeticError("conditioning probability underflowed; SNR too large for this grid")

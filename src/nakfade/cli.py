@@ -215,10 +215,16 @@ def _run_mc(cfg: RunConfig) -> int:
     if cfg.mode == "outage":
         c = from_name(cfg.constellation)
         rule = hermite_rule(cfg.order)
+        # One bracket table for the whole grid, built before the points
+        # start, so the quadrature calls do not depend on thread scheduling;
+        # the points only read it.
+        lo, hi = Snr.from_db(dbs[0]).rho, Snr.from_db(dbs[-1]).rho
+        values = len(dbs) * cfg.samples * cfg.blocks
+        table = montecarlo.BracketTable(c, rule, lo, hi) if montecarlo.BracketTable.pays(lo, hi, values) else None
 
         def point(idx_db: tuple) -> object:
             idx, db = idx_db
-            return montecarlo.mc_outage(Snr.from_db(db), spec, c, rule, n=cfg.samples, seed=cfg.seed, stream_id=idx)
+            return montecarlo.mc_outage(Snr.from_db(db), spec, c, rule, n=cfg.samples, seed=cfg.seed, stream_id=idx, table=table)
 
     else:
 

@@ -109,21 +109,23 @@ def reg_gamma_pq(a: float, x) -> tuple[np.ndarray, np.ndarray]:
 
     The series evaluates P directly for x < a+1 and the continued fraction
     evaluates Q for x >= a+1, so the small tail never comes from a
-    1 - (1 - tiny) subtraction.
+    1 - (1 - tiny) subtraction.  x = inf gives (1, 0) without iterating.
     """
     arr = np.asarray(x, dtype=float)
     if a <= 0:
         raise ValueError(f"incomplete gamma requires a > 0, got a={a}")
+    if np.any(np.isnan(arr)):
+        raise ValueError("incomplete gamma requires x to be a number, got NaN")
     if np.any(arr < 0):
         raise ValueError("incomplete gamma requires x >= 0")
-    p = np.empty_like(arr)
-    q = np.empty_like(arr)
+    p = np.ones_like(arr)
+    q = np.zeros_like(arr)
     lo = arr < a + 1.0
     if lo.any():
         ps = _reg_p_series(a, arr[lo])
         p[lo] = ps
         q[lo] = 1.0 - ps
-    hi = ~lo
+    hi = ~lo & (arr < np.inf)
     if hi.any():
         qc = _reg_q_contfrac(a, arr[hi])
         q[hi] = qc

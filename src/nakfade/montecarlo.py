@@ -12,11 +12,17 @@ mc_outage decides most samples without quadrature at their own SNRs.  Each
 per-block SNR v lies between two nodes of the fixed geometric grid
 2^(k/_NODES_PER_OCTAVE), and the computed I(rho) is nondecreasing, so the
 mean of the MI values at the lower nodes bounds a sample's mean MI from
-below and the mean at the upper nodes bounds it from above.  One quadrature
-call per chunk evaluates the nodes the chunk touches; only samples whose
-bracket straddles the rate are evaluated at their exact SNRs, with the same
-test as direct evaluation.  Each MI value does not depend on the batch it is
-computed in, so every event count equals that of direct quadrature.
+below and the mean at the upper nodes bounds it from above.  A BracketTable
+holds I(0) and the MI at every node of a window around the SNRs it serves,
+from one quadrature call; one table serves every chunk of an mc_outage call,
+and the CLI builds one for every point of a command.  A v below the window
+is bracketed by [I(0), I(lowest node)] and one above it by
+[I(highest node), M], which holds because the computed I is also clamped to
+[0, M]; so the window decides only how many samples are left open, never a
+count.  Only samples whose bracket straddles the rate are evaluated at
+their exact SNRs, with the same test as direct evaluation.  Each MI value
+does not depend on the batch it is computed in, so every event count equals
+that of direct quadrature.
 """
 
 from __future__ import annotations
@@ -32,18 +38,28 @@ from .bound import ChannelSpec
 from .constellation import Constellation
 from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete_array
 
-__all__ = ["McEstimate", "MC_QUAD_ORDER", "mc_outage", "mc_lower_bound"]
+__all__ = ["McEstimate", "MC_QUAD_ORDER", "BracketTable", "mc_outage", "mc_lower_bound"]
 
 # Order of the MI quadrature: its bias is far below the Monte Carlo noise for
 # any n <= 1e7, and it keeps the cost of each evaluated SNR low.
 MC_QUAD_ORDER = 32
 
 # Bracket nodes per octave of SNR.  A finer grid leaves fewer samples
-# undecided but puts more nodes in every chunk, so small chunks fall back to
-# direct evaluation.  8 ran fastest of 8, 16 and 32 on a mix of 1950-sample
-# qam16 and 24-sample psk8 points, and of 4, 8, 16 and 32 only 4 came close
-# on 1e6-sample qam16 estimates; 8 leaves about 1-7% of samples undecided.
+# undecided but puts more nodes in every table.  When each chunk evaluated
+# its own nodes, 8 ran fastest of 8, 16 and 32 on a mix of 1950-sample qam16
+# and 24-sample psk8 points, and of 4, 8, 16 and 32 only 4 came close on
+# 1e6-sample qam16 estimates; 8 leaves about 1-7% of samples undecided.
 _NODES_PER_OCTAVE = 8
+
+# Octaves of nodes a BracketTable adds below its lowest and above its
+# highest SNR.  Per-block gains fall far below 1 more often than they rise
+# far above it, and a sample outside the window is still bracketed, only
+# more loosely.
+_OCTAVES_BELOW = 10
+_OCTAVES_ABOVE = 6
+
+# Highest node key: 2^(key / _NODES_PER_OCTAVE) is the largest finite node.
+_TOP_KEY = _NODES_PER_OCTAVE * 1024 - 1
 
 # Margin on the bracket tests.  It absorbs the rounding of the row means and
 # of the node SNRs (a node may miss its value by an ulp, which moves I by
@@ -84,32 +100,71 @@ def _count_chunks(n: int, workers: int, chunk_counter) -> int:
         return sum(pool.map(lambda c: chunk_counter(*c), chunks))
 
 
-def _count_outage_rows(v: np.ndarray, rate: float, c: Constellation, q: QuadratureRule) -> int:
-    """Number of rows of per-block SNRs v whose mean MI is below rate.
+def _count_direct(v: np.ndarray, rate: float, c: Constellation, q: QuadratureRule) -> int:
+    """Number of rows of per-block SNRs v whose mean MI, evaluated at v, is below rate."""
+    mi = mi_discrete_array(v, c, q)
+    return int(np.count_nonzero(mi.mean(axis=1) < rate))
 
-    Decides each row from the MI at its values' bracketing nodes when it
-    can, and evaluates the rest directly.  A zero SNR has log2 = -inf and
-    both of its nodes at 2^-inf = 0, so it is bracketed by I(0) itself.
-    When the chunk touches at least as many nodes as it has values, the
-    nodes cost more than the values, so every row is evaluated directly.
+
+def _window(rho_lo: float, rho_hi: float) -> tuple[int, int]:
+    """First and last node key of the table serving SNRs in [rho_lo, rho_hi].
+
+    An SNR of 0 needs no node: every sample it gives is 0, which I(0)
+    brackets exactly.  The window is empty (last < first) when both ends are 0.
     """
-    with np.errstate(divide="ignore"):
-        keys, where = np.unique(np.floor(_NODES_PER_OCTAVE * np.log2(v)), return_inverse=True)
-    nodes = np.union1d(keys, keys + 1.0)
-    if nodes.size >= v.size:
-        mi = mi_discrete_array(v, c, q)
-        return int(np.count_nonzero(mi.mean(axis=1) < rate))
-    node_mi = mi_discrete_array(np.exp2(nodes / _NODES_PER_OCTAVE), c, q)
-    where = where.reshape(v.shape)
-    lower = node_mi[np.searchsorted(nodes, keys)][where].mean(axis=1)
-    upper = node_mi[np.searchsorted(nodes, keys + 1.0)][where].mean(axis=1)
-    decided_out = upper < rate - _MARGIN
-    open_rows = ~decided_out & (lower < rate + _MARGIN)
-    count = int(np.count_nonzero(decided_out))
-    if open_rows.any():
-        mi = mi_discrete_array(v[open_rows], c, q)
-        count += int(np.count_nonzero(mi.mean(axis=1) < rate))
-    return count
+    if rho_hi <= 0:
+        return 0, -1
+    lo = rho_lo if rho_lo > 0 else rho_hi
+    first = math.floor(_NODES_PER_OCTAVE * math.log2(lo)) - _OCTAVES_BELOW * _NODES_PER_OCTAVE
+    last = math.floor(_NODES_PER_OCTAVE * math.log2(rho_hi)) + _OCTAVES_ABOVE * _NODES_PER_OCTAVE
+    return first, min(last, _TOP_KEY)
+
+
+class BracketTable:
+    """I(0) and the MI at the grid nodes around [rho_lo, rho_hi] under (c, q).
+
+    Built by one mi_discrete_array call and only read afterwards, so one
+    table serves any number of chunks and threads, at any SNR: the window
+    sets how many samples are decided from it, never a count.
+    """
+
+    def __init__(self, c: Constellation, q: QuadratureRule, rho_lo: float, rho_hi: float) -> None:
+        self.c = c
+        self.q = q
+        self._first, last = _window(rho_lo, rho_hi)
+        nodes = np.exp2(np.arange(self._first, last + 1) / _NODES_PER_OCTAVE)
+        mi = mi_discrete_array(np.concatenate(([0.0], nodes)), c, q)
+        # Slot 0 is I(0), slots 1..size the nodes, slot size + 1 the cap M.
+        self._size = nodes.size
+        self._values = np.append(mi, float(c.bits_per_symbol))
+
+    @staticmethod
+    def pays(rho_lo: float, rho_hi: float, values: int) -> bool:
+        """Whether a table over [rho_lo, rho_hi] has fewer nodes than there are SNR values to score."""
+        first, last = _window(rho_lo, rho_hi)
+        return last - first + 1 < values
+
+    def count_rows(self, v: np.ndarray, rate: float) -> int:
+        """Number of rows of per-block SNRs v whose mean MI is below rate.
+
+        Decides each row from its values' brackets when it can and
+        evaluates the rest directly.  A zero SNR is bracketed by I(0) on
+        both sides.
+        """
+        # slot is the slot of node k = floor(P log2 v), the one at or below v;
+        # a lower node under the window reads I(0), an upper one above it M.
+        with np.errstate(divide="ignore"):
+            slot = np.floor(_NODES_PER_OCTAVE * np.log2(v)) - (self._first - 1)
+        lower_slot = np.clip(slot, 0, self._size).astype(np.intp)
+        upper_slot = np.where(v > 0, np.clip(slot + 1, 1, self._size + 1), 0).astype(np.intp)
+        lower = self._values[lower_slot].mean(axis=1)
+        upper = self._values[upper_slot].mean(axis=1)
+        decided_out = upper < rate - _MARGIN
+        open_rows = ~decided_out & (lower < rate + _MARGIN)
+        count = int(np.count_nonzero(decided_out))
+        if open_rows.any():
+            count += _count_direct(v[open_rows], rate, self.c, self.q)
+        return count
 
 
 def mc_outage(
@@ -121,14 +176,20 @@ def mc_outage(
     seed: int = 0,
     stream_id: int = 0,
     workers: int = 1,
+    table: BracketTable | None = None,
 ) -> McEstimate:
     """Estimate Pr((1/B) sum_b I(gamma_b rho) < R) with discrete-input MI.
 
     The count is that of evaluating I at every sample's SNRs; most samples
-    are decided from bracketing grid nodes instead (see the module notes).
-    That needs I(rho) under the rule q to be nondecreasing.  It is for every
+    are decided from a BracketTable instead (see the module notes).  That
+    needs I(rho) under the rule q to be nondecreasing.  It is for every
     built-in constellation under hermite_rule at each order checked, from 1
     to 256, on a grid of 64 points per octave over 2^-40 to 2^40.
+
+    table, built for the same c and q, may serve other SNRs too; without
+    one, every chunk reads one table built for snr, unless that table would
+    have at least as many nodes as the n B values, which are then all
+    evaluated directly.
     """
     if c.bits_per_symbol != spec.M:
         raise ValueError(f"constellation carries {c.bits_per_symbol} bits but spec.M = {spec.M}")
@@ -136,10 +197,14 @@ def mc_outage(
         q = hermite_rule(MC_QUAD_ORDER)
     rho = snr.rho
     rate = spec.rate
+    if table is None and BracketTable.pays(rho, rho, n * spec.B):
+        table = BracketTable(c, q, rho, rho)
+    if table is not None and (table.c is not c or table.q is not q):
+        raise ValueError("bracket table was built for another constellation or quadrature rule")
 
     def chunk_counter(first: int, count: int) -> int:
-        gains = fading.gain_block(spec.fading, seed, first, count, width=spec.B, stream_id=stream_id)
-        return _count_outage_rows(gains * rho, rate, c, q)
+        v = fading.gain_block(spec.fading, seed, first, count, width=spec.B, stream_id=stream_id) * rho
+        return table.count_rows(v, rate) if table is not None else _count_direct(v, rate, c, q)
 
     return McEstimate.from_count(_count_chunks(n, workers, chunk_counter), n, seed)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,19 @@ class TestConfigAndErrors:
     def test_zero_linear_snr_accepted_where_right(self, runner, args):
         res = runner.invoke(main, args + ["--snr-db", "-4000:-4000:1"])
         assert res.exit_code == 0, res.output
+
+    def test_snr_whose_gamma_argument_overflows_gives_bound_1(self, runner):
+        # m (2^M - 1) / rho overflows to inf, where P(m, inf) = 1: p = 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, ["curve", "--snr-db", "-3100:-3100:1", "-B", "4", "-M", "4", "--rate", "1"])
+        assert res.exit_code == 0, res.output
+        assert rows_of(res.output)[1] == [["-3100", "1"]]
+
+    def test_overflowing_coding_gain_exits_3_naming_k(self, runner):
+        res = runner.invoke(main, ["asymptote", "--m", "100", "--snr-db", "20:20:1", "-B", "4", "-M", "4", "--rate", "1"])
+        assert res.exit_code == 3
+        assert "coding gain K overflows a float: log10 K = 623.3" in res.output
 
     def test_numerical_failure_exits_3(self, runner, monkeypatch):
         from nakfade import cli

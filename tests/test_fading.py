@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from nakfade import fading
 from nakfade.fading import (
     CHUNK,
     NakagamiParam,
@@ -73,6 +74,22 @@ class TestGammaUpperIncomplete:
     def test_domain_errors(self, a, x):
         with pytest.raises(ValueError):
             reg_gamma_pq(a, x)
+
+    @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.0, 20.0])
+    def test_infinite_x_is_the_limit_without_iterating(self, a, monkeypatch):
+        def no_fraction(a, x):
+            raise AssertionError("continued fraction called")
+
+        with np.errstate(all="raise"):
+            assert reg_gamma_pq(a, [0.5, 3.0 * a, np.inf])[0][-1] == 1.0
+            monkeypatch.setattr(fading, "_reg_q_contfrac", no_fraction)
+            p, q = reg_gamma_pq(a, np.inf)
+        assert (p, q) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.0, 20.0])
+    def test_nan_x_rejected(self, a):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="NaN"):
+            reg_gamma_pq(a, [1.0, np.nan])
 
 
 class TestGainPdf:

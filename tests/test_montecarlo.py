@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from nakfade import fading, montecarlo
+from nakfade import cli, fading, montecarlo
 from nakfade.bound import ChannelSpec, outage_lower_bound
 from nakfade.constellation import KNOWN_NAMES, from_name, make_psk, make_qam
 from nakfade.fading import NakagamiParam
@@ -157,3 +158,73 @@ class TestScreening:
         est = mc_outage(Snr.from_db(12.0), ChannelSpec(B, 4, M1, 2.0), make_qam(4), n=n, seed=23)
         assert est.p_hat == McEstimate.from_count(2171, n, 23).p_hat
         assert sum(evaluated) < n * B / 5
+
+
+class TestBracketTable:
+    """One table serves any SNR, chunk and thread without changing a count."""
+
+    def test_table_whose_window_misses_the_snr(self):
+        # Rate 0.1 puts the outage probability near 0.4 at -10 dB.
+        c, rule = make_qam(4), hermite_rule(8)
+        spec = ChannelSpec(2, 4, M1, 0.1)
+        table = montecarlo.BracketTable(c, rule, Snr.from_db(40.0).rho, Snr.from_db(40.0).rho)
+        snr, n, seed = Snr.from_db(-10.0), fading.CHUNK + 500, 41
+        est = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=table)
+        assert est.p_hat == McEstimate.from_count(direct_outage_count(snr, spec, c, n, seed, 0, rule), n, seed).p_hat
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-310], ids=["zero", "subnormal"])
+    def test_exact_zero_snrs(self, rho):
+        # At m = 0.1 a subnormal SNR turns a few percent of the per-block
+        # SNRs into exact zeros; a table built at 10 dB brackets them by I(0).
+        c, rule = make_psk(2), hermite_rule(8)
+        spec = ChannelSpec(2, 2, NakagamiParam(0.1), 1.0)
+        n, seed = 3000, 43
+        snr = Snr(rho)
+        v = fading.gain_block(spec.fading, seed, 0, n, width=spec.B) * rho
+        assert np.count_nonzero(v == 0.0) > 20
+        want = direct_outage_count(snr, spec, c, n, seed, 0, rule)
+        own = mc_outage(snr, spec, c, rule, n=n, seed=seed)
+        shared = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=montecarlo.BracketTable(c, rule, 10.0, 10.0))
+        assert own.p_hat == shared.p_hat == McEstimate.from_count(want, n, seed).p_hat
+
+    def test_table_of_another_constellation_or_rule_rejected(self):
+        c, rule = make_qam(4), hermite_rule(8)
+        table = montecarlo.BracketTable(c, rule, 1.0, 10.0)
+        spec = ChannelSpec(4, 4, M1, 2.0)
+        for other_c, other_rule in ((make_qam(4), rule), (c, hermite_rule(16))):
+            with pytest.raises(ValueError, match="bracket table"):
+                mc_outage(Snr(5.0), spec, other_c, other_rule, n=10, table=table)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_point_of_a_cli_command_equals_direct_quadrature(self, monkeypatch, workers):
+        calls = []
+
+        def recording(rhos, c, rule=None):
+            calls.append(np.shape(rhos))
+            return mi_discrete_array(rhos, c, rule)
+
+        monkeypatch.setattr(montecarlo, "mi_discrete_array", recording)
+        n, seed = 1500, 3
+        args = ["mc", "--mode", "outage", "--constellation", "qam4", "-M", "2", "--m", "1", "--rate", "1"]
+        args += ["--snr-db", "0:14:2", "--samples", str(n), "--seed", str(seed), "--order", "8", "--workers", str(workers)]
+        res = CliRunner().invoke(cli.main, args)
+        assert res.exit_code == 0, res.output
+        rows = [line.split(",") for line in res.output.splitlines()[2:]]
+        assert len(rows) == 8
+        spec, c, rule = ChannelSpec(4, 2, M1, 1.0), make_qam(2), hermite_rule(8)
+        for idx, row in enumerate(rows):
+            want = direct_outage_count(Snr.from_db(float(row[0])), spec, c, n, seed, idx, rule)
+            assert row[1] == f"{want / n:.12g}"
+        # The table is the one one-dimensional call; every point only reads it.
+        assert sum(len(shape) == 1 for shape in calls) == 1
+
+    def test_large_estimate_evaluates_few_values(self, monkeypatch):
+        evaluated = []
+
+        def counting(rhos, c, rule=None):
+            evaluated.append(np.size(rhos))
+            return mi_discrete_array(rhos, c, rule)
+
+        monkeypatch.setattr(montecarlo, "mi_discrete_array", counting)
+        mc_outage(Snr.from_db(15.0), spec44(M1, 1.0), make_qam(4), n=10**6, seed=1)
+        assert sum(evaluated) < 300

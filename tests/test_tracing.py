@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from nakfade import asymptotics, bound, cli, constellation, fading, montecarlo, mutual_info
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+NK = dict(bound=bound, asymptotics=asymptotics, fading=fading, montecarlo=montecarlo, cli=cli, mutual_info=mutual_info, constellation=constellation)
 
 COMMANDS = [
     ["curve", "--rate", "2", "--snr-db", "5:5:1", "--cells", "64"],
@@ -30,11 +31,8 @@ def load_tracing(monkeypatch):
 
 def test_tracer_records_spans_of_every_command(monkeypatch):
     tracing = load_tracing(monkeypatch)
-    nk = dict(
-        bound=bound, asymptotics=asymptotics, fading=fading, montecarlo=montecarlo, cli=cli, mutual_info=mutual_info, constellation=constellation
-    )
     tracer = tracing.Tracer()
-    tracer.install(nk)
+    tracer.install(NK)
     try:
         runner = CliRunner()
         for args in COMMANDS:
@@ -54,3 +52,25 @@ def test_tracer_records_spans_of_every_command(monkeypatch):
         "montecarlo.mc_outage",
     }
     assert expected <= names
+
+
+def test_outage_command_repeats_its_per_layer_counts(monkeypatch):
+    # The benchmark's repeat-counts check: every traced pass of a command
+    # makes the same calls with the same work, whatever the two worker
+    # threads do first.  A node table that the points fill as they need it
+    # passes only when the threads happen to interleave the same way.
+    tracing = load_tracing(monkeypatch)
+    args = ["mc", "--mode", "outage", "--snr-db", "4:7.5:0.5", "--samples", "2000", "--order", "8", "--workers", "2"]
+    counts = []
+    for _ in range(4):
+        tracer = tracing.Tracer()
+        tracer.install(NK)
+        try:
+            res = CliRunner().invoke(cli.main, args)
+        finally:
+            tracer.restore()
+        assert res.exit_code == 0, (res.output, res.exception)
+        summary = tracing.summarize(tracer.spans)
+        counts.append({(name, k): v for name, row in summary.items() for k, v in dict(row["counts"], spans=row["spans"]).items()})
+    assert all(c == counts[0] for c in counts[1:])
+    assert counts[0][("montecarlo.mc_outage", "spans")] == 8
