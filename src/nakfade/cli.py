@@ -183,9 +183,20 @@ def _run_asymptote(cfg: RunConfig) -> int:
     gain = asymptotics.coding_gain(spec, cfg.cells)
     d_exp = asymptotics.optimal_exponent(spec)
 
+    def power_law(db: float, rho: float) -> float:
+        # At low SNR K rho^-d, or rho^-d alone, leaves the float range.
+        try:
+            value = gain * rho**-d_exp
+        except OverflowError:
+            value = math.inf if gain > 0 else 0.0
+        if value == math.inf:
+            log10_value = math.log10(gain) - d_exp * math.log10(rho)
+            raise ArithmeticError(f"asymptote overflows a float at snr_db {_fmt_exact(db)}: log10 asymptote = {log10_value:.6g}")
+        return value
+
     def point(db: float) -> tuple:
         rho = Snr.from_db(db)
-        return (db, bound.outage_lower_bound(rho, spec, cfg.cells).value, gain * rho.rho**-d_exp)
+        return (db, bound.outage_lower_bound(rho, spec, cfg.cells).value, power_law(db, rho.rho))
 
     header = _header(cfg, [*_channel_fields(cfg, cfg.rate), ("cells", cfg.cells)])
     return _emit(cfg, header, ["snr_db", "p_out_lower", "asymptote"], [point(db) for db in dbs])
@@ -220,7 +231,7 @@ def _run_mc(cfg: RunConfig) -> int:
         # the points only read it.
         lo, hi = Snr.from_db(dbs[0]).rho, Snr.from_db(dbs[-1]).rho
         values = len(dbs) * cfg.samples * cfg.blocks
-        table = montecarlo.BracketTable(c, rule, lo, hi) if montecarlo.BracketTable.pays(lo, hi, values) else None
+        table = montecarlo.BracketTable(c, rule, lo, hi, values, cfg.m) if montecarlo.BracketTable.pays(lo, hi, values, cfg.m) else None
 
         def point(idx_db: tuple) -> object:
             idx, db = idx_db

@@ -15,14 +15,17 @@ mean of the MI values at the lower nodes bounds a sample's mean MI from
 below and the mean at the upper nodes bounds it from above.  A BracketTable
 holds I(0) and the MI at every node of a window around the SNRs it serves,
 from one quadrature call; one table serves every chunk of an mc_outage call,
-and the CLI builds one for every point of a command.  A v below the window
-is bracketed by [I(0), I(lowest node)] and one above it by
-[I(highest node), M], which holds because the computed I is also clamped to
-[0, M]; so the window decides only how many samples are left open, never a
-count.  Only samples whose bracket straddles the rate are evaluated at
-their exact SNRs, with the same test as direct evaluation.  Each MI value
-does not depend on the batch it is computed in, so every event count equals
-that of direct quadrature.
+and the CLI builds one for every point of a command.  The window is sized
+from what the table serves: it spans the gains outside of which at most one
+octave of nodes' worth of the values it scores is expected, and it starts
+no lower than the SNR below which I is no wider than a bracket (see
+_window).  A v below the window is bracketed by [I(0), I(lowest node)] and
+one above it by [I(highest node), M], which holds because the computed I is
+also clamped to [0, M]; so the window decides only how many samples are
+left open, never a count.  Only samples whose bracket straddles the rate
+are evaluated at their exact SNRs, with the same test as direct
+evaluation.  Each MI value does not depend on the batch it is computed in,
+so every event count equals that of direct quadrature.
 """
 
 from __future__ import annotations
@@ -44,19 +47,15 @@ __all__ = ["McEstimate", "MC_QUAD_ORDER", "BracketTable", "mc_outage", "mc_lower
 # any n <= 1e7, and it keeps the cost of each evaluated SNR low.
 MC_QUAD_ORDER = 32
 
-# Bracket nodes per octave of SNR.  A finer grid leaves fewer samples
-# undecided but puts more nodes in every table.  When each chunk evaluated
-# its own nodes, 8 ran fastest of 8, 16 and 32 on a mix of 1950-sample qam16
-# and 24-sample psk8 points, and of 4, 8, 16 and 32 only 4 came close on
-# 1e6-sample qam16 estimates; 8 leaves about 1-7% of samples undecided.
-_NODES_PER_OCTAVE = 8
-
-# Octaves of nodes a BracketTable adds below its lowest and above its
-# highest SNR.  Per-block gains fall far below 1 more often than they rise
-# far above it, and a sample outside the window is still bracketed, only
-# more loosely.
-_OCTAVES_BELOW = 10
-_OCTAVES_ABOVE = 6
+# Bracket nodes per octave of SNR.  Doubling it halves the undecided
+# samples and doubles the nodes of every table, so the best spacing grows
+# with the share of samples near the rate, which a table cannot know before
+# they are drawn.  On the mc-outage benchmark (24-sample psk8 and 1950-sample
+# qam16 points) 16 ran 7-14% faster than 8 in three pairs of timed runs, and
+# 32 ran from 3% slower to 16% faster than 16; but at 32 a 1e6-sample qam16
+# estimate in the tail (m=1, 15 dB, R=1) evaluates 481 values, against 240
+# at 16 and 152 at 8.
+_NODES_PER_OCTAVE = 16
 
 # Highest node key: 2^(key / _NODES_PER_OCTAVE) is the largest finite node.
 _TOP_KEY = _NODES_PER_OCTAVE * 1024 - 1
@@ -65,6 +64,8 @@ _TOP_KEY = _NODES_PER_OCTAVE * 1024 - 1
 # of the node SNRs (a node may miss its value by an ulp, which moves I by
 # ~1e-15); a sample within it of the rate is always evaluated exactly.
 _MARGIN = 1e-9
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -106,32 +107,58 @@ def _count_direct(v: np.ndarray, rate: float, c: Constellation, q: QuadratureRul
     return int(np.count_nonzero(mi.mean(axis=1) < rate))
 
 
-def _window(rho_lo: float, rho_hi: float) -> tuple[int, int]:
-    """First and last node key of the table serving SNRs in [rho_lo, rho_hi].
+def _window(rho_lo: float, rho_hi: float, values: int, m: float) -> tuple[int, int]:
+    """First and last node key of the table scoring `values` SNRs rho gamma, rho in [rho_lo, rho_hi].
 
-    An SNR of 0 needs no node: every sample it gives is 0, which I(0)
-    brackets exactly.  The window is empty (last < first) when both ends are 0.
+    With P nodes per octave, the window ends where at most P of the values,
+    one octave of nodes' worth, are expected beyond it: one more octave would
+    cost P evaluations to tighten the brackets of fewer values than that,
+    each of which leaves its row undecided only when the row's mean MI is
+    near the rate.  The ends come from bounds on the tails of the gain gamma
+    (Gamma with shape m and mean 1), so each is at or beyond the exact one:
+
+        P(gamma < g) <= (m g)^m / Gamma(m + 1),   P(gamma > g) <= (g e^(1-g))^m  (g >= 1).
+
+    It also starts no lower than the SNR ln 2 / P.  Below it I(v) <= v log2 e
+    <= 1/P bits, so the bracket [I(0), I(lowest node)] of a value below the
+    window is no wider than a bracket inside it can be: by the I-MMSE
+    relation dI/dlog2 v <= v / (1 + v) < 1 bit per octave.  The window keeps
+    at least one node, and it is empty (last < first) only when rho_hi is 0,
+    whose values are exact 0s that I(0) brackets.
     """
     if rho_hi <= 0:
         return 0, -1
     lo = rho_lo if rho_lo > 0 else rho_hi
-    first = math.floor(_NODES_PER_OCTAVE * math.log2(lo)) - _OCTAVES_BELOW * _NODES_PER_OCTAVE
-    last = math.floor(_NODES_PER_OCTAVE * math.log2(rho_hi)) + _OCTAVES_ABOVE * _NODES_PER_OCTAVE
-    return first, min(last, _TOP_KEY)
+    tail = min(_NODES_PER_OCTAVE / values, 1.0)
+    log2_g_lo = min((math.lgamma(m + 1.0) + math.log(tail)) / m - math.log(m), 0.0) / _LN2
+    # Newton from above on m (g - 1 - ln g) = -ln(tail); the function is convex for g >= 1.
+    excess, g = -math.log(tail) / m, 1.0
+    if excess > 0:
+        g = 1.0 + excess + math.sqrt(2.0 * excess)
+        for _ in range(50):
+            step = (g - 1.0 - math.log(g) - excess) / (1.0 - 1.0 / g)
+            g -= step
+            if step < 1e-12 * g:
+                break
+    last = min(math.ceil(_NODES_PER_OCTAVE * (math.log2(rho_hi) + math.log2(g))), _TOP_KEY)
+    first = math.floor(_NODES_PER_OCTAVE * max(math.log2(lo) + log2_g_lo, math.log2(_LN2 / _NODES_PER_OCTAVE)))
+    return min(first, last), last
 
 
 class BracketTable:
     """I(0) and the MI at the grid nodes around [rho_lo, rho_hi] under (c, q).
 
-    Built by one mi_discrete_array call and only read afterwards, so one
-    table serves any number of chunks and threads, at any SNR: the window
-    sets how many samples are decided from it, never a count.
+    The window is sized for `values` per-block SNRs rho gamma, rho in
+    [rho_lo, rho_hi], under Nakagami-m gains (see _window).  Built by one
+    mi_discrete_array call and only read afterwards, so one table serves any
+    number of chunks and threads, at any SNR: the window sets how many
+    samples are decided from it, never a count.
     """
 
-    def __init__(self, c: Constellation, q: QuadratureRule, rho_lo: float, rho_hi: float) -> None:
+    def __init__(self, c: Constellation, q: QuadratureRule, rho_lo: float, rho_hi: float, values: int, m: float) -> None:
         self.c = c
         self.q = q
-        self._first, last = _window(rho_lo, rho_hi)
+        self._first, last = _window(rho_lo, rho_hi, values, m)
         nodes = np.exp2(np.arange(self._first, last + 1) / _NODES_PER_OCTAVE)
         mi = mi_discrete_array(np.concatenate(([0.0], nodes)), c, q)
         # Slot 0 is I(0), slots 1..size the nodes, slot size + 1 the cap M.
@@ -139,9 +166,9 @@ class BracketTable:
         self._values = np.append(mi, float(c.bits_per_symbol))
 
     @staticmethod
-    def pays(rho_lo: float, rho_hi: float, values: int) -> bool:
-        """Whether a table over [rho_lo, rho_hi] has fewer nodes than there are SNR values to score."""
-        first, last = _window(rho_lo, rho_hi)
+    def pays(rho_lo: float, rho_hi: float, values: int, m: float) -> bool:
+        """Whether the table for these arguments has fewer nodes than it has values to score."""
+        first, last = _window(rho_lo, rho_hi, values, m)
         return last - first + 1 < values
 
     def count_rows(self, v: np.ndarray, rate: float) -> int:
@@ -183,13 +210,14 @@ def mc_outage(
     The count is that of evaluating I at every sample's SNRs; most samples
     are decided from a BracketTable instead (see the module notes).  That
     needs I(rho) under the rule q to be nondecreasing.  It is for every
-    built-in constellation under hermite_rule at each order checked, from 1
-    to 256, on a grid of 64 points per octave over 2^-40 to 2^40.
+    built-in constellation under hermite_rule at every order from 1 to 256,
+    on a grid of 64 points per octave over 2^-40 to 2^40, checked with PSK
+    evaluated at one point per symmetry orbit.
 
     table, built for the same c and q, may serve other SNRs too; without
-    one, every chunk reads one table built for snr, unless that table would
-    have at least as many nodes as the n B values, which are then all
-    evaluated directly.
+    one, every chunk reads one table built for snr and the n B values,
+    unless that table would have at least as many nodes as there are
+    values, which are then all evaluated directly.
     """
     if c.bits_per_symbol != spec.M:
         raise ValueError(f"constellation carries {c.bits_per_symbol} bits but spec.M = {spec.M}")
@@ -197,8 +225,9 @@ def mc_outage(
         q = hermite_rule(MC_QUAD_ORDER)
     rho = snr.rho
     rate = spec.rate
-    if table is None and BracketTable.pays(rho, rho, n * spec.B):
-        table = BracketTable(c, q, rho, rho)
+    values, m = n * spec.B, spec.fading.m
+    if table is None and BracketTable.pays(rho, rho, values, m):
+        table = BracketTable(c, q, rho, rho, values, m)
     if table is not None and (table.c is not c or table.q is not q):
         raise ValueError("bracket table was built for another constellation or quadrature rule")
 

@@ -16,6 +16,12 @@ that one rule per dimension:
   nodes are one matrix product over x' of two per-dimension exponential
   tables: 2 K^2 order exponentials, K^2 order^2 multiply-adds and K order^2
   logs per rho, against K^2 order^2 exponentials for the plain tensor sum.
+  The tensor rule of a mirror-symmetric 1-D rule is invariant under the
+  eight symmetries of the square (swapping the real and imaginary parts,
+  negating either), so every x of an orbit of those symmetries that map the
+  point set onto itself has the same term: only one x per orbit is
+  evaluated, weighted by the orbit size (PSK8 2 of 8 points, PSK4 and
+  PSK2 1).
 
 The per-dimension max-shifts keep every generic inner sum above
 e^-(t_i^2 + t_j^2), so it can underflow only at tail nodes of orders above
@@ -60,6 +66,19 @@ _BATCH_ELEMS = 2**16
 # log S = 0 there moves the node's term by at most its weight times
 # t_i^2 + t_j^2 < 4 order + 2, far below double precision for any usable order.
 _MASKED_WEIGHT_LIMIT = 1e-30
+
+# Relative tolerance within which a point set or a 1-D rule counts as
+# symmetric.  Golub-Welsch nodes and weights are mirror-symmetric to ~3e-14
+# of their largest value up to order 400, and the built-in PSK points to an
+# ulp, so each orbit's terms agree to rounding.
+_SYMMETRY_TOL = 1e-13
+
+# The symmetries of the square acting on row vectors (Re x, Im x): either
+# sign on each part, with or without swapping the parts.
+_SQUARE_MAPS = np.array(
+    [[[a, 0], [0, b]] for a in (1, -1) for b in (1, -1)] + [[[0, a], [b, 0]] for a in (1, -1) for b in (1, -1)],
+    dtype=float,
+)
 
 
 @dataclass(frozen=True)
@@ -124,6 +143,40 @@ def hermite_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
     return QuadratureRule.gauss_hermite(order)
 
 
+def _mirror_symmetric(rule: QuadratureRule) -> bool:
+    """Whether the nodes are symmetric about 0 with equal weights at t and -t."""
+    idx = np.argsort(rule.nodes)
+    t, w = rule.nodes[idx], rule.weights[idx]
+    return bool(
+        np.abs(t + t[::-1]).max() <= _SYMMETRY_TOL * np.abs(t).max()
+        and np.abs(w - w[::-1]).max() <= _SYMMETRY_TOL * w.max()
+    )
+
+
+@lru_cache(maxsize=16)
+def _orbits(c: Constellation) -> tuple:
+    """One point per orbit of the square's symmetries of c, and the orbit sizes.
+
+    The symmetries are those of the eight maps (a, b) -> (+-a, +-b) and
+    (+-b, +-a) that take the point set onto itself; a set with none but the
+    identity gives every point with size 1.
+    """
+    xy = np.stack([c.points.real, c.points.imag], axis=1)
+    images = xy @ _SQUARE_MAPS  # (map, point, coordinate)
+    match = np.abs(images[:, :, None, :] - xy[None, None, :, :]).max(axis=3) <= _SYMMETRY_TOL * np.abs(xy).max()
+    onto = (match.sum(axis=2) == 1).all(axis=1) & (match.sum(axis=1) == 1).all(axis=1)
+    perms = match[onto].argmax(axis=2)
+    # Label each point by the lowest index it reaches; the identity is a
+    # symmetry, so labels only fall, and they settle on the orbits.
+    label = np.arange(c.size)
+    while True:
+        lower = label[perms].min(axis=0)
+        if np.array_equal(lower, label):
+            reps, sizes = np.unique(label, return_counts=True)
+            return reps, sizes.astype(float)
+        label = lower
+
+
 def _mi_batch_separable(rhos: np.ndarray, levels: np.ndarray, M: int, rule: QuadratureRule) -> np.ndarray:
     """Batch MI for grid QAM: the tensor quadrature factorizes per dimension.
 
@@ -150,8 +203,11 @@ def _mi_batch_separable(rhos: np.ndarray, levels: np.ndarray, M: int, rule: Quad
     return M - (2.0 * sqrt_pi / (math.pi * _LN2)) * (sw2 + g / side)
 
 
-def _mi_batch_generic(rhos: np.ndarray, points: np.ndarray, M: int, rule: QuadratureRule) -> np.ndarray:
+def _mi_batch_generic(rhos: np.ndarray, orbits: tuple, M: int, rule: QuadratureRule) -> np.ndarray:
     """Batch MI for an arbitrary point set over the full 2-D tensor rule.
+
+    orbits is (points, reps, sizes): only the x in points[reps] are
+    evaluated, each term counted sizes times.
 
     The exponent -|sqrt(rho)(x-x') + z|^2 + |z|^2 splits into one term per
     dimension, f(d, t) = -(rho d^2 + 2 sqrt(rho) d t), taken at (Re d, t_i)
@@ -166,10 +222,10 @@ def _mi_batch_generic(rhos: np.ndarray, points: np.ndarray, M: int, rule: Quadra
     log S = 0, which is harmless while their tensor weight is negligible;
     a larger weight raises ArithmeticError rather than return a wrong value.
     """
-    K = points.size
+    points, reps, sizes = orbits
     t = rule.nodes
     w = rule.weights
-    d = points[:, None] - points[None, :]
+    d = points[reps, None] - points[None, :]
     sq = np.sqrt(rhos)[:, None, None, None]
 
     def factor(dd: np.ndarray) -> tuple:
@@ -194,8 +250,8 @@ def _mi_batch_generic(rhos: np.ndarray, points: np.ndarray, M: int, rule: Quadra
     np.log(s, out=s)
     log_s = (s @ w) @ w / math.pi
     shifts = (max_r + max_i) @ w * (w.sum() / math.pi)
-    acc = (log_s + shifts).sum(axis=1)
-    return M - acc / (K * _LN2)
+    acc = ((log_s + shifts) * sizes).sum(axis=1)
+    return M - acc / (points.size * _LN2)
 
 
 def mi_discrete_array(rhos, c: Constellation, rule: QuadratureRule | None = None) -> np.ndarray:
@@ -214,7 +270,8 @@ def mi_discrete_array(rhos, c: Constellation, rule: QuadratureRule | None = None
     if c.grid_levels is not None:
         batch, args, per_rho = _mi_batch_separable, c.grid_levels, c.grid_levels.size**2 * rule.order
     else:
-        batch, args, per_rho = _mi_batch_generic, c.points, c.size * rule.order**2
+        reps, sizes = _orbits(c) if _mirror_symmetric(rule) else (np.arange(c.size), np.ones(c.size))
+        batch, args, per_rho = _mi_batch_generic, (c.points, reps, sizes), reps.size * rule.order**2
     chunk = min(_BATCH_RHOS, max(1, _BATCH_ELEMS // per_rho))
     with np.errstate(under="ignore"):
         for lo in range(0, flat.size, chunk):

@@ -322,6 +322,13 @@ class TestConfigAndErrors:
         assert res.exit_code == 3
         assert "coding gain K overflows a float: log10 K = 623.3" in res.output
 
+    # At -770 dB the product K rho^-4 overflows; at -800 dB rho^-4 itself does.
+    @pytest.mark.parametrize("db,log10_value", [("-770", "309.393"), ("-800", "321.393")])
+    def test_overflowing_asymptote_exits_3_naming_snr(self, runner, db, log10_value):
+        res = runner.invoke(main, ["asymptote", "--snr-db", f"{db}:{db}:1"])
+        assert res.exit_code == 3
+        assert f"asymptote overflows a float at snr_db {db}: log10 asymptote = {log10_value}" in res.output
+
     def test_numerical_failure_exits_3(self, runner, monkeypatch):
         from nakfade import cli
 

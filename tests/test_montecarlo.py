@@ -167,7 +167,7 @@ class TestBracketTable:
         # Rate 0.1 puts the outage probability near 0.4 at -10 dB.
         c, rule = make_qam(4), hermite_rule(8)
         spec = ChannelSpec(2, 4, M1, 0.1)
-        table = montecarlo.BracketTable(c, rule, Snr.from_db(40.0).rho, Snr.from_db(40.0).rho)
+        table = montecarlo.BracketTable(c, rule, Snr.from_db(40.0).rho, Snr.from_db(40.0).rho, 2 * (fading.CHUNK + 500), 1.0)
         snr, n, seed = Snr.from_db(-10.0), fading.CHUNK + 500, 41
         est = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=table)
         assert est.p_hat == McEstimate.from_count(direct_outage_count(snr, spec, c, n, seed, 0, rule), n, seed).p_hat
@@ -184,12 +184,12 @@ class TestBracketTable:
         assert np.count_nonzero(v == 0.0) > 20
         want = direct_outage_count(snr, spec, c, n, seed, 0, rule)
         own = mc_outage(snr, spec, c, rule, n=n, seed=seed)
-        shared = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=montecarlo.BracketTable(c, rule, 10.0, 10.0))
+        shared = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=montecarlo.BracketTable(c, rule, 10.0, 10.0, 2 * n, 0.1))
         assert own.p_hat == shared.p_hat == McEstimate.from_count(want, n, seed).p_hat
 
     def test_table_of_another_constellation_or_rule_rejected(self):
         c, rule = make_qam(4), hermite_rule(8)
-        table = montecarlo.BracketTable(c, rule, 1.0, 10.0)
+        table = montecarlo.BracketTable(c, rule, 1.0, 10.0, 1000, 1.0)
         spec = ChannelSpec(4, 4, M1, 2.0)
         for other_c, other_rule in ((make_qam(4), rule), (c, hermite_rule(16))):
             with pytest.raises(ValueError, match="bracket table"):
@@ -228,3 +228,20 @@ class TestBracketTable:
         monkeypatch.setattr(montecarlo, "mi_discrete_array", counting)
         mc_outage(Snr.from_db(15.0), spec44(M1, 1.0), make_qam(4), n=10**6, seed=1)
         assert sum(evaluated) < 300
+
+    def test_small_psk8_command_evaluates_few_values(self, monkeypatch):
+        # 24 samples at each of 8 SNRs, as in the benchmark's psk8 commands:
+        # 768 values, of which 108 are table nodes and 24 undecided (184
+        # with 8 nodes per octave from 10 octaves below to 6 above).
+        evaluated = []
+
+        def counting(rhos, c, rule=None):
+            evaluated.append(np.size(rhos))
+            return mi_discrete_array(rhos, c, rule)
+
+        monkeypatch.setattr(montecarlo, "mi_discrete_array", counting)
+        args = ["mc", "--mode", "outage", "--constellation", "psk8", "-M", "3", "--m", "2", "--rate", "1.5"]
+        args += ["--snr-db", "3:6.5:0.5", "--samples", "24", "--seed", "1", "--workers", "2"]
+        res = CliRunner().invoke(cli.main, args)
+        assert res.exit_code == 0, res.output
+        assert sum(evaluated) <= 140

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
+from nakfade import mutual_info
 from nakfade.constellation import KNOWN_NAMES, Constellation, from_name, make_psk, make_qam
 from nakfade.mutual_info import (
     DEFAULT_ORDER,
@@ -157,6 +158,55 @@ class TestGenericPath:
             mi_discrete_array([1000.0], make_psk(3), rule)
 
 
+def all_points_mi(rhos, c: Constellation, rule: QuadratureRule) -> np.ndarray:
+    """The generic path summed over every point, each once, as before orbits were used."""
+    every = (c.points, np.arange(c.size), np.ones(c.size))
+    with np.errstate(under="ignore"):
+        return np.clip(mutual_info._mi_batch_generic(np.asarray(rhos, dtype=float), every, c.bits_per_symbol, rule), 0.0, c.bits_per_symbol)
+
+
+# Unit-modulus points that no symmetry of the square maps onto themselves.
+LOPSIDED = Constellation(np.array([1.0, 1j, -1.0, -0.6 - 0.8j]), 2)
+
+# Nodes and weights (summing to sqrt(pi)) that are not mirror-symmetric.
+SKEWED_RULE = QuadratureRule(3, np.array([-1.2, 0.1, 1.5]), math.sqrt(math.pi) * np.array([0.3, 0.5, 0.2]))
+
+
+class TestOrbits:
+    # One point per orbit of the square's symmetries that keep the set.
+    @pytest.mark.parametrize(
+        "name,sizes",
+        [("psk2", [2]), ("psk4", [4]), ("psk8", [4, 4]), ("qam4", [4]), ("qam16", [4, 8, 4])],
+    )
+    def test_orbit_sizes(self, name, sizes):
+        reps, got = mutual_info._orbits(GENERIC_SETS[name])
+        assert got.tolist() == sizes
+        assert reps.size == len(sizes)
+
+    def test_set_without_symmetry_keeps_every_point(self):
+        reps, sizes = mutual_info._orbits(LOPSIDED)
+        assert reps.tolist() == [0, 1, 2, 3] and sizes.tolist() == [1, 1, 1, 1]
+        rhos = np.logspace(-3, 4, 29)
+        rule = hermite_rule(32)
+        assert np.array_equal(mi_discrete_array(rhos, LOPSIDED, rule), all_points_mi(rhos, LOPSIDED, rule))
+
+    def test_rule_without_mirror_symmetry_keeps_every_point(self):
+        c, rhos = make_psk(3), np.logspace(-3, 4, 29)
+        got = mi_discrete_array(rhos, c, SKEWED_RULE)
+        assert np.array_equal(got, all_points_mi(rhos, c, SKEWED_RULE))
+        # The orbits would be wrong here: their points' terms differ.
+        reps, sizes = mutual_info._orbits(c)
+        with np.errstate(under="ignore"):
+            reduced = mutual_info._mi_batch_generic(rhos, (c.points, reps, sizes), 3, SKEWED_RULE)
+        assert np.abs(reduced - got).max() > 1e-3
+
+    @pytest.mark.parametrize("name", sorted(GENERIC_SETS))
+    def test_one_point_per_orbit_matches_every_point(self, name):
+        c, rule = GENERIC_SETS[name], hermite_rule(32)
+        rhos = np.logspace(-6, 9, 61)
+        assert np.abs(mi_discrete_array(rhos, c, rule) - all_points_mi(rhos, c, rule)).max() <= 1e-14
+
+
 class TestBatching:
     @pytest.mark.parametrize("c", [make_qam(4), make_psk(3)], ids=["qam16", "psk8"])
     def test_batch_equals_one_at_a_time(self, c):
@@ -168,9 +218,9 @@ class TestBatching:
 
 class TestMonotone:
     # mc_outage decides samples from the MI at the grid nodes that bracket
-    # their SNRs (8 per octave), which gives the direct counts only if the
+    # their SNRs (16 per octave), which gives the direct counts only if the
     # computed I(rho) never decreases.  Checked at 64 points per octave.
-    @pytest.mark.parametrize("order", [8, 32, 96])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 16, 32, 64, 96])
     @pytest.mark.parametrize("name", KNOWN_NAMES)
     def test_nondecreasing_on_dense_grid(self, name, order):
         rhos = np.exp2(np.arange(-40 * 64, 40 * 64 + 1) / 64)
