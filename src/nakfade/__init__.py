@@ -24,6 +24,6 @@ from .bound import (
     success_rate,
 )
 from .constellation import Constellation, from_name, make_psk, make_qam
-from .fading import NakagamiParam, gain_block, gain_cdf, gain_pdf, rician_k_to_m
+from .fading import NakagamiParam, gain_block
 from .montecarlo import McEstimate, mc_lower_bound, mc_outage
-from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete, mi_discrete_array
+from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete_array

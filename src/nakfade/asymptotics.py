@@ -29,6 +29,7 @@ __all__ = [
     "optimal_exponent",
     "asymptotic_cdf_A",
     "coding_gain",
+    "power_law",
     "asymptote",
     "random_coding_exponent",
 ]
@@ -83,11 +84,27 @@ def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
         raise ArithmeticError(f"coding gain K overflows a float: log10 K = {log10_k:.6g} (cdf {f_y:.6g} times 10^{log10_factor:.6g})") from None
 
 
+def power_law(gain: float, exponent: float, snr: Snr) -> float:
+    """gain * rho^-exponent, raising ArithmeticError where it overflows a float.
+
+    At low SNR the product, or rho^-exponent alone, leaves the float range;
+    the error names the SNR and log10 of the value.
+    """
+    try:
+        value = gain * snr.rho**-exponent
+    except OverflowError:
+        value = math.inf if gain > 0 else 0.0
+    if value == math.inf:
+        log10_value = math.log10(gain) - exponent * math.log10(snr.rho)
+        raise ArithmeticError(f"asymptote overflows a float at snr_db {snr.db:.6g}: log10 asymptote = {log10_value:.6g}")
+    return value
+
+
 def asymptote(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     """High-SNR power law K * rho^(-m d_B(R)) of the outage lower bound."""
     if snr.rho <= 0:
         raise ValueError("asymptote requires rho > 0")
-    return coding_gain(spec, n_cells) * snr.rho ** -optimal_exponent(spec)
+    return power_law(coding_gain(spec, n_cells), optimal_exponent(spec), snr)
 
 
 def random_coding_exponent(spec: ChannelSpec, scale: BlockLengthScale) -> float:

@@ -1,10 +1,11 @@
 """Nakagami-m fading statistics.
 
 The fading power gain gamma = |h|^2 of a Nakagami-m channel is
-Gamma-distributed with shape m and scale 1/m (unit mean).  This module
-provides the incomplete-gamma machinery behind its pdf/cdf, plus a
-counter-based seeded block sampler whose draws are reproducible independent
-of how the sample range is partitioned across workers.
+Gamma-distributed with shape m and scale 1/m (unit mean), so its cdf is the
+regularized incomplete gamma P(m, m gamma).  This module provides that
+incomplete-gamma pair, plus a counter-based seeded block sampler whose
+draws are reproducible independent of how the sample range is partitioned
+across workers.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ __all__ = [
     "NakagamiParam",
     "reg_gamma_p",
     "reg_gamma_pq",
-    "gain_pdf",
-    "gain_cdf",
     "gain_block",
-    "rician_k_to_m",
 ]
 
 # Iteration control for the series / continued-fraction evaluations.
@@ -137,51 +135,6 @@ def reg_gamma_p(a: float, x):
     """Regularized lower incomplete gamma P(a, x) = 1 - Gamma(a,x)/Gamma(a)."""
     p, _ = reg_gamma_pq(a, x)
     return float(p) if np.isscalar(x) else p
-
-
-def gain_pdf(xi, p: NakagamiParam):
-    """Pdf of the fading power gain: m^m xi^(m-1) e^(-m xi) / Gamma(m).
-
-    For m < 1 the density diverges at xi = 0; the singularity is integrable
-    and this returns +inf there.  Callers that need probabilities near zero
-    should integrate the cdf instead of point-evaluating (see the pmf
-    construction in the bound module).
-    """
-    m = p.m
-    arr = np.asarray(xi, dtype=float)
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    xp = arr[pos]
-    out[pos] = np.exp(m * math.log(m) + (m - 1.0) * np.log(xp) - m * xp - math.lgamma(m))
-    at_zero = arr == 0
-    if at_zero.any():
-        if m < 1:
-            out[at_zero] = np.inf
-        elif m == 1:
-            out[at_zero] = 1.0
-    return float(out) if np.isscalar(xi) else out
-
-
-def gain_cdf(xi, p: NakagamiParam):
-    """Cdf of the fading power gain: 1 - Gamma(m, m xi)/Gamma(m) for xi >= 0.
-
-    Computed through the regularized P(m, m xi), so it stays accurate in the
-    deep lower tail (no 1 - (1 - tiny) cancellation).
-    """
-    m = p.m
-    arr = np.asarray(xi, dtype=float)
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    if pos.any():
-        out[pos] = reg_gamma_p(m, m * arr[pos])
-    return float(out) if np.isscalar(xi) else out
-
-
-def rician_k_to_m(k: float) -> NakagamiParam:
-    """Nakagami shape approximating Rician fading with factor K: m = (K+1)^2/(2K+1)."""
-    if not (k >= 0):
-        raise ValueError(f"Rician K factor must be >= 0, got {k}")
-    return NakagamiParam((k + 1.0) ** 2 / (2.0 * k + 1.0))
 
 
 def _chunk_rng(seed: int, stream_id: int, chunk_index: int) -> np.random.Generator:

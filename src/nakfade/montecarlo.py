@@ -14,15 +14,16 @@ per-block SNR v lies between two nodes of the fixed geometric grid
 mean of the MI values at the lower nodes bounds a sample's mean MI from
 below and the mean at the upper nodes bounds it from above.  A BracketTable
 holds I(0) and the MI at every node of a window around the SNRs it serves,
-from one quadrature call; one table serves every chunk of an mc_outage call,
-and the CLI builds one for every point of a command.  The window is sized
-from what the table serves: it spans the gains outside of which at most one
-octave of nodes' worth of the values it scores is expected, and it starts
-no lower than the SNR below which I is no wider than a bracket (see
-_window).  A v below the window is bracketed by [I(0), I(lowest node)] and
-one above it by [I(highest node), M], which holds because the computed I is
-also clamped to [0, M]; so the window decides only how many samples are
-left open, never a count.  Only samples whose bracket straddles the rate
+from one quadrature call.  Every mc_outage call reads one table, shared by
+all its chunks: the one it is given (the CLI builds one for all the points
+of a command) or one built for its own SNR.  The window is sized from what
+the table serves: it spans the gains outside of which at most one octave
+of nodes' worth of the values it scores is expected, and it starts no
+lower than the SNR below which I is no wider than a bracket (see _window).
+A v below the window is bracketed by [I(0), I(lowest node)] and one above
+it by [I(highest node), M], which holds because the computed I is also
+clamped to [0, M]; so the window decides only how many samples are left
+open, never a count.  Only samples whose bracket straddles the rate
 are evaluated at their exact SNRs, with the same test as direct
 evaluation.  Each MI value does not depend on the batch it is computed in,
 so every event count equals that of direct quadrature.
@@ -74,7 +75,6 @@ class McEstimate:
 
     p_hat: float
     n_samples: int
-    seed: int
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -85,8 +85,8 @@ class McEstimate:
         return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_samples)
 
     @classmethod
-    def from_count(cls, count: int, n: int, seed: int) -> "McEstimate":
-        return cls(count / n, n, seed)
+    def from_count(cls, count: int, n: int) -> "McEstimate":
+        return cls(count / n, n)
 
 
 def _count_chunks(n: int, workers: int, chunk_counter) -> int:
@@ -99,12 +99,6 @@ def _count_chunks(n: int, workers: int, chunk_counter) -> int:
         return sum(chunk_counter(lo, cnt) for lo, cnt in chunks)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(lambda c: chunk_counter(*c), chunks))
-
-
-def _count_direct(v: np.ndarray, rate: float, c: Constellation, q: QuadratureRule) -> int:
-    """Number of rows of per-block SNRs v whose mean MI, evaluated at v, is below rate."""
-    mi = mi_discrete_array(v, c, q)
-    return int(np.count_nonzero(mi.mean(axis=1) < rate))
 
 
 def _window(rho_lo: float, rho_hi: float, values: int, m: float) -> tuple[int, int]:
@@ -146,30 +140,24 @@ def _window(rho_lo: float, rho_hi: float, values: int, m: float) -> tuple[int, i
 
 
 class BracketTable:
-    """I(0) and the MI at the grid nodes around [rho_lo, rho_hi] under (c, q).
+    """I(0) and the MI at the grid nodes around the SNRs rhos under (c, q).
 
-    The window is sized for `values` per-block SNRs rho gamma, rho in
-    [rho_lo, rho_hi], under Nakagami-m gains (see _window).  Built by one
-    mi_discrete_array call and only read afterwards, so one table serves any
-    number of chunks and threads, at any SNR: the window sets how many
-    samples are decided from it, never a count.
+    The window is sized for n samples of spec's B Nakagami-m gains at each
+    of rhos (see _window).  Built by one mi_discrete_array call and only
+    read afterwards, so one table serves any number of chunks and threads,
+    at any SNR: the window sets how many samples are decided from it, never
+    a count.
     """
 
-    def __init__(self, c: Constellation, q: QuadratureRule, rho_lo: float, rho_hi: float, values: int, m: float) -> None:
+    def __init__(self, c: Constellation, q: QuadratureRule, rhos, n: int, spec: ChannelSpec) -> None:
         self.c = c
         self.q = q
-        self._first, last = _window(rho_lo, rho_hi, values, m)
+        self._first, last = _window(min(rhos), max(rhos), len(rhos) * n * spec.B, spec.fading.m)
         nodes = np.exp2(np.arange(self._first, last + 1) / _NODES_PER_OCTAVE)
         mi = mi_discrete_array(np.concatenate(([0.0], nodes)), c, q)
         # Slot 0 is I(0), slots 1..size the nodes, slot size + 1 the cap M.
         self._size = nodes.size
         self._values = np.append(mi, float(c.bits_per_symbol))
-
-    @staticmethod
-    def pays(rho_lo: float, rho_hi: float, values: int, m: float) -> bool:
-        """Whether the table for these arguments has fewer nodes than it has values to score."""
-        first, last = _window(rho_lo, rho_hi, values, m)
-        return last - first + 1 < values
 
     def count_rows(self, v: np.ndarray, rate: float) -> int:
         """Number of rows of per-block SNRs v whose mean MI is below rate.
@@ -190,7 +178,8 @@ class BracketTable:
         open_rows = ~decided_out & (lower < rate + _MARGIN)
         count = int(np.count_nonzero(decided_out))
         if open_rows.any():
-            count += _count_direct(v[open_rows], rate, self.c, self.q)
+            mi = mi_discrete_array(v[open_rows], self.c, self.q)
+            count += int(np.count_nonzero(mi.mean(axis=1) < rate))
         return count
 
 
@@ -215,9 +204,7 @@ def mc_outage(
     evaluated at one point per symmetry orbit.
 
     table, built for the same c and q, may serve other SNRs too; without
-    one, every chunk reads one table built for snr and the n B values,
-    unless that table would have at least as many nodes as there are
-    values, which are then all evaluated directly.
+    one, every chunk reads one table built for snr and n.
     """
     if c.bits_per_symbol != spec.M:
         raise ValueError(f"constellation carries {c.bits_per_symbol} bits but spec.M = {spec.M}")
@@ -225,17 +212,16 @@ def mc_outage(
         q = hermite_rule(MC_QUAD_ORDER)
     rho = snr.rho
     rate = spec.rate
-    values, m = n * spec.B, spec.fading.m
-    if table is None and BracketTable.pays(rho, rho, values, m):
-        table = BracketTable(c, q, rho, rho, values, m)
-    if table is not None and (table.c is not c or table.q is not q):
+    if table is None:
+        table = BracketTable(c, q, [rho], n, spec)
+    elif table.c is not c or table.q is not q:
         raise ValueError("bracket table was built for another constellation or quadrature rule")
 
     def chunk_counter(first: int, count: int) -> int:
         v = fading.gain_block(spec.fading, seed, first, count, width=spec.B, stream_id=stream_id) * rho
-        return table.count_rows(v, rate) if table is not None else _count_direct(v, rate, c, q)
+        return table.count_rows(v, rate)
 
-    return McEstimate.from_count(_count_chunks(n, workers, chunk_counter), n, seed)
+    return McEstimate.from_count(_count_chunks(n, workers, chunk_counter), n)
 
 
 def mc_lower_bound(
@@ -256,4 +242,4 @@ def mc_lower_bound(
         mi = np.minimum(cap, np.log2(1.0 + gains * rho))
         return int(np.count_nonzero(mi.mean(axis=1) < rate))
 
-    return McEstimate.from_count(_count_chunks(n, workers, chunk_counter), n, seed)
+    return McEstimate.from_count(_count_chunks(n, workers, chunk_counter), n)

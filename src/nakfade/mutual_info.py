@@ -44,7 +44,6 @@ __all__ = [
     "QuadratureRule",
     "hermite_rule",
     "DEFAULT_ORDER",
-    "mi_discrete",
     "mi_discrete_array",
 ]
 
@@ -117,30 +116,25 @@ class QuadratureRule:
         if abs(self.weights.sum() - math.sqrt(math.pi)) > 1e-12:
             raise ValueError("Gauss-Hermite weights must sum to sqrt(pi)")
 
-    @classmethod
-    def gauss_hermite(cls, order: int = DEFAULT_ORDER) -> "QuadratureRule":
-        """Build the rule by Golub-Welsch: eigen-decompose the Hermite Jacobi matrix.
-
-        Nodes are the eigenvalues; weight i is sqrt(pi) times the squared
-        first component of eigenvector i.  Works for any order without
-        tabulated coefficients.
-        """
-        if order < 1:
-            raise ValueError(f"quadrature order must be >= 1, got {order}")
-        jac = np.zeros((order, order))
-        off = np.sqrt(np.arange(1, order) / 2.0)
-        idx = np.arange(order - 1)
-        jac[idx, idx + 1] = off
-        jac[idx + 1, idx] = off
-        vals, vecs = np.linalg.eigh(jac)
-        weights = math.sqrt(math.pi) * vecs[0] ** 2
-        return cls(order, vals, weights)
-
 
 @lru_cache(maxsize=16)
 def hermite_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
-    """Cached Gauss-Hermite rule (the 2-D tensor rule has order^2 nodes)."""
-    return QuadratureRule.gauss_hermite(order)
+    """Cached Gauss-Hermite rule (the 2-D tensor rule has order^2 nodes).
+
+    Built by Golub-Welsch: nodes are the eigenvalues of the Hermite Jacobi
+    matrix; weight i is sqrt(pi) times the squared first component of
+    eigenvector i.  Works for any order without tabulated coefficients.
+    """
+    if order < 1:
+        raise ValueError(f"quadrature order must be >= 1, got {order}")
+    jac = np.zeros((order, order))
+    off = np.sqrt(np.arange(1, order) / 2.0)
+    idx = np.arange(order - 1)
+    jac[idx, idx + 1] = off
+    jac[idx + 1, idx] = off
+    vals, vecs = np.linalg.eigh(jac)
+    weights = math.sqrt(math.pi) * vecs[0] ** 2
+    return QuadratureRule(order, vals, weights)
 
 
 def _mirror_symmetric(rule: QuadratureRule) -> bool:
@@ -280,7 +274,3 @@ def mi_discrete_array(rhos, c: Constellation, rule: QuadratureRule | None = None
         raise ArithmeticError(f"non-finite mutual information for {c.size} points at order {rule.order}")
     return np.clip(out, 0.0, float(M)).reshape(rhos.shape)
 
-
-def mi_discrete(rho: Snr, c: Constellation, rule: QuadratureRule | None = None) -> float:
-    """Mutual information in bits of the 2^M-ary input at linear SNR rho."""
-    return float(mi_discrete_array(np.array([rho.rho]), c, rule)[0])

@@ -20,7 +20,7 @@ from nakfade.asymptotics import (
 )
 from nakfade.bound import ChannelSpec, TabulatedPmf, conditional_cdf_A, convolve_power, outage_lower_bound, success_rate
 from nakfade.constellation import make_qam
-from nakfade.fading import NakagamiParam, gain_cdf
+from nakfade.fading import NakagamiParam, reg_gamma_p
 from nakfade.montecarlo import mc_lower_bound, mc_outage
 from nakfade.mutual_info import Snr
 
@@ -139,7 +139,7 @@ def test_criterion_08_rayleigh_reduction():
         closed[xs <= 0] = 0.0
         worst = max(worst, float(np.max(np.abs(f_a - closed))))
     xs = np.linspace(0.0, 8.0, 100)
-    worst = max(worst, float(np.max(np.abs(gain_cdf(xs, m1) - (1 - np.exp(-xs))))))
+    worst = max(worst, float(np.max(np.abs(reg_gamma_p(1.0, xs) - (1 - np.exp(-xs))))))
     _report(8, "m=1 closed forms", worst <= 1e-12, f"worst deviation = {worst:.2e}")
 
 

@@ -123,6 +123,13 @@ class TestAsymptote:
         r40 = outage_lower_bound(Snr.from_db(40), spec).value / asymptote(Snr.from_db(40), spec)
         assert abs(r40 - 1) < abs(r20 - 1)
 
+    # At -770 dB the product K rho^-4 overflows; at -800 dB rho^-4 itself does.
+    @pytest.mark.parametrize("db,log10_value", [(-770.0, "309.393"), (-800.0, "321.393")])
+    def test_overflow_raises_naming_snr(self, db, log10_value):
+        msg = f"^asymptote overflows a float at snr_db {db:g}: log10 asymptote = {log10_value}$"
+        with pytest.raises(ArithmeticError, match=msg):
+            asymptote(Snr.from_db(db), ChannelSpec(4, 4, M1, 1.0))
+
 
 class TestRandomCodingExponent:
     def test_first_branch_value(self):

@@ -21,14 +21,14 @@ def spec44(m, rate):
 
 class TestMcEstimate:
     def test_std_err_formula_enforced(self):
-        est = McEstimate.from_count(37, 1000, seed=1)
+        est = McEstimate.from_count(37, 1000)
         assert est.std_err == pytest.approx(math.sqrt(0.037 * 0.963 / 1000), abs=1e-15)
         with pytest.raises(ValueError):
-            McEstimate(0.5, 0, 1)
+            McEstimate(0.5, 0)
 
     def test_degenerate_counts(self):
-        assert McEstimate.from_count(0, 10, 0).std_err == 0.0
-        assert McEstimate.from_count(10, 10, 0).p_hat == 1.0
+        assert McEstimate.from_count(0, 10).std_err == 0.0
+        assert McEstimate.from_count(10, 10).p_hat == 1.0
 
 
 class TestMcLowerBound:
@@ -89,7 +89,7 @@ class TestMcOutage:
     )
     def test_pinned_event_counts(self, c, M, m, rate, db, n, seed, count):
         est = mc_outage(Snr.from_db(db), ChannelSpec(4, M, m, rate), c, n=n, seed=seed)
-        assert est.p_hat == McEstimate.from_count(count, n, seed).p_hat
+        assert est.p_hat == McEstimate.from_count(count, n).p_hat
 
     @pytest.mark.parametrize("m,db", [(M2, 5.0), (M2, 9.0), (NakagamiParam(0.5), 5.0), (NakagamiParam(0.5), 15.0)])
     def test_lower_bound_estimate_below_outage_estimate(self, m, db):
@@ -119,30 +119,43 @@ def direct_outage_count(snr, spec, c, n, seed, stream_id, rule):
 SCREEN_SNRS = [("zero", Snr(0.0))] + [(f"{db:g}dB", Snr.from_db(db)) for db in (-10.0, 5.0, 15.0, 40.0)]
 
 # Every constellation meets every m once; the SNR and the worker count cycle
-# with the case, so every SNR and both worker counts recur.
+# with the case, so every SNR and both worker counts recur.  n spans three
+# sampler chunks, the last one partial.
+SCREEN_N = 2 * fading.CHUNK + 321
 SCREEN_CASES = [
-    (name, m, *SCREEN_SNRS[(i + j) % len(SCREEN_SNRS)], (1, 3)[(i + j) % 2])
+    (name, m, *SCREEN_SNRS[(i + j) % len(SCREEN_SNRS)], (1, 3)[(i + j) % 2], SCREEN_N)
     for i, name in enumerate(KNOWN_NAMES)
     for j, m in enumerate((0.1, 0.5, 1.0, 2.0))
 ]
+# Small n.  At n = 1, and at n = 100 with m = 0.1 above 5 dB, the table that
+# mc_outage builds has at least as many nodes as values to score; at n = 7 it
+# has 10 nodes for 14 values.
+SCREEN_CASES += [
+    (name, m, *SCREEN_SNRS[snrs[i % len(snrs)]], 1, n)
+    for n, m, snrs in ((1, 2.0, (1, 2, 3, 4)), (7, 2.0, (1, 2, 3, 4)), (100, 0.1, (3, 4)))
+    for i, name in enumerate(KNOWN_NAMES)
+]
+
+
+def screen_id(case) -> str:
+    name, m, snr_id, _, workers, n = case
+    return f"{name}-m{m:g}-{snr_id}-w{workers}" + ("" if n == SCREEN_N else f"-n{n}")
 
 
 class TestScreening:
-    # Rate M/2 puts the threshold inside the MI range; n spans three sampler
-    # chunks, the last one partial.  B = 2 and order 8 keep the oracle
-    # cheap; the default order is checked by test_pinned_event_counts.
-    @pytest.mark.parametrize(
-        "name,m,snr_id,snr,workers", SCREEN_CASES, ids=[f"{c[0]}-m{c[1]:g}-{c[2]}-w{c[4]}" for c in SCREEN_CASES]
-    )
-    def test_counts_equal_direct_quadrature(self, name, m, snr_id, snr, workers):
+    # Rate M/2 puts the threshold inside the MI range.  B = 2 and order 8
+    # keep the oracle cheap; the default order is checked by
+    # test_pinned_event_counts.
+    @pytest.mark.parametrize("name,m,snr_id,snr,workers,n", SCREEN_CASES, ids=[screen_id(c) for c in SCREEN_CASES])
+    def test_counts_equal_direct_quadrature(self, name, m, snr_id, snr, workers, n):
         c = from_name(name)
         M = c.bits_per_symbol
         spec = ChannelSpec(2, M, NakagamiParam(m), M / 2)
         rule = hermite_rule(8)
-        n, seed, stream_id = 2 * fading.CHUNK + 321, 31, 5
+        seed, stream_id = 31, 5
         est = mc_outage(snr, spec, c, rule, n=n, seed=seed, stream_id=stream_id, workers=workers)
         want = direct_outage_count(snr, spec, c, n, seed, stream_id, rule)
-        assert est.p_hat == McEstimate.from_count(want, n, seed).p_hat
+        assert est.p_hat == McEstimate.from_count(want, n).p_hat
 
     def test_screen_leaves_few_snrs_to_evaluate(self, monkeypatch):
         # A silent fall-back to evaluating every sample would still give
@@ -156,7 +169,7 @@ class TestScreening:
         monkeypatch.setattr(montecarlo, "mi_discrete_array", counting)
         n, B = 50_000, 4
         est = mc_outage(Snr.from_db(12.0), ChannelSpec(B, 4, M1, 2.0), make_qam(4), n=n, seed=23)
-        assert est.p_hat == McEstimate.from_count(2171, n, 23).p_hat
+        assert est.p_hat == McEstimate.from_count(2171, n).p_hat
         assert sum(evaluated) < n * B / 5
 
 
@@ -167,10 +180,10 @@ class TestBracketTable:
         # Rate 0.1 puts the outage probability near 0.4 at -10 dB.
         c, rule = make_qam(4), hermite_rule(8)
         spec = ChannelSpec(2, 4, M1, 0.1)
-        table = montecarlo.BracketTable(c, rule, Snr.from_db(40.0).rho, Snr.from_db(40.0).rho, 2 * (fading.CHUNK + 500), 1.0)
         snr, n, seed = Snr.from_db(-10.0), fading.CHUNK + 500, 41
+        table = montecarlo.BracketTable(c, rule, [Snr.from_db(40.0).rho], n, spec)
         est = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=table)
-        assert est.p_hat == McEstimate.from_count(direct_outage_count(snr, spec, c, n, seed, 0, rule), n, seed).p_hat
+        assert est.p_hat == McEstimate.from_count(direct_outage_count(snr, spec, c, n, seed, 0, rule), n).p_hat
 
     @pytest.mark.parametrize("rho", [0.0, 1e-310], ids=["zero", "subnormal"])
     def test_exact_zero_snrs(self, rho):
@@ -184,13 +197,13 @@ class TestBracketTable:
         assert np.count_nonzero(v == 0.0) > 20
         want = direct_outage_count(snr, spec, c, n, seed, 0, rule)
         own = mc_outage(snr, spec, c, rule, n=n, seed=seed)
-        shared = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=montecarlo.BracketTable(c, rule, 10.0, 10.0, 2 * n, 0.1))
-        assert own.p_hat == shared.p_hat == McEstimate.from_count(want, n, seed).p_hat
+        shared = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=montecarlo.BracketTable(c, rule, [10.0], n, spec))
+        assert own.p_hat == shared.p_hat == McEstimate.from_count(want, n).p_hat
 
     def test_table_of_another_constellation_or_rule_rejected(self):
         c, rule = make_qam(4), hermite_rule(8)
-        table = montecarlo.BracketTable(c, rule, 1.0, 10.0, 1000, 1.0)
         spec = ChannelSpec(4, 4, M1, 2.0)
+        table = montecarlo.BracketTable(c, rule, [1.0, 10.0], 125, spec)
         for other_c, other_rule in ((make_qam(4), rule), (c, hermite_rule(16))):
             with pytest.raises(ValueError, match="bracket table"):
                 mc_outage(Snr(5.0), spec, other_c, other_rule, n=10, table=table)

@@ -17,6 +17,7 @@ COMMANDS = [
     ["ratesweep", "--snr-db-fixed", "5", "--rate", "1:3:1", "--cells", "64"],
     ["mc", "--mode", "lowerbound", "--snr-db", "5:5:1", "--samples", "100"],
     ["mc", "--mode", "outage", "--snr-db", "5:5:1", "--samples", "20", "--order", "8"],
+    ["mc", "--mode", "outage", "--snr-db", "5:5:1", "--samples", "2", "--order", "8"],
 ]
 
 
