@@ -11,13 +11,14 @@ tabulated cell masses:
 
 with Y_t the sum of B - t copies of A.  Only p and A's law depend on the
 SNR, so outage_lower_bounds evaluates a whole rate grid at one SNR from a
-single pmf: each Y_t is convolved once and read at every rate that needs it.
+single pmf: each Y_t is convolved once and read at every rate that needs it,
+in one ConvolutionWorkspace that holds the call's spectra and buffers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .mutual_info import Snr
 __all__ = [
     "ChannelSpec",
     "TabulatedPmf",
+    "ConvolutionWorkspace",
     "BoundResult",
     "DEFAULT_CELLS",
     "success_rate",
@@ -68,14 +70,15 @@ class TabulatedPmf:
 
     Cell k holds the probability of [origin + k*step, origin + (k+1)*step).
     Freshly built pmfs start at origin = 0; convolution outputs carry the
-    half-cell alignment offset (see convolve_power).  The masses must not
-    change after construction: their forward FFTs are cached per size.
+    half-cell alignment offset (see convolve_power).  A pmf does not change
+    its masses; one that convolve_power returns through a caller's
+    ConvolutionWorkspace wraps a view of the workspace's buffer, which the
+    next power on that workspace overwrites.
     """
 
     grid_step: float
     masses: np.ndarray
     origin: float = 0.0
-    _spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         masses = np.asarray(self.masses, dtype=float)
@@ -105,18 +108,37 @@ class TabulatedPmf:
     def n_cells(self) -> int:
         return self.masses.size
 
-    def spectrum(self, size: int) -> np.ndarray:
-        """rfft of the masses zero-padded to size, computed once per size.
 
-        Threads sharing a pmf may both compute a missing size; they store
-        the same array, so neither result is lost or wrong.
-        """
+class ConvolutionWorkspace:
+    """Scratch space for the convolution powers of one pmf.
+
+    Holds the pmf's rfft at each FFT size used so far, and one complex and
+    one real buffer that grow to the largest size asked for, so a run of
+    powers allocates no per-power arrays.  It belongs to one evaluation and
+    is not shared between threads.
+    """
+
+    def __init__(self, pmf: TabulatedPmf) -> None:
+        self.pmf = pmf
+        self._spectra: dict[int, np.ndarray] = {}
+        self._freq = np.empty(0, dtype=complex)
+        self._real = np.empty(0)
+
+    def spectrum(self, size: int) -> np.ndarray:
+        """rfft of the pmf's masses zero-padded to size, computed once per size."""
         freq = self._spectra.get(size)
         if freq is None:
-            freq = np.fft.rfft(self.masses, size)
+            freq = np.fft.rfft(self.pmf.masses, size)
             freq.flags.writeable = False
             self._spectra[size] = freq
         return freq
+
+    def buffers(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Complex (size // 2 + 1) and real (size) views of the two buffers."""
+        if self._real.size < size:
+            self._freq = np.empty(size // 2 + 1, dtype=complex)
+            self._real = np.empty(size)
+        return self._freq[: size // 2 + 1], self._real[:size]
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +250,7 @@ def build_pmf_A(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> Ta
     return TabulatedPmf.from_cdf(lambda grid: conditional_cdf_A(grid, snr, spec), spec.M, n_cells)
 
 
-def convolve_power(pmf: TabulatedPmf, n: int) -> TabulatedPmf:
+def convolve_power(pmf: TabulatedPmf, n: int, workspace: ConvolutionWorkspace | None = None) -> TabulatedPmf:
     """Distribution of the sum of n independent copies, by zero-padded FFT.
 
     The mass sequence is self-convolved to length n(N-1)+1 at the same
@@ -236,19 +258,33 @@ def convolve_power(pmf: TabulatedPmf, n: int) -> TabulatedPmf:
     support is shifted by (n-1)/2 cells to keep cell midpoints aligned with
     the sum of input-cell midpoints; tiny negative FFT residue (>= -1e-12)
     is clamped and the masses renormalized.
+
+    The power runs in place in workspace, a ConvolutionWorkspace of pmf, and
+    the result's masses are a view of its real buffer: valid until the next
+    power on that workspace.  Without one, a fresh workspace is made and
+    the result owns its masses.
     """
     if n < 1:
         raise ValueError(f"convolution power must be >= 1, got {n}")
     if n == 1:
         return pmf
-    masses = pmf.masses
-    N = masses.size
+    if workspace is None:
+        workspace = ConvolutionWorkspace(pmf)
+    elif workspace.pmf is not pmf:
+        raise ValueError("workspace holds the spectra of another pmf")
+    N = pmf.n_cells
     out_len = n * (N - 1) + 1
     size = 1 << (n * N - 1).bit_length()
-    out = np.fft.irfft(pmf.spectrum(size) ** n, size)[:out_len]
+    spec = workspace.spectrum(size)
+    freq, real = workspace.buffers(size)
+    if n == 2:
+        np.square(spec, out=freq)  # what spec ** 2 runs; np.power rounds differently
+    else:
+        np.power(spec, n, out=freq)
+    out = np.fft.irfft(freq, size, out=real)[:out_len]
     if out.min() < -1e-12:
         raise ArithmeticError(f"FFT convolution produced mass {out.min()} below tolerance")
-    out = np.maximum(out, 0.0)
+    np.maximum(out, 0.0, out=out)
     out /= out.sum()
     origin = n * pmf.origin + (n - 1) * pmf.grid_step / 2.0
     return TabulatedPmf(pmf.grid_step, out, origin)
@@ -278,8 +314,10 @@ def outage_lower_bounds(
 
     p, the binomial weights and pmf_A do not depend on the rate, so they are
     built once.  The loop runs over the mixture terms: Y_{B-t} is convolved
-    once, read at every rate that still has a term t, and dropped before the
-    next power.  Terms with t >= ceil(BR/M) have BR - tM <= 0 and vanish
+    once, in one ConvolutionWorkspace for the whole call (pmf_A's spectrum
+    per FFT size and two buffers of the first, largest power's size), and
+    read at every rate that still has a term t before the next power
+    overwrites it.  Terms with t >= ceil(BR/M) have BR - tM <= 0 and vanish
     because A is positive, so each rate stops at t = B - d_B(R) (see
     threshold_terms).  Every rate sums its terms in ascending t, so a value
     does not depend on which other rates share the call.
@@ -290,10 +328,11 @@ def outage_lower_bounds(
     weights = binomial_weights(*success_rate(snr, specs[0]), B)
     pmf_a = build_pmf_A(snr, specs[0], n_cells)
     n_terms = [threshold_terms(s) for s in specs]
+    workspace = ConvolutionWorkspace(pmf_a)
     per_term = [[] for _ in specs]
     totals = [0.0] * len(specs)
     for t in range(max(n_terms)):
-        pmf_y = convolve_power(pmf_a, B - t)
+        pmf_y = convolve_power(pmf_a, B - t, workspace)
         weight = float(weights[t])
         for i, s in enumerate(specs):
             if t < n_terms[i]:
@@ -301,7 +340,6 @@ def outage_lower_bounds(
                 product = f_y * weight
                 per_term[i].append((t, f_y, weight, product))
                 totals[i] += product
-        del pmf_y
     results = []
     for total, terms in zip(totals, per_term):
         if not math.isfinite(total):

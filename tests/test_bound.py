@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from nakfade import bound, cli
 from nakfade.bound import (
     ChannelSpec,
+    ConvolutionWorkspace,
     TabulatedPmf,
     binomial_weights,
     build_pmf_A,
@@ -164,13 +165,28 @@ class TestConvolvePower:
         with pytest.raises(ValueError):
             convolve_power(TabulatedPmf(1.0, np.array([1.0])), 0)
 
-    def test_spectrum_is_computed_once_per_size(self):
+    def test_result_without_workspace_is_its_own(self):
+        rng = np.random.default_rng(7)
+        masses = rng.random(64)
+        pmf = TabulatedPmf(1.0 / 16, masses / masses.sum())
+        first = convolve_power(pmf, 3)
+        kept = first.masses.copy()
+        convolve_power(pmf, 3)
+        convolve_power(pmf, 2)
+        assert np.array_equal(first.masses, kept)
+
+    def test_workspace_result_equals_fresh_one(self):
+        rng = np.random.default_rng(8)
+        masses = rng.random(64)
+        pmf = TabulatedPmf(1.0 / 16, masses / masses.sum())
+        workspace = ConvolutionWorkspace(pmf)
+        for n in (5, 2, 3, 2, 7):
+            assert np.array_equal(convolve_power(pmf, n, workspace).masses, convolve_power(pmf, n).masses), n
+
+    def test_workspace_of_another_pmf_is_refused(self):
         pmf = TabulatedPmf(0.5, np.full(8, 0.125))
-        freq = pmf.spectrum(32)
-        assert pmf.spectrum(32) is freq
-        assert np.array_equal(freq, np.fft.rfft(pmf.masses, 32))
-        assert not freq.flags.writeable
-        assert pmf.spectrum(16).shape == (9,)
+        with pytest.raises(ValueError):
+            convolve_power(pmf, 2, ConvolutionWorkspace(TabulatedPmf(0.5, np.full(8, 0.125))))
 
 
 class TestCdfYAt:
@@ -311,7 +327,7 @@ def sweep_rates(B, M):
 
 
 class TestSharedEvaluator:
-    @pytest.mark.parametrize("B", [1, 2, 4, 16])
+    @pytest.mark.parametrize("B", [1, 2, 4, 16, 32])
     @pytest.mark.parametrize("M", [2, 4])
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
     def test_bit_identical_to_per_rate_loop(self, B, M, m):
@@ -332,6 +348,14 @@ class TestSharedEvaluator:
         got = outage_lower_bounds(snr, 16, 4, fading, rates)
         for r, res in zip(rates, got):
             assert res.value == per_rate_reference(snr, ChannelSpec(16, 4, fading, r), bound.DEFAULT_CELLS)[0]
+
+    def test_consecutive_calls_are_independent(self):
+        snr, rates = Snr.from_db(10.0), [0.5, 1.0, 2.5]
+        wide = outage_lower_bounds(snr, 16, 4, M2, rates, 512)
+        narrow = outage_lower_bounds(snr, 4, 4, M2, rates, 512)
+        assert [r.per_term for r in outage_lower_bounds(snr, 4, 4, M2, rates, 512)] == [r.per_term for r in narrow]
+        assert [r.per_term for r in outage_lower_bounds(snr, 16, 4, M2, rates, 512)] == [r.per_term for r in wide]
+        assert [r.value for r in narrow] != [r.value for r in wide]
 
     def test_one_rate_call_is_outage_lower_bound(self):
         spec, snr = spec44(MH, 2.5), Snr.from_db(9.0)
@@ -400,3 +424,55 @@ class TestSharedEvaluator:
         assert calls["build_pmf_A"] == 1
         assert calls["convolve_power"] <= B
         assert rfft_sizes and len(rfft_sizes) == len(set(rfft_sizes))
+
+
+def truncated_power(masses, n, keep):
+    """First keep cells of masses convolved with itself n times, by repeated
+    squaring with np.convolve; every product is of nonnegative masses, so
+    each cell keeps its relative accuracy however small it is."""
+    out = None
+    base = masses[:keep]
+    while n:
+        if n & 1:
+            out = base if out is None else np.convolve(out, base)[:keep]
+        n >>= 1
+        if n:
+            base = np.convolve(base, base)[:keep]
+    return out
+
+
+def direct_bound(snr, spec):
+    """The bound with each F_Yt from the truncated direct convolution, read
+    as cdf_Y_at reads it: the (n-1)/2-cell shift, whole cells below the
+    threshold and the straddling cell's linear fraction."""
+    pmf = build_pmf_A(snr, spec)
+    weights = binomial_weights(*success_rate(snr, spec), spec.B)
+    step = pmf.grid_step
+    total = 0.0
+    for t in range(threshold_terms(spec)):
+        n = spec.B - t
+        rel = (spec.B * spec.rate - t * spec.M - (n - 1) * step / 2.0) / step
+        j = int(rel)
+        cells = truncated_power(pmf.masses, n, j + 1)
+        total += weights[t] * (cells[:j].sum() + cells[j] * (rel - j))
+    return total
+
+
+FFT_FLOOR = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: FFT round-off floor in the deep left tail")
+
+
+class TestFftFloor:
+    @pytest.mark.parametrize(
+        "B, m, rate, db",
+        [
+            pytest.param(16, 1.0, 0.25, 11.0, marks=FFT_FLOOR),  # 0.0 against 1.57e-23
+            pytest.param(4, 5.0, 0.5, 30.0, marks=FFT_FLOOR),  # 1.17e-48 against 1.55e-60
+            pytest.param(4, 5.0, 1.0, 20.0, marks=FFT_FLOOR),  # 4.03e-29 against 9.46e-33
+            (4, 2.0, 1.0, 10.0),
+        ],
+    )
+    def test_matches_truncated_direct_convolution(self, B, m, rate, db):
+        spec, snr = ChannelSpec(B, 4, NakagamiParam(m), rate), Snr.from_db(db)
+        want = direct_bound(snr, spec)
+        assert want > 0.0
+        assert outage_lower_bound(snr, spec).value == pytest.approx(want, rel=1e-6, abs=0.0)

@@ -75,3 +75,19 @@ def test_outage_command_repeats_its_per_layer_counts(monkeypatch):
         counts.append({(name, k): v for name, row in summary.items() for k, v in dict(row["counts"], spans=row["spans"]).items()})
     assert all(c == counts[0] for c in counts[1:])
     assert counts[0][("montecarlo.mc_outage", "spans")] == 8
+
+
+def test_ratesweep_convolutions_are_traced_with_their_fft_points(monkeypatch):
+    # The evaluator's powers must run through the names the tracer patches:
+    # bound.convolve_power and np.fft's transforms.
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install(NK)
+    try:
+        res = CliRunner().invoke(cli.main, ["ratesweep", "-B", "8", "--snr-db-fixed", "5", "--rate", "1:3:1", "--cells", "64"])
+    finally:
+        tracer.restore()
+    assert res.exit_code == 0, (res.output, res.exception)
+    convolve = [s for s in tracer.spans if s.name == "bound.convolve"]
+    assert convolve
+    assert all(s.counts.get("fft_points", 0) > 0 for s in convolve)
