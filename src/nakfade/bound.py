@@ -18,6 +18,7 @@ in one ConvolutionWorkspace that holds the call's spectra and buffers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,11 @@ class ChannelSpec:
     rate: float
 
     def __post_init__(self) -> None:
+        for name in ("B", "M"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.B < 1:
             raise ValueError(f"need at least one fading block, got B={self.B}")
         if self.M < 1:
@@ -83,14 +89,16 @@ class TabulatedPmf:
     def __post_init__(self) -> None:
         masses = np.asarray(self.masses, dtype=float)
         object.__setattr__(self, "masses", masses)
-        if self.grid_step <= 0:
-            raise ValueError(f"grid step must be positive, got {self.grid_step}")
+        if not (0 < self.grid_step < math.inf):
+            raise ValueError(f"grid step must be positive and finite, got {self.grid_step}")
         if masses.ndim != 1 or masses.size < 1:
             raise ValueError("masses must be a nonempty 1-D array")
-        if masses.min() < 0:
+        # Written so that NaN fails them too.
+        if not (masses.min() >= 0):
             raise ValueError("cell masses must be nonnegative")
-        if abs(masses.sum() - 1.0) > 1e-9:
-            raise ValueError(f"cell masses must sum to 1, got {masses.sum()!r}")
+        total = masses.sum()
+        if not (abs(total - 1.0) <= 1e-9):
+            raise ValueError(f"cell masses must sum to 1, got {total!r}")
 
     @classmethod
     def from_cdf(cls, cdf, top: float, n_cells: int) -> "TabulatedPmf":

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import click
@@ -212,27 +211,16 @@ def _run_mc(cfg: RunConfig) -> int:
     """Monte Carlo outage estimates across an SNR grid."""
     spec = _channel_spec(cfg)
     dbs = _grid(cfg.snr_db)
+    # Points run in grid order; each spreads its sample chunks over --workers threads.
+    kw = dict(n=cfg.samples, seed=cfg.seed, workers=cfg.workers)
     if cfg.mode == "outage":
         c = from_name(cfg.constellation)
         rule = hermite_rule(cfg.order)
-        # One bracket table for the whole grid, built before the points
-        # start, so the quadrature calls do not depend on thread scheduling;
-        # the points only read it.
+        # One bracket table for the whole grid; the points only read it.
         table = montecarlo.BracketTable(c, rule, [Snr.from_db(db).rho for db in dbs], cfg.samples, spec)
-
-        def point(idx_db: tuple) -> object:
-            idx, db = idx_db
-            return montecarlo.mc_outage(Snr.from_db(db), spec, c, rule, n=cfg.samples, seed=cfg.seed, stream_id=idx, table=table)
-
+        ests = [montecarlo.mc_outage(Snr.from_db(db), spec, c, rule, stream_id=i, table=table, **kw) for i, db in enumerate(dbs)]
     else:
-
-        def point(idx_db: tuple) -> object:
-            idx, db = idx_db
-            return montecarlo.mc_lower_bound(Snr.from_db(db), spec, n=cfg.samples, seed=cfg.seed, stream_id=idx)
-
-    # Grid points are independent work units; map keeps them in grid order.
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        ests = list(pool.map(point, enumerate(dbs)))
+        ests = [montecarlo.mc_lower_bound(Snr.from_db(db), spec, stream_id=i, **kw) for i, db in enumerate(dbs)]
     rows = [(db, e.p_hat, e.std_err, e.n_samples) for db, e in zip(dbs, ests)]
     fields = [("mode", cfg.mode), *_channel_fields(cfg, cfg.rate)]
     if cfg.mode == "outage":
@@ -366,7 +354,7 @@ _OPTIONS = {
     "mode": (["--mode"], dict(type=click.Choice(["outage", "lowerbound"]), help="Estimate true outage or the capped-rate bound event.")),
     "constellation": (["--constellation"], dict(type=str, help=f"Signal set ({', '.join(KNOWN_NAMES)}); mc reads it in outage mode.")),
     "order": (["--order"], dict(type=int, help="Gauss-Hermite order per dimension; mc reads it in outage mode.")),
-    "workers": (["--workers"], dict(type=int, help="Worker threads over Monte Carlo grid points.")),
+    "workers": (["--workers"], dict(type=int, help="Worker threads over each grid point's Monte Carlo sample chunks.")),
     "out": (["--out", "-o"], dict(type=click.Path(dir_okay=False), help="Output CSV path (default: stdout).")),
 }
 

@@ -1,12 +1,15 @@
 """Seeded Monte Carlo estimators for outage probabilities.
 
-Both estimators draw fading-gain vectors from the counter-based chunk
-streams in the fading module and tally outage events as exact integer
-counts, so a given (seed, n, parameters) triple reproduces bit-identical
-results for any worker count.  mc_outage scores each sample with the
-discrete-input mutual information; mc_lower_bound replaces it with the
-min{M, log2(1 + gamma rho)} cap, which needs no quadrature and simulates the
-event behind the analytical bound.
+Both estimators run one chunk loop (_estimate): it draws fading-gain
+vectors from the counter-based chunk streams in the fading module, fading.CHUNK
+rows at a time, and tallies outage events as exact integer counts, so a given
+(seed, n, parameters) triple reproduces bit-identical results for any worker
+count.  The chunks of one estimate are spread over min(workers, chunks)
+threads, the package's only thread pool; `mc --workers` reaches it, and a
+one-chunk estimate runs in the calling thread.  mc_outage scores each sample
+with the discrete-input mutual information; mc_lower_bound replaces it with
+the min{M, log2(1 + gamma rho)} cap, which needs no quadrature and simulates
+the event behind the analytical bound.
 
 mc_outage decides most samples without quadrature at their own SNRs.  Each
 per-block SNR v lies between two nodes of the fixed geometric grid
@@ -89,16 +92,19 @@ class McEstimate:
         return cls(count / n, n)
 
 
-def _count_chunks(n: int, workers: int, chunk_counter) -> int:
-    """Sum chunk_counter(first, count) over the fixed chunk partition of [0, n)."""
-    chunks = [
-        (lo, min(fading.CHUNK, n - lo))
-        for lo in range(0, n, fading.CHUNK)
-    ]
-    if workers <= 1:
-        return sum(chunk_counter(lo, cnt) for lo, cnt in chunks)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(lambda c: chunk_counter(*c), chunks))
+def _estimate(spec: ChannelSpec, n: int, seed: int, stream_id: int, workers: int, count_rows) -> McEstimate:
+    """Estimate from count_rows(gains) summed over the chunks of n draws of spec's B gains."""
+
+    def count_chunk(first: int) -> int:
+        count = min(fading.CHUNK, n - first)
+        return count_rows(fading.gain_block(spec.fading, seed, first, count, width=spec.B, stream_id=stream_id))
+
+    firsts = range(0, n, fading.CHUNK)
+    threads = min(workers, len(firsts))
+    if threads <= 1:
+        return McEstimate.from_count(sum(map(count_chunk, firsts)), n)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return McEstimate.from_count(sum(pool.map(count_chunk, firsts)), n)
 
 
 def _window(rho_lo: float, rho_hi: float, values: int, m: float) -> tuple[int, int]:
@@ -216,12 +222,7 @@ def mc_outage(
         table = BracketTable(c, q, [rho], n, spec)
     elif table.c is not c or table.q is not q:
         raise ValueError("bracket table was built for another constellation or quadrature rule")
-
-    def chunk_counter(first: int, count: int) -> int:
-        v = fading.gain_block(spec.fading, seed, first, count, width=spec.B, stream_id=stream_id) * rho
-        return table.count_rows(v, rate)
-
-    return McEstimate.from_count(_count_chunks(n, workers, chunk_counter), n)
+    return _estimate(spec, n, seed, stream_id, workers, lambda gains: table.count_rows(gains * rho, rate))
 
 
 def mc_lower_bound(
@@ -237,9 +238,8 @@ def mc_lower_bound(
     rate = spec.rate
     cap = float(spec.M)
 
-    def chunk_counter(first: int, count: int) -> int:
-        gains = fading.gain_block(spec.fading, seed, first, count, width=spec.B, stream_id=stream_id)
+    def count_rows(gains: np.ndarray) -> int:
         mi = np.minimum(cap, np.log2(1.0 + gains * rho))
         return int(np.count_nonzero(mi.mean(axis=1) < rate))
 
-    return McEstimate.from_count(_count_chunks(n, workers, chunk_counter), n)
+    return _estimate(spec, n, seed, stream_id, workers, count_rows)

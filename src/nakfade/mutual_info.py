@@ -113,6 +113,8 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         if self.order < 1 or self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
             raise ValueError("nodes/weights must both have length `order`")
+        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
+            raise ValueError("nodes and weights must be finite")
         if abs(self.weights.sum() - math.sqrt(math.pi)) > 1e-12:
             raise ValueError("Gauss-Hermite weights must sum to sqrt(pi)")
 
@@ -160,15 +162,10 @@ def _orbits(c: Constellation) -> tuple:
     match = np.abs(images[:, :, None, :] - xy[None, None, :, :]).max(axis=3) <= _SYMMETRY_TOL * np.abs(xy).max()
     onto = (match.sum(axis=2) == 1).all(axis=1) & (match.sum(axis=1) == 1).all(axis=1)
     perms = match[onto].argmax(axis=2)
-    # Label each point by the lowest index it reaches; the identity is a
-    # symmetry, so labels only fall, and they settle on the orbits.
-    label = np.arange(c.size)
-    while True:
-        lower = label[perms].min(axis=0)
-        if np.array_equal(lower, label):
-            reps, sizes = np.unique(label, return_counts=True)
-            return reps, sizes.astype(float)
-        label = lower
+    # The maps that take the set onto itself form a group, so a point's
+    # images under them are its whole orbit; the lowest index labels it.
+    reps, sizes = np.unique(perms.min(axis=0), return_counts=True)
+    return reps, sizes.astype(float)
 
 
 def _mi_batch_separable(rhos: np.ndarray, levels: np.ndarray, M: int, rule: QuadratureRule) -> np.ndarray:

@@ -46,6 +46,15 @@ class TestChannelSpec:
     def test_rate_equal_bits_allowed(self):
         assert spec44(M1, 4.0).rate == 4.0
 
+    # B and M are counts: a float or bool is refused when the spec is built, not deep in the bound.
+    @pytest.mark.parametrize("B,M", [(True, 4), (4.0, 4), (4, True), (4, 4.0)], ids=["B-bool", "B-float", "M-bool", "M-float"])
+    def test_blocks_and_bits_must_be_integers(self, B, M):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ChannelSpec(B, M, M1, 1.0)
+
+    def test_numpy_integers_accepted(self):
+        assert outage_lower_bound(Snr(10.0), ChannelSpec(np.int64(4), np.int64(4), M1, 1.0), 64).value > 0
+
 
 class TestSuccessRate:
     def test_rayleigh_closed_form(self):
@@ -126,6 +135,19 @@ class TestBuildPmfA:
     def test_rejects_single_cell(self):
         with pytest.raises(ValueError):
             build_pmf_A(Snr(10.0), spec44(M1, 1), 1)
+
+
+class TestTabulatedPmf:
+    # NaN slips through a test written as `bad > limit`; each check must refuse it.
+    @pytest.mark.parametrize("masses", [[math.nan, math.nan], [1.0, math.nan]], ids=["all-nan", "one-nan"])
+    def test_rejects_nan_masses(self, masses):
+        with pytest.raises(ValueError, match="cell masses"):
+            TabulatedPmf(0.5, np.array(masses))
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, math.inf, math.nan])
+    def test_rejects_step_that_is_not_positive_and_finite(self, step):
+        with pytest.raises(ValueError, match="grid step"):
+            TabulatedPmf(step, np.array([0.5, 0.5]))
 
 
 class TestConvolvePower:

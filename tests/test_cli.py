@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nakfade import __version__
+from nakfade import __version__, montecarlo
 from nakfade.cli import RunConfig, _build_config, main
 
 
@@ -127,11 +128,13 @@ class TestMc:
         _, data = rows_of(res.output)
         assert 0.0 <= float(data[0][1]) <= 1.0
 
+    # Each point has 3 (lowerbound) or 2 (outage) chunks of fading.CHUNK samples
+    # to spread over the threads.
     @pytest.mark.parametrize(
         "mode_args",
         [
-            pytest.param(["--mode", "lowerbound", "--m", "0.5", "--samples", "3000"], id="lowerbound"),
-            pytest.param(["--mode", "outage", "--constellation", "qam4", "-M", "2", "--samples", "2000"], id="outage-qam4"),
+            pytest.param(["--mode", "lowerbound", "--m", "0.5", "--samples", "9000"], id="lowerbound"),
+            pytest.param(["--mode", "outage", "--constellation", "qam4", "-M", "2", "--samples", "5000"], id="outage-qam4"),
         ],
     )
     def test_workers_do_not_change_output(self, runner, tmp_path, mode_args):
@@ -143,6 +146,29 @@ class TestMc:
         assert outs[0].read_bytes() == outs[1].read_bytes()
         _, data = rows_of(outs[0].read_text())
         assert len(data) == 5
+
+    @pytest.mark.parametrize("mode", ["lowerbound", "outage"])
+    def test_one_chunk_point_starts_no_pool(self, runner, monkeypatch, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-chunk point started a thread pool")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", refuse)
+        res = runner.invoke(main, ["mc", "--mode", mode, "--workers", "2", "--samples", "100", "--snr-db", "0:6:3"])
+        assert res.exit_code == 0, (res.output, res.exception)
+
+    @pytest.mark.parametrize("samples,workers,threads", [(5000, 3, 2), (9000, 3, 3), (9000, 2, 2)])
+    def test_pool_has_one_thread_per_chunk_at_most(self, runner, monkeypatch, samples, workers, threads):
+        pools = []
+
+        def recording(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording)
+        args = ["mc", "--workers", str(workers), "--samples", str(samples), "--snr-db", "0:6:3"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, (res.output, res.exception)
+        assert pools == [threads] * 3
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_exits_2(self, runner, seed):

@@ -78,6 +78,14 @@ class TestQuadratureRule:
         with pytest.raises(ValueError):
             hermite_rule(0)
 
+    @pytest.mark.parametrize("field", ["nodes", "weights"])
+    def test_rejects_nan_node_or_weight(self, field):
+        rule = hermite_rule(4)
+        arrays = {"nodes": rule.nodes.copy(), "weights": rule.weights.copy()}
+        arrays[field][1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureRule(4, **arrays)
+
     def test_cached(self):
         assert hermite_rule(32) is hermite_rule(32)
 

@@ -57,9 +57,10 @@ def test_tracer_records_spans_of_every_command(monkeypatch):
 
 def test_outage_command_repeats_its_per_layer_counts(monkeypatch):
     # The benchmark's repeat-counts check: every traced pass of a command
-    # makes the same calls with the same work, whatever the two worker
-    # threads do first.  A node table that the points fill as they need it
-    # passes only when the threads happen to interleave the same way.
+    # makes the same calls with the same work.  With --workers 2, this
+    # command's one-chunk points run in the calling thread, in grid order;
+    # the repeat check guards against work that depends on call order, such
+    # as a node table that the points fill as they need it.
     tracing = load_tracing(monkeypatch)
     args = ["mc", "--mode", "outage", "--snr-db", "4:7.5:0.5", "--samples", "2000", "--order", "8", "--workers", "2"]
     counts = []
