@@ -165,6 +165,11 @@ class BracketTable:
         self._size = nodes.size
         self._values = np.append(mi, float(c.bits_per_symbol))
 
+    def serves(self, c: Constellation, q: QuadratureRule) -> bool:
+        """Whether (c, q) gives this table's values: the same order, and the same points on the same MI path."""
+        # np.array_equal takes a missing grid_levels (None) as equal only to another.
+        return q == self.q and all(np.array_equal(getattr(c, k), getattr(self.c, k)) for k in ("bits_per_symbol", "points", "grid_levels"))
+
     def count_rows(self, v: np.ndarray, rate: float) -> int:
         """Number of rows of per-block SNRs v whose mean MI is below rate.
 
@@ -205,13 +210,14 @@ def mc_outage(
     The count is that of evaluating I at every sample's SNRs; most samples
     are decided from a BracketTable instead (see the module notes).  That
     needs I(rho) under the rule q to be nondecreasing.  It is for every
-    built-in constellation under hermite_rule at every order from 1 to 256,
-    on a grid of 64 points per octave over 2^-40 to 2^40, checked with PSK
-    evaluated at one point per symmetry orbit.
+    built-in constellation at orders 1-8, 16, 24, 32, 48, 64, 96, 128, 192
+    and 256, on a grid of 64 points per octave over 2^-40 to 2^40.
 
-    table, built for the same c and q, may serve other SNRs too; without
-    one, every chunk reads one table built for snr and n.
+    table, built for the same points and order, may serve other SNRs too;
+    without one, every chunk reads one table built for snr and n.
     """
+    if n < 1:
+        raise ValueError("need at least one sample")
     if c.bits_per_symbol != spec.M:
         raise ValueError(f"constellation carries {c.bits_per_symbol} bits but spec.M = {spec.M}")
     if q is None:
@@ -220,7 +226,7 @@ def mc_outage(
     rate = spec.rate
     if table is None:
         table = BracketTable(c, q, [rho], n, spec)
-    elif table.c is not c or table.q is not q:
+    elif not table.serves(c, q):
         raise ValueError("bracket table was built for another constellation or quadrature rule")
     return _estimate(spec, n, seed, stream_id, workers, lambda gains: table.count_rows(gains * rho, rate))
 
@@ -234,6 +240,8 @@ def mc_lower_bound(
     workers: int = 1,
 ) -> McEstimate:
     """Estimate Pr((1/B) sum_b min{M, log2(1 + gamma_b rho)} < R)."""
+    if n < 1:
+        raise ValueError("need at least one sample")
     rho = snr.rho
     rate = spec.rate
     cap = float(spec.M)

@@ -16,36 +16,35 @@ that one rule per dimension:
   nodes are one matrix product over x' of two per-dimension exponential
   tables: 2 K^2 order exponentials, K^2 order^2 multiply-adds and K order^2
   logs per rho, against K^2 order^2 exponentials for the plain tensor sum.
-  The tensor rule of a mirror-symmetric 1-D rule is invariant under the
+  The tensor rule of the mirror-symmetric 1-D rule is invariant under the
   eight symmetries of the square (swapping the real and imaginary parts,
   negating either), so every x of an orbit of those symmetries that map the
   point set onto itself has the same term: only one x per orbit is
   evaluated, weighted by the orbit size (PSK8 2 of 8 points, PSK4 and
   PSK2 1).
 
-The per-dimension max-shifts keep every generic inner sum above
-e^-(t_i^2 + t_j^2), so it can underflow only at tail nodes of orders above
-~190; such nodes are dropped when their weight is negligible and raise
-ArithmeticError otherwise, so no order returns NaN or inf.
+The per-dimension max-shifts keep every generic inner sum S_ij at or above
+its x' = x term, e^-(t_i^2 + t_j^2).  Every weight has
+w_i e^(t_i^2) <= sqrt(pi): the rule's terms for f(s) = e^(2 s t_i - t_i^2)
+are positive, one of them is w_i e^(t_i^2), and they sum to at most the
+integral of f e^(-s^2), sqrt(pi), since every derivative of f is positive
+(Gauss error term).  So a node whose S underflows to 0 has tensor weight
+w_i w_j / pi <= e^-(t_i^2 + t_j^2) <= S_ij < 5e-324, below the float range;
+counting its log S, which lies in [-(t_i^2 + t_j^2), 0], as 0 moves the sum
+by less than order^2 (4 order + 2) 5e-324, below an ulp of any MI value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .constellation import Constellation
 
-__all__ = [
-    "Snr",
-    "QuadratureRule",
-    "hermite_rule",
-    "DEFAULT_ORDER",
-    "mi_discrete_array",
-]
+__all__ = ["Snr", "QuadratureRule", "hermite_rule", "DEFAULT_ORDER", "mi_discrete_array"]
 
 # Smallest order for which doubling it moves the MI of every supported
 # constellation by < 1e-6 over rho <= 1e3 (measured; 32 gives only ~4e-6).
@@ -58,18 +57,9 @@ _LN2 = math.log(2.0)
 _BATCH_RHOS = 128
 _BATCH_ELEMS = 2**16
 
-# Largest 2-D tensor weight allowed on a node whose factorized inner sum
-# underflowed (_mi_batch_generic).  Golub-Welsch weights do not fall to
-# e^-(t^2) in the tails but stop near 1e-60 (eigenvector round-off), so such
-# nodes carry up to ~1e-115 at order 256 and ~4e-70 at order 400.  Counting
-# log S = 0 there moves the node's term by at most its weight times
-# t_i^2 + t_j^2 < 4 order + 2, far below double precision for any usable order.
-_MASKED_WEIGHT_LIMIT = 1e-30
-
-# Relative tolerance within which a point set or a 1-D rule counts as
-# symmetric.  Golub-Welsch nodes and weights are mirror-symmetric to ~3e-14
-# of their largest value up to order 400, and the built-in PSK points to an
-# ulp, so each orbit's terms agree to rounding.
+# Relative tolerance within which a point set counts as symmetric: the
+# built-in PSK points are symmetric to an ulp, so each orbit's terms agree
+# to rounding.
 _SYMMETRY_TOL = 1e-13
 
 # The symmetries of the square acting on row vectors (Re x, Im x): either
@@ -102,51 +92,60 @@ class Snr:
         return 10.0 * math.log10(self.rho)
 
 
-@dataclass(frozen=True, eq=False)
+def _hermite(order: int, t: np.ndarray) -> tuple:
+    """p_(order-1)(t) and p_order(t), both divided by e^s, and s.
+
+    p_k are the Hermite polynomials orthonormal under e^-t^2, from their
+    three-term recurrence; wherever a value passes 2^332 (about 1e100), both
+    are divided by it, exactly, so no order overflows.
+    """
+    prev, cur, log_scale = np.zeros_like(t), np.full_like(t, math.pi**-0.25), np.zeros_like(t)
+    for k in range(order):
+        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * t * cur - math.sqrt(k / (k + 1)) * prev
+        big = np.abs(cur) > 2.0**332
+        if big.any():
+            prev[big] *= 2.0**-332
+            cur[big] *= 2.0**-332
+            log_scale[big] += 332 * _LN2
+    return prev, cur, log_scale
+
+
+@dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Hermite nodes/weights of a given order (one real dimension)."""
+    """The Gauss-Hermite rule of an order: nodes and weights for e^-t^2 on the real line.
+
+    Rules compare and hash by order.  The nodes are the eigenvalues of the
+    Hermite Jacobi matrix after one Newton step on p_order; weight i is
+    1 / (order p_(order-1)(t_i)^2), formed in log space, so every weight is
+    accurate in relative terms and those below the float range are 0
+    (Townsend, Trogdon and Olver, IMA J. Numer. Anal. 2016).  The nodes are
+    made mirror-symmetric exactly, and by the recurrence's parity so are
+    the weights.
+    """
 
     order: int
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.order < 1 or self.nodes.shape != (self.order,) or self.weights.shape != (self.order,):
-            raise ValueError("nodes/weights must both have length `order`")
-        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
-            raise ValueError("nodes and weights must be finite")
-        if abs(self.weights.sum() - math.sqrt(math.pi)) > 1e-12:
-            raise ValueError("Gauss-Hermite weights must sum to sqrt(pi)")
+        n = self.order
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"quadrature order must be an int >= 1, got {n!r}")
+        t = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1, n) / 2.0), 1), UPLO="U")
+        p_last, p_n, _ = _hermite(n, t)
+        t -= p_n / (math.sqrt(2.0 * n) * p_last)  # p_n' = sqrt(2n) p_(n-1)
+        t = (t - t[::-1]) / 2.0
+        with np.errstate(under="ignore"):
+            p_last, _, log_scale = _hermite(n, t)
+            w = np.exp(-2.0 * (np.log(np.abs(p_last)) + log_scale) - math.log(n))
+        object.__setattr__(self, "nodes", t)
+        object.__setattr__(self, "weights", w)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def hermite_rule(order: int = DEFAULT_ORDER) -> QuadratureRule:
-    """Cached Gauss-Hermite rule (the 2-D tensor rule has order^2 nodes).
-
-    Built by Golub-Welsch: nodes are the eigenvalues of the Hermite Jacobi
-    matrix; weight i is sqrt(pi) times the squared first component of
-    eigenvector i.  Works for any order without tabulated coefficients.
-    """
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
-    jac = np.zeros((order, order))
-    off = np.sqrt(np.arange(1, order) / 2.0)
-    idx = np.arange(order - 1)
-    jac[idx, idx + 1] = off
-    jac[idx + 1, idx] = off
-    vals, vecs = np.linalg.eigh(jac)
-    weights = math.sqrt(math.pi) * vecs[0] ** 2
-    return QuadratureRule(order, vals, weights)
-
-
-def _mirror_symmetric(rule: QuadratureRule) -> bool:
-    """Whether the nodes are symmetric about 0 with equal weights at t and -t."""
-    idx = np.argsort(rule.nodes)
-    t, w = rule.nodes[idx], rule.weights[idx]
-    return bool(
-        np.abs(t + t[::-1]).max() <= _SYMMETRY_TOL * np.abs(t).max()
-        and np.abs(w - w[::-1]).max() <= _SYMMETRY_TOL * w.max()
-    )
+    """The cached QuadratureRule of an order (the 2-D tensor rule has order^2 nodes)."""
+    return QuadratureRule(order)
 
 
 @lru_cache(maxsize=16)
@@ -207,11 +206,6 @@ def _mi_batch_generic(rhos: np.ndarray, orbits: tuple, M: int, rule: QuadratureR
     every x the inner sums at all order^2 nodes are one matrix product
     S = E_r^T E_i over x'.  Same rule, reassociated: 2 K^2 order exponentials
     and K order^2 logs per rho instead of K^2 order^2 exponentials.
-
-    The x'=x term keeps S_ij >= e^-(t_i^2 + t_j^2), so S underflows to 0 only
-    at nodes far out in the tails (orders above ~190).  Those nodes count
-    log S = 0, which is harmless while their tensor weight is negligible;
-    a larger weight raises ArithmeticError rather than return a wrong value.
     """
     points, reps, sizes = orbits
     t = rule.nodes
@@ -232,12 +226,8 @@ def _mi_batch_generic(rhos: np.ndarray, orbits: tuple, M: int, rule: QuadratureR
     e_r, max_r = factor(d.real)
     e_i, max_i = factor(d.imag)
     s = np.matmul(e_r.transpose(0, 1, 3, 2), e_i)  # (n, x, t_i, t_j)
-    if not s.all():
-        under = s == 0.0
-        w_under = np.broadcast_to(np.outer(w, w) / math.pi, s.shape)[under]
-        if w_under.max() > _MASKED_WEIGHT_LIMIT:
-            raise ArithmeticError(f"quadrature inner sum underflowed at a node of weight {w_under.max():.3g} (order {rule.order})")
-        s[under] = 1.0
+    if not s.all():  # a zero S_ij has weight w_i w_j / pi < 5e-324 (module notes): count log S as 0
+        s[s == 0.0] = 1.0
     np.log(s, out=s)
     log_s = (s @ w) @ w / math.pi
     shifts = (max_r + max_i) @ w * (w.sum() / math.pi)
@@ -261,7 +251,7 @@ def mi_discrete_array(rhos, c: Constellation, rule: QuadratureRule | None = None
     if c.grid_levels is not None:
         batch, args, per_rho = _mi_batch_separable, c.grid_levels, c.grid_levels.size**2 * rule.order
     else:
-        reps, sizes = _orbits(c) if _mirror_symmetric(rule) else (np.arange(c.size), np.ones(c.size))
+        reps, sizes = _orbits(c)
         batch, args, per_rho = _mi_batch_generic, (c.points, reps, sizes), reps.size * rule.order**2
     chunk = min(_BATCH_RHOS, max(1, _BATCH_ELEMS // per_rho))
     with np.errstate(under="ignore"):

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from nakfade import cli, fading, montecarlo
 from nakfade.bound import ChannelSpec, outage_lower_bound
-from nakfade.constellation import KNOWN_NAMES, from_name, make_psk, make_qam
+from nakfade.constellation import KNOWN_NAMES, Constellation, from_name, make_psk, make_qam
 from nakfade.fading import NakagamiParam
 from nakfade.montecarlo import McEstimate, mc_lower_bound, mc_outage
 from nakfade.mutual_info import Snr, hermite_rule, mi_discrete_array
@@ -56,6 +56,11 @@ class TestMcLowerBound:
         assert est.p_hat >= 1e-4
         assert abs(est.p_hat - analytic) <= 3.0 * est.std_err
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_fewer_than_one_sample(self, n):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            mc_lower_bound(Snr(10.0), spec44(M2, 1), n=n)
+
     def test_rate_equal_bits_outage_likely_at_low_snr(self):
         est = mc_lower_bound(Snr(1.0), spec44(M2, 4.0), n=10**4, seed=8)
         assert est.p_hat > 0.9
@@ -69,6 +74,11 @@ class TestMcOutage:
     def test_requires_matching_bits(self):
         with pytest.raises(ValueError):
             mc_outage(Snr(10.0), spec44(M2, 1), make_psk(1), n=10, seed=1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_fewer_than_one_sample(self, n):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            mc_outage(Snr(10.0), spec44(M2, 1), make_qam(4), n=n)
 
     def test_worker_count_invariant(self):
         kw = dict(n=20_000, seed=9)
@@ -204,9 +214,25 @@ class TestBracketTable:
         c, rule = make_qam(4), hermite_rule(8)
         spec = ChannelSpec(4, 4, M1, 2.0)
         table = montecarlo.BracketTable(c, rule, [1.0, 10.0], 125, spec)
-        for other_c, other_rule in ((make_qam(4), rule), (c, hermite_rule(16))):
+        # Another set, the same points on the generic path, another order.
+        for other_c, other_rule in ((make_psk(4), rule), (Constellation(c.points, 4), rule), (c, hermite_rule(16))):
             with pytest.raises(ValueError, match="bracket table"):
                 mc_outage(Snr(5.0), spec, other_c, other_rule, n=10, table=table)
+
+    def test_table_serves_an_equal_constellation(self):
+        spec, n = ChannelSpec(4, 4, M1, 2.0), 500
+        table = montecarlo.BracketTable(from_name("qam16"), hermite_rule(8), [5.0], n, spec)
+        est = mc_outage(Snr(5.0), spec, from_name("qam16"), hermite_rule(8), n=n, seed=7, table=table)
+        assert est == mc_outage(Snr(5.0), spec, from_name("qam16"), hermite_rule(8), n=n, seed=7)
+
+    def test_table_outlives_its_rule_in_the_cache(self):
+        c, spec, n = make_qam(4), ChannelSpec(4, 4, M1, 2.0), 500
+        table = montecarlo.BracketTable(c, hermite_rule(32), [5.0], n, spec)
+        for order in range(1, 21):
+            hermite_rule(order)
+        assert hermite_rule(32) is not table.q
+        est = mc_outage(Snr(5.0), spec, c, hermite_rule(32), n=n, seed=7, table=table)
+        assert est == mc_outage(Snr(5.0), spec, c, hermite_rule(32), n=n, seed=7)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_point_of_a_cli_command_equals_direct_quadrature(self, monkeypatch, workers):
