@@ -22,6 +22,7 @@ from .bound import (
     outage_lower_bound,
     outage_lower_bounds,
     success_rate,
+    tabulate_A,
 )
 from .constellation import Constellation, from_name, make_psk, make_qam
 from .fading import NakagamiParam, gain_block

@@ -10,9 +10,11 @@ tabulated cell masses:
     P_out_lower = sum_{t=0}^{ceil(BR/M)-1} F_{Y_t}(BR - tM) C(B,t) p^t (1-p)^(B-t)
 
 with Y_t the sum of B - t copies of A.  Only p and A's law depend on the
-SNR, so outage_lower_bounds evaluates a whole rate grid at one SNR from a
-single pmf: each Y_t is convolved once and read at every rate that needs it,
-in one ConvolutionWorkspace that holds the call's spectra and buffers.
+SNR.  outage_lower_bounds, the one evaluator, tabulates its SNRs in blocks,
+one incomplete-gamma call per block that also gives p and 1 - p, and
+evaluates the whole rate grid at each SNR from that SNR's single pmf: each
+Y_t is convolved once and read at every rate that needs it, in one
+ConvolutionWorkspace that holds the SNR's spectra and buffers.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "binomial_weights",
     "conditional_cdf_A",
     "build_pmf_A",
+    "tabulate_A",
     "convolve_power",
     "cdf_Y_at",
     "outage_lower_bound",
@@ -45,6 +48,11 @@ __all__ = [
 # Grid cells over [0, M]; doubling this moves acceptance-grid bound values
 # by well under 1e-4 relative.
 DEFAULT_CELLS = 4096
+
+# Grid points per incomplete-gamma call when tabulating A: 4 SNRs at the
+# default cells.  Blocks of 8 to 256 SNRs were no faster and held more
+# memory; one SNR per call was about 20% slower on bound-curve.
+_BLOCK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -245,7 +253,7 @@ def conditional_cdf_A(xi, snr: Snr, spec: ChannelSpec):
     levels = reg_gamma_p(m, x)
     den = levels[-1]
     if den <= 0.0:
-        raise ArithmeticError("conditioning probability underflowed; SNR too large for this grid")
+        raise _underflow(snr)
     out = np.zeros_like(arr)
     out[mid] = levels[:-1] / den
     out[arr >= M] = 1.0
@@ -253,9 +261,52 @@ def conditional_cdf_A(xi, snr: Snr, spec: ChannelSpec):
     return float(out) if np.isscalar(xi) else out
 
 
-def build_pmf_A(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> TabulatedPmf:
-    """Tabulate A's cell masses on [0, M] as cdf differences."""
-    return TabulatedPmf.from_cdf(lambda grid: conditional_cdf_A(grid, snr, spec), spec.M, n_cells)
+def _underflow(snr: Snr) -> ArithmeticError:
+    return ArithmeticError(f"conditioning probability underflowed at snr_db {snr.db:.6g}; SNR too large for this grid")
+
+
+def build_pmf_A(levels: np.ndarray, M: int) -> TabulatedPmf:
+    """A's cell masses on [0, M] as differences of conditional_cdf_A at the cell edges.
+
+    levels holds F_gamma((2^xi - 1)/SNR) at the interior edges xi, then the
+    conditioning probability F_gamma((2^M - 1)/SNR), which must be positive.
+    """
+    cdf = np.empty(levels.size + 1)
+    cdf[0] = 0.0
+    np.minimum(levels[:-1] / levels[-1], 1.0, out=cdf[1:-1])
+    cdf[-1] = 1.0
+    return TabulatedPmf(M / levels.size, np.diff(cdf))
+
+
+def tabulate_A(snrs, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS):
+    """Yield (pmf_A, p, 1 - p) at each SNR, in order.
+
+    The SNRs are tabulated in blocks of about _BLOCK_POINTS grid points, each
+    by one reg_gamma_pq call over every SNR's interior cell edges and its cap
+    m(2^M - 1)/rho.  The cap's (Q, P) is (p, 1 - p), as success_rate gives
+    it, and its P the conditioning probability.  A value of reg_gamma_pq
+    depends only on its (a, x), so no result depends on the block.
+    """
+    if n_cells < 2:
+        raise ValueError(f"need at least 2 cells, got {n_cells}")
+    snrs = list(snrs)
+    if any(s.rho <= 0 for s in snrs):
+        raise ValueError("tabulating A requires rho > 0")
+    m = spec.fading.m
+    # At an SNR so small that the argument overflows, inf is its right
+    # limit: P(m, inf) = 1.
+    with np.errstate(over="ignore"):
+        scaled = m * (2.0 ** np.linspace(0.0, spec.M, n_cells + 1)[1:] - 1.0)
+    per_block = max(1, _BLOCK_POINTS // n_cells)
+    for first in range(0, len(snrs), per_block):
+        block = snrs[first : first + per_block]
+        with np.errstate(over="ignore"):
+            x = scaled / np.array([[s.rho] for s in block])
+        levels, tails = reg_gamma_pq(m, x)
+        for snr, level, tail in zip(block, levels, tails):
+            if level[-1] <= 0.0:
+                raise _underflow(snr)
+            yield build_pmf_A(level, spec.M), float(tail[-1]), float(level[-1])
 
 
 def convolve_power(pmf: TabulatedPmf, n: int, workspace: ConvolutionWorkspace | None = None) -> TabulatedPmf:
@@ -316,46 +367,48 @@ def cdf_Y_at(pmf: TabulatedPmf, x: float) -> float:
 
 
 def outage_lower_bounds(
-    snr: Snr, B: int, M: int, fading: NakagamiParam, rates, n_cells: int = DEFAULT_CELLS
-) -> list[BoundResult]:
-    """Evaluate the outage lower bound at one SNR point for every rate.
+    snrs, B: int, M: int, fading: NakagamiParam, rates, n_cells: int = DEFAULT_CELLS
+) -> list[list[BoundResult]]:
+    """Evaluate the outage lower bound at every SNR for every rate: [snr][rate].
 
-    p, the binomial weights and pmf_A do not depend on the rate, so they are
-    built once.  The loop runs over the mixture terms: Y_{B-t} is convolved
-    once, in one ConvolutionWorkspace for the whole call (pmf_A's spectrum
-    per FFT size and two buffers of the first, largest power's size), and
-    read at every rate that still has a term t before the next power
-    overwrites it.  Terms with t >= ceil(BR/M) have BR - tM <= 0 and vanish
-    because A is positive, so each rate stops at t = B - d_B(R) (see
+    tabulate_A gives each SNR's pmf_A, p and 1 - p, which do not depend on
+    the rate.  At each SNR the loop runs over the mixture terms: Y_{B-t} is
+    convolved once, in one ConvolutionWorkspace for the SNR (pmf_A's
+    spectrum per FFT size and two buffers of the first, largest power's
+    size), and read at every rate that still has a term t before the next
+    power overwrites it.  Terms with t >= ceil(BR/M) have BR - tM <= 0 and
+    vanish because A is positive, so each rate stops at t = B - d_B(R) (see
     threshold_terms).  Every rate sums its terms in ascending t, so a value
-    does not depend on which other rates share the call.
+    depends neither on the other rates nor on the other SNRs of the call.
     """
     specs = [ChannelSpec(B, M, fading, r) for r in rates]
     if not specs:
-        return []
-    weights = binomial_weights(*success_rate(snr, specs[0]), B)
-    pmf_a = build_pmf_A(snr, specs[0], n_cells)
+        return [[] for _ in snrs]
     n_terms = [threshold_terms(s) for s in specs]
-    workspace = ConvolutionWorkspace(pmf_a)
-    per_term = [[] for _ in specs]
-    totals = [0.0] * len(specs)
-    for t in range(max(n_terms)):
-        pmf_y = convolve_power(pmf_a, B - t, workspace)
-        weight = float(weights[t])
-        for i, s in enumerate(specs):
-            if t < n_terms[i]:
-                f_y = cdf_Y_at(pmf_y, B * s.rate - t * M)
-                product = f_y * weight
-                per_term[i].append((t, f_y, weight, product))
-                totals[i] += product
-    results = []
-    for total, terms in zip(totals, per_term):
-        if not math.isfinite(total):
-            raise ArithmeticError("outage bound evaluated to a non-finite value")
-        results.append(BoundResult(min(max(total, 0.0), 1.0), terms))
-    return results
+    out = []
+    for pmf_a, p, q in tabulate_A(snrs, specs[0], n_cells):
+        weights = binomial_weights(p, q, B)
+        workspace = ConvolutionWorkspace(pmf_a)
+        per_term = [[] for _ in specs]
+        totals = [0.0] * len(specs)
+        for t in range(max(n_terms)):
+            pmf_y = convolve_power(pmf_a, B - t, workspace)
+            weight = float(weights[t])
+            for i, s in enumerate(specs):
+                if t < n_terms[i]:
+                    f_y = cdf_Y_at(pmf_y, B * s.rate - t * M)
+                    product = f_y * weight
+                    per_term[i].append((t, f_y, weight, product))
+                    totals[i] += product
+        results = []
+        for total, terms in zip(totals, per_term):
+            if not math.isfinite(total):
+                raise ArithmeticError("outage bound evaluated to a non-finite value")
+            results.append(BoundResult(min(max(total, 0.0), 1.0), terms))
+        out.append(results)
+    return out
 
 
 def outage_lower_bound(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> BoundResult:
     """Evaluate the outage lower bound at one SNR point and one rate."""
-    return outage_lower_bounds(snr, spec.B, spec.M, spec.fading, [spec.rate], n_cells)[0]
+    return outage_lower_bounds([snr], spec.B, spec.M, spec.fading, [spec.rate], n_cells)[0][0]

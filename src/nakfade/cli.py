@@ -105,6 +105,11 @@ def _channel_spec(cfg: RunConfig, rate: float | None = None) -> bound.ChannelSpe
     return bound.ChannelSpec(cfg.blocks, cfg.bits, NakagamiParam(cfg.m), cfg.rate if rate is None else rate)
 
 
+def _bounds(cfg: RunConfig, snrs: list, rates: list) -> list:
+    """The bound at every SNR for every rate, [snr][rate], from one evaluator call."""
+    return bound.outage_lower_bounds(snrs, cfg.blocks, cfg.bits, NakagamiParam(cfg.m), rates, cfg.cells)
+
+
 def _header(cfg: RunConfig, fields: list) -> str:
     """Metadata comment: the subcommand, every parameter its numbers depend on, the version."""
     fields = [*fields, ("version", __version__)]
@@ -150,7 +155,7 @@ def _run_curve(cfg: RunConfig) -> int:
     """Outage lower bound across an SNR grid."""
     spec = _channel_spec(cfg)
     dbs = _grid(cfg.snr_db)
-    results = [bound.outage_lower_bound(Snr.from_db(db), spec, cfg.cells) for db in dbs]
+    results = [res for (res,) in _bounds(cfg, [Snr.from_db(db) for db in dbs], [cfg.rate])]
     columns = ["snr_db", "p_out_lower"]
     if cfg.per_term:
         for t in range(bound.threshold_terms(spec)):
@@ -167,10 +172,9 @@ def _run_curve(cfg: RunConfig) -> int:
 
 def _run_ratesweep(cfg: RunConfig) -> int:
     """Outage lower bound across a rate grid at fixed SNR."""
-    # One SNR, so every rate reads the same pmf and convolution powers in
-    # a single evaluator call.
+    # One SNR, so every rate reads the same pmf and convolution powers.
     rates = _grid(cfg.rate_grid)
-    results = bound.outage_lower_bounds(Snr.from_db(cfg.snr_db_fixed), cfg.blocks, cfg.bits, NakagamiParam(cfg.m), rates, cfg.cells)
+    (results,) = _bounds(cfg, [Snr.from_db(cfg.snr_db_fixed)], rates)
     header = _header(cfg, [*_channel_fields(cfg, _grid_repr(cfg.rate_grid)), ("snr_db", cfg.snr_db_fixed), ("cells", cfg.cells)])
     return _emit(cfg, header, ["rate", "p_out_lower"], [(r, res.value) for r, res in zip(rates, results)])
 
@@ -179,15 +183,16 @@ def _run_asymptote(cfg: RunConfig) -> int:
     """Outage lower bound next to its high-SNR power-law asymptote."""
     spec = _channel_spec(cfg)
     dbs = _grid(cfg.snr_db)
+    snrs = [Snr.from_db(db) for db in dbs]
     gain = asymptotics.coding_gain(spec, cfg.cells)
     d_exp = asymptotics.optimal_exponent(spec)
-
-    def point(db: float) -> tuple:
-        rho = Snr.from_db(db)
-        return (db, bound.outage_lower_bound(rho, spec, cfg.cells).value, asymptotics.power_law(gain, d_exp, rho))
-
+    # The asymptote overflows only at low SNR and the conditioning
+    # probability underflows only at high SNR, so on an ascending grid
+    # evaluating the asymptotes first reports the first failing point.
+    lines = [asymptotics.power_law(gain, d_exp, rho) for rho in snrs]
+    rows = [(db, res.value, line) for db, (res,), line in zip(dbs, _bounds(cfg, snrs, [cfg.rate]), lines)]
     header = _header(cfg, [*_channel_fields(cfg, cfg.rate), ("cells", cfg.cells)])
-    return _emit(cfg, header, ["snr_db", "p_out_lower", "asymptote"], [point(db) for db in dbs])
+    return _emit(cfg, header, ["snr_db", "p_out_lower", "asymptote"], rows)
 
 
 def _run_exponent(cfg: RunConfig) -> int:

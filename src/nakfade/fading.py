@@ -22,8 +22,14 @@ __all__ = [
     "gain_block",
 ]
 
-# Iteration control for the series / continued-fraction evaluations.
-_TERM_EPS = 1e-15
+# Iteration control.  A series point stops once its latest term is below
+# 2^-55 of its partial sum: every later term is smaller still, and adding a
+# term below half the sum's last place leaves a float sum unchanged.  A
+# continued-fraction point stops at its own first |delta - 1| < 1e-15 and
+# keeps the value it had then.  So a value depends only on (a, x), never on
+# the other points of its call.
+_SERIES_EPS = 2.0**-55
+_FRACTION_EPS = 1e-15
 _MAX_ITER = 500
 
 # Samples per counter-keyed chunk.  Fixed so that draw i depends only on
@@ -48,55 +54,63 @@ class NakagamiParam:
 def _reg_p_series(a: float, x: np.ndarray) -> np.ndarray:
     """Regularized lower incomplete gamma P(a, x) by power series.
 
-    Valid (and fast) for x < a + 1.  Vectorized over x; terms are iterated
-    until the largest term-to-sum ratio drops below 1e-15.
+    For ascending x in (0, a + 1), where the terms fall from the first on.
+    Later points need more terms, so the points still iterating sit at the
+    end: each step works only from the first of them on, and a point behind
+    it that has stopped adds terms that leave its sum unchanged.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    if not pos.any():
-        return out
-    xp = x[pos]
-    ap = a
-    term = np.full_like(xp, 1.0 / a)
+    term = np.full_like(x, 1.0 / a)
     total = term.copy()
+    ap = a
+    first = 0
     for _ in range(_MAX_ITER):
         ap += 1.0
-        term = term * (xp / ap)
-        total += term
-        if np.max(term / total) < _TERM_EPS:
+        t, s = term[first:], total[first:]
+        t *= x[first:] / ap
+        s += t
+        stopped = t < _SERIES_EPS * s
+        k = int(stopped.argmin())
+        if stopped[k]:
             break
+        first += k
     else:
         raise ArithmeticError(f"incomplete gamma series failed to converge (a={a})")
-    out[pos] = total * np.exp(-xp + a * np.log(xp) - math.lgamma(a))
-    return out
+    return total * np.exp(-x + a * np.log(x) - math.lgamma(a))
 
 
 def _reg_q_contfrac(a: float, x: np.ndarray) -> np.ndarray:
     """Regularized upper incomplete gamma Q(a, x) by Lentz continued fraction.
 
-    Valid for x >= a + 1, where the fraction converges in a few dozen terms.
+    For ascending finite x >= a + 1, where the fraction converges in a few
+    dozen terms, and the sooner the larger x is: each step works only up to
+    the last point still iterating, and a point before it that has stopped
+    keeps its value.
     """
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return np.zeros_like(x)
     tiny = 1e-300
     b = x + 1.0 - a
     c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
     h = d.copy()
+    live = np.ones(x.size, dtype=bool)
+    end = x.size
     for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.max(np.abs(delta - 1.0)) < _TERM_EPS:
+        bs, cs, ds = b[:end], c[:end], d[:end]
+        bs += 2.0
+        ds *= an
+        ds += bs
+        ds[np.abs(ds) < tiny] = tiny
+        np.divide(an, cs, out=cs)
+        cs += bs
+        cs[np.abs(cs) < tiny] = tiny
+        np.divide(1.0, ds, out=ds)
+        delta = ds * cs
+        np.multiply(h[:end], delta, out=h[:end], where=live[:end])
+        live[:end] &= np.abs(delta - 1.0) >= _FRACTION_EPS
+        still = np.flatnonzero(live[:end])
+        if still.size == 0:
             break
+        end = int(still[-1]) + 1
     else:
         raise ArithmeticError(f"incomplete gamma continued fraction failed to converge (a={a})")
     return np.exp(-x + a * np.log(x) - math.lgamma(a)) * h
@@ -107,7 +121,9 @@ def reg_gamma_pq(a: float, x) -> tuple[np.ndarray, np.ndarray]:
 
     The series evaluates P directly for x < a+1 and the continued fraction
     evaluates Q for x >= a+1, so the small tail never comes from a
-    1 - (1 - tiny) subtraction.  x = inf gives (1, 0) without iterating.
+    1 - (1 - tiny) subtraction.  x = 0 gives (0, 1) and x = inf gives (1, 0)
+    without iterating.  The points are visited in ascending x, and each
+    value depends only on (a, x): a point's value is the same in any call.
     """
     arr = np.asarray(x, dtype=float)
     if a <= 0:
@@ -116,19 +132,27 @@ def reg_gamma_pq(a: float, x) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("incomplete gamma requires x to be a number, got NaN")
     if np.any(arr < 0):
         raise ValueError("incomplete gamma requires x >= 0")
-    p = np.ones_like(arr)
-    q = np.zeros_like(arr)
-    lo = arr < a + 1.0
-    if lo.any():
-        ps = _reg_p_series(a, arr[lo])
-        p[lo] = ps
-        q[lo] = 1.0 - ps
-    hi = ~lo & (arr < np.inf)
-    if hi.any():
-        qc = _reg_q_contfrac(a, arr[hi])
-        q[hi] = qc
-        p[hi] = 1.0 - qc
-    return p, q
+    flat = arr.ravel()
+    # A stable sort finds the sorted runs that a block of SNR grids is made of.
+    order = np.argsort(flat, kind="stable")
+    xs = flat[order]
+    # Sorted x: zeros, then the series range, the fraction range and infinities.
+    pos = int(np.searchsorted(xs, 0.0, side="right"))
+    lo, hi = np.searchsorted(xs, [a + 1.0, np.inf])
+    p = np.empty_like(xs)
+    q = np.empty_like(xs)
+    p[:pos], q[:pos] = 0.0, 1.0
+    if lo > pos:
+        p[pos:lo] = _reg_p_series(a, xs[pos:lo])
+        q[pos:lo] = 1.0 - p[pos:lo]
+    if hi > lo:
+        q[lo:hi] = _reg_q_contfrac(a, xs[lo:hi])
+        p[lo:hi] = 1.0 - q[lo:hi]
+    p[hi:], q[hi:] = 1.0, 0.0
+    out_p = np.empty_like(p)
+    out_q = np.empty_like(q)
+    out_p[order], out_q[order] = p, q
+    return out_p.reshape(arr.shape), out_q.reshape(arr.shape)
 
 
 def reg_gamma_p(a: float, x):

@@ -10,7 +10,6 @@ from nakfade.bound import (
     ConvolutionWorkspace,
     TabulatedPmf,
     binomial_weights,
-    build_pmf_A,
     cdf_Y_at,
     conditional_cdf_A,
     convolve_power,
@@ -18,6 +17,7 @@ from nakfade.bound import (
     outage_lower_bounds,
     singleton_bound,
     success_rate,
+    tabulate_A,
     threshold_terms,
 )
 from nakfade.fading import NakagamiParam, reg_gamma_pq
@@ -31,6 +31,11 @@ MH = NakagamiParam(0.5)
 
 def spec44(m, rate):
     return ChannelSpec(4, 4, m, rate)
+
+
+def pmf_A(snr, spec, n_cells=bound.DEFAULT_CELLS):
+    """pmf_A at one SNR, as the evaluator tabulates it."""
+    return next(tabulate_A([snr], spec, n_cells))[0]
 
 
 class TestChannelSpec:
@@ -113,28 +118,28 @@ class TestConditionalCdfA:
 
 class TestBuildPmfA:
     def test_masses_sum_to_one(self):
-        pmf = build_pmf_A(Snr(10.0), spec44(MH, 1), 4096)
+        pmf = pmf_A(Snr(10.0), spec44(MH, 1), 4096)
         assert abs(pmf.masses.sum() - 1.0) <= 1e-9
 
     def test_grid_spans_bits_exactly(self):
-        pmf = build_pmf_A(Snr(10.0), spec44(M2, 1), 1000)
+        pmf = pmf_A(Snr(10.0), spec44(M2, 1), 1000)
         assert abs(pmf.n_cells * pmf.grid_step - 4.0) <= 1e-12
         assert pmf.origin == 0.0
 
     def test_first_cell_is_cdf_at_step(self):
         snr, s = Snr(10.0), spec44(MH, 1)
-        pmf = build_pmf_A(snr, s, 512)
+        pmf = pmf_A(snr, s, 512)
         assert pmf.masses[0] == pytest.approx(conditional_cdf_A(pmf.grid_step, snr, s), abs=1e-15)
 
     def test_cumulative_reproduces_cdf(self):
         snr, s = Snr(31.6), spec44(M2, 1)
-        pmf = build_pmf_A(snr, s, 1024)
+        pmf = pmf_A(snr, s, 1024)
         grid = (1 + np.arange(pmf.n_cells)) * pmf.grid_step
         assert np.max(np.abs(np.cumsum(pmf.masses) - conditional_cdf_A(grid, snr, s))) < 1e-12
 
     def test_rejects_single_cell(self):
         with pytest.raises(ValueError):
-            build_pmf_A(Snr(10.0), spec44(M1, 1), 1)
+            pmf_A(Snr(10.0), spec44(M1, 1), 1)
 
 
 class TestTabulatedPmf:
@@ -152,7 +157,7 @@ class TestTabulatedPmf:
 
 class TestConvolvePower:
     def test_identity(self):
-        pmf = build_pmf_A(Snr(5.0), spec44(M1, 1), 64)
+        pmf = pmf_A(Snr(5.0), spec44(M1, 1), 64)
         assert convolve_power(pmf, 1) is pmf
 
     def test_delta_shift(self):
@@ -258,7 +263,7 @@ class TestOutageLowerBound:
         snr = Snr.from_db(9)
         n_terms = threshold_terms(spec)
         assert n_terms == math.ceil(spec.B * spec.rate / spec.M)
-        pmf = build_pmf_A(snr, spec, 512)
+        pmf = pmf_A(snr, spec, 512)
         for t in range(n_terms, spec.B):
             arg = spec.B * spec.rate - t * spec.M
             assert arg <= 0
@@ -322,7 +327,7 @@ def per_rate_reference(snr, spec, n_cells):
     fresh forward FFTs (the evaluation that outage_lower_bounds replaced)."""
     q, p = reg_gamma_pq(spec.fading.m, spec.fading.m * (2.0**spec.M - 1.0) / snr.rho)
     weights = binomial_weights(float(p), float(q), spec.B)
-    pmf = build_pmf_A(snr, spec, n_cells)
+    pmf = pmf_A(snr, spec, n_cells)
     masses = pmf.masses
     terms = []
     total = 0.0
@@ -357,7 +362,7 @@ class TestSharedEvaluator:
         rates = sweep_rates(B, M)
         for db in (3.0, 14.0):
             snr = Snr.from_db(db)
-            got = outage_lower_bounds(snr, B, M, fading, rates, 512)
+            (got,) = outage_lower_bounds([snr], B, M, fading, rates, 512)
             assert len(got) == len(rates)
             for r, res in zip(rates, got):
                 value, terms = per_rate_reference(snr, ChannelSpec(B, M, fading, r), 512)
@@ -367,29 +372,29 @@ class TestSharedEvaluator:
     def test_bit_identical_at_default_cells(self):
         snr, fading = Snr.from_db(10.0), NakagamiParam(1.0)
         rates = sweep_rates(16, 4)
-        got = outage_lower_bounds(snr, 16, 4, fading, rates)
+        (got,) = outage_lower_bounds([snr], 16, 4, fading, rates)
         for r, res in zip(rates, got):
             assert res.value == per_rate_reference(snr, ChannelSpec(16, 4, fading, r), bound.DEFAULT_CELLS)[0]
 
     def test_consecutive_calls_are_independent(self):
         snr, rates = Snr.from_db(10.0), [0.5, 1.0, 2.5]
-        wide = outage_lower_bounds(snr, 16, 4, M2, rates, 512)
-        narrow = outage_lower_bounds(snr, 4, 4, M2, rates, 512)
-        assert [r.per_term for r in outage_lower_bounds(snr, 4, 4, M2, rates, 512)] == [r.per_term for r in narrow]
-        assert [r.per_term for r in outage_lower_bounds(snr, 16, 4, M2, rates, 512)] == [r.per_term for r in wide]
+        (wide,) = outage_lower_bounds([snr], 16, 4, M2, rates, 512)
+        (narrow,) = outage_lower_bounds([snr], 4, 4, M2, rates, 512)
+        assert [r.per_term for r in outage_lower_bounds([snr], 4, 4, M2, rates, 512)[0]] == [r.per_term for r in narrow]
+        assert [r.per_term for r in outage_lower_bounds([snr], 16, 4, M2, rates, 512)[0]] == [r.per_term for r in wide]
         assert [r.value for r in narrow] != [r.value for r in wide]
 
     def test_one_rate_call_is_outage_lower_bound(self):
         spec, snr = spec44(MH, 2.5), Snr.from_db(9.0)
         one = outage_lower_bound(snr, spec)
-        shared = outage_lower_bounds(snr, 4, 4, MH, [0.5, 2.5, 4.0])[1]
+        shared = outage_lower_bounds([snr], 4, 4, MH, [0.5, 2.5, 4.0])[0][1]
         assert one.value == shared.value
         assert one.per_term == shared.per_term
 
     def test_empty_and_invalid_rates(self):
-        assert outage_lower_bounds(Snr(10.0), 4, 4, M1, []) == []
+        assert outage_lower_bounds([Snr(10.0)], 4, 4, M1, []) == [[]]
         with pytest.raises(ValueError):
-            outage_lower_bounds(Snr(10.0), 4, 4, M1, [1.0, 4.5])
+            outage_lower_bounds([Snr(10.0)], 4, 4, M1, [1.0, 4.5])
 
     def test_ratesweep_rows_equal_curve(self):
         runner = CliRunner()
@@ -415,10 +420,10 @@ class TestSharedEvaluator:
 
         monkeypatch.setattr(bound, "reg_gamma_p", counted(bound.reg_gamma_p))
         monkeypatch.setattr(bound, "reg_gamma_pq", counted(bound.reg_gamma_pq))
-        outage_lower_bounds(Snr.from_db(8.0), 4, 4, M1, [1.0, 2.5], 512)
-        # One scalar call for p and 1-p, one over the 511 interior grid points
-        # and M, whose value is the conditioning probability.
-        assert sorted(points) == [1, 512]
+        outage_lower_bounds([Snr.from_db(8.0)], 4, 4, M1, [1.0, 2.5], 512)
+        # One call over the 511 interior grid points and M, whose P is the
+        # conditioning probability and whose (Q, P) is (p, 1-p).
+        assert points == [512]
 
     def test_ratesweep_shares_pmf_and_spectra(self, monkeypatch, tmp_path):
         calls = {"build_pmf_A": 0, "convolve_power": 0}
@@ -448,6 +453,62 @@ class TestSharedEvaluator:
         assert rfft_sizes and len(rfft_sizes) == len(set(rfft_sizes))
 
 
+# Grid sizes around multiples of the 4 SNRs that share an incomplete-gamma
+# call at the default cells.
+GRID_SIZES = [1, 4, 5, 7, 8, 9, 17]
+
+
+def discontinuity_rates(B):
+    """A rate off every diversity discontinuity at M = 4, then one on it: B(1 - R/M) an integer."""
+    rates = [1.3, 4.0 * (1 - (B // 2) / B)]
+    assert [bound.diversity_arg(B, 4, r).is_integer() for r in rates] == [False, True]
+    return rates
+
+
+def cli_rows(args):
+    res = CliRunner().invoke(cli.main, args)
+    assert res.exit_code == 0, (args, res.output)
+    return [line.split(",") for line in res.output.splitlines()[2:]]
+
+
+class TestBlockTabulation:
+    """No value depends on the grid whose SNRs share its incomplete-gamma call."""
+
+    @pytest.mark.parametrize("n", GRID_SIZES)
+    def test_tabulation_does_not_depend_on_the_block(self, n):
+        spec = spec44(MH, 1.0)
+        snrs = [Snr.from_db(-3.0 + 2.5 * i) for i in range(n)]
+        block = list(tabulate_A(snrs, spec))
+        assert [(p, q) for _, p, q in block] == [success_rate(s, spec) for s in snrs]
+        for snr, (pmf, _, _) in zip(snrs, block):
+            assert np.array_equal(pmf.masses, pmf_A(snr, spec).masses), snr
+
+    @pytest.mark.parametrize("B", [1, 2, 4, 8])
+    def test_every_command_equals_the_one_point_bound(self, B):
+        rates = discontinuity_rates(B)
+        fmt = cli._fmt
+        for n in GRID_SIZES:
+            dbs = [-3.0 + 2.5 * i for i in range(n)]
+            one = [[outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, MH, r)) for r in rates] for db in dbs]
+            got = outage_lower_bounds([Snr.from_db(db) for db in dbs], B, 4, MH, rates)
+            assert [[(r.value, r.per_term) for r in row] for row in got] == [[(r.value, r.per_term) for r in row] for row in one]
+            for j, rate in enumerate(rates):
+                flags = ["-B", str(B), "--m", "0.5", "--rate", repr(rate), "--snr-db", f"-3:{dbs[-1]!r}:2.5"]
+                curve = cli_rows(["curve", *flags, "--per-term"])
+                terms = [[fmt(v) for _, f_y, w, _ in row[j].per_term for v in (f_y, w)] for row in one]
+                assert curve == [[fmt(db), fmt(row[j].value), *cols] for db, row, cols in zip(dbs, one, terms)]
+                asymptote = cli_rows(["asymptote", *flags])
+                assert [r[:2] for r in asymptote] == [[fmt(db), fmt(row[j].value)] for db, row in zip(dbs, one)]
+
+    @pytest.mark.parametrize("B", [1, 2, 4, 8])
+    def test_ratesweep_equals_the_one_point_bound(self, B):
+        rates = discontinuity_rates(B)
+        for db in [-3.0 + 2.5 * i for i in range(GRID_SIZES[-1])]:
+            sweep = cli_rows(["ratesweep", "-B", str(B), "--m", "0.5", "--snr-db-fixed", repr(db), "--rate", f"{rates[0]!r}:{rates[1]!r}:{rates[1] - rates[0]!r}"])
+            want = [outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, MH, r)).value for r in rates]
+            assert sweep == [[cli._fmt(r), cli._fmt(v)] for r, v in zip(rates, want)]
+
+
 def truncated_power(masses, n, keep):
     """First keep cells of masses convolved with itself n times, by repeated
     squaring with np.convolve; every product is of nonnegative masses, so
@@ -467,7 +528,7 @@ def direct_bound(snr, spec):
     """The bound with each F_Yt from the truncated direct convolution, read
     as cdf_Y_at reads it: the (n-1)/2-cell shift, whole cells below the
     threshold and the straddling cell's linear fraction."""
-    pmf = build_pmf_A(snr, spec)
+    pmf = pmf_A(snr, spec)
     weights = binomial_weights(*success_rate(snr, spec), spec.B)
     step = pmf.grid_step
     total = 0.0

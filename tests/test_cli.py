@@ -355,13 +355,21 @@ class TestConfigAndErrors:
         assert res.exit_code == 3
         assert f"asymptote overflows a float at snr_db {db}: log10 asymptote = {log10_value}" in res.output
 
+    # At m=20 the conditioning probability underflows from about 178 dB, so
+    # 180 dB, the last SNR of the grid's first block, is the first to fail.
+    @pytest.mark.parametrize("command", ["curve", "asymptote"])
+    def test_underflowing_conditioning_probability_names_the_snr(self, runner, command):
+        res = runner.invoke(main, [command, "--m", "20", "--rate", "1", "--snr-db", "150:200:10"])
+        assert res.exit_code == 3
+        assert "conditioning probability underflowed at snr_db 180;" in res.output
+
     def test_numerical_failure_exits_3(self, runner, monkeypatch):
         from nakfade import cli
 
         def boom(*args, **kwargs):
             raise ArithmeticError("synthetic non-finite intermediate")
 
-        monkeypatch.setattr(cli.bound, "outage_lower_bound", boom)
+        monkeypatch.setattr(cli.bound, "outage_lower_bounds", boom)
         res = runner.invoke(main, ["curve", "--rate", "1", "--snr-db", "0:4:2"])
         assert res.exit_code == 3
 

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from nakfade import fading
@@ -82,6 +85,36 @@ class TestGammaUpperIncomplete:
     def test_nan_x_rejected(self, a):
         with np.errstate(all="raise"), pytest.raises(ValueError, match="NaN"):
             reg_gamma_pq(a, [1.0, np.nan])
+
+
+class TestPerPointValues:
+    """A value of reg_gamma_pq depends only on (a, x), never on the other points of its call."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.floats(0.1, 20.0),
+        # x / (a + 1) from 1e-6 to about 4, so every array straddles a + 1.
+        exponents=st.lists(st.floats(-6.0, 0.6), min_size=1, max_size=10),
+    )
+    def test_each_point_as_if_alone(self, a, exponents):
+        x = np.array([0.0, np.inf, a + 1.0, np.nextafter(a + 1.0, 0.0), *((a + 1.0) * 10.0 ** np.array(exponents))])
+        p, q = reg_gamma_pq(a, x)
+        for i in range(x.size):
+            p1, q1 = reg_gamma_pq(a, x[i : i + 1])
+            assert (p1[0], q1[0]) == (p[i], q[i]), (a, x[i])
+        p_rev, q_rev = reg_gamma_pq(a, x[::-1])
+        assert np.array_equal(p_rev, p[::-1]) and np.array_equal(q_rev, q[::-1])
+        assert (p[0], q[0], p[1], q[1]) == (0.0, 1.0, 1.0, 0.0)
+        # Against mpmath in whichever of P and Q is small.  Rounding in the
+        # exponent of the prefactor x^a e^-x / Gamma(a) costs a few 1e-14 at
+        # large a and small x, and Q = 1 - P just below a + 1 about 2e-14 at
+        # small a.
+        with mpmath.workdps(40):
+            for xi, pi, qi in zip(x[2:], p[2:], q[2:]):
+                want_p = mpmath.gammainc(a, 0, xi, regularized=True)
+                want_q = mpmath.gammainc(a, xi, mpmath.inf, regularized=True)
+                got, want = (pi, want_p) if want_p < want_q else (qi, want_q)
+                assert abs(got / want - 1) < 1e-13, (a, xi)
 
 
 class TestSampling:

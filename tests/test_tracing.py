@@ -47,12 +47,14 @@ def test_tracer_records_spans_of_every_command(monkeypatch):
         "fading.reg_gamma",
         "bound.build_pmf",
         "bound.convolve",
-        "bound.outage_lower_bound",
+        "bound.cdf_Y_at",
         "asymptotics.coding_gain",
         "montecarlo.mc_lower_bound",
         "montecarlo.mc_outage",
     }
     assert expected <= names
+    # Every bound command goes through the one evaluator, not the per-point call.
+    assert "bound.outage_lower_bound" not in names
 
 
 def test_outage_command_repeats_its_per_layer_counts(monkeypatch):
