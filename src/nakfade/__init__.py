@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .asymptotics import (
     BlockLengthScale,
     asymptote,
-    asymptotic_cdf_A,
     coding_gain,
     optimal_exponent,
     random_coding_exponent,
@@ -17,11 +16,9 @@ from .bound import (
     TabulatedPmf,
     build_pmf_A,
     cdf_Y_at,
-    conditional_cdf_A,
     convolve_power,
     outage_lower_bound,
     outage_lower_bounds,
-    success_rate,
     tabulate_A,
 )
 from .constellation import Constellation, from_name, make_psk, make_qam

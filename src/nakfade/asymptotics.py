@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import DEFAULT_CELLS, ChannelSpec, TabulatedPmf, cdf_Y_at, convolve_power, diversity_arg, log_binomial, singleton_bound
-from .fading import NakagamiParam
+from .bound import DEFAULT_CELLS, ChannelSpec, build_pmf_A, cdf_Y_at, convolve_power, diversity_arg, log_binomial, singleton_bound
 from .mutual_info import Snr
 
 __all__ = [
     "BlockLengthScale",
     "singleton_bound",
     "optimal_exponent",
-    "asymptotic_cdf_A",
     "coding_gain",
     "power_law",
     "asymptote",
@@ -53,27 +51,18 @@ def optimal_exponent(spec: ChannelSpec) -> float:
     return spec.fading.m * singleton_bound(spec.B, spec.M, spec.rate)
 
 
-def asymptotic_cdf_A(xi, M: int, m: NakagamiParam):
-    """SNR-free limit cdf of A: ((2^xi - 1)/(2^M - 1))^m on [0, M]."""
-    arr = np.asarray(xi, dtype=float)
-    out = np.zeros_like(arr)
-    mid = (arr > 0) & (arr < M)
-    out[mid] = ((2.0 ** arr[mid] - 1.0) / (2.0**M - 1.0)) ** m.m
-    out[arr >= M] = 1.0
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.isscalar(xi) else out
-
-
 def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     """SNR-free prefactor K of the bound's power-law decay.
 
-    Convolves the limit pmf of A d_B(R) times (the dominant mixture term
-    keeps d_B below-cap blocks), evaluates its cdf at BR - (B - d_B) M, and
-    multiplies the closed-form constants in log space.
+    Convolves A's limit pmf, which build_pmf_A tabulates as it does the
+    bound's law, d_B(R) times (the dominant mixture term keeps d_B below-cap
+    blocks), evaluates its cdf at BR - (B - d_B) M, and multiplies the
+    closed-form constants in log space.
     """
     B, M, R, m = spec.B, spec.M, spec.rate, spec.fading.m
     d = singleton_bound(B, M, R)
-    pmf = TabulatedPmf.from_cdf(lambda xi: asymptotic_cdf_A(xi, M, spec.fading), M, n_cells)
+    edges = np.linspace(0.0, M, n_cells + 1)[1:]
+    pmf = build_pmf_A(((2.0**edges - 1.0) / (2.0**M - 1.0)) ** m, M)
     f_y = cdf_Y_at(convolve_power(pmf, d), B * R - (B - d) * M)
     log_k = log_binomial(B)[B - d] + m * d * math.log(m * (2.0**M - 1.0)) - d * (math.log(m) + math.lgamma(m))
     try:

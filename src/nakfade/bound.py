@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Nothing here calls reg_gamma_p: bench/tracing.py wraps bound.reg_gamma_p, and ROADMAP item 8 drops both.
 from .fading import NakagamiParam, reg_gamma_p, reg_gamma_pq
 from .mutual_info import Snr
 
@@ -34,9 +35,7 @@ __all__ = [
     "ConvolutionWorkspace",
     "BoundResult",
     "DEFAULT_CELLS",
-    "success_rate",
     "binomial_weights",
-    "conditional_cdf_A",
     "build_pmf_A",
     "tabulate_A",
     "convolve_power",
@@ -107,18 +106,6 @@ class TabulatedPmf:
         total = masses.sum()
         if not (abs(total - 1.0) <= 1e-9):
             raise ValueError(f"cell masses must sum to 1, got {total!r}")
-
-    @classmethod
-    def from_cdf(cls, cdf, top: float, n_cells: int) -> "TabulatedPmf":
-        """Cell masses on [0, top] as differences of cdf at the n_cells + 1 cell edges.
-
-        Per-cell probabilities are exact, so a density that blows up at an
-        edge (gamma^(m-1) at zero for m < 1) never gets point-evaluated.
-        """
-        if n_cells < 2:
-            raise ValueError(f"need at least 2 cells, got {n_cells}")
-        grid = np.linspace(0.0, float(top), n_cells + 1)
-        return cls(top / n_cells, np.diff(cdf(grid)))
 
     @property
     def n_cells(self) -> int:
@@ -200,24 +187,11 @@ def log_binomial(B: int) -> np.ndarray:
     return math.lgamma(B + 1) - np.array([math.lgamma(t + 1) + math.lgamma(B - t + 1) for t in range(B + 1)])
 
 
-def success_rate(snr: Snr, spec: ChannelSpec) -> tuple[float, float]:
-    """(p, 1-p) for p = Pr(gamma > (2^M - 1)/SNR) = Gamma(m, m (2^M-1)/rho) / Gamma(m).
-
-    Both come from one incomplete-gamma pair, so each keeps full relative
-    accuracy: 1-p at high SNR, where p is within rounding of 1, and p at low.
-    """
-    if snr.rho <= 0:
-        raise ValueError("success rate requires rho > 0")
-    m = spec.fading.m
-    q_low, p_hi = reg_gamma_pq(m, m * (2.0**spec.M - 1.0) / snr.rho)  # regularized lower, upper
-    return float(p_hi), float(q_low)
-
-
 def binomial_weights(p: float, q: float, B: int) -> np.ndarray:
     """Binomial(B, p) weights C(B,t) p^t q^(B-t) for t = 0..B, with q = 1-p.
 
     q is passed apart from p so that it keeps its relative accuracy at high
-    SNR (see success_rate); the weights are formed in log space.
+    SNR, where p is within rounding of 1; the weights are formed in log space.
     """
     t = np.arange(B + 1)
     logw = log_binomial(B)
@@ -232,45 +206,21 @@ def binomial_weights(p: float, q: float, B: int) -> np.ndarray:
     return np.exp(logw)
 
 
-def conditional_cdf_A(xi, snr: Snr, spec: ChannelSpec):
-    """Cdf of A = log2(1 + gamma SNR) given gamma <= (2^M - 1)/SNR.
-
-    Equals F_gamma((2^xi - 1)/SNR) / F_gamma((2^M - 1)/SNR) on (0, M],
-    0 below and 1 above.  Both factors are regularized lower incomplete
-    gammas, so the ratio keeps full relative accuracy at high SNR; the
-    denominator is the last point of the numerators' call.
-    """
-    if snr.rho <= 0:
-        raise ValueError("conditional cdf requires rho > 0")
-    m = spec.fading.m
-    M = spec.M
-    arr = np.asarray(xi, dtype=float)
-    mid = (arr > 0) & (arr < M)
-    # At an SNR so small that the argument overflows, inf is its right
-    # limit: P(m, inf) = 1.
-    with np.errstate(over="ignore"):
-        x = m * (2.0 ** np.append(arr[mid], M) - 1.0) / snr.rho
-    levels = reg_gamma_p(m, x)
-    den = levels[-1]
-    if den <= 0.0:
-        raise _underflow(snr)
-    out = np.zeros_like(arr)
-    out[mid] = levels[:-1] / den
-    out[arr >= M] = 1.0
-    out = np.minimum(out, 1.0)
-    return float(out) if np.isscalar(xi) else out
-
-
 def _underflow(snr: Snr) -> ArithmeticError:
     return ArithmeticError(f"conditioning probability underflowed at snr_db {snr.db:.6g}; SNR too large for this grid")
 
 
 def build_pmf_A(levels: np.ndarray, M: int) -> TabulatedPmf:
-    """A's cell masses on [0, M] as differences of conditional_cdf_A at the cell edges.
+    """A's cell masses on [0, M] as differences of levels / levels[-1] at the cell edges.
 
-    levels holds F_gamma((2^xi - 1)/SNR) at the interior edges xi, then the
-    conditioning probability F_gamma((2^M - 1)/SNR), which must be positive.
+    levels holds A's cdf, times a positive factor, at the interior edges xi
+    of at least 2 cells and then at M: the bound's F_gamma((2^xi - 1)/SNR),
+    or the coding gain's limit law ((2^xi - 1)/(2^M - 1))^m.  Per-cell
+    probabilities are exact, so a density that blows up at 0 (m < 1) is
+    never point-evaluated.
     """
+    if levels.size < 2:
+        raise ValueError(f"need at least 2 cells, got {levels.size}")
     cdf = np.empty(levels.size + 1)
     cdf[0] = 0.0
     np.minimum(levels[:-1] / levels[-1], 1.0, out=cdf[1:-1])
@@ -283,12 +233,10 @@ def tabulate_A(snrs, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS):
 
     The SNRs are tabulated in blocks of about _BLOCK_POINTS grid points, each
     by one reg_gamma_pq call over every SNR's interior cell edges and its cap
-    m(2^M - 1)/rho.  The cap's (Q, P) is (p, 1 - p), as success_rate gives
-    it, and its P the conditioning probability.  A value of reg_gamma_pq
+    m(2^M - 1)/rho.  The cap's (Q, P) is (p, 1 - p), each with full relative
+    accuracy, and its P the conditioning probability.  A value of reg_gamma_pq
     depends only on its (a, x), so no result depends on the block.
     """
-    if n_cells < 2:
-        raise ValueError(f"need at least 2 cells, got {n_cells}")
     snrs = list(snrs)
     if any(s.rho <= 0 for s in snrs):
         raise ValueError("tabulating A requires rho > 0")

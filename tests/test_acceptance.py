@@ -18,9 +18,9 @@ from nakfade.asymptotics import (
     random_coding_exponent,
     singleton_bound,
 )
-from nakfade.bound import ChannelSpec, TabulatedPmf, conditional_cdf_A, convolve_power, outage_lower_bound, success_rate
+from nakfade.bound import ChannelSpec, TabulatedPmf, convolve_power, outage_lower_bound, tabulate_A
 from nakfade.constellation import make_qam
-from nakfade.fading import NakagamiParam, reg_gamma_p
+from nakfade.fading import NakagamiParam, reg_gamma_pq
 from nakfade.montecarlo import mc_lower_bound, mc_outage
 from nakfade.mutual_info import Snr
 
@@ -131,15 +131,16 @@ def test_criterion_08_rayleigh_reduction():
     spec = ChannelSpec(4, 4, m1, 2.0)
     worst = 0.0
     for rho in (10.0, 10**1.5):
-        p = success_rate(Snr(rho), spec)[0]
+        # 99 cells, whose edges are exactly linspace(0, 4, 100).
+        pmf, p, _ = next(tabulate_A([Snr(rho)], spec, 99))
         worst = max(worst, abs(p - math.exp(-15.0 / rho)))
         xs = np.linspace(0.0, 4.0, 100)
-        f_a = conditional_cdf_A(xs, Snr(rho), spec)
+        f_a = np.concatenate(([0.0], np.cumsum(pmf.masses)))
         closed = np.minimum((1 - np.exp(-(2.0**xs - 1) / rho)) / (1 - math.exp(-15.0 / rho)), 1.0)
         closed[xs <= 0] = 0.0
         worst = max(worst, float(np.max(np.abs(f_a - closed))))
     xs = np.linspace(0.0, 8.0, 100)
-    worst = max(worst, float(np.max(np.abs(reg_gamma_p(1.0, xs) - (1 - np.exp(-xs))))))
+    worst = max(worst, float(np.max(np.abs(reg_gamma_pq(1.0, xs)[0] - (1 - np.exp(-xs))))))
     _report(8, "m=1 closed forms", worst <= 1e-12, f"worst deviation = {worst:.2e}")
 
 

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from nakfade import asymptotics
 from nakfade.asymptotics import (
     BlockLengthScale,
     asymptote,
-    asymptotic_cdf_A,
     coding_gain,
     optimal_exponent,
     random_coding_exponent,
     singleton_bound,
 )
-from nakfade.bound import ChannelSpec, TabulatedPmf, cdf_Y_at, conditional_cdf_A, outage_lower_bound
+from nakfade.bound import ChannelSpec, TabulatedPmf, cdf_Y_at, outage_lower_bound, tabulate_A
 from nakfade.fading import NakagamiParam
 from nakfade.mutual_info import Snr
 
@@ -20,6 +20,26 @@ M1 = NakagamiParam(1)
 M2 = NakagamiParam(2)
 MH = NakagamiParam(0.5)
 LN2 = math.log(2.0)
+
+
+def limit_cdf(xi, M, m):
+    """Closed-form limit cdf of A, ((2^xi - 1)/(2^M - 1))^m on [0, M]."""
+    return ((2.0**xi - 1.0) / (2.0**M - 1.0)) ** m
+
+
+def limit_pmf(monkeypatch, spec, n_cells):
+    """The pmf of A's limit law that coding_gain convolves."""
+    seen = []
+    convolve = asymptotics.convolve_power
+
+    def capture(pmf, n, *args):
+        seen.append(pmf)
+        return convolve(pmf, n, *args)
+
+    monkeypatch.setattr(asymptotics, "convolve_power", capture)
+    coding_gain(spec, n_cells)
+    assert len(seen) == 1
+    return seen[0]
 
 
 class TestSingletonBound:
@@ -66,24 +86,36 @@ class TestOptimalExponent:
 
 
 class TestAsymptoticLaw:
-    def test_edges(self):
-        assert asymptotic_cdf_A(0.0, 4, M2) == 0.0
-        assert asymptotic_cdf_A(4.0, 4, M2) == 1.0
-        assert asymptotic_cdf_A(5.0, 4, M2) == 1.0
+    """The limit law of A as coding_gain tabulates it, against its closed form."""
 
-    def test_rayleigh_point(self):
-        assert asymptotic_cdf_A(2.0, 4, M1) == pytest.approx(0.2, rel=1e-12)
+    def test_edges(self, monkeypatch):
+        pmf = limit_pmf(monkeypatch, ChannelSpec(4, 4, M2, 1.0), 64)
+        assert pmf.n_cells * pmf.grid_step == 4.0
+        assert pmf.masses[0] == limit_cdf(pmf.grid_step, 4, 2.0)
+        assert pmf.masses.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_rayleigh_point(self, monkeypatch):
+        pmf = limit_pmf(monkeypatch, ChannelSpec(4, 4, M1, 1.0), 64)
+        assert np.cumsum(pmf.masses)[31] == pytest.approx(0.2, rel=1e-12)  # the edge at 2.0
 
     @pytest.mark.parametrize("m", [MH, M1, M2])
-    def test_pmf_cumulative_matches_cdf(self, m):
-        pmf = TabulatedPmf.from_cdf(lambda xi: asymptotic_cdf_A(xi, 4, m), 4, 2048)
-        grid = (1 + np.arange(pmf.n_cells)) * pmf.grid_step
-        assert np.max(np.abs(np.cumsum(pmf.masses) - asymptotic_cdf_A(grid, 4, m))) < 1e-12
+    def test_pmf_cumulative_matches_cdf(self, monkeypatch, m):
+        pmf = limit_pmf(monkeypatch, ChannelSpec(4, 4, m, 1.0), 2048)
+        grid = np.linspace(0.0, 4.0, 2049)[1:]
+        assert np.max(np.abs(np.cumsum(pmf.masses) - limit_cdf(grid, 4, m.m))) < 1e-12
+
+    @pytest.mark.parametrize("cells", [2, 64, 4096])
+    @pytest.mark.parametrize("M", [2, 4])
+    @pytest.mark.parametrize("m", [0.1, 0.5, 1.0, 2.0, 20.0])
+    def test_masses_are_the_closed_form_cdf_differences(self, monkeypatch, m, M, cells):
+        pmf = limit_pmf(monkeypatch, ChannelSpec(1, M, NakagamiParam(m), M / 2), cells)
+        assert pmf.grid_step == M / cells
+        assert np.array_equal(pmf.masses, np.diff(limit_cdf(np.linspace(0.0, M, cells + 1), M, m)))
 
     def test_is_high_snr_limit_of_conditional_cdf(self):
-        spec = ChannelSpec(4, 4, M2, 1.0)
-        xs = np.linspace(0.0, 4.0, 101)
-        dev = np.abs(asymptotic_cdf_A(xs, 4, M2) - conditional_cdf_A(xs, Snr(1e8), spec))
+        conditional = next(tabulate_A([Snr(1e8)], ChannelSpec(4, 4, M2, 1.0), 100))[0]
+        xs = np.linspace(0.0, 4.0, 101)[1:]
+        dev = np.abs(limit_cdf(xs, 4, 2.0) - np.cumsum(conditional.masses))
         assert np.max(dev) < 1e-4
 
 

@@ -5,18 +5,17 @@ import pytest
 from click.testing import CliRunner
 
 from nakfade import bound, cli
+from nakfade.asymptotics import coding_gain
 from nakfade.bound import (
     ChannelSpec,
     ConvolutionWorkspace,
     TabulatedPmf,
     binomial_weights,
     cdf_Y_at,
-    conditional_cdf_A,
     convolve_power,
     outage_lower_bound,
     outage_lower_bounds,
     singleton_bound,
-    success_rate,
     tabulate_A,
     threshold_terms,
 )
@@ -33,9 +32,23 @@ def spec44(m, rate):
     return ChannelSpec(4, 4, m, rate)
 
 
+def tabulated(snr, spec, n_cells=bound.DEFAULT_CELLS):
+    """(pmf_A, p, 1 - p) at one SNR, as the evaluator tabulates them."""
+    return next(tabulate_A([snr], spec, n_cells))
+
+
 def pmf_A(snr, spec, n_cells=bound.DEFAULT_CELLS):
-    """pmf_A at one SNR, as the evaluator tabulates it."""
-    return next(tabulate_A([snr], spec, n_cells))[0]
+    return tabulated(snr, spec, n_cells)[0]
+
+
+def p_and_q(snr, spec):
+    """(p, 1 - p) at one SNR; they do not depend on the cells."""
+    return tabulated(snr, spec, 64)[1:]
+
+
+def edge_cdf(snr, spec, n_cells):
+    """A's cdf at the n_cells + 1 cell edges, from its cumulative tabulated masses."""
+    return np.concatenate(([0.0], np.cumsum(pmf_A(snr, spec, n_cells).masses)))
 
 
 class TestChannelSpec:
@@ -62,55 +75,58 @@ class TestChannelSpec:
 
 
 class TestSuccessRate:
+    """The (p, 1 - p) that tabulate_A yields with each SNR's pmf."""
+
     def test_rayleigh_closed_form(self):
-        assert success_rate(Snr(15.0), spec44(M1, 1))[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert p_and_q(Snr(15.0), spec44(M1, 1))[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_high_snr_limit(self):
-        assert success_rate(Snr(1e30), spec44(M2, 1))[0] == pytest.approx(1.0, abs=1e-15)
+        assert p_and_q(Snr(1e30), spec44(M2, 1))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_m2_closed_form(self):
         # Gamma(2, 3)/Gamma(2) = 4 e^-3
-        assert success_rate(Snr(10.0), spec44(M2, 1))[0] == pytest.approx(4.0 * math.exp(-3.0), rel=1e-12)
+        assert p_and_q(Snr(10.0), spec44(M2, 1))[0] == pytest.approx(4.0 * math.exp(-3.0), rel=1e-12)
 
     def test_one_minus_p_relative_accuracy_at_high_snr(self):
         # At rho = 1e30, 1 - p is below 1e-28, far under the rounding of p.
         x = 15.0 / 1e30
-        assert success_rate(Snr(1e30), spec44(M1, 1))[1] == pytest.approx(-math.expm1(-x), rel=1e-12)
+        assert p_and_q(Snr(1e30), spec44(M1, 1))[1] == pytest.approx(-math.expm1(-x), rel=1e-12)
         # m = 2: P(2, y) = 1 - e^-y (1 + y) = y^2/2 - y^3/3 + y^4/8 - ..., y = 2x
         y = 2.0 * x
         series = sum((-1) ** k * (k - 1) / math.factorial(k) * y**k for k in range(2, 8))
-        assert success_rate(Snr(1e30), spec44(M2, 1))[1] == pytest.approx(series, rel=1e-12)
+        assert p_and_q(Snr(1e30), spec44(M2, 1))[1] == pytest.approx(series, rel=1e-12)
 
     def test_all_capped_weight_at_high_snr(self):
         # The t = 0 weight (1-p)^4 ~ 5.1e-116 keeps its relative accuracy.
         x = 15.0 / 1e30
-        weights = binomial_weights(*success_rate(Snr(1e30), spec44(M1, 1)), 4)
+        weights = binomial_weights(*p_and_q(Snr(1e30), spec44(M1, 1)), 4)
         assert weights[0] == pytest.approx((-math.expm1(-x)) ** 4, rel=1e-12)
 
 
 class TestConditionalCdfA:
+    """A's conditional cdf, read as cumulative tabulate_A masses at the cell edges."""
+
     def test_support_edges(self):
-        s = spec44(M1, 1)
-        assert conditional_cdf_A(0.0, Snr(15.0), s) == 0.0
-        assert conditional_cdf_A(-1.0, Snr(15.0), s) == 0.0
-        assert conditional_cdf_A(4.0, Snr(15.0), s) == 1.0
-        assert conditional_cdf_A(9.0, Snr(15.0), s) == 1.0
+        cdf = edge_cdf(Snr(15.0), spec44(M1, 1), 64)
+        assert cdf[0] == 0.0
+        assert cdf[-1] == pytest.approx(1.0, abs=1e-15)
+        assert np.all(cdf <= 1.0 + 1e-15)
 
     def test_rayleigh_closed_form(self):
-        got = conditional_cdf_A(2.0, Snr(15.0), spec44(M1, 1))
+        got = edge_cdf(Snr(15.0), spec44(M1, 1), 64)[32]  # the edge at 2.0
         want = (1 - math.exp(-0.2)) / (1 - math.exp(-1.0))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_monotone(self):
-        xs = np.linspace(-0.5, 4.5, 300)
-        vals = conditional_cdf_A(xs, Snr(7.0), spec44(MH, 1))
+        vals = edge_cdf(Snr(7.0), spec44(MH, 1), 300)
         assert np.all(np.diff(vals) >= 0)
 
     @pytest.mark.parametrize("rho", [3.0, 10**1.5, 1e4])
     def test_rayleigh_specialization_dense_grid(self, rho):
+        # 99 cells, whose edges are exactly linspace(0, 4, 100).
         s = spec44(M1, 2)
         xs = np.linspace(0.0, 4.0, 100)
-        got = conditional_cdf_A(xs, Snr(rho), s)
+        got = edge_cdf(Snr(rho), s, 99)
         want = (1 - np.exp(-(2.0**xs - 1) / rho)) / (1 - math.exp(-15.0 / rho))
         want[xs <= 0] = 0.0
         assert np.max(np.abs(got - np.minimum(want, 1.0))) < 1e-12
@@ -127,19 +143,29 @@ class TestBuildPmfA:
         assert pmf.origin == 0.0
 
     def test_first_cell_is_cdf_at_step(self):
+        # m = 1/2: P(1/2, x) = erf(sqrt(x)).
         snr, s = Snr(10.0), spec44(MH, 1)
         pmf = pmf_A(snr, s, 512)
-        assert pmf.masses[0] == pytest.approx(conditional_cdf_A(pmf.grid_step, snr, s), abs=1e-15)
+        want = math.erf(math.sqrt(0.5 * (2.0**pmf.grid_step - 1.0) / 10.0)) / math.erf(math.sqrt(0.5 * 15.0 / 10.0))
+        assert pmf.masses[0] == pytest.approx(want, abs=1e-15)
 
     def test_cumulative_reproduces_cdf(self):
+        # m = 2: P(2, x) = 1 - e^-x (1 + x).
         snr, s = Snr(31.6), spec44(M2, 1)
-        pmf = pmf_A(snr, s, 1024)
-        grid = (1 + np.arange(pmf.n_cells)) * pmf.grid_step
-        assert np.max(np.abs(np.cumsum(pmf.masses) - conditional_cdf_A(grid, snr, s))) < 1e-12
+        x = 2.0 * (2.0 ** np.linspace(0.0, 4.0, 1025) - 1.0) / 31.6
+        levels = -np.expm1(-x) - x * np.exp(-x)
+        assert np.max(np.abs(edge_cdf(snr, s, 1024) - levels / levels[-1])) < 1e-12
 
     def test_rejects_single_cell(self):
         with pytest.raises(ValueError):
             pmf_A(Snr(10.0), spec44(M1, 1), 1)
+
+    def test_bound_and_coding_gain_share_the_cell_check(self):
+        spec = spec44(M2, 1)
+        with pytest.raises(ValueError, match="need at least 2 cells, got 1"):
+            next(tabulate_A([Snr(10.0)], spec, 1))
+        with pytest.raises(ValueError, match="need at least 2 cells, got 1"):
+            coding_gain(spec, 1)
 
 
 class TestTabulatedPmf:
@@ -479,7 +505,7 @@ class TestBlockTabulation:
         spec = spec44(MH, 1.0)
         snrs = [Snr.from_db(-3.0 + 2.5 * i) for i in range(n)]
         block = list(tabulate_A(snrs, spec))
-        assert [(p, q) for _, p, q in block] == [success_rate(s, spec) for s in snrs]
+        assert [(p, q) for _, p, q in block] == [p_and_q(s, spec) for s in snrs]
         for snr, (pmf, _, _) in zip(snrs, block):
             assert np.array_equal(pmf.masses, pmf_A(snr, spec).masses), snr
 
@@ -528,8 +554,8 @@ def direct_bound(snr, spec):
     """The bound with each F_Yt from the truncated direct convolution, read
     as cdf_Y_at reads it: the (n-1)/2-cell shift, whole cells below the
     threshold and the straddling cell's linear fraction."""
-    pmf = pmf_A(snr, spec)
-    weights = binomial_weights(*success_rate(snr, spec), spec.B)
+    pmf, p, q = tabulated(snr, spec)
+    weights = binomial_weights(p, q, spec.B)
     step = pmf.grid_step
     total = 0.0
     for t in range(threshold_terms(spec)):
