@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import DEFAULT_CELLS, ChannelSpec, build_pmf_A, cdf_Y_at, convolve_power, diversity_arg, log_binomial, singleton_bound
+from .bound import DEFAULT_CELLS, ChannelSpec, _cell_edges, build_pmf_A, cdf_Y_at, convolve_power, diversity_arg, log_binomial, singleton_bound
 from .mutual_info import Snr
 
 __all__ = [
@@ -61,7 +61,7 @@ def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     """
     B, M, R, m = spec.B, spec.M, spec.rate, spec.fading.m
     d = singleton_bound(B, M, R)
-    edges = np.linspace(0.0, M, n_cells + 1)[1:]
+    edges = _cell_edges(M, n_cells)
     pmf = build_pmf_A(((2.0**edges - 1.0) / (2.0**M - 1.0)) ** m, M)
     f_y = cdf_Y_at(convolve_power(pmf, d), B * R - (B - d) * M)
     log_k = log_binomial(B)[B - d] + m * d * math.log(m * (2.0**M - 1.0)) - d * (math.log(m) + math.lgamma(m))

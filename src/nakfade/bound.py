@@ -228,6 +228,13 @@ def build_pmf_A(levels: np.ndarray, M: int) -> TabulatedPmf:
     return TabulatedPmf(M / levels.size, np.diff(cdf))
 
 
+def _cell_edges(M: int, n_cells: int) -> np.ndarray:
+    """The right edges of n_cells >= 2 equal cells over [0, M]: the interior edges, then M."""
+    if n_cells < 2:
+        raise ValueError(f"need at least 2 cells, got {n_cells}")
+    return np.linspace(0.0, M, n_cells + 1)[1:]
+
+
 def tabulate_A(snrs, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS):
     """Yield (pmf_A, p, 1 - p) at each SNR, in order.
 
@@ -244,7 +251,7 @@ def tabulate_A(snrs, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS):
     # At an SNR so small that the argument overflows, inf is its right
     # limit: P(m, inf) = 1.
     with np.errstate(over="ignore"):
-        scaled = m * (2.0 ** np.linspace(0.0, spec.M, n_cells + 1)[1:] - 1.0)
+        scaled = m * (2.0 ** _cell_edges(spec.M, n_cells) - 1.0)
     per_block = max(1, _BLOCK_POINTS // n_cells)
     for first in range(0, len(snrs), per_block):
         block = snrs[first : first + per_block]

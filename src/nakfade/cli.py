@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import click
 
@@ -25,38 +25,6 @@ from .mutual_info import DEFAULT_ORDER, Snr, hermite_rule, mi_discrete_array
 __all__ = ["RunConfig", "run", "main"]
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one batch run."""
-
-    subcommand: str
-    blocks: int = 4
-    bits: int = 4
-    m: float = 1.0
-    rate: float = 1.0
-    constellation: str = "qam16"
-    snr_db: tuple = (0.0, 40.0, 2.0)
-    snr_db_fixed: float = 10.0
-    rate_grid: tuple = (0.25, 3.75, 0.25)
-    cells: int = bound.DEFAULT_CELLS
-    order: int | None = None  # resolved per subcommand in __post_init__
-    samples: int = 10**5
-    seed: int = 0
-    mode: str = "lowerbound"
-    lambda_scaled: tuple = (0.5, 2.0)
-    per_term: bool = False
-    workers: int = 1
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        # mi prints MI values, so it takes the order whose doubling moves
-        # none of them by 1e-6; mc decides samples from many MI values, where
-        # the library's cheaper MC_QUAD_ORDER keeps the quadrature bias far
-        # below the Monte Carlo noise.
-        if self.order is None:
-            self.order = montecarlo.MC_QUAD_ORDER if self.subcommand == "mc" else DEFAULT_ORDER
-
-
 def _fmt(v) -> str:
     """Data-row format: 12 significant digits."""
     if isinstance(v, float):
@@ -65,11 +33,110 @@ def _fmt(v) -> str:
 
 
 def _fmt_exact(v) -> str:
-    """Header format: the shortest text that parses back to the same float."""
+    """Header format: the shortest text that parses back to the same float; a grid as start:stop:step."""
+    if isinstance(v, tuple):
+        return ":".join(_fmt_exact(x) for x in v)
     if isinstance(v, float):
         text = repr(v)
         return text[:-2] if text.endswith(".0") else text
     return str(v)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _must(ok, msg: str):
+    """The check that a value passes ok(value), failing with msg."""
+    return lambda v, cfg: None if ok(v) else msg
+
+
+def _zero_snr(db: float) -> str | None:
+    """What is wrong with db dB for the bound, which needs rho > 0, or None (a large db overflows, not underflows)."""
+    return f"{_fmt_exact(db)} dB is a linear SNR of 0" if db < 0 and 10.0 ** (db / 10.0) == 0.0 else None
+
+
+def _check_constellation(v, cfg) -> str | None:
+    if not isinstance(v, str):
+        return "must be a name such as 'qam16'"
+    try:
+        bits = from_name(v).bits_per_symbol
+    except ValueError as exc:
+        return str(exc)
+    # mc's constellation must carry the channel's M bits; mi has no channel.
+    return f"{v!r} carries {bits} bits, spec needs {cfg.bits}" if "bits" in _reads(cfg) and bits != cfg.bits else None
+
+
+# Each field's check(value, cfg), in declaration order, says what is wrong
+# with a value the command reads, or returns None.
+_MODES = ["outage", "lowerbound"]
+_MODE = _must(lambda v: v in _MODES, "must be 'outage' or 'lowerbound'")
+_POSITIVE_INT = _must(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
+_SHAPE = _must(lambda v: _is_real(v) and math.isfinite(v) and v > 0, "must be a positive finite real")
+_RATE = lambda v, cfg: "must be a real number" if not _is_real(v) else None if 0 < v <= cfg.bits else f"must lie in (0, M={cfg.bits}]"
+_RATE_GRID = lambda v, cfg: None if 0 < v[0] and v[1] <= cfg.bits else f"grid must stay inside (0, M={cfg.bits}]"
+_FIXED_SNR = lambda v, cfg: _zero_snr(v) if _is_real(v) and math.isfinite(v) else "must be a finite real"
+_CELLS = _must(lambda v: _is_int(v) and v >= 2, "must be an integer >= 2")
+_SEED = _must(lambda v: _is_int(v) and 0 <= v < 2**64, "must be an integer in [0, 2^64)")
+# The bound commands (those that read cells) need rho > 0; mc and mi are right at rho = 0.
+_SNR_GRID = lambda v, cfg: _zero_snr(v[0]) if "cells" in _reads(cfg) else None
+_LAMBDAS = _must(lambda v: all(_is_real(x) and x > 0 for x in v), "entries must be positive reals")
+_FLAG = _must(lambda v: isinstance(v, bool), "must be true or false")
+_PATH = _must(lambda v: v is None or isinstance(v, str), "must be a file path")
+
+
+def _option(default, flags: str, help: str, check, header: str | None, **click_settings):
+    """A RunConfig field: its default, its click option, its check, and its CSV
+    header name, which is None for a field that changes no number."""
+    return field(default=default, metadata=dict(flags=flags.split(), check=check, header=header, click=dict(help=help, **click_settings)))
+
+
+@dataclass
+class RunConfig:
+    """Resolved settings for one batch run, one field per option.
+
+    An option's name is its field's name, which is also its key in a config
+    file.  A CSV header lists its fields in this order, and _validate reports
+    the first bad field in this order.
+    """
+
+    subcommand: str
+    mode: str = _option(
+        "lowerbound", "--mode", "Estimate true outage or the capped-rate bound event.", _MODE, "mode", type=click.Choice(_MODES)
+    )
+    blocks: int = _option(4, "--blocks -B", "Fading blocks per codeword B.", _POSITIVE_INT, "B", type=int)
+    bits: int = _option(4, "--bits -M", "Bits per symbol M (2^M-point input).", _POSITIVE_INT, "M", type=int)
+    m: float = _option(1.0, "--m", "Nakagami shape m (m=1 is Rayleigh).", _SHAPE, "m", type=float)
+    rate: float = _option(1.0, "--rate", "Code rate R in bits per channel use.", _RATE, "R", type=float)
+    rate_grid: tuple = _option((0.25, 3.75, 0.25), "--rate", "Rate grid as start:stop:step.", _RATE_GRID, "R", type=str)
+    snr_db_fixed: float = _option(10.0, "--snr-db-fixed", "Fixed SNR in dB.", _FIXED_SNR, "snr_db", type=float)
+    cells: int = _option(bound.DEFAULT_CELLS, "--cells", "Grid cells over [0, M] for the tabulated pmf.", _CELLS, "cells", type=int)
+    constellation: str = _option(
+        "qam16", "--constellation", f"Signal set ({', '.join(KNOWN_NAMES)}); mc reads it in outage mode.", _check_constellation, "constellation",
+        type=str,
+    )
+    order: int | None = _option(None, "--order", "Gauss-Hermite order per dimension; mc reads it in outage mode.", _POSITIVE_INT, "order", type=int)
+    samples: int = _option(10**5, "--samples", "Monte Carlo samples per grid point.", _POSITIVE_INT, "samples", type=int)
+    seed: int = _option(0, "--seed", "Explicit 64-bit seed, in [0, 2^64).", _SEED, "seed", type=int)
+    snr_db: tuple = _option((0.0, 40.0, 2.0), "--snr-db", "SNR grid in dB as start:stop:step.", _SNR_GRID, None, type=str)
+    lambda_scaled: tuple = _option(
+        (0.5, 2.0), "--lambda-scaled", "lambda M ln2 / m; repeat for extra columns.", _LAMBDAS, None, type=float, multiple=True
+    )
+    per_term: bool = _option(False, "--per-term", "Append per-term cdf / weight columns.", _FLAG, None, is_flag=True)
+    workers: int = _option(1, "--workers", "Worker threads over each grid point's Monte Carlo sample chunks.", _POSITIVE_INT, None, type=int)
+    out: str | None = _option(None, "--out -o", "Output CSV path (default: stdout).", _PATH, None, type=click.Path(dir_okay=False))
+
+    def __post_init__(self) -> None:
+        # mi prints MI values, so it takes the order whose doubling moves
+        # none of them by 1e-6; mc decides samples from many MI values, where
+        # the library's cheaper MC_QUAD_ORDER keeps the quadrature bias far
+        # below the Monte Carlo noise.
+        if self.order is None:
+            self.order = montecarlo.MC_QUAD_ORDER if self.subcommand == "mc" else DEFAULT_ORDER
 
 
 def _grid(spec3: tuple) -> list:
@@ -110,28 +177,28 @@ def _bounds(cfg: RunConfig, snrs: list, rates: list) -> list:
     return bound.outage_lower_bounds(snrs, cfg.blocks, cfg.bits, NakagamiParam(cfg.m), rates, cfg.cells)
 
 
-def _header(cfg: RunConfig, fields: list) -> str:
-    """Metadata comment: the subcommand, every parameter its numbers depend on, the version."""
-    fields = [*fields, ("version", __version__)]
-    return " ".join([f"# nakfade {cfg.subcommand}"] + [f"{k}={_fmt_exact(v)}" for k, v in fields])
+def _reads(cfg: RunConfig) -> list:
+    """The fields cfg's command reads: its _COMMANDS fields, less constellation and order under mc --mode lowerbound."""
+    names = _COMMANDS[cfg.subcommand][1].split()
+    if cfg.subcommand == "mc" and cfg.mode == "lowerbound":
+        names = [n for n in names if n not in ("constellation", "order")]
+    return names
 
 
-def _channel_fields(cfg: RunConfig, rate) -> list:
-    """Header fields of the channel: B, M, m and the rate (or rate grid)."""
-    return [("B", cfg.blocks), ("M", cfg.bits), ("m", cfg.m), ("R", rate)]
+def _header(cfg: RunConfig) -> str:
+    """Metadata comment: the subcommand, every field read that changes the numbers, the version."""
+    reads = _reads(cfg)
+    pairs = [(f.metadata["header"], getattr(cfg, f.name)) for f in fields(cfg) if f.name in reads and f.metadata["header"]]
+    return " ".join([f"# nakfade {cfg.subcommand}"] + [f"{k}={_fmt_exact(v)}" for k, v in [*pairs, ("version", __version__)]])
 
 
-def _grid_repr(spec3: tuple) -> str:
-    return ":".join(_fmt_exact(v) for v in spec3)
-
-
-def _emit(cfg: RunConfig, header: str, columns: list, rows: list) -> int:
+def _emit(cfg: RunConfig, columns: list, rows: list) -> int:
     for row in rows:
         for v in row:
             if isinstance(v, float) and not math.isfinite(v):
                 click.echo("numerical failure: non-finite value in output", err=True)
                 sys.exit(3)
-    lines = [header, ",".join(columns)]
+    lines = [_header(cfg), ",".join(columns)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if cfg.out:
@@ -167,7 +234,7 @@ def _run_curve(cfg: RunConfig) -> int:
             for _, f_y, w, _ in res.per_term:
                 row += [f_y, w]
         rows.append(row)
-    return _emit(cfg, _header(cfg, [*_channel_fields(cfg, cfg.rate), ("cells", cfg.cells)]), columns, rows)
+    return _emit(cfg, columns, rows)
 
 
 def _run_ratesweep(cfg: RunConfig) -> int:
@@ -175,8 +242,7 @@ def _run_ratesweep(cfg: RunConfig) -> int:
     # One SNR, so every rate reads the same pmf and convolution powers.
     rates = _grid(cfg.rate_grid)
     (results,) = _bounds(cfg, [Snr.from_db(cfg.snr_db_fixed)], rates)
-    header = _header(cfg, [*_channel_fields(cfg, _grid_repr(cfg.rate_grid)), ("snr_db", cfg.snr_db_fixed), ("cells", cfg.cells)])
-    return _emit(cfg, header, ["rate", "p_out_lower"], [(r, res.value) for r, res in zip(rates, results)])
+    return _emit(cfg, ["rate", "p_out_lower"], [(r, res.value) for r, res in zip(rates, results)])
 
 
 def _run_asymptote(cfg: RunConfig) -> int:
@@ -191,8 +257,7 @@ def _run_asymptote(cfg: RunConfig) -> int:
     # evaluating the asymptotes first reports the first failing point.
     lines = [asymptotics.power_law(gain, d_exp, rho) for rho in snrs]
     rows = [(db, res.value, line) for db, (res,), line in zip(dbs, _bounds(cfg, snrs, [cfg.rate]), lines)]
-    header = _header(cfg, [*_channel_fields(cfg, cfg.rate), ("cells", cfg.cells)])
-    return _emit(cfg, header, ["snr_db", "p_out_lower", "asymptote"], rows)
+    return _emit(cfg, ["snr_db", "p_out_lower", "asymptote"], rows)
 
 
 def _run_exponent(cfg: RunConfig) -> int:
@@ -209,7 +274,7 @@ def _run_exponent(cfg: RunConfig) -> int:
         return row
 
     columns = ["rate", "d_singleton", "d_optimal"] + [f"d_random_lambda{v:g}" for v in cfg.lambda_scaled]
-    return _emit(cfg, _header(cfg, _channel_fields(cfg, _grid_repr(cfg.rate_grid))), columns, [point(r) for r in rates])
+    return _emit(cfg, columns, [point(r) for r in rates])
 
 
 def _run_mc(cfg: RunConfig) -> int:
@@ -227,11 +292,7 @@ def _run_mc(cfg: RunConfig) -> int:
     else:
         ests = [montecarlo.mc_lower_bound(Snr.from_db(db), spec, stream_id=i, **kw) for i, db in enumerate(dbs)]
     rows = [(db, e.p_hat, e.std_err, e.n_samples) for db, e in zip(dbs, ests)]
-    fields = [("mode", cfg.mode), *_channel_fields(cfg, cfg.rate)]
-    if cfg.mode == "outage":
-        fields += [("constellation", cfg.constellation), ("order", cfg.order)]
-    fields += [("samples", cfg.samples), ("seed", cfg.seed)]
-    return _emit(cfg, _header(cfg, fields), ["snr_db", "p_hat", "std_err", "n"], rows)
+    return _emit(cfg, ["snr_db", "p_hat", "std_err", "n"], rows)
 
 
 def _run_mi(cfg: RunConfig) -> int:
@@ -241,8 +302,7 @@ def _run_mi(cfg: RunConfig) -> int:
     c = from_name(cfg.constellation)
     dbs = _grid(cfg.snr_db)
     vals = mi_discrete_array([Snr.from_db(db).rho for db in dbs], c, hermite_rule(cfg.order)).tolist()
-    fields = [("constellation", cfg.constellation), ("order", cfg.order)]
-    return _emit(cfg, _header(cfg, fields), ["rho_db", "mi_bits"], list(zip(dbs, vals)))
+    return _emit(cfg, ["rho_db", "mi_bits"], list(zip(dbs, vals)))
 
 
 def _load_config(path: str | None, subcommand: str, keys) -> dict:
@@ -283,85 +343,23 @@ def _build_config(subcommand: str, config_path: str | None, flags: dict) -> RunC
     return cfg
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _underflows(db: float) -> bool:
-    """Whether the linear SNR of db dB rounds to 0 (a large db would overflow, not underflow)."""
-    return db < 0 and 10.0 ** (db / 10.0) == 0.0
-
-
 def _validate(cfg: RunConfig, given) -> None:
     """Exit 2 naming the first bad field; a config that passes runs without a usage error.
 
-    given holds the fields set by a flag or a config key.
+    given holds the fields set by a flag or a config key.  A command takes only
+    fields it can read, so one given but not read is mc's in lowerbound mode.
     """
+    reads = _reads(cfg)
+    for f in fields(cfg):
+        if f.name in reads:
+            problem = f.metadata["check"](getattr(cfg, f.name), cfg)
+        elif f.name in given:
+            problem = f"{cfg.subcommand} reads it only in --mode outage"
+        else:
+            continue
+        if problem:
+            raise click.UsageError(f"field '{f.name}': {problem}")
 
-    def need(name: str, ok: bool, msg: str) -> None:
-        if not ok:
-            raise click.UsageError(f"field '{name}': {msg}")
-
-    for name in ("blocks", "bits", "order", "samples", "workers"):
-        value = getattr(cfg, name)
-        need(name, _is_int(value) and value >= 1, "must be a positive integer")
-    need("cells", _is_int(cfg.cells) and cfg.cells >= 2, "must be an integer >= 2")
-    need("seed", _is_int(cfg.seed) and 0 <= cfg.seed < 2**64, "must be an integer in [0, 2^64)")
-    need("m", _is_real(cfg.m) and math.isfinite(cfg.m) and cfg.m > 0, "must be a positive finite real")
-    need("rate", _is_real(cfg.rate), "must be a real number")
-    need("snr_db_fixed", _is_real(cfg.snr_db_fixed) and math.isfinite(cfg.snr_db_fixed), "must be a finite real")
-    need("lambda_scaled", all(_is_real(v) and v > 0 for v in cfg.lambda_scaled), "entries must be positive reals")
-    need("per_term", isinstance(cfg.per_term, bool), "must be true or false")
-    need("out", cfg.out is None or isinstance(cfg.out, str), "must be a file path")
-    need("mode", cfg.mode in ("outage", "lowerbound"), "must be 'outage' or 'lowerbound'")
-    if cfg.subcommand == "mc" and cfg.mode == "lowerbound":
-        for name in ("constellation", "order"):
-            need(name, name not in given, "mc reads it only in --mode outage")
-    if cfg.subcommand == "mi" or (cfg.subcommand == "mc" and cfg.mode == "outage"):
-        need("constellation", isinstance(cfg.constellation, str), "must be a name such as 'qam16'")
-        try:
-            bits = from_name(cfg.constellation).bits_per_symbol
-        except ValueError as exc:
-            raise click.UsageError(f"field 'constellation': {exc}")
-        if cfg.subcommand == "mc":
-            need("constellation", bits == cfg.bits, f"{cfg.constellation!r} carries {bits} bits, spec needs {cfg.bits}")
-    if cfg.subcommand in ("curve", "asymptote", "mc"):
-        need("rate", 0 < cfg.rate <= cfg.bits, f"must lie in (0, M={cfg.bits}]")
-    # The bound needs rho > 0; mc and mi are right at rho = 0.
-    if cfg.subcommand in ("curve", "asymptote"):
-        need("snr_db", not _underflows(cfg.snr_db[0]), f"{_fmt_exact(cfg.snr_db[0])} dB is a linear SNR of 0")
-    if cfg.subcommand == "ratesweep":
-        need("snr_db_fixed", not _underflows(cfg.snr_db_fixed), f"{_fmt_exact(cfg.snr_db_fixed)} dB is a linear SNR of 0")
-    if cfg.subcommand in ("ratesweep", "exponent"):
-        lo, hi, _ = cfg.rate_grid
-        need("rate_grid", 0 < lo and hi <= cfg.bits, f"grid must stay inside (0, M={cfg.bits}]")
-
-
-# Every field a command can take: its flags and click settings.  The option's
-# name is the field's name, which is also its key in a config file.
-_OPTIONS = {
-    "blocks": (["--blocks", "-B"], dict(type=int, help="Fading blocks per codeword B.")),
-    "bits": (["--bits", "-M"], dict(type=int, help="Bits per symbol M (2^M-point input).")),
-    "m": (["--m"], dict(type=float, help="Nakagami shape m (m=1 is Rayleigh).")),
-    "cells": (["--cells"], dict(type=int, help="Grid cells over [0, M] for the tabulated pmf.")),
-    "rate": (["--rate"], dict(type=float, help="Code rate R in bits per channel use.")),
-    "rate_grid": (["--rate"], dict(type=str, help="Rate grid as start:stop:step.")),
-    "snr_db": (["--snr-db"], dict(type=str, help="SNR grid in dB as start:stop:step.")),
-    "snr_db_fixed": (["--snr-db-fixed"], dict(type=float, help="Fixed SNR in dB.")),
-    "per_term": (["--per-term"], dict(is_flag=True, help="Append per-term cdf / weight columns.")),
-    "lambda_scaled": (["--lambda-scaled"], dict(type=float, multiple=True, help="lambda M ln2 / m; repeat for extra columns.")),
-    "samples": (["--samples"], dict(type=int, help="Monte Carlo samples per grid point.")),
-    "seed": (["--seed"], dict(type=int, help="Explicit 64-bit seed, in [0, 2^64).")),
-    "mode": (["--mode"], dict(type=click.Choice(["outage", "lowerbound"]), help="Estimate true outage or the capped-rate bound event.")),
-    "constellation": (["--constellation"], dict(type=str, help=f"Signal set ({', '.join(KNOWN_NAMES)}); mc reads it in outage mode.")),
-    "order": (["--order"], dict(type=int, help="Gauss-Hermite order per dimension; mc reads it in outage mode.")),
-    "workers": (["--workers"], dict(type=int, help="Worker threads over each grid point's Monte Carlo sample chunks.")),
-    "out": (["--out", "-o"], dict(type=click.Path(dir_okay=False), help="Output CSV path (default: stdout).")),
-}
 
 # Each command: the function that writes its CSV (whose docstring is the
 # command's help) and the only fields it reads, so the only ones it takes.
@@ -387,12 +385,13 @@ def main() -> None:
 
 
 def _command(name: str) -> click.Command:
-    runner, fields = _COMMANDS[name]
+    runner, names = _COMMANDS[name]
 
     def callback(config_path, **flags) -> None:
         sys.exit(run(_build_config(name, config_path, flags)))
 
-    params = [click.Option([*_OPTIONS[f][0], f], default=None, **_OPTIONS[f][1]) for f in fields.split()]
+    declared = RunConfig.__dataclass_fields__
+    params = [click.Option([*declared[f].metadata["flags"], f], default=None, **declared[f].metadata["click"]) for f in names.split()]
     config_help = "JSON config file whose keys are this command's option names; explicit flags override it."
     params.append(click.Option(["--config", "config_path"], type=click.Path(exists=True, dir_okay=False), help=config_help))
     return click.Command(name, callback=callback, params=params, help=runner.__doc__)

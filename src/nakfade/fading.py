@@ -162,7 +162,7 @@ def reg_gamma_p(a: float, x):
 
 
 def _chunk_rng(seed: int, stream_id: int, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=(seed & 0xFFFFFFFFFFFFFFFF, stream_id, chunk_index))
+    ss = np.random.SeedSequence(entropy=(seed, stream_id, chunk_index))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -176,15 +176,18 @@ def gain_block(
 ) -> np.ndarray:
     """Rows [first, first+count) of the gain stream, each row `width` draws.
 
-    Row i is a pure function of (seed, stream_id, width, i): draws come from
-    Philox generators keyed per fixed-size chunk of CHUNK rows, so any
-    partition of a range across workers reproduces the same values.  Each
-    draw is Gamma(shape=m, scale=1/m); numpy's generator implements the
-    squeeze/rejection sampler for m >= 1 and the uniform power boost for
-    m < 1.
+    Row i is a pure function of (seed, stream_id, width, i), and no two
+    seeds in [0, 2^64) share a stream; any other seed is a ValueError.
+    Draws come from Philox generators keyed per fixed-size chunk of CHUNK
+    rows, so any partition of a range across workers reproduces the same
+    values.  Each draw is Gamma(shape=m, scale=1/m); numpy's generator
+    implements the squeeze/rejection sampler for m >= 1 and the uniform
+    power boost for m < 1.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     m = p.m
     out = np.empty((count, width))
     if count == 0:

@@ -167,6 +167,21 @@ class TestBuildPmfA:
         with pytest.raises(ValueError, match="need at least 2 cells, got 1"):
             coding_gain(spec, 1)
 
+    # Each entry point refuses the cell count before it divides by it or
+    # builds its grid from it.
+    @pytest.mark.parametrize("n_cells", [1, 0, -1, -2])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param(lambda spec, n: next(tabulate_A([Snr(10.0)], spec, n)), id="tabulate_A"),
+            pytest.param(lambda spec, n: outage_lower_bounds([Snr(10.0)], spec.B, spec.M, spec.fading, [spec.rate], n), id="outage_lower_bounds"),
+            pytest.param(coding_gain, id="coding_gain"),
+        ],
+    )
+    def test_cell_count_checked_before_any_arithmetic(self, entry, n_cells):
+        with pytest.raises(ValueError, match=f"^need at least 2 cells, got {n_cells}$"):
+            entry(spec44(M2, 1), n_cells)
+
 
 class TestTabulatedPmf:
     # NaN slips through a test written as `bad > limit`; each check must refuse it.

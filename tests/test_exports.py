@@ -1,14 +1,17 @@
-"""Every public name the package advertises resolves, and the README example runs."""
+"""Every public name the package advertises resolves, and the README examples run."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import nakfade
+from nakfade.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(info.name for info in pkgutil.iter_modules(nakfade.__path__) if not info.name.startswith("_"))
@@ -33,3 +36,23 @@ def test_readme_library_example_runs():
     match = re.search(r"## Library example\s+```python\n(.*?)```", readme, re.S)
     assert match, "README has no Library example block"
     exec(compile(match.group(1), "README.md", "exec"), {})
+
+
+def readme_cli_examples():
+    readme = (ROOT / "README.md").read_text()
+    match = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S)
+    return [line for line in match.group(1).splitlines() if line.startswith("nakfade ")] if match else []
+
+
+def test_readme_has_cli_examples():
+    assert readme_cli_examples()
+
+
+@pytest.mark.parametrize("line", readme_cli_examples())
+def test_readme_cli_example_runs(line):
+    args = shlex.split(line)[1:]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 0, res.output
+    first = res.output.splitlines()[0]
+    assert first.startswith(f"# nakfade {args[0]} ")
+    assert first.endswith(f" version={nakfade.__version__}")

@@ -31,6 +31,21 @@ class TestMcEstimate:
         assert McEstimate.from_count(10, 10).p_hat == 1.0
 
 
+# Seeds alias nothing: one outside [0, 2^64) is refused, not reduced mod 2^64.
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize(
+    "draw",
+    [
+        pytest.param(lambda seed: fading.gain_block(M2, seed, 0, 10), id="gain_block"),
+        pytest.param(lambda seed: mc_lower_bound(Snr(10.0), spec44(M2, 1), n=100, seed=seed), id="mc_lower_bound"),
+        pytest.param(lambda seed: mc_outage(Snr(10.0), spec44(M2, 1), make_qam(4), n=100, seed=seed), id="mc_outage"),
+    ],
+)
+def test_seed_outside_64_bits_raises(draw, seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+        draw(seed)
+
+
 class TestMcLowerBound:
     def test_high_snr_never_in_outage(self):
         est = mc_lower_bound(Snr(1e12), spec44(M2, 1), n=10**4, seed=3)
