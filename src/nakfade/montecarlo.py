@@ -92,6 +92,13 @@ class McEstimate:
         return cls(count / n, n)
 
 
+def _check_counts(n, workers) -> None:
+    """Refuse an n or a workers that is not a positive integer; a bool is not one, a numpy integer is."""
+    for name, value, unit in (("n", n, "sample"), ("workers", workers, "worker")):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"need at least one {unit}: {name} must be a positive integer, got {value!r}")
+
+
 def _estimate(spec: ChannelSpec, n: int, seed: int, stream_id: int, workers: int, count_rows) -> McEstimate:
     """Estimate from count_rows(gains) summed over the chunks of n draws of spec's B gains."""
 
@@ -119,29 +126,24 @@ def _window(rho_lo: float, rho_hi: float, values: int, m: float) -> tuple[int, i
 
         P(gamma < g) <= (m g)^m / Gamma(m + 1),   P(gamma > g) <= (g e^(1-g))^m  (g >= 1).
 
-    It also starts no lower than the SNR ln 2 / P.  Below it I(v) <= v log2 e
-    <= 1/P bits, so the bracket [I(0), I(lowest node)] of a value below the
-    window is no wider than a bracket inside it can be: by the I-MMSE
-    relation dI/dlog2 v <= v / (1 + v) < 1 bit per octave.  The window keeps
-    at least one node, and it is empty (last < first) only when rho_hi is 0,
+    With c = ln(values / P) / m (0 if values <= P), the first bound is
+    P / values at ln g = ln Gamma(m + 1) / m - c - ln m, and the second at
+    most that at g = 1 + c + s, s = sqrt(2c): 1 + s + s^2/2 <= e^s gives
+    ln g <= s, so m (g - 1 - ln g) >= m c.  The window also starts no lower
+    than the SNR ln 2 / P.  Below it I(v) <= v log2 e <= 1/P bits, so the
+    bracket [I(0), I(lowest node)] of a value below the window is no wider
+    than a bracket inside it can be: by the I-MMSE relation
+    dI/dlog2 v <= v / (1 + v) < 1 bit per octave.  The window keeps at
+    least one node, and it is empty (last < first) only when rho_hi is 0,
     whose values are exact 0s that I(0) brackets.
     """
     if rho_hi <= 0:
         return 0, -1
-    lo = rho_lo if rho_lo > 0 else rho_hi
-    tail = min(_NODES_PER_OCTAVE / values, 1.0)
-    log2_g_lo = min((math.lgamma(m + 1.0) + math.log(tail)) / m - math.log(m), 0.0) / _LN2
-    # Newton from above on m (g - 1 - ln g) = -ln(tail); the function is convex for g >= 1.
-    excess, g = -math.log(tail) / m, 1.0
-    if excess > 0:
-        g = 1.0 + excess + math.sqrt(2.0 * excess)
-        for _ in range(50):
-            step = (g - 1.0 - math.log(g) - excess) / (1.0 - 1.0 / g)
-            g -= step
-            if step < 1e-12 * g:
-                break
-    last = min(math.ceil(_NODES_PER_OCTAVE * (math.log2(rho_hi) + math.log2(g))), _TOP_KEY)
-    first = math.floor(_NODES_PER_OCTAVE * max(math.log2(lo) + log2_g_lo, math.log2(_LN2 / _NODES_PER_OCTAVE)))
+    c = max(math.log(values / _NODES_PER_OCTAVE), 0.0) / m
+    log2_g_lo = min(math.lgamma(m + 1.0) / m - c - math.log(m), 0.0) / _LN2
+    g_hi = 1.0 + c + math.sqrt(2.0 * c)
+    last = min(math.ceil(_NODES_PER_OCTAVE * (math.log2(rho_hi) + math.log2(g_hi))), _TOP_KEY)
+    first = math.floor(_NODES_PER_OCTAVE * max(math.log2(rho_lo if rho_lo > 0 else rho_hi) + log2_g_lo, math.log2(_LN2 / _NODES_PER_OCTAVE)))
     return min(first, last), last
 
 
@@ -216,8 +218,7 @@ def mc_outage(
     table, built for the same points and order, may serve other SNRs too;
     without one, every chunk reads one table built for snr and n.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_counts(n, workers)
     if c.bits_per_symbol != spec.M:
         raise ValueError(f"constellation carries {c.bits_per_symbol} bits but spec.M = {spec.M}")
     if q is None:
@@ -240,8 +241,7 @@ def mc_lower_bound(
     workers: int = 1,
 ) -> McEstimate:
     """Estimate Pr((1/B) sum_b min{M, log2(1 + gamma_b rho)} < R)."""
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_counts(n, workers)
     rho = snr.rho
     rate = spec.rate
     cap = float(spec.M)

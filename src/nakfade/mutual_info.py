@@ -52,9 +52,7 @@ DEFAULT_ORDER = 96
 
 _LN2 = math.log(2.0)
 
-# Batch limits of mi_discrete_array: at most _BATCH_RHOS SNRs, and about
-# _BATCH_ELEMS elements in the largest temporary, so a batch stays in cache.
-_BATCH_RHOS = 128
+# Elements in the largest temporary of a mi_discrete_array batch, so it stays in cache.
 _BATCH_ELEMS = 2**16
 
 # Relative tolerance within which a point set counts as symmetric: the
@@ -252,8 +250,9 @@ def mi_discrete_array(rhos, c: Constellation, rule: QuadratureRule | None = None
         batch, args, per_rho = _mi_batch_separable, c.grid_levels, c.grid_levels.size**2 * rule.order
     else:
         reps, sizes = _orbits(c)
-        batch, args, per_rho = _mi_batch_generic, (c.points, reps, sizes), reps.size * rule.order**2
-    chunk = min(_BATCH_RHOS, max(1, _BATCH_ELEMS // per_rho))
+        # The (x, x', node) exponential tables or the (x, node, node) sums, whichever is larger.
+        batch, args, per_rho = _mi_batch_generic, (c.points, reps, sizes), reps.size * rule.order * max(c.size, rule.order)
+    chunk = max(1, _BATCH_ELEMS // per_rho)
     with np.errstate(under="ignore"):
         for lo in range(0, flat.size, chunk):
             out[lo : lo + chunk] = batch(flat[lo : lo + chunk], args, M, rule)

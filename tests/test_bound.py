@@ -592,6 +592,10 @@ class TestFftFloor:
             pytest.param(16, 1.0, 0.25, 11.0, marks=FFT_FLOOR),  # 0.0 against 1.57e-23
             pytest.param(4, 5.0, 0.5, 30.0, marks=FFT_FLOOR),  # 1.17e-48 against 1.55e-60
             pytest.param(4, 5.0, 1.0, 20.0, marks=FFT_FLOOR),  # 4.03e-29 against 9.46e-33
+            pytest.param(4, 10.0, 1.0, 30.0, marks=FFT_FLOOR),  # 2.32e-76 against 3.92e-104
+            pytest.param(4, 20.0, 1.0, 20.0, marks=FFT_FLOOR),  # 7.04e-57 against 3.08e-127
+            pytest.param(32, 2.0, 0.25, 5.0, marks=FFT_FLOOR),  # 3.40e-19 against 4.41e-53
+            pytest.param(64, 0.5, 0.1, 10.0, marks=FFT_FLOOR),  # 4.29e-22 against 8.71e-56
             (4, 2.0, 1.0, 10.0),
         ],
     )

@@ -172,7 +172,7 @@ class TestMc:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_exits_2(self, runner, seed):
-        # The samplers key their streams on the seed mod 2^64.
+        # The samplers refuse a seed outside [0, 2^64), so the CLI refuses it first.
         res = runner.invoke(main, ["mc", f"--seed={seed}", "--samples", "10", "--snr-db", "0:0:1"])
         assert res.exit_code == 2
         assert "field 'seed'" in res.output

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from click.testing import CliRunner
 
 from nakfade import cli, fading, montecarlo
@@ -44,6 +45,34 @@ class TestMcEstimate:
 def test_seed_outside_64_bits_raises(draw, seed):
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
         draw(seed)
+
+
+ESTIMATORS = [
+    pytest.param(lambda **kw: mc_outage(Snr(10.0), spec44(M2, 1), make_qam(4), **kw), id="mc_outage"),
+    pytest.param(lambda **kw: mc_lower_bound(Snr(10.0), spec44(M2, 1), **kw), id="mc_lower_bound"),
+]
+
+
+@pytest.mark.parametrize("estimate", ESTIMATORS)
+@pytest.mark.parametrize(
+    "kw, msg",
+    [
+        pytest.param(dict(workers=0), "need at least one worker: workers must be a positive integer, got 0", id="workers=0"),
+        pytest.param(dict(workers=-3), "need at least one worker: workers must be a positive integer, got -3", id="workers=-3"),
+        pytest.param(dict(workers=True), "workers must be a positive integer, got True", id="workers=True"),
+        pytest.param(dict(workers=2.0), "workers must be a positive integer, got 2.0", id="workers=2.0"),
+        pytest.param(dict(n=True), "n must be a positive integer, got True", id="n=True"),
+        pytest.param(dict(n=100.0), "n must be a positive integer, got 100.0", id="n=100.0"),
+    ],
+)
+def test_counts_must_be_positive_integers(estimate, kw, msg):
+    with pytest.raises(ValueError, match=msg):
+        estimate(**{"n": 100, **kw})
+
+
+@pytest.mark.parametrize("estimate", ESTIMATORS)
+def test_numpy_integer_counts_accepted(estimate):
+    assert estimate(n=np.int64(5000), workers=np.int32(2), seed=5) == estimate(n=5000, workers=1, seed=5)
 
 
 class TestMcLowerBound:
@@ -196,6 +225,23 @@ class TestScreening:
         est = mc_outage(Snr.from_db(12.0), ChannelSpec(B, 4, M1, 2.0), make_qam(4), n=n, seed=23)
         assert est.p_hat == McEstimate.from_count(2171, n).p_hat
         assert sum(evaluated) < n * B / 5
+
+
+@pytest.mark.parametrize("m", [0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
+def test_window_leaves_at_most_an_octave_of_values_outside(m):
+    # Against the exact Gamma(m, 1/m) tails: at most P values expected below
+    # the first node at rho_lo, and at most P above the last at rho_hi,
+    # except where the ln 2 / P floor, the one-node minimum or the top key
+    # sets the end.
+    P = montecarlo._NODES_PER_OCTAVE
+    floor_key = math.floor(P * math.log2(math.log(2.0) / P))
+    gain = scipy.stats.gamma(m, scale=1.0 / m)
+    for values in [1, 10, 768, 62400, 4 * 10**6, 10**9]:
+        for rho_lo in [1e-3, 1.0, 10.0, 1e4]:
+            first, last = montecarlo._window(rho_lo, 8.0 * rho_lo, values, m)
+            assert first <= last
+            assert values * gain.cdf(2.0 ** (first / P) / rho_lo) <= P or first in (floor_key, last)
+            assert values * gain.sf(2.0 ** (last / P) / (8.0 * rho_lo)) <= P or last == montecarlo._TOP_KEY
 
 
 class TestBracketTable:

@@ -228,6 +228,31 @@ class TestBatching:
         batched = mi_discrete_array(rhos, c, rule)
         assert np.array_equal(batched, [mi_discrete_array([r], c, rule)[0] for r in rhos])
 
+    @pytest.mark.parametrize("order", [1, 4, 8, 32, 96])
+    @pytest.mark.parametrize("name", ["psk8", "qam16"])
+    def test_batches_fill_the_element_budget(self, monkeypatch, name, order):
+        c, n = from_name(name), 10_000
+        sizes = []
+
+        def recording(rhos, *args):
+            sizes.append(rhos.size)
+            return np.zeros(rhos.size)
+
+        monkeypatch.setattr(mutual_info, "_mi_batch_separable", recording)
+        monkeypatch.setattr(mutual_info, "_mi_batch_generic", recording)
+        mi_discrete_array(np.geomspace(1e-2, 1e3, n), c, hermite_rule(order))
+        # Elements per SNR of the largest temporary: the separable path's
+        # (level, level', node) exponentials, and the generic path's
+        # (x, x', node) tables or (x, node, node) sums over one x per orbit.
+        if c.grid_levels is not None:
+            per_rho = c.grid_levels.size**2 * order
+        else:
+            per_rho = mutual_info._orbits(c)[0].size * order * max(c.size, order)
+        assert sum(sizes) == n
+        assert max(sizes) * per_rho <= 2**16 < (max(sizes) + 1) * per_rho
+        if order == 32:
+            assert max(sizes) == {"qam16": 128, "psk8": 32}[name]
+
 
 class TestMonotone:
     # mc_outage decides samples from the MI at the grid nodes that bracket
