@@ -14,7 +14,9 @@ SNR.  outage_lower_bounds, the one evaluator, tabulates its SNRs in blocks,
 one incomplete-gamma call per block that also gives p and 1 - p, and
 evaluates the whole rate grid at each SNR from that SNR's single pmf: each
 Y_t is convolved once and read at every rate that needs it, in one
-ConvolutionWorkspace that holds the SNR's spectra and buffers.
+ConvolutionWorkspace that holds the SNR's buffers and, for one FFT size at a
+time, the pmf's spectrum and its repeated squarings.  A power's spectrum is
+the product of the squarings for the set bits of its exponent.
 """
 
 from __future__ import annotations
@@ -115,26 +117,38 @@ class TabulatedPmf:
 class ConvolutionWorkspace:
     """Scratch space for the convolution powers of one pmf.
 
-    Holds the pmf's rfft at each FFT size used so far, and one complex and
-    one real buffer that grow to the largest size asked for, so a run of
-    powers allocates no per-power arrays.  It belongs to one evaluation and
-    is not shared between threads.
+    Holds, for the FFT size asked for last, the pmf's rfft at that size and
+    its repeated squarings spec, spec^2, spec^4, ..., built as far as the
+    powers asked for need; a new size replaces them, since the evaluator
+    asks for sizes in descending order.  At B = 32 and 4096 cells the ladder
+    of the largest size is six spectra of 65 537 bins, about 6 MB.  One
+    complex and one real buffer grow to the largest size asked for, so a run
+    of powers allocates no per-power arrays.  It belongs to one evaluation
+    and is not shared between threads.
     """
 
     def __init__(self, pmf: TabulatedPmf) -> None:
         self.pmf = pmf
-        self._spectra: dict[int, np.ndarray] = {}
+        self._size = 0
+        self._ladder: list[np.ndarray] = []
         self._freq = np.empty(0, dtype=complex)
         self._real = np.empty(0)
 
-    def spectrum(self, size: int) -> np.ndarray:
-        """rfft of the pmf's masses zero-padded to size, computed once per size."""
-        freq = self._spectra.get(size)
-        if freq is None:
-            freq = np.fft.rfft(self.pmf.masses, size)
-            freq.flags.writeable = False
-            self._spectra[size] = freq
-        return freq
+    def squarings(self, size: int, count: int) -> list[np.ndarray]:
+        """spec^(2^k) for k = 0..count-1, spec the rfft of the masses zero-padded to size.
+
+        The rfft is computed once per size, and each squaring once per size
+        and rung, so a value does not depend on the powers asked for before.
+        """
+        if size != self._size:
+            spec = np.fft.rfft(self.pmf.masses, size)
+            spec.flags.writeable = False
+            self._size, self._ladder = size, [spec]
+        while len(self._ladder) < count:
+            square = np.square(self._ladder[-1])
+            square.flags.writeable = False
+            self._ladder.append(square)
+        return self._ladder
 
     def buffers(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """Complex (size // 2 + 1) and real (size) views of the two buffers."""
@@ -268,10 +282,13 @@ def convolve_power(pmf: TabulatedPmf, n: int, workspace: ConvolutionWorkspace | 
     """Distribution of the sum of n independent copies, by zero-padded FFT.
 
     The mass sequence is self-convolved to length n(N-1)+1 at the same
-    step.  Cell masses represent left-edge-quantized values, so the output
-    support is shifted by (n-1)/2 cells to keep cell midpoints aligned with
-    the sum of input-cell midpoints; tiny negative FFT residue (>= -1e-12)
-    is clamped and the masses renormalized.
+    step.  The spectrum's n-th power is the product, in ascending k, of the
+    workspace's squarings spec^(2^k) for the set bits k of n: popcount(n) - 1
+    multiplies into the complex buffer, on squarings shared by every power
+    of the same FFT size.  Cell masses represent left-edge-quantized values,
+    so the output support is shifted by (n-1)/2 cells to keep cell midpoints
+    aligned with the sum of input-cell midpoints; tiny negative FFT residue
+    (>= -1e-12) is clamped and the masses renormalized.
 
     The power runs in place in workspace, a ConvolutionWorkspace of pmf, and
     the result's masses are a view of its real buffer: valid until the next
@@ -289,13 +306,12 @@ def convolve_power(pmf: TabulatedPmf, n: int, workspace: ConvolutionWorkspace | 
     N = pmf.n_cells
     out_len = n * (N - 1) + 1
     size = 1 << (n * N - 1).bit_length()
-    spec = workspace.spectrum(size)
     freq, real = workspace.buffers(size)
-    if n == 2:
-        np.square(spec, out=freq)  # what spec ** 2 runs; np.power rounds differently
-    else:
-        np.power(spec, n, out=freq)
-    out = np.fft.irfft(freq, size, out=real)[:out_len]
+    power = None
+    for k, rung in enumerate(workspace.squarings(size, n.bit_length())):
+        if n >> k & 1:
+            power = rung if power is None else np.multiply(power, rung, out=freq)
+    out = np.fft.irfft(power, size, out=real)[:out_len]
     if out.min() < -1e-12:
         raise ArithmeticError(f"FFT convolution produced mass {out.min()} below tolerance")
     np.maximum(out, 0.0, out=out)
@@ -328,12 +344,12 @@ def outage_lower_bounds(
 
     tabulate_A gives each SNR's pmf_A, p and 1 - p, which do not depend on
     the rate.  At each SNR the loop runs over the mixture terms: Y_{B-t} is
-    convolved once, in one ConvolutionWorkspace for the SNR (pmf_A's
-    spectrum per FFT size and two buffers of the first, largest power's
-    size), and read at every rate that still has a term t before the next
-    power overwrites it.  Terms with t >= ceil(BR/M) have BR - tM <= 0 and
-    vanish because A is positive, so each rate stops at t = B - d_B(R) (see
-    threshold_terms).  Every rate sums its terms in ascending t, so a value
+    convolved once, in one ConvolutionWorkspace for the SNR (the squarings
+    of pmf_A's spectrum at the current FFT size, and two buffers of the
+    first, largest power's size), and read at every rate that still has a
+    term t before the next power overwrites it.  Terms with t >= ceil(BR/M)
+    have BR - tM <= 0 and vanish because A is positive, so each rate stops
+    at t = B - d_B(R) (see threshold_terms).  Every rate sums its terms in ascending t, so a value
     depends neither on the other rates nor on the other SNRs of the call.
     """
     specs = [ChannelSpec(B, M, fading, r) for r in rates]

@@ -89,7 +89,9 @@ class McEstimate:
 
     @classmethod
     def from_count(cls, count: int, n: int) -> "McEstimate":
-        return cls(count / n, n)
+        """Estimate from count events in n samples, as a Python float and int."""
+        n = int(n)
+        return cls(int(count) / n, n)
 
 
 def _check_counts(n, workers) -> None:

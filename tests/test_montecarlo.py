@@ -75,6 +75,20 @@ def test_numpy_integer_counts_accepted(estimate):
     assert estimate(n=np.int64(5000), workers=np.int32(2), seed=5) == estimate(n=5000, workers=1, seed=5)
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        pytest.param(lambda **kw: mc_outage(Snr(1.0), spec44(M2, 1), make_qam(4), **kw), id="mc_outage"),
+        pytest.param(lambda **kw: mc_lower_bound(Snr(1.0), spec44(M2, 1), **kw), id="mc_lower_bound"),
+    ],
+)
+def test_numpy_integer_count_gives_python_numbers(estimate):
+    got, want = estimate(n=np.int64(5000), seed=5), estimate(n=5000, seed=5)
+    assert type(got.p_hat) is float and type(got.n_samples) is int
+    assert 0.0 < got.p_hat < 1.0
+    assert (got.p_hat, got.n_samples) == (want.p_hat, want.n_samples)
+
+
 class TestMcLowerBound:
     def test_high_snr_never_in_outage(self):
         est = mc_lower_bound(Snr(1e12), spec44(M2, 1), n=10**4, seed=3)
