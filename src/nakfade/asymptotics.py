@@ -2,7 +2,8 @@
 constant of the outage lower bound.
 
 The bound decays as K * SNR^(-m d_B(R)), where d_B is the Singleton bound
-and K collects the SNR-free limit of the dominant mixture term:
+and K collects the SNR-free limit of the dominant way to fall below BR,
+with B - d_B blocks at the cap:
 
     K = F_Ybar(BR - (B - d_B) M) C(B, B - d_B) (m (2^M-1))^(m d_B) / (m Gamma(m))^d_B
 
@@ -17,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bound import DEFAULT_CELLS, ChannelSpec, _cell_edges, build_pmf_A, cdf_Y_at, convolve_power, diversity_arg, log_binomial, singleton_bound
+from .bound import DEFAULT_CELLS, ChannelSpec, _cell_edges, build_pmf_A, cdf_Y_at, convolve_power, diversity_arg, singleton_bound, tilt
 from .mutual_info import Snr
 
 __all__ = [
@@ -54,23 +53,23 @@ def optimal_exponent(spec: ChannelSpec) -> float:
 def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     """SNR-free prefactor K of the bound's power-law decay.
 
-    Convolves A's limit pmf, which build_pmf_A tabulates as it does the
-    bound's law, d_B(R) times (the dominant mixture term keeps d_B below-cap
-    blocks), evaluates its cdf at BR - (B - d_B) M, and multiplies the
-    closed-form constants in log space.
+    Reads the sum of d_B(R) copies of A's limit law, which build_pmf_A
+    tabulates as it does the bound's law, at BR - (B - d_B) M through the
+    bound's tilted kernel (the dominant way to fall below BR keeps d_B
+    blocks below the cap), and adds the closed-form constants in log space.
     """
     B, M, R, m = spec.B, spec.M, spec.rate, spec.fading.m
     d = singleton_bound(B, M, R)
     edges = _cell_edges(M, n_cells)
     pmf = build_pmf_A(((2.0**edges - 1.0) / (2.0**M - 1.0)) ** m, M)
-    f_y = cdf_Y_at(convolve_power(pmf, d), B * R - (B - d) * M)
-    log_k = log_binomial(B)[B - d] + m * d * math.log(m * (2.0**M - 1.0)) - d * (math.log(m) + math.lgamma(m))
+    x = B * R - (B - d) * M
+    log_k = cdf_Y_at(convolve_power(tilt(pmf, d, x), d), x)
+    log_k += math.lgamma(B + 1) - math.lgamma(d + 1) - math.lgamma(B - d + 1)
+    log_k += m * d * math.log(m * (2.0**M - 1.0)) - d * (math.log(m) + math.lgamma(m))
     try:
-        return f_y * math.exp(log_k)
+        return math.exp(log_k)
     except OverflowError:
-        log10_factor = log_k / math.log(10.0)
-        log10_k = math.log10(f_y) + log10_factor if f_y > 0 else -math.inf
-        raise ArithmeticError(f"coding gain K overflows a float: log10 K = {log10_k:.6g} (cdf {f_y:.6g} times 10^{log10_factor:.6g})") from None
+        raise ArithmeticError(f"coding gain K overflows a float: log10 K = {log_k / math.log(10.0):.6g}") from None
 
 
 def power_law(gain: float, exponent: float, snr: Snr) -> float:

@@ -1,28 +1,23 @@
 """Analytical lower bound on the outage probability of a block-fading channel.
 
 Capping the per-block mutual information at min{M, log2(1 + gamma SNR)}
-splits the B blocks into those above the cap (a binomial count with success
-rate p) and those below, whose capped rates are i.i.d. copies of a variable
-A on [0, M].  The bound is a binomial mixture of cdf values of sums of A,
-and each sum's distribution comes from FFT self-convolution of A's
-tabulated cell masses:
-
-    P_out_lower = sum_{t=0}^{ceil(BR/M)-1} F_{Y_t}(BR - tM) C(B,t) p^t (1-p)^(B-t)
-
-with Y_t the sum of B - t copies of A.  Only p and A's law depend on the
-SNR.  outage_lower_bounds, the one evaluator, tabulates its SNRs in blocks,
-one incomplete-gamma call per block that also gives p and 1 - p, and
-evaluates the whole rate grid at each SNR from that SNR's single pmf: each
-Y_t is convolved once and read at every rate that needs it, in one
-ConvolutionWorkspace that holds the SNR's buffers and, for one FFT size at a
-time, the pmf's spectrum and its repeated squarings.  A power's spectrum is
-the product of the squarings for the set bits of its exponent.
+gives a per-block variable X on [0, M]: an atom of mass p at M, and with
+mass 1 - p a variable A, tabulated as exact masses of N cells of width h,
+cell k at its midpoint (k + 1/2)h.  Only p and A's law depend on the SNR.
+The bound is P(X_1 + ... + X_B < BR), read with a width-h linear kernel
+from one FFT power of X's law tilted by e^(-theta v)/Z, theta solving
+B E_theta[X] = BR, so that the read sits in the bulk of the tilted sum, not
+in its far left tail, where FFT round-off would decide it; the tilt is
+undone in log space.  The sums are split by the parity of their number of
+below-cap blocks (convolve_power).  The coding gain uses the same kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +27,8 @@ from .fading import NakagamiParam, reg_gamma_p, reg_gamma_pq
 from .mutual_info import Snr
 
 __all__ = [
-    "ChannelSpec",
-    "TabulatedPmf",
-    "ConvolutionWorkspace",
-    "BoundResult",
-    "DEFAULT_CELLS",
-    "binomial_weights",
-    "build_pmf_A",
-    "tabulate_A",
-    "convolve_power",
-    "cdf_Y_at",
-    "outage_lower_bound",
-    "outage_lower_bounds",
+    "ChannelSpec", "TabulatedPmf", "TiltedLaw", "BoundResult", "DEFAULT_CELLS", "build_pmf_A", "tabulate_A",
+    "tilt", "convolve_power", "cdf_Y_at", "outage_lower_bound", "outage_lower_bounds",
 ]
 
 # Grid cells over [0, M]; doubling this moves acceptance-grid bound values
@@ -54,6 +39,16 @@ DEFAULT_CELLS = 4096
 # default cells.  Blocks of 8 to 256 SNRs were no faster and held more
 # memory; one SNR per call was about 20% slower on bound-curve.
 _BLOCK_POINTS = 1 << 14
+
+# A read whose Chernoff bound e^(theta (x + h/2)) Z^n is at least 1e-4 is
+# at least about 1e-6 (the bound is 10-100 times above it), where the
+# untilted power's round-off of about 1e-16 costs at most 1e-10 relative.
+_LOG_UNTILTED = math.log(1e-4)
+# The wrapped tilted mass allowed on a shortened transform and the read weight
+# below which a sum is skipped, e^-39.2 and e^-46.1 of the read's scale;
+# theta h where x/n is at most the smallest value (neighbours differ by e^-50);
+# and the read, in units of its round-off, below which it is summed by count.
+_LOG_ALIAS, _LOG_WINDOW, _THETA_CAP, _RESOLVED = 39.2, 46.1, 50.0, 1e6
 
 
 @dataclass(frozen=True)
@@ -81,19 +76,16 @@ class ChannelSpec:
 
 @dataclass(frozen=True, eq=False)
 class TabulatedPmf:
-    """Cell masses of a continuous variable on a uniform grid.
+    """Cell masses of a variable on a uniform grid, plus an atom at its top.
 
-    Cell k holds the probability of [origin + k*step, origin + (k+1)*step).
-    Freshly built pmfs start at origin = 0; convolution outputs carry the
-    half-cell alignment offset (see convolve_power).  A pmf does not change
-    its masses; one that convolve_power returns through a caller's
-    ConvolutionWorkspace wraps a view of the workspace's buffer, which the
-    next power on that workspace overwrites.
+    Cell k holds the probability of [k*step, (k+1)*step), and the kernel
+    places it at the cell's midpoint; atom is the probability of the value
+    n_cells*step exactly (the capped per-block law's p at M).
     """
 
     grid_step: float
     masses: np.ndarray
-    origin: float = 0.0
+    atom: float = 0.0
 
     def __post_init__(self) -> None:
         masses = np.asarray(self.masses, dtype=float)
@@ -103,9 +95,9 @@ class TabulatedPmf:
         if masses.ndim != 1 or masses.size < 1:
             raise ValueError("masses must be a nonempty 1-D array")
         # Written so that NaN fails them too.
-        if not (masses.min() >= 0):
+        if not (masses.min() >= 0 and self.atom >= 0):
             raise ValueError("cell masses must be nonnegative")
-        total = masses.sum()
+        total = masses.sum() + self.atom
         if not (abs(total - 1.0) <= 1e-9):
             raise ValueError(f"cell masses must sum to 1, got {total!r}")
 
@@ -114,56 +106,26 @@ class TabulatedPmf:
         return self.masses.size
 
 
-class ConvolutionWorkspace:
-    """Scratch space for the convolution powers of one pmf.
+@dataclass(frozen=True, eq=False)
+class TiltedLaw:
+    """A law on the half-step lattice of grid_step, tilted toward x: in each
+    class (masses, offset), masses[j] is the tilted mass of the value
+    v = (j + offset) grid_step, and e^(log_scale + theta (v - x)) times it
+    is v's untilted mass.  noise bounds the round-off of a read's tilted sum."""
 
-    Holds, for the FFT size asked for last, the pmf's rfft at that size and
-    its repeated squarings spec, spec^2, spec^4, ..., built as far as the
-    powers asked for need; a new size replaces them, since the evaluator
-    asks for sizes in descending order.  At B = 32 and 4096 cells the ladder
-    of the largest size is six spectra of 65 537 bins, about 6 MB.  One
-    complex and one real buffer grow to the largest size asked for, so a run
-    of powers allocates no per-power arrays.  It belongs to one evaluation
-    and is not shared between threads.
-    """
-
-    def __init__(self, pmf: TabulatedPmf) -> None:
-        self.pmf = pmf
-        self._size = 0
-        self._ladder: list[np.ndarray] = []
-        self._freq = np.empty(0, dtype=complex)
-        self._real = np.empty(0)
-
-    def squarings(self, size: int, count: int) -> list[np.ndarray]:
-        """spec^(2^k) for k = 0..count-1, spec the rfft of the masses zero-padded to size.
-
-        The rfft is computed once per size, and each squaring once per size
-        and rung, so a value does not depend on the powers asked for before.
-        """
-        if size != self._size:
-            spec = np.fft.rfft(self.pmf.masses, size)
-            spec.flags.writeable = False
-            self._size, self._ladder = size, [spec]
-        while len(self._ladder) < count:
-            square = np.square(self._ladder[-1])
-            square.flags.writeable = False
-            self._ladder.append(square)
-        return self._ladder
-
-    def buffers(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Complex (size // 2 + 1) and real (size) views of the two buffers."""
-        if self._real.size < size:
-            self._freq = np.empty(size // 2 + 1, dtype=complex)
-            self._real = np.empty(size)
-        return self._freq[: size // 2 + 1], self._real[:size]
+    grid_step: float
+    classes: tuple
+    theta: float
+    x: float
+    log_scale: float
+    noise: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class BoundResult:
-    """Bound value plus its per-term decomposition (t, F_Yt, weight, product)."""
+    """Bound value at one SNR and rate."""
 
     value: float
-    per_term: list
 
 
 # Rates where B(1 - R/M) is within this of an integer sit on a diversity
@@ -189,39 +151,6 @@ def singleton_bound(B: int, M: int, R: float) -> int:
     if not (0.0 < R <= M):
         raise ValueError(f"rate must lie in (0, M={M}], got {R}")
     return min(B, 1 + int(math.floor(diversity_arg(B, M, R))))
-
-
-def threshold_terms(spec: ChannelSpec) -> int:
-    """Number of nonzero terms in the bound: ceil(BR/M) = B + 1 - d_B(R)."""
-    return spec.B + 1 - singleton_bound(spec.B, spec.M, spec.rate)
-
-
-def log_binomial(B: int) -> np.ndarray:
-    """ln C(B, t) for t = 0..B, through log-gamma so large B cannot overflow."""
-    return math.lgamma(B + 1) - np.array([math.lgamma(t + 1) + math.lgamma(B - t + 1) for t in range(B + 1)])
-
-
-def binomial_weights(p: float, q: float, B: int) -> np.ndarray:
-    """Binomial(B, p) weights C(B,t) p^t q^(B-t) for t = 0..B, with q = 1-p.
-
-    q is passed apart from p so that it keeps its relative accuracy at high
-    SNR, where p is within rounding of 1; the weights are formed in log space.
-    """
-    t = np.arange(B + 1)
-    logw = log_binomial(B)
-    if p > 0:
-        logw = logw + t * math.log(p)
-    else:
-        logw[1:] = -np.inf
-    if q > 0:
-        logw = logw + (B - t) * math.log(q)
-    else:
-        logw[:-1] = -np.inf
-    return np.exp(logw)
-
-
-def _underflow(snr: Snr) -> ArithmeticError:
-    return ArithmeticError(f"conditioning probability underflowed at snr_db {snr.db:.6g}; SNR too large for this grid")
 
 
 def build_pmf_A(levels: np.ndarray, M: int) -> TabulatedPmf:
@@ -274,67 +203,154 @@ def tabulate_A(snrs, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS):
         levels, tails = reg_gamma_pq(m, x)
         for snr, level, tail in zip(block, levels, tails):
             if level[-1] <= 0.0:
-                raise _underflow(snr)
+                raise ArithmeticError(f"conditioning probability underflowed at snr_db {snr.db:.6g}; SNR too large for this grid")
             yield build_pmf_A(level, spec.M), float(tail[-1]), float(level[-1])
 
 
-def convolve_power(pmf: TabulatedPmf, n: int, workspace: ConvolutionWorkspace | None = None) -> TabulatedPmf:
-    """Distribution of the sum of n independent copies, by zero-padded FFT.
+def tilt(pmf: TabulatedPmf, n: int, x: float) -> TiltedLaw:
+    """pmf's values that a read of the n-fold sum at x can see, tilted toward x/n.
 
-    The mass sequence is self-convolved to length n(N-1)+1 at the same
-    step.  The spectrum's n-th power is the product, in ascending k, of the
-    workspace's squarings spec^(2^k) for the set bits k of n: popcount(n) - 1
-    multiplies into the complex buffer, on squarings shared by every power
-    of the same FFT size.  Cell masses represent left-edge-quantized values,
-    so the output support is shifted by (n-1)/2 cells to keep cell midpoints
-    aligned with the sum of input-cell midpoints; tiny negative FFT residue
-    (>= -1e-12) is clamped and the masses renormalized.
-
-    The power runs in place in workspace, a ConvolutionWorkspace of pmf, and
-    the result's masses are a view of its real buffer: valid until the next
-    power on that workspace.  Without one, a fresh workspace is made and
-    the result owns its masses.
+    Values at or above x + h/2 cannot reach the read, as none is negative.
+    theta is 0 where the untilted mean is at most x/n; otherwise it solves
+    n E_theta[X] = x to within half the sum's standard deviation by Newton's
+    method on 1/E_theta[X] (exact for a Gamma-like law, whose tilted mean is
+    shape/theta), kept in a bisection bracket, growing at most 4-fold a step
+    and stopping after 100 steps or at _THETA_CAP/h, which it reaches where
+    x/n is at most the smallest value.
     """
+    h, N = pmf.grid_step, pmf.n_cells
+    kept = min(N, max(0, math.ceil(x / h)))
+    masses, dev = pmf.masses[:kept], (np.arange(kept) + 0.5) * h - x / n
+    atom = pmf.atom > 0 and N * h < x + h / 2
+    if atom:
+        masses, dev = np.append(masses, pmf.atom), np.append(dev, N * h - x / n)
+    total = masses.sum()
+    if not total > 0:
+        return TiltedLaw(h, (), _THETA_CAP / h, x / n, -math.inf)
+    theta, log_z, mean = 0.0, math.log(total), masses @ dev / total
+    if mean > 0:
+        dev2 = dev * dev
+        lo, hi, var = 0.0, math.inf, masses @ dev2 / total - mean * mean
+        with np.errstate(divide="ignore"):
+            log_m = np.log(masses)
+        for _ in range(100):
+            if abs(mean) <= 0.5 * math.sqrt(max(var, 0.0) / n) or theta >= _THETA_CAP / h:
+                break
+            lo, hi = (theta, hi) if mean > 0 else (lo, theta)
+            step = mean * (x / n + mean) / (x / n * var) if var > 0 else math.inf
+            theta = theta + step if lo < theta + step < hi else (lo + hi) / 2
+            theta = min(theta, 4 * lo + 16 / (dev[-1] - dev[0] + h), _THETA_CAP / h)
+            masses = log_m - theta * dev
+            top = masses.max()
+            masses -= top
+            total = np.exp(masses, out=masses).sum()
+            mean = masses @ dev / total
+            var = masses @ dev2 / total - mean * mean
+            log_z = top + math.log(total)
+    classes = ((masses[:kept] / total, 0.5),) + (((masses[kept:] / total, N),) if atom else ())
+    return TiltedLaw(h, classes, float(theta), x / n, float(log_z))
+
+
+def _fft_length(n: int) -> int:
+    """The smallest of 2^a, 3 * 2^a and 5 * 2^a that is at least n >= 1."""
+    return min(odd << max(0, -(-n // odd) - 1).bit_length() for odd in (1, 3, 5))
+
+
+@functools.lru_cache(maxsize=8)
+def _half_step(size: int) -> np.ndarray:
+    """s = e^(-i pi f/size) for f = 0..size//2, read-only."""
+    s = np.exp(-1j * np.pi / size * np.arange(size // 2 + 1))
+    s.flags.writeable = False
+    return s
+
+
+def _power(spec: np.ndarray, n: int) -> np.ndarray:
+    """spec^n as the product, in ascending k, of the squarings spec^(2^k) for
+    the set bits k of n; spec is overwritten."""
+    power = None
+    for k in range(n.bit_length()):
+        if k:
+            np.multiply(spec, spec, out=spec)
+        if n >> k & 1:
+            if power is None:
+                power = spec if n >> k == 1 else spec.copy()
+            else:
+                power *= spec
+    return power
+
+
+def convolve_power(law: TiltedLaw, n: int) -> TiltedLaw:
+    """The law of the sum of n copies of a tilted per-block law, less the
+    all-capped sum n M, which the read never counts, by one FFT power.
+
+    The transform has n N points with the atom (the all-capped sum lands on
+    index n N modulo the length, where it is subtracted) and n(K - 1) + 1
+    without it, so that no other sum wraps.  A tilted law's transform stops
+    at y/h, past which, by the Chernoff bound P_theta(sum >= y) <= e^(-theta
+    (y - x)) / Z^n, the wrapped mass is below e^-39.2 of the read's scale.
+    Residue below -1e-12 raises ArithmeticError.
+    """
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"convolution power must be >= 1, got {n}")
-    if n == 1:
-        return pmf
-    if workspace is None:
-        workspace = ConvolutionWorkspace(pmf)
-    elif workspace.pmf is not pmf:
-        raise ValueError("workspace holds the spectra of another pmf")
-    N = pmf.n_cells
-    out_len = n * (N - 1) + 1
-    size = 1 << (n * N - 1).bit_length()
-    freq, real = workspace.buffers(size)
-    power = None
-    for k, rung in enumerate(workspace.squarings(size, n.bit_length())):
-        if n >> k & 1:
-            power = rung if power is None else np.multiply(power, rung, out=freq)
-    out = np.fft.irfft(power, size, out=real)[:out_len]
-    if out.min() < -1e-12:
-        raise ArithmeticError(f"FFT convolution produced mass {out.min()} below tolerance")
-    np.maximum(out, 0.0, out=out)
-    out /= out.sum()
-    origin = n * pmf.origin + (n - 1) * pmf.grid_step / 2.0
-    return TabulatedPmf(pmf.grid_step, out, origin)
+    h, theta, x, log_scale = law.grid_step, law.theta, n * law.x, n * law.log_scale
+    if not law.classes or n == 1:
+        return TiltedLaw(h, law.classes[:1], theta, x, log_scale)
+    (cells, _), *capped = law.classes
+    atom, atom_cell = (float(capped[0][0][0]), int(capped[0][1])) if capped else (0.0, 0)
+    need = n * atom_cell if atom else n * (cells.size - 1) + 1
+    if theta > 0:
+        need = min(need, math.ceil((x + h / 2 + (_LOG_ALIAS - log_scale) / theta) / h))
+    size = _fft_length(need)
+    spec = np.fft.rfft(cells, size)
+    if atom:
+        s, period = _half_step(size), size // math.gcd(size, atom_cell)
+        spec *= s
+        # atom e^(-2 pi i f N/size), built from its period size/gcd(size, N).
+        capped = atom * np.tile(np.exp(-2j * np.pi / size * (np.arange(period) * atom_cell % size)), size // 2 // period + 1)[: size // 2 + 1]
+        plus, minus = _power(capped + spec, n), _power(np.subtract(capped, spec, out=capped), n)
+        even = np.fft.irfft(np.add(plus, minus, out=spec), size) * 0.5
+        odd = np.fft.irfft(np.multiply(np.subtract(plus, minus, out=plus), np.conj(s), out=plus), size) * 0.5
+        even[n * atom_cell % size] -= atom**n
+        classes = ((even, 0.0), (odd, 0.5))
+    else:
+        classes = ((np.fft.irfft(_power(spec, n), size), n / 2),)
+    if (residue := min(masses.min() for masses, _ in classes)) < -1e-12:
+        raise ArithmeticError(f"FFT convolution produced mass {residue} below tolerance")
+    return TiltedLaw(h, classes, theta, x, log_scale, max(-residue, 0.0) * math.sqrt(sum(m.size for m, _ in classes)))
 
 
-def cdf_Y_at(pmf: TabulatedPmf, x: float) -> float:
-    """Piecewise-linear cdf of a tabulated pmf at x.
+def cdf_Y_at(law: TiltedLaw, x: float) -> float:
+    """Natural log of the law's cdf at x, -inf where it is 0.
 
-    Full cells below x count whole; the straddling cell contributes its
-    linear fraction (the tabulated variable is continuous, so a step cdf
-    would bias threshold evaluations by O(step)).
+    A value v counts clip((x - v)/h + 1/2, 0, 1): whole below x - h/2 and a
+    linear fraction within h/2 of x, which reads a sum of cell midpoints as
+    the cdf of the continuous sum interpolated over its cell.  A tilted law's
+    values are weighted by e^(theta (v - law.x)), and those whose weight is
+    below e^-46.1 are skipped.
     """
-    rel = (x - pmf.origin) / pmf.grid_step
-    if rel <= 0.0 or x <= 0.0:
-        return 0.0
-    if rel >= pmf.n_cells:
-        return 1.0
-    j = int(rel)
-    frac = rel - j
-    return float(pmf.masses[:j].sum() + pmf.masses[j] * frac)
+    h, theta, total = law.grid_step, law.theta, 0.0
+    for masses, offset in law.classes:
+        rel = x / h + (0.5 - offset)
+        if rel <= 0.0:
+            continue
+        top = min(int(rel), masses.size)
+        first = max(0, top - math.ceil(_LOG_WINDOW / (theta * h))) if theta else 0
+        window = masses[first : top + 1]
+        if theta:
+            window = window * np.exp(theta * h * (np.arange(first, first + window.size) + offset - law.x / h))
+        total += window[: top - first].sum() + (window[-1] * (rel - top) if top < masses.size else 0.0)
+    return law.log_scale + math.log(total) if total > 0 else -math.inf
+
+
+def _by_capped_count(pmf_a: TabulatedPmf, p: float, q: float, n: int, x: float, M: int) -> float:
+    """log P(sum < x) as the mixture over the number t of capped blocks, each
+    term the tilted read of n - t copies of A alone, whose sum has no atom to
+    cluster around; for reads that the single power cannot resolve."""
+    logs = [math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1) + (t * math.log(p) if t else 0.0) + (n - t) * math.log(q)
+            + cdf_Y_at(convolve_power(tilt(pmf_a, n - t, x - t * M), n - t), x - t * M) for t in range(n if p > 0 else 1) if x - t * M > 0]
+    top = max(logs, default=-math.inf)
+    return top + math.log(sum(math.exp(v - top) for v in logs)) if top > -math.inf else -math.inf
 
 
 def outage_lower_bounds(
@@ -342,40 +358,38 @@ def outage_lower_bounds(
 ) -> list[list[BoundResult]]:
     """Evaluate the outage lower bound at every SNR for every rate: [snr][rate].
 
-    tabulate_A gives each SNR's pmf_A, p and 1 - p, which do not depend on
-    the rate.  At each SNR the loop runs over the mixture terms: Y_{B-t} is
-    convolved once, in one ConvolutionWorkspace for the SNR (the squarings
-    of pmf_A's spectrum at the current FFT size, and two buffers of the
-    first, largest power's size), and read at every rate that still has a
-    term t before the next power overwrites it.  Terms with t >= ceil(BR/M)
-    have BR - tM <= 0 and vanish because A is positive, so each rate stops
-    at t = B - d_B(R) (see threshold_terms).  Every rate sums its terms in ascending t, so a value
-    depends neither on the other rates nor on the other SNRs of the call.
+    tabulate_A gives each SNR's pmf_A, p and 1 - p, the capped per-block
+    law, and each rate tilts it toward BR.  A rate that keeps the atom and
+    whose theta is 0, or whose Chernoff bound e^(theta (BR + h/2)) Z^B is at
+    least 1e-4, reads the SNR's one untilted power, of full length and
+    computed at most once; any other rate reads its own power, which without
+    the atom is cut at BR and needs one inverse transform.  A read below 1e6
+    times its power's round-off is summed over the capped-block counts.  All
+    of it depends only on the SNR and the rate, not on the rest of the call.
     """
     specs = [ChannelSpec(B, M, fading, r) for r in rates]
     if not specs:
         return [[] for _ in snrs]
-    n_terms = [threshold_terms(s) for s in specs]
+    B, M = specs[0].B, specs[0].M
     out = []
     for pmf_a, p, q in tabulate_A(snrs, specs[0], n_cells):
-        weights = binomial_weights(p, q, B)
-        workspace = ConvolutionWorkspace(pmf_a)
-        per_term = [[] for _ in specs]
-        totals = [0.0] * len(specs)
-        for t in range(max(n_terms)):
-            pmf_y = convolve_power(pmf_a, B - t, workspace)
-            weight = float(weights[t])
-            for i, s in enumerate(specs):
-                if t < n_terms[i]:
-                    f_y = cdf_Y_at(pmf_y, B * s.rate - t * M)
-                    product = f_y * weight
-                    per_term[i].append((t, f_y, weight, product))
-                    totals[i] += product
-        results = []
-        for total, terms in zip(totals, per_term):
-            if not math.isfinite(total):
+        law = TabulatedPmf(pmf_a.grid_step, q * pmf_a.masses, p)
+        untilted, results = None, []
+        for s in specs:
+            x = B * s.rate
+            tilted = tilt(law, B, x)
+            if len(tilted.classes) < 2 or tilted.theta > 0 and B * tilted.log_scale + tilted.theta * tilted.grid_step / 2 < _LOG_UNTILTED:
+                power = convolve_power(tilted, B)
+            else:  # tilted toward B M, the law keeps every value and theta is 0
+                untilted = untilted or convolve_power(tilt(law, B, B * M), B)
+                power = untilted
+            log_f = cdf_Y_at(power, x)
+            if power.noise and not log_f - power.log_scale > math.log(_RESOLVED * power.noise):
+                log_f = _by_capped_count(pmf_a, p, q, B, x, M)
+            value = math.exp(log_f)
+            if not math.isfinite(value):
                 raise ArithmeticError("outage bound evaluated to a non-finite value")
-            results.append(BoundResult(min(max(total, 0.0), 1.0), terms))
+            results.append(BoundResult(min(value, 1.0)))
         out.append(results)
     return out
 

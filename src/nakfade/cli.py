@@ -85,7 +85,6 @@ _SEED = _must(lambda v: _is_int(v) and 0 <= v < 2**64, "must be an integer in [0
 # The bound commands (those that read cells) need rho > 0; mc and mi are right at rho = 0.
 _SNR_GRID = lambda v, cfg: _zero_snr(v[0]) if "cells" in _reads(cfg) else None
 _LAMBDAS = _must(lambda v: all(_is_real(x) and x > 0 for x in v), "entries must be positive reals")
-_FLAG = _must(lambda v: isinstance(v, bool), "must be true or false")
 _PATH = _must(lambda v: v is None or isinstance(v, str), "must be a file path")
 
 
@@ -126,7 +125,6 @@ class RunConfig:
     lambda_scaled: tuple = _option(
         (0.5, 2.0), "--lambda-scaled", "lambda M ln2 / m; repeat for extra columns.", _LAMBDAS, None, type=float, multiple=True
     )
-    per_term: bool = _option(False, "--per-term", "Append per-term cdf / weight columns.", _FLAG, None, is_flag=True)
     workers: int = _option(1, "--workers", "Worker threads over each grid point's Monte Carlo sample chunks.", _POSITIVE_INT, None, type=int)
     out: str | None = _option(None, "--out -o", "Output CSV path (default: stdout).", _PATH, None, type=click.Path(dir_okay=False))
 
@@ -220,26 +218,14 @@ def run(config: RunConfig) -> int:
 
 def _run_curve(cfg: RunConfig) -> int:
     """Outage lower bound across an SNR grid."""
-    spec = _channel_spec(cfg)
     dbs = _grid(cfg.snr_db)
     results = [res for (res,) in _bounds(cfg, [Snr.from_db(db) for db in dbs], [cfg.rate])]
-    columns = ["snr_db", "p_out_lower"]
-    if cfg.per_term:
-        for t in range(bound.threshold_terms(spec)):
-            columns += [f"t{t}_cdf", f"t{t}_weight"]
-    rows = []
-    for db, res in zip(dbs, results):
-        row = [db, res.value]
-        if cfg.per_term:
-            for _, f_y, w, _ in res.per_term:
-                row += [f_y, w]
-        rows.append(row)
-    return _emit(cfg, columns, rows)
+    return _emit(cfg, ["snr_db", "p_out_lower"], [(db, res.value) for db, res in zip(dbs, results)])
 
 
 def _run_ratesweep(cfg: RunConfig) -> int:
     """Outage lower bound across a rate grid at fixed SNR."""
-    # One SNR, so every rate reads the same pmf and convolution powers.
+    # One SNR: every rate reads one pmf, and those not tilted share one untilted power.
     rates = _grid(cfg.rate_grid)
     (results,) = _bounds(cfg, [Snr.from_db(cfg.snr_db_fixed)], rates)
     return _emit(cfg, ["rate", "p_out_lower"], [(r, res.value) for r, res in zip(rates, results)])
@@ -364,7 +350,7 @@ def _validate(cfg: RunConfig, given) -> None:
 # Each command: the function that writes its CSV (whose docstring is the
 # command's help) and the only fields it reads, so the only ones it takes.
 _COMMANDS = {
-    "curve": (_run_curve, "blocks bits m cells rate snr_db per_term out"),
+    "curve": (_run_curve, "blocks bits m cells rate snr_db out"),
     "ratesweep": (_run_ratesweep, "blocks bits m cells snr_db_fixed rate_grid out"),
     "asymptote": (_run_asymptote, "blocks bits m cells rate snr_db out"),
     "exponent": (_run_exponent, "blocks bits m rate_grid lambda_scaled out"),

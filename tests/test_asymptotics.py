@@ -12,7 +12,7 @@ from nakfade.asymptotics import (
     random_coding_exponent,
     singleton_bound,
 )
-from nakfade.bound import ChannelSpec, TabulatedPmf, cdf_Y_at, outage_lower_bound, tabulate_A
+from nakfade.bound import ChannelSpec, outage_lower_bound, tabulate_A
 from nakfade.fading import NakagamiParam
 from nakfade.mutual_info import Snr
 from test_bound import truncated_power
@@ -21,7 +21,6 @@ M1 = NakagamiParam(1)
 M2 = NakagamiParam(2)
 MH = NakagamiParam(0.5)
 LN2 = math.log(2.0)
-FFT_FLOOR = pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the coding gain reads the FFT round-off floor in the deep left tail")
 
 
 def limit_cdf(xi, M, m):
@@ -30,15 +29,15 @@ def limit_cdf(xi, M, m):
 
 
 def limit_pmf(monkeypatch, spec, n_cells):
-    """The pmf of A's limit law that coding_gain convolves."""
+    """The pmf of A's limit law that coding_gain tabulates and convolves."""
     seen = []
-    convolve = asymptotics.convolve_power
+    build = asymptotics.build_pmf_A
 
-    def capture(pmf, n, *args):
-        seen.append(pmf)
-        return convolve(pmf, n, *args)
+    def capture(*args):
+        seen.append(build(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(asymptotics, "convolve_power", capture)
+    monkeypatch.setattr(asymptotics, "build_pmf_A", capture)
     coding_gain(spec, n_cells)
     assert len(seen) == 1
     return seen[0]
@@ -136,19 +135,14 @@ class TestCodingGain:
         for _ in range(3):
             direct = np.convolve(direct, masses)
         direct /= direct.sum()
-        pmf = TabulatedPmf(4.0 / n, direct, origin=1.5 * 4.0 / n)
-        want = cdf_Y_at(pmf, 4.0) * math.comb(4, 0) * (2.0 * 15.0) ** 8 / (2.0 * math.gamma(2.0)) ** 4
+        # Read at 4 with the 3/2-cell shift: whole cells below, the straddling one linearly.
+        rel = (4.0 - 1.5 * 4.0 / n) / (4.0 / n)
+        f_y = direct[: int(rel)].sum() + direct[int(rel)] * (rel - int(rel))
+        want = f_y * math.comb(4, 0) * (2.0 * 15.0) ** 8 / (2.0 * math.gamma(2.0)) ** 4
         assert coding_gain(spec) == pytest.approx(want, rel=1e-8)
 
-    @pytest.mark.parametrize(
-        "m",
-        [
-            2.0,
-            pytest.param(5.0, marks=FFT_FLOOR),  # log10 K 13.2398 against 8.0645
-            pytest.param(10.0, marks=FFT_FLOOR),  # 44.9610 against 16.6112
-            pytest.param(20.0, marks=FFT_FLOOR),  # 108.8851 against 33.8384
-        ],
-    )
+    # m = 50 puts log10 K at about 85.76, above the old floor's overflow.
+    @pytest.mark.parametrize("m", [2.0, 5.0, 10.0, 20.0, 50.0])
     def test_matches_truncated_direct_convolution(self, m):
         # B=4, M=4, R=1: d_B = 4, read at BR - (B - d_B) M = 4 with the (d_B - 1)/2-cell shift.
         B, M, rate, d, cells = 4, 4, 1.0, 4, 4096
@@ -159,7 +153,35 @@ class TestCodingGain:
         power = truncated_power(masses, d, j + 1)
         f_y = power[:j].sum() + power[j] * (rel - j)
         log_k = math.log(math.comb(B, B - d)) + m * d * math.log(m * (2.0**M - 1.0)) - d * (math.log(m) + math.lgamma(m))
-        assert coding_gain(ChannelSpec(B, M, NakagamiParam(m), rate), cells) == pytest.approx(f_y * math.exp(log_k), rel=1e-6)
+        # The product in log space: at m = 50, e^log_k alone overflows.
+        assert coding_gain(ChannelSpec(B, M, NakagamiParam(m), rate), cells) == pytest.approx(math.exp(math.log(f_y) + log_k), rel=1e-6)
+
+
+    @pytest.mark.parametrize("m", [20.0, 100.0])
+    def test_large_m_matches_log_space_direct_convolution(self, m):
+        # At m = 100 the limit law's first cells underflow, so the direct
+        # convolution runs on log masses: log a_k from log F at the cell
+        # edges, each sum by log-sum-exp.  B=4, M=4, R=1: d_B = 4, read at 4
+        # with the (d_B - 1)/2-cell shift.  abs=1e-6 in log K is 1e-6 relative in K.
+        B, M, rate, d, cells = 4, 4, 1.0, 4, 4096
+        step = M / cells
+        with np.errstate(divide="ignore"):
+            log_cdf = m * np.log(limit_cdf(np.linspace(0.0, M, cells + 1), M, 1.0))
+            log_masses = log_cdf[1:] + np.log1p(-np.exp(log_cdf[:-1] - log_cdf[1:]))
+        rel = (B * rate - (B - d) * M - (d - 1) * step / 2.0) / step
+        j = int(rel)
+
+        def log_sum_exp(v):
+            return v.max() + math.log(np.exp(v - v.max()).sum()) if v.max() > -np.inf else -np.inf
+
+        def log_convolve(a, b):
+            return np.array([log_sum_exp(a[: i + 1] + b[i::-1]) for i in range(j + 1)])
+
+        two = log_convolve(log_masses[: j + 1], log_masses[: j + 1])
+        four = log_convolve(two, two)
+        log_f = log_sum_exp(np.append(four[:j], four[j] + math.log(rel - j)))
+        log_k = math.log(math.comb(B, B - d)) + m * d * math.log(m * (2.0**M - 1.0)) - d * (math.log(m) + math.lgamma(m))
+        assert math.log(coding_gain(ChannelSpec(B, M, NakagamiParam(m), rate), cells)) == pytest.approx(log_f + log_k, abs=1e-6)
 
 
 class TestAsymptote:

@@ -8,16 +8,14 @@ from nakfade import bound, cli
 from nakfade.asymptotics import coding_gain
 from nakfade.bound import (
     ChannelSpec,
-    ConvolutionWorkspace,
     TabulatedPmf,
-    binomial_weights,
     cdf_Y_at,
     convolve_power,
     outage_lower_bound,
     outage_lower_bounds,
     singleton_bound,
     tabulate_A,
-    threshold_terms,
+    tilt,
 )
 from nakfade.fading import NakagamiParam, reg_gamma_pq
 from nakfade.montecarlo import mc_lower_bound
@@ -73,6 +71,15 @@ class TestChannelSpec:
     def test_numpy_integers_accepted(self):
         assert outage_lower_bound(Snr(10.0), ChannelSpec(np.int64(4), np.int64(4), M1, 1.0), 64).value > 0
 
+    def test_numpy_integers_give_the_values_of_python_integers(self):
+        snrs, rates = [Snr(10.0), Snr.from_db(30.0)], [0.5, 1.0, 4.0]
+        want = [[r.value for r in row] for row in outage_lower_bounds(snrs, 4, 4, M2, rates, 256)]
+        got = outage_lower_bounds(snrs, np.int64(4), np.int32(4), M2, rates, 256)
+        assert [[r.value for r in row] for row in got] == want
+        assert coding_gain(ChannelSpec(np.int64(4), np.int64(4), M2, 1.0), 256) == coding_gain(ChannelSpec(4, 4, M2, 1.0), 256)
+        law = tilt(pmf_A(Snr(10.0), spec44(M2, 1), 64), 3, 3.0)
+        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(convolve_power(law, np.int64(3)).classes, convolve_power(law, 3).classes))
+
 
 class TestSuccessRate:
     """The (p, 1 - p) that tabulate_A yields with each SNR's pmf."""
@@ -97,10 +104,10 @@ class TestSuccessRate:
         assert p_and_q(Snr(1e30), spec44(M2, 1))[1] == pytest.approx(series, rel=1e-12)
 
     def test_all_capped_weight_at_high_snr(self):
-        # The t = 0 weight (1-p)^4 ~ 5.1e-116 keeps its relative accuracy.
-        x = 15.0 / 1e30
-        weights = binomial_weights(*p_and_q(Snr(1e30), spec44(M1, 1)), 4)
-        assert weights[0] == pytest.approx((-math.expm1(-x)) ** 4, rel=1e-12)
+        # At R = 1 every block must fall below the cap, so the bound carries
+        # (1-p)^4 ~ 5.1e-116, which keeps its relative accuracy.
+        snr, spec = Snr(1e30), spec44(M1, 1)
+        assert outage_lower_bound(snr, spec).value == pytest.approx(direct_bound(snr, spec), rel=1e-9)
 
 
 class TestConditionalCdfA:
@@ -140,7 +147,7 @@ class TestBuildPmfA:
     def test_grid_spans_bits_exactly(self):
         pmf = pmf_A(Snr(10.0), spec44(M2, 1), 1000)
         assert abs(pmf.n_cells * pmf.grid_step - 4.0) <= 1e-12
-        assert pmf.origin == 0.0
+        assert pmf.atom == 0.0
 
     def test_first_cell_is_cdf_at_step(self):
         # m = 1/2: P(1/2, x) = erf(sqrt(x)).
@@ -196,108 +203,126 @@ class TestTabulatedPmf:
             TabulatedPmf(step, np.array([0.5, 0.5]))
 
 
+def untilted(pmf, n):
+    """The n-fold power of pmf with no tilt and no truncation: the read at n M sees every value."""
+    law = tilt(pmf, n, n * pmf.n_cells * pmf.grid_step)
+    assert law.theta == 0.0
+    return convolve_power(law, n)
+
+
+def random_pmf(seed, n_cells, atom=0.0):
+    masses = np.random.default_rng(seed).random(n_cells)
+    return TabulatedPmf(4.0 / n_cells, (1.0 - atom) * masses / masses.sum(), atom)
+
+
+def half_step_power(pmf, law, n):
+    """Direct convolution of law's tilted values on the half-step lattice, the
+    all-capped sum removed: index i holds the sum at i h/2."""
+    (cells, _), *capped = law.classes
+    lattice = np.zeros(2 * pmf.n_cells + 1)
+    lattice[1 : 2 * cells.size : 2] = cells
+    if capped:
+        lattice[2 * pmf.n_cells] = capped[0][0][0]
+    out = lattice
+    for _ in range(n - 1):
+        out = np.convolve(out, lattice)
+    if capped:
+        out[2 * n * pmf.n_cells] = 0.0
+    return out
+
+
 class TestConvolvePower:
     def test_identity(self):
-        pmf = pmf_A(Snr(5.0), spec44(M1, 1), 64)
-        assert convolve_power(pmf, 1) is pmf
+        # One block: the law's own cells, and no atom (the all-capped sum).
+        law = tilt(random_pmf(1, 64, 0.25), 1, 4.0)
+        assert len(law.classes) == 2
+        assert convolve_power(law, 1).classes == law.classes[:1]
 
     def test_delta_shift(self):
         masses = np.zeros(32)
         masses[5] = 1.0
-        pmf = TabulatedPmf(0.125, masses)
-        out = convolve_power(pmf, 3)
-        assert out.n_cells == 3 * 31 + 1
-        assert out.masses[15] == pytest.approx(1.0, abs=1e-12)
-        assert out.masses.sum() == pytest.approx(1.0, abs=1e-12)
+        out = untilted(TabulatedPmf(0.125, masses), 3)
+        ((sums, offset),) = out.classes
+        assert sums.size >= 3 * 31 + 1 and offset == 1.5
+        assert sums[15] == pytest.approx(1.0, abs=1e-12)
+        assert sums.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_direct_convolution(self, n):
-        rng = np.random.default_rng(2024)
-        masses = rng.random(512)
-        masses /= masses.sum()
-        pmf = TabulatedPmf(4.0 / 512, masses)
-        direct = masses.copy()
+        pmf = random_pmf(2024, 512)
+        direct = pmf.masses.copy()
         for _ in range(n - 1):
-            direct = np.convolve(direct, masses)
-        direct /= direct.sum()
-        got = convolve_power(pmf, n).masses
-        assert got.shape == direct.shape
-        assert np.max(np.abs(got - direct)) < 1e-10
+            direct = np.convolve(direct, pmf.masses)
+        ((got, _),) = untilted(pmf, n).classes
+        assert np.max(np.abs(got[: direct.size] - direct)) < 1e-10
+        assert np.max(np.abs(got[direct.size :]), initial=0.0) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    @pytest.mark.parametrize("x", [2.0, 6.5, 11.0])
+    def test_capped_law_matches_direct_convolution(self, n, x):
+        # Tilted or not, with or without the atom, each class is the
+        # half-step lattice's direct convolution at its parity.
+        pmf = random_pmf(n, 256, 0.3)
+        law = tilt(pmf, n, x)
+        direct = half_step_power(pmf, law, n)
+        power = convolve_power(law, n)
+        for sums, offset in power.classes:
+            index = (2 * (np.arange(sums.size) + offset)).astype(int)
+            keep = index < direct.size
+            assert np.max(np.abs(sums[keep] - direct[index[keep]])) < 1e-10, (offset, law.theta)
 
     def test_midpoint_alignment_offset(self):
-        pmf = TabulatedPmf(0.5, np.full(8, 0.125))
-        out = convolve_power(pmf, 4)
-        assert out.origin == pytest.approx(1.5 * 0.5)
+        # Four cells at (k + 1/2) h sum to (j + 2) h: the class offset is n/2 cells.
+        ((_, offset),) = untilted(TabulatedPmf(0.5, np.full(8, 0.125)), 4).classes
+        assert offset == 2.0
 
     def test_rejects_zero_power(self):
         with pytest.raises(ValueError):
-            convolve_power(TabulatedPmf(1.0, np.array([1.0])), 0)
+            convolve_power(tilt(TabulatedPmf(1.0, np.array([1.0])), 1, 1.0), 0)
 
     def test_result_without_workspace_is_its_own(self):
-        rng = np.random.default_rng(7)
-        masses = rng.random(64)
-        pmf = TabulatedPmf(1.0 / 16, masses / masses.sum())
-        first = convolve_power(pmf, 3)
-        kept = first.masses.copy()
-        convolve_power(pmf, 3)
-        convolve_power(pmf, 2)
-        assert np.array_equal(first.masses, kept)
+        # A power owns its masses: later powers of the same law leave it as it was.
+        law = tilt(random_pmf(7, 64, 0.2), 3, 5.0)
+        first = convolve_power(law, 3)
+        kept = [sums.copy() for sums, _ in first.classes]
+        convolve_power(law, 3)
+        convolve_power(law, 2)
+        assert all(np.array_equal(sums, k) for (sums, _), k in zip(first.classes, kept))
 
     def test_workspace_result_equals_fresh_one(self):
-        rng = np.random.default_rng(8)
-        masses = rng.random(64)
-        pmf = TabulatedPmf(1.0 / 16, masses / masses.sum())
-        workspace = ConvolutionWorkspace(pmf)
+        # The cached phase tables change no value: a repeated power is bit-identical.
+        pmf = random_pmf(8, 64, 0.2)
         for n in (5, 2, 3, 2, 7):
-            assert np.array_equal(convolve_power(pmf, n, workspace).masses, convolve_power(pmf, n).masses), n
+            a, b = convolve_power(tilt(pmf, n, 1.5 * n), n), convolve_power(tilt(pmf, n, 1.5 * n), n)
+            assert all(np.array_equal(x, y) for (x, _), (y, _) in zip(a.classes, b.classes)), n
 
     @pytest.mark.parametrize("n_cells", [64, 512, 4096])
     def test_squaring_power_matches_np_power(self, n_cells):
         # The squarings round differently from np.power, at the level of the
         # FFT's own round-off.
-        rng = np.random.default_rng(n_cells)
-        masses = rng.random(n_cells)
-        pmf = TabulatedPmf(4.0 / n_cells, masses / masses.sum())
-        workspace = ConvolutionWorkspace(pmf)
+        pmf = random_pmf(n_cells, n_cells)
         for n in range(2, 65):
-            size = 1 << (n * n_cells - 1).bit_length()
-            want = np.fft.irfft(np.fft.rfft(pmf.masses, size) ** n, size)[: n * (n_cells - 1) + 1]
-            want = np.maximum(want, 0.0)
-            want /= want.sum()
-            got = convolve_power(pmf, n, workspace).masses
+            law = tilt(pmf, n, n * 4.0)
+            ((got, _),) = convolve_power(law, n).classes
+            want = np.fft.irfft(np.fft.rfft(law.classes[0][0], got.size) ** n, got.size)
             assert np.max(np.abs(got - want)) <= 1e-14 * want.max(), n
-
-    def test_workspace_of_another_pmf_is_refused(self):
-        pmf = TabulatedPmf(0.5, np.full(8, 0.125))
-        with pytest.raises(ValueError):
-            convolve_power(pmf, 2, ConvolutionWorkspace(TabulatedPmf(0.5, np.full(8, 0.125))))
 
 
 class TestCdfYAt:
+    def uniform(self):
+        return convolve_power(tilt(TabulatedPmf(0.5, np.full(8, 0.125)), 1, 4.0), 1)
+
     def test_below_support(self):
-        pmf = TabulatedPmf(0.5, np.full(8, 0.125))
-        assert cdf_Y_at(pmf, 0.0) == 0.0
-        assert cdf_Y_at(pmf, -1.0) == 0.0
+        assert cdf_Y_at(self.uniform(), 0.0) == -math.inf
+        assert cdf_Y_at(self.uniform(), -1.0) == -math.inf
 
     def test_at_support_top(self):
-        pmf = TabulatedPmf(0.5, np.full(8, 0.125))
-        assert cdf_Y_at(pmf, 4.0) == pytest.approx(1.0, abs=1e-9)
-        assert cdf_Y_at(pmf, 99.0) == 1.0
+        assert cdf_Y_at(self.uniform(), 4.0) == pytest.approx(0.0, abs=1e-9)
+        assert cdf_Y_at(self.uniform(), 99.0) == 0.0
 
     def test_linear_within_cell(self):
-        pmf = TabulatedPmf(0.25, np.array([1.0]))
-        assert cdf_Y_at(pmf, 0.125) == pytest.approx(0.5, rel=1e-15)
-
-
-class TestBinomialMixture:
-    def test_weights_sum_to_one(self):
-        weights = binomial_weights(0.37, 0.63, 6)
-        assert abs(weights.sum() - 1.0) <= 1e-12
-        assert np.all(weights >= 0)
-
-    def test_degenerate_rates(self):
-        assert binomial_weights(0.0, 1.0, 4)[0] == 1.0
-        assert binomial_weights(1.0, 0.0, 4)[4] == 1.0
+        law = convolve_power(tilt(TabulatedPmf(0.25, np.array([1.0])), 1, 0.125), 1)
+        assert cdf_Y_at(law, 0.125) == pytest.approx(math.log(0.5), rel=1e-15)
 
 
 class TestOutageLowerBound:
@@ -310,26 +335,35 @@ class TestOutageLowerBound:
         assert outage_lower_bound(Snr.from_db(20), s).value <= outage_lower_bound(Snr.from_db(10), s).value
 
     def test_value_is_sum_of_products(self):
-        res = outage_lower_bound(Snr.from_db(8), spec44(M2, 3))
-        assert res.value == pytest.approx(sum(t[3] for t in res.per_term), abs=1e-12)
+        # The one power's value is the binomial mixture over the capped blocks.
+        snr, spec = Snr.from_db(8), spec44(M2, 3)
+        res = outage_lower_bound(snr, spec)
+        assert res.value == pytest.approx(direct_bound(snr, spec), rel=1e-12)
         assert 0.0 <= res.value <= 1.0
 
     def test_term_count_and_tail_terms_vanish(self):
-        # summing t up to B adds only zeros: A is positive so F_Yt(<=0) = 0
+        # Mixture terms past t = ceil(BR/M) - 1 add only zeros: A is positive, so F_Yt(<=0) = 0.
         spec = spec44(M2, 3)
-        snr = Snr.from_db(9)
-        n_terms = threshold_terms(spec)
+        n_terms = spec.B + 1 - singleton_bound(spec.B, spec.M, spec.rate)
         assert n_terms == math.ceil(spec.B * spec.rate / spec.M)
-        pmf = pmf_A(snr, spec, 512)
+        pmf = pmf_A(Snr.from_db(9), spec, 512)
         for t in range(n_terms, spec.B):
             arg = spec.B * spec.rate - t * spec.M
             assert arg <= 0
-            assert cdf_Y_at(convolve_power(pmf, spec.B - t), arg) == 0.0
+            assert cdf_Y_at(untilted(pmf, spec.B - t), arg) == -math.inf
 
     def test_rate_equal_bits_uses_full_formula(self):
-        res = outage_lower_bound(Snr.from_db(10), spec44(M1, 4.0))
-        assert len(res.per_term) == 4  # ceil(BR/M) - 1 = B - 1 -> t = 0..3
-        assert 0.0 < res.value <= 1.0
+        # R = M: terms t = 0..B-1, every sum but the all-capped one.
+        snr, spec = Snr.from_db(10), spec44(M1, 4.0)
+        value = outage_lower_bound(snr, spec).value
+        assert value == pytest.approx(direct_bound(snr, spec, terms=4), rel=1e-12)
+        assert 0.0 < value <= 1.0
+
+    def test_read_below_the_support_is_zero(self):
+        # 64 blocks of at least h/2 = 0.25 each cannot sum below BR = 3.2:
+        # the tilted power's read window is empty, with no overflowing weight.
+        spec = ChannelSpec(64, 4, MH, 0.05)
+        assert outage_lower_bound(Snr.from_db(0.0), spec, 8).value == 0.0 == direct_bound(Snr.from_db(0.0), spec, 8)
 
     @pytest.mark.parametrize("m", [MH, M2])
     def test_grid_convergence_on_acceptance_grid(self, m):
@@ -365,54 +399,27 @@ def term_count_rates():
 
 class TestTermCount:
     def test_terms_are_b_plus_one_minus_singleton(self):
+        # On and just off the integers BR/M, the value is the mixture over the
+        # terms whose threshold BR - tM can count: ceil(BR/M) of them, which is
+        # B + 1 - d_B(R) except where d_B snaps a rate within 1e-9 of an
+        # integer BR/M and the read still counts the last term's sliver.
         for B, M, rate in term_count_rates():
-            res = outage_lower_bound(Snr(10.0), ChannelSpec(B, M, M1, rate), 8)
-            assert len(res.per_term) == B + 1 - singleton_bound(B, M, rate), (B, M, rate)
+            spec = ChannelSpec(B, M, M1, rate)
+            terms = math.ceil(B * rate / M)
+            assert terms == B + 1 - singleton_bound(B, M, rate) or abs(B * rate / M - round(B * rate / M)) < 1e-9
+            want = direct_bound(Snr(10.0), spec, 8, terms=terms)
+            assert outage_lower_bound(Snr(10.0), spec, 8).value == pytest.approx(want, rel=1e-9, abs=1e-300), (B, M, rate)
 
     def test_per_term_columns_match(self):
+        # curve has no per-term columns: every row is the SNR and the one-point bound.
         runner = CliRunner()
         for B, M, rate in term_count_rates():
-            args = ["curve", "-B", str(B), "-M", str(M), "--rate", repr(rate), "--snr-db", "10:10:1", "--cells", "8", "--per-term"]
+            args = ["curve", "-B", str(B), "-M", str(M), "--rate", repr(rate), "--snr-db", "10:10:1", "--cells", "8"]
             res = runner.invoke(cli.main, args)
             assert res.exit_code == 0, res.output
-            columns = res.output.splitlines()[1].split(",")
-            assert len(columns) == 2 + 2 * (B + 1 - singleton_bound(B, M, rate)), (B, M, rate)
-
-
-def squaring_power(spectrum, n):
-    """spectrum ** n as the product, in ascending k, of the squarings
-    spectrum^(2^k) for the set bits k of n."""
-    power, square = None, spectrum
-    for k in range(n.bit_length()):
-        if n >> k & 1:
-            power = square if power is None else power * square
-        square = square * square
-    return power
-
-
-def per_rate_reference(snr, spec, n_cells):
-    """The bound as evaluated one rate at a time, each with a fresh pmf and
-    fresh forward FFTs (the evaluation that outage_lower_bounds replaced)."""
-    q, p = reg_gamma_pq(spec.fading.m, spec.fading.m * (2.0**spec.M - 1.0) / snr.rho)
-    weights = binomial_weights(float(p), float(q), spec.B)
-    pmf = pmf_A(snr, spec, n_cells)
-    masses = pmf.masses
-    terms = []
-    total = 0.0
-    for t in range(threshold_terms(spec)):
-        n = spec.B - t
-        pmf_y = pmf
-        if n > 1:
-            size = 1 << (n * masses.size - 1).bit_length()
-            out = np.fft.irfft(squaring_power(np.fft.rfft(masses, size), n), size)[: n * (masses.size - 1) + 1]
-            out = np.maximum(out, 0.0)
-            out /= out.sum()
-            pmf_y = TabulatedPmf(pmf.grid_step, out, n * pmf.origin + (n - 1) * pmf.grid_step / 2.0)
-        f_y = cdf_Y_at(pmf_y, spec.B * spec.rate - t * spec.M)
-        w = float(weights[t])
-        terms.append((t, f_y, w, f_y * w))
-        total += f_y * w
-    return min(max(total, 0.0), 1.0), terms
+            value = outage_lower_bound(Snr.from_db(10.0), ChannelSpec(B, M, M1, rate), 8).value
+            assert res.output.splitlines()[1:] == ["snr_db,p_out_lower", f"10,{cli._fmt(value)}"], (B, M, rate)
+        assert runner.invoke(cli.main, ["curve", "--per-term"]).exit_code == 2
 
 
 def sweep_rates(B, M):
@@ -426,6 +433,7 @@ class TestSharedEvaluator:
     @pytest.mark.parametrize("M", [2, 4])
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
     def test_bit_identical_to_per_rate_loop(self, B, M, m):
+        # Rates that share the SNR's untilted power equal their one-rate evaluations bit for bit.
         fading = NakagamiParam(m)
         rates = sweep_rates(B, M)
         for db in (3.0, 14.0):
@@ -433,23 +441,21 @@ class TestSharedEvaluator:
             (got,) = outage_lower_bounds([snr], B, M, fading, rates, 512)
             assert len(got) == len(rates)
             for r, res in zip(rates, got):
-                value, terms = per_rate_reference(snr, ChannelSpec(B, M, fading, r), 512)
-                assert res.value == value, (B, M, m, r, db)
-                assert res.per_term == terms
+                assert res.value == outage_lower_bound(snr, ChannelSpec(B, M, fading, r), 512).value, (B, M, m, r, db)
 
     def test_bit_identical_at_default_cells(self):
         snr, fading = Snr.from_db(10.0), NakagamiParam(1.0)
         rates = sweep_rates(16, 4)
         (got,) = outage_lower_bounds([snr], 16, 4, fading, rates)
         for r, res in zip(rates, got):
-            assert res.value == per_rate_reference(snr, ChannelSpec(16, 4, fading, r), bound.DEFAULT_CELLS)[0]
+            assert res.value == outage_lower_bound(snr, ChannelSpec(16, 4, fading, r)).value
 
     def test_consecutive_calls_are_independent(self):
         snr, rates = Snr.from_db(10.0), [0.5, 1.0, 2.5]
         (wide,) = outage_lower_bounds([snr], 16, 4, M2, rates, 512)
         (narrow,) = outage_lower_bounds([snr], 4, 4, M2, rates, 512)
-        assert [r.per_term for r in outage_lower_bounds([snr], 4, 4, M2, rates, 512)[0]] == [r.per_term for r in narrow]
-        assert [r.per_term for r in outage_lower_bounds([snr], 16, 4, M2, rates, 512)[0]] == [r.per_term for r in wide]
+        assert [r.value for r in outage_lower_bounds([snr], 4, 4, M2, rates, 512)[0]] == [r.value for r in narrow]
+        assert [r.value for r in outage_lower_bounds([snr], 16, 4, M2, rates, 512)[0]] == [r.value for r in wide]
         assert [r.value for r in narrow] != [r.value for r in wide]
 
     def test_one_rate_call_is_outage_lower_bound(self):
@@ -457,7 +463,6 @@ class TestSharedEvaluator:
         one = outage_lower_bound(snr, spec)
         shared = outage_lower_bounds([snr], 4, 4, MH, [0.5, 2.5, 4.0])[0][1]
         assert one.value == shared.value
-        assert one.per_term == shared.per_term
 
     def test_empty_and_invalid_rates(self):
         assert outage_lower_bounds([Snr(10.0)], 4, 4, M1, []) == [[]]
@@ -493,32 +498,25 @@ class TestSharedEvaluator:
         # conditioning probability and whose (Q, P) is (p, 1-p).
         assert points == [512]
 
-    def test_ratesweep_shares_pmf_and_spectra(self, monkeypatch, tmp_path):
-        calls = {"build_pmf_A": 0, "convolve_power": 0}
-        rfft_sizes = []
+    def test_ratesweep_shares_pmf_and_spectra(self, monkeypatch):
+        # One pmf and at most one untilted power per SNR, whatever the rates.
+        calls = {"build_pmf_A": 0, "untilted": 0}
+        build, convolve = bound.build_pmf_A, bound.convolve_power
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counted_build(*args):
+            calls["build_pmf_A"] += 1
+            return build(*args)
 
-            return wrapper
+        def counted_convolve(law, n):
+            calls["untilted"] += law.theta == 0
+            return convolve(law, n)
 
-        rfft = np.fft.rfft
-
-        def counted_rfft(a, n=None, *args, **kwargs):
-            rfft_sizes.append(n)
-            return rfft(a, n, *args, **kwargs)
-
-        monkeypatch.setattr(bound, "build_pmf_A", counted("build_pmf_A", bound.build_pmf_A))
-        monkeypatch.setattr(bound, "convolve_power", counted("convolve_power", bound.convolve_power))
-        monkeypatch.setattr(np.fft, "rfft", counted_rfft)
-        B = 8
-        cfg = cli.RunConfig(subcommand="ratesweep", blocks=B, rate_grid=(0.25, 3.75, 0.25), cells=1024, out=str(tmp_path / "r.csv"))
-        assert cli.run(cfg) == 0
-        assert calls["build_pmf_A"] == 1
-        assert calls["convolve_power"] <= B
-        assert rfft_sizes and len(rfft_sizes) == len(set(rfft_sizes))
+        monkeypatch.setattr(bound, "build_pmf_A", counted_build)
+        monkeypatch.setattr(bound, "convolve_power", counted_convolve)
+        rates = [0.25 * k for k in range(1, 16)]
+        values = [r.value for r in outage_lower_bounds([Snr(10.0)], 8, 4, M1, rates, 1024)[0]]
+        assert calls == {"build_pmf_A": 1, "untilted": 1}
+        assert values == [outage_lower_bound(Snr(10.0), ChannelSpec(8, 4, M1, r), 1024).value for r in rates]
 
 
 # Grid sizes around multiples of the 4 SNRs that share an incomplete-gamma
@@ -559,12 +557,11 @@ class TestBlockTabulation:
             dbs = [-3.0 + 2.5 * i for i in range(n)]
             one = [[outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, MH, r)) for r in rates] for db in dbs]
             got = outage_lower_bounds([Snr.from_db(db) for db in dbs], B, 4, MH, rates)
-            assert [[(r.value, r.per_term) for r in row] for row in got] == [[(r.value, r.per_term) for r in row] for row in one]
+            assert [[r.value for r in row] for row in got] == [[r.value for r in row] for row in one]
             for j, rate in enumerate(rates):
                 flags = ["-B", str(B), "--m", "0.5", "--rate", repr(rate), "--snr-db", f"-3:{dbs[-1]!r}:2.5"]
-                curve = cli_rows(["curve", *flags, "--per-term"])
-                terms = [[fmt(v) for _, f_y, w, _ in row[j].per_term for v in (f_y, w)] for row in one]
-                assert curve == [[fmt(db), fmt(row[j].value), *cols] for db, row, cols in zip(dbs, one, terms)]
+                curve = cli_rows(["curve", *flags])
+                assert curve == [[fmt(db), fmt(row[j].value)] for db, row in zip(dbs, one)]
                 asymptote = cli_rows(["asymptote", *flags])
                 assert [r[:2] for r in asymptote] == [[fmt(db), fmt(row[j].value)] for db, row in zip(dbs, one)]
 
@@ -592,38 +589,53 @@ def truncated_power(masses, n, keep):
     return out
 
 
-def direct_bound(snr, spec):
-    """The bound with each F_Yt from the truncated direct convolution, read
-    as cdf_Y_at reads it: the (n-1)/2-cell shift, whole cells below the
-    threshold and the straddling cell's linear fraction."""
-    pmf, p, q = tabulated(snr, spec)
-    weights = binomial_weights(p, q, spec.B)
-    step = pmf.grid_step
-    total = 0.0
-    for t in range(threshold_terms(spec)):
-        n = spec.B - t
-        rel = (spec.B * spec.rate - t * spec.M - (n - 1) * step / 2.0) / step
+def direct_bound(snr, spec, n_cells=bound.DEFAULT_CELLS, terms=None):
+    """The bound as the binomial mixture over the number t of capped blocks,
+    each F_Yt from the truncated direct convolution, read as the kernel reads
+    it: the (n-1)/2-cell shift, whole cells below the threshold and the
+    straddling cell's linear fraction.  Without terms, the mixture runs while
+    BR - tM is above the (n-1)/2-cell shift, the last term that can count."""
+    pmf, p, q = tabulated(snr, spec, n_cells)
+    B, step, total = spec.B, pmf.grid_step, 0.0
+    for t in range(B if terms is None else terms):
+        n = B - t
+        rel = (B * spec.rate - t * spec.M - (n - 1) * step / 2.0) / step
+        if rel <= 0.0 or (t and p == 0.0):
+            break
         j = int(rel)
-        cells = truncated_power(pmf.masses, n, j + 1)
-        total += weights[t] * (cells[:j].sum() + cells[j] * (rel - j))
+        cells = np.pad(truncated_power(pmf.masses, n, j + 1), (0, j + 1))
+        log_weight = math.lgamma(B + 1) - math.lgamma(t + 1) - math.lgamma(n + 1) + (t * math.log(p) if t else 0.0) + n * math.log(q)
+        total += math.exp(log_weight) * (cells[:j].sum() + cells[j] * (rel - j))
     return total
 
 
-FFT_FLOOR = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: FFT round-off floor in the deep left tail")
-
-
 class TestFftFloor:
+    """Deep-tail values, which an untilted FFT power reads from its round-off
+    floor, against the truncated direct convolution (ROADMAP items 2 and 14)."""
+
     @pytest.mark.parametrize(
         "B, m, rate, db",
         [
-            pytest.param(16, 1.0, 0.25, 11.0, marks=FFT_FLOOR),  # 0.0 against 1.57e-23
-            pytest.param(4, 5.0, 0.5, 30.0, marks=FFT_FLOOR),  # 1.17e-48 against 1.55e-60
-            pytest.param(4, 5.0, 1.0, 20.0, marks=FFT_FLOOR),  # 4.03e-29 against 9.46e-33
-            pytest.param(4, 10.0, 1.0, 30.0, marks=FFT_FLOOR),  # 2.32e-76 against 3.92e-104
-            pytest.param(4, 20.0, 1.0, 20.0, marks=FFT_FLOOR),  # 7.04e-57 against 3.08e-127
-            pytest.param(32, 2.0, 0.25, 5.0, marks=FFT_FLOOR),  # 3.40e-19 against 4.41e-53
-            pytest.param(64, 0.5, 0.1, 10.0, marks=FFT_FLOOR),  # 4.29e-22 against 8.71e-56
+            (16, 1.0, 0.25, 11.0),
+            (4, 5.0, 0.5, 30.0),
+            (4, 5.0, 1.0, 20.0),
+            (4, 10.0, 1.0, 30.0),
+            (4, 20.0, 1.0, 20.0),
+            (32, 2.0, 0.25, 5.0),
+            (64, 0.5, 0.1, 10.0),
             (4, 2.0, 1.0, 10.0),
+            (32, 10.0, 0.1, -5.0),
+            (32, 10.0, 0.25, 0.0),
+            (64, 10.0, 0.1, -8.0),
+            (64, 10.0, 0.25, -5.0),
+            (32, 20.0, 0.1, -8.0),
+            (32, 20.0, 0.25, -5.0),
+            (64, 20.0, 0.1, -10.0),
+            (64, 20.0, 0.25, -5.0),
+            # R = M: every sum but the all-capped one counts, and that sum
+            # holds all but about 1e-11 of the mass.
+            (4, 5.0, 4.0, 38.0),
+            (8, 20.0, 4.0, 25.0),
         ],
     )
     def test_matches_truncated_direct_convolution(self, B, m, rate, db):
@@ -631,3 +643,11 @@ class TestFftFloor:
         want = direct_bound(snr, spec)
         assert want > 0.0
         assert outage_lower_bound(snr, spec).value == pytest.approx(want, rel=1e-6, abs=0.0)
+
+    # At high m and SNR the atom holds nearly all the mass, the tilted sum
+    # clusters by the number of capped blocks, and BR falls between two
+    # clusters: the single power's read is below its round-off, and the
+    # bound is summed over the capped-block counts instead.
+    @pytest.mark.parametrize("B, m, rate, db", [(3, 14.358, 3.8187, 40.39), (2, 18.637, 3.7082, 31.04), (5, 14.626, 3.5908, 50.26)])
+    def test_reads_between_atom_clusters(self, B, m, rate, db):
+        self.test_matches_truncated_direct_convolution(B, m, rate, db)

@@ -7,9 +7,9 @@ import pytest
 from nakfade.cli import _COMMANDS, RunConfig
 
 # The fields that change no number, so no CSV header names them: the SNR grid
-# is the first column, lambda_scaled names its columns, per_term adds
-# columns, and workers and out change neither.
-NO_NUMBER = {"snr_db", "lambda_scaled", "per_term", "workers", "out"}
+# is the first column, lambda_scaled names its columns, and workers and out
+# change neither.
+NO_NUMBER = {"snr_db", "lambda_scaled", "workers", "out"}
 
 
 @pytest.mark.parametrize("name", list(_COMMANDS))
