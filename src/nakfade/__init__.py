@@ -1,6 +1,6 @@
 """Outage-probability lower bounds for discrete-input Nakagami-m block-fading channels."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .asymptotics import (
     BlockLengthScale,

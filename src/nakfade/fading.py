@@ -3,9 +3,9 @@
 The fading power gain gamma = |h|^2 of a Nakagami-m channel is
 Gamma-distributed with shape m and scale 1/m (unit mean), so its cdf is the
 regularized incomplete gamma P(m, m gamma).  This module provides that
-incomplete-gamma pair, plus a counter-based seeded block sampler whose
-draws are reproducible independent of how the sample range is partitioned
-across workers.
+incomplete-gamma pair, plus a chunk-seeded block sampler whose draws are
+reproducible independent of how the sample range is partitioned across
+workers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ _SERIES_EPS = 2.0**-55
 _FRACTION_EPS = 1e-15
 _MAX_ITER = 500
 
-# Samples per counter-keyed chunk.  Fixed so that draw i depends only on
+# Rows per separately seeded chunk.  Fixed so that draw i depends only on
 # (seed, stream_id, i) and never on how a range of draws is split up.
 CHUNK = 4096
 
@@ -163,7 +163,7 @@ def reg_gamma_p(a: float, x):
 
 def _chunk_rng(seed: int, stream_id: int, chunk_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=(seed, stream_id, chunk_index))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def gain_block(
@@ -178,11 +178,11 @@ def gain_block(
 
     Row i is a pure function of (seed, stream_id, width, i), and no two
     seeds in [0, 2^64) share a stream; any other seed is a ValueError.
-    Draws come from Philox generators keyed per fixed-size chunk of CHUNK
+    Draws come from SFC64 generators seeded per fixed-size chunk of CHUNK
     rows, so any partition of a range across workers reproduces the same
-    values.  Each draw is Gamma(shape=m, scale=1/m); numpy's generator
-    implements the squeeze/rejection sampler for m >= 1 and the uniform
-    power boost for m < 1.
+    values.  Each draw is Gamma(shape=m, scale=1/m), a standard Gamma draw
+    times 1/m; numpy samples the standard Gamma by Marsaglia-Tsang for
+    m >= 1 and by rejection with an exponential proposal for m < 1.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -197,9 +197,13 @@ def gain_block(
         rng = _chunk_rng(seed, stream_id, c)
         lo = max(first, c * CHUNK)
         hi = min(first + count, (c + 1) * CHUNK)
-        # The generator fills rows in order from one stream, so drawing only
-        # up to row hi gives the same rows as a full chunk; rows before lo
-        # are still drawn because they advance the stream.
-        vals = rng.gamma(shape=m, scale=1.0 / m, size=(hi - c * CHUNK, width))
-        out[lo - first : hi - first] = vals[lo - c * CHUNK :]
+        # The generator fills rows in order from one stream, and drawing in
+        # two calls continues it as one call would; so rows before lo are
+        # drawn and dropped to advance the stream, and drawing only up to
+        # row hi gives the same rows as a full chunk.
+        if lo > c * CHUNK:
+            rng.standard_gamma(m, size=(lo - c * CHUNK, width))
+        block = out[lo - first : hi - first]
+        rng.standard_gamma(m, out=block)
+        block *= 1.0 / m
     return out

@@ -35,7 +35,7 @@ class TestCurve:
         assert len(data) == 21
         vals = np.array([float(r[1]) for r in data])
         assert np.all(np.diff(vals) <= 0)
-        assert res.output.splitlines()[0] == "# nakfade curve B=4 M=4 m=2 R=1 cells=4096 version=0.1.0"
+        assert res.output.splitlines()[0] == f"# nakfade curve B=4 M=4 m=2 R=1 cells=4096 version={__version__}"
 
     def test_per_term_columns(self, runner):
         # The bound is one power, with no mixture terms to print: the flag is gone.
@@ -202,8 +202,8 @@ class TestHeaders:
 
     def test_ratesweep_names_fixed_snr(self, runner):
         args = ["ratesweep", "--m", "2", "--rate", "1:3:1", "--snr-db-fixed"]
-        assert self.first_line(runner, args + ["0"]) == "# nakfade ratesweep B=4 M=4 m=2 R=1:3:1 snr_db=0 cells=4096 version=0.1.0"
-        assert self.first_line(runner, args + ["10"]) == "# nakfade ratesweep B=4 M=4 m=2 R=1:3:1 snr_db=10 cells=4096 version=0.1.0"
+        assert self.first_line(runner, args + ["0"]) == f"# nakfade ratesweep B=4 M=4 m=2 R=1:3:1 snr_db=0 cells=4096 version={__version__}"
+        assert self.first_line(runner, args + ["10"]) == f"# nakfade ratesweep B=4 M=4 m=2 R=1:3:1 snr_db=10 cells=4096 version={__version__}"
 
     def test_ratesweep_snr_round_trips(self, runner):
         snr = 0.7570692984834314  # 12 significant digits would print 0.757069298483
@@ -214,24 +214,24 @@ class TestHeaders:
 
     def test_asymptote(self, runner):
         line = self.first_line(runner, ["asymptote", "--m", "2", "--rate", "2", "--snr-db", "20:40:20"])
-        assert line == "# nakfade asymptote B=4 M=4 m=2 R=2 cells=4096 version=0.1.0"
+        assert line == f"# nakfade asymptote B=4 M=4 m=2 R=2 cells=4096 version={__version__}"
 
     def test_exponent(self, runner):
         line = self.first_line(runner, ["exponent", "--rate", "0.5:3.5:0.5"])
-        assert line == "# nakfade exponent B=4 M=4 m=1 R=0.5:3.5:0.5 version=0.1.0"
+        assert line == f"# nakfade exponent B=4 M=4 m=1 R=0.5:3.5:0.5 version={__version__}"
 
     def test_mc_lowerbound(self, runner):
         args = ["mc", "--mode", "lowerbound", "--samples", "1000", "--seed", "3", "--rate", "1", "--snr-db", "5:5:1"]
-        assert self.first_line(runner, args) == "# nakfade mc mode=lowerbound B=4 M=4 m=1 R=1 samples=1000 seed=3 version=0.1.0"
+        assert self.first_line(runner, args) == f"# nakfade mc mode=lowerbound B=4 M=4 m=1 R=1 samples=1000 seed=3 version={__version__}"
 
     def test_mc_outage_names_constellation_and_order(self, runner):
         args = ["mc", "--mode", "outage", "--samples", "200", "--seed", "3", "--rate", "1", "--snr-db", "5:5:1"]
         line = self.first_line(runner, args + ["--order", "16"])
-        assert line == "# nakfade mc mode=outage B=4 M=4 m=1 R=1 constellation=qam16 order=16 samples=200 seed=3 version=0.1.0"
+        assert line == f"# nakfade mc mode=outage B=4 M=4 m=1 R=1 constellation=qam16 order=16 samples=200 seed=3 version={__version__}"
 
     def test_mi_names_only_what_it_uses(self, runner):
         line = self.first_line(runner, ["mi", "--constellation", "psk2", "--snr-db", "0:6:3", "--order", "32"])
-        assert line == "# nakfade mi constellation=psk2 order=32 version=0.1.0"
+        assert line == f"# nakfade mi constellation=psk2 order=32 version={__version__}"
 
 
 class TestDefaults:
@@ -244,7 +244,7 @@ class TestDefaults:
 
     def test_mi_order_default_is_96(self, runner):
         res = runner.invoke(main, ["mi", "--snr-db", "0:0:1"])
-        assert res.output.splitlines()[0] == "# nakfade mi constellation=qam16 order=96 version=0.1.0"
+        assert res.output.splitlines()[0] == f"# nakfade mi constellation=qam16 order=96 version={__version__}"
 
     def test_version_from_source_tree(self, tmp_path):
         # No installed package metadata: the version comes from the source.
@@ -252,7 +252,7 @@ class TestDefaults:
         env = dict(os.environ, PYTHONPATH=str(src))
         res = subprocess.run([sys.executable, "-m", "nakfade.cli", "--version"], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "nakfade, version 0.1.0"
+        assert res.stdout.strip() == f"nakfade, version {__version__}"
 
 
 class TestConfigAndErrors:

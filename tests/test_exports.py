@@ -31,6 +31,13 @@ def test_package_imports_resolve():
     assert [n for n in names if not hasattr(nakfade, n)] == []
 
 
+def test_pyproject_version_matches_package():
+    # A regex, not tomllib: Python 3.10 has no TOML reader.
+    match = re.search(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert match, "pyproject.toml has no version line"
+    assert match.group(1) == nakfade.__version__
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text()
     match = re.search(r"## Library example\s+```python\n(.*?)```", readme, re.S)
