@@ -57,6 +57,9 @@ def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     tabulates as it does the bound's law, at BR - (B - d_B) M through the
     bound's tilted kernel (the dominant way to fall below BR keeps d_B
     blocks below the cap), and adds the closed-form constants in log space.
+    K is exactly 0 only where no d-fold sum of the lattice reaches the read;
+    a zero read above that, or a K past the float range, is an
+    ArithmeticError.
     """
     B, M, R, m = spec.B, spec.M, spec.rate, spec.fading.m
     d = singleton_bound(B, M, R)
@@ -64,6 +67,10 @@ def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     pmf = build_pmf_A(((2.0**edges - 1.0) / (2.0**M - 1.0)) ** m, M)
     x = B * R - (B - d) * M
     log_k = cdf_Y_at(convolve_power(tilt(pmf, d, x), d), x)
+    # The read at x sees the d-fold sums below x + h/2, the smallest of which
+    # is d h/2; above (d - 1) h/2 a zero read means the cell masses underflowed.
+    if log_k == -math.inf and x > (d - 1) * pmf.grid_step / 2:
+        raise ArithmeticError(f"coding gain K cannot be computed: the limit law's cell masses underflow a float at m = {m:g}")
     log_k += math.lgamma(B + 1) - math.lgamma(d + 1) - math.lgamma(B - d + 1)
     log_k += m * d * math.log(m * (2.0**M - 1.0)) - d * (math.log(m) + math.lgamma(m))
     try:

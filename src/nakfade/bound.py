@@ -70,6 +70,8 @@ class ChannelSpec:
             raise ValueError(f"need at least one fading block, got B={self.B}")
         if self.M < 1:
             raise ValueError(f"need at least one bit per symbol, got M={self.M}")
+        if not isinstance(self.rate, numbers.Real) or isinstance(self.rate, bool):
+            raise ValueError(f"rate must be a real number, got {self.rate!r}")
         if not (0.0 < self.rate <= self.M):
             raise ValueError(f"rate must lie in (0, M={self.M}], got {self.rate}")
 

@@ -3,9 +3,10 @@
 The fading power gain gamma = |h|^2 of a Nakagami-m channel is
 Gamma-distributed with shape m and scale 1/m (unit mean), so its cdf is the
 regularized incomplete gamma P(m, m gamma).  This module provides that
-incomplete-gamma pair, plus a chunk-seeded block sampler whose draws are
-reproducible independent of how the sample range is partitioned across
-workers.
+incomplete-gamma pair, plus a chunk-seeded block sampler: gain_block draws
+the leading rows of one CHUNK-row chunk from that chunk's own generator, so
+a chunk's rows depend only on (seed, stream_id, chunk, width, count) and a
+caller may draw its chunks in any order and in any thread.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ _SERIES_EPS = 2.0**-55
 _FRACTION_EPS = 1e-15
 _MAX_ITER = 500
 
-# Rows per separately seeded chunk.  Fixed so that draw i depends only on
-# (seed, stream_id, i) and never on how a range of draws is split up.
+# Rows per separately seeded chunk.  Fixed, so that the rows of a chunk never
+# depend on how many chunks a caller draws.
 CHUNK = 4096
 
 
@@ -169,41 +170,25 @@ def _chunk_rng(seed: int, stream_id: int, chunk_index: int) -> np.random.Generat
 def gain_block(
     p: NakagamiParam,
     seed: int,
-    first: int,
+    chunk: int,
     count: int,
     width: int = 1,
     stream_id: int = 0,
 ) -> np.ndarray:
-    """Rows [first, first+count) of the gain stream, each row `width` draws.
+    """The first `count` rows of chunk `chunk` of the gain stream, each row `width` draws.
 
-    Row i is a pure function of (seed, stream_id, width, i), and no two
-    seeds in [0, 2^64) share a stream; any other seed is a ValueError.
-    Draws come from SFC64 generators seeded per fixed-size chunk of CHUNK
-    rows, so any partition of a range across workers reproduces the same
-    values.  Each draw is Gamma(shape=m, scale=1/m), a standard Gamma draw
-    times 1/m; numpy samples the standard Gamma by Marsaglia-Tsang for
-    m >= 1 and by rejection with an exponential proposal for m < 1.
+    A chunk holds CHUNK rows, so 0 <= count <= CHUNK, and its rows come from
+    its own SFC64 generator, seeded from (seed, stream_id, chunk).  No two
+    seeds in [0, 2^64) share a stream; any other seed is a ValueError.  Each
+    draw is Gamma(shape=m, scale=1/m), a standard Gamma draw times 1/m;
+    numpy samples the standard Gamma by Marsaglia-Tsang for m >= 1 and by
+    rejection with an exponential proposal for m < 1.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    if not 0 <= count <= CHUNK:
+        raise ValueError(f"count must be in [0, {CHUNK}], got {count}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     m = p.m
-    out = np.empty((count, width))
-    if count == 0:
-        return out
-    last = first + count - 1
-    for c in range(first // CHUNK, last // CHUNK + 1):
-        rng = _chunk_rng(seed, stream_id, c)
-        lo = max(first, c * CHUNK)
-        hi = min(first + count, (c + 1) * CHUNK)
-        # The generator fills rows in order from one stream, and drawing in
-        # two calls continues it as one call would; so rows before lo are
-        # drawn and dropped to advance the stream, and drawing only up to
-        # row hi gives the same rows as a full chunk.
-        if lo > c * CHUNK:
-            rng.standard_gamma(m, size=(lo - c * CHUNK, width))
-        block = out[lo - first : hi - first]
-        rng.standard_gamma(m, out=block)
-        block *= 1.0 / m
+    out = _chunk_rng(seed, stream_id, chunk).standard_gamma(m, size=(count, width))
+    out *= 1.0 / m
     return out

@@ -1,16 +1,18 @@
 """Seeded Monte Carlo estimators for outage probabilities.
 
-Both estimators run one chunk loop (_estimate): it draws fading-gain
-vectors from the chunk-seeded streams in the fading module, fading.CHUNK
-rows at a time, and tallies outage events as exact integer counts, so a given
-(seed, n, parameters) triple reproduces bit-identical results for any worker
-count.  The chunks of one estimate are spread over min(workers, chunks)
-threads, the package's only thread pool; `mc --workers` reaches it, and a
-one-chunk estimate runs in the calling thread.  mc_outage scores each sample
-with the discrete-input mutual information; mc_lower_bound replaces it with
-the min{M, log2(1 + gamma rho)} cap, which needs no quadrature and simulates
-the event behind the analytical bound; it takes one log per group of blocks
-of a row, not one per block.
+Both estimators run one chunk loop (_estimate): it splits n samples into
+chunks of fading.CHUNK rows, the last one partial, draws each with one
+fading.gain_block call, and tallies outage events as exact integer counts.
+A chunk's rows depend only on (seed, stream_id, chunk, width, count), so no
+count depends on the worker count, and a given (seed, n, parameters) triple
+reproduces bit-identical results.  The chunks of one estimate are spread
+over min(workers, chunks) threads, the package's only thread pool;
+`mc --workers` reaches it, and a one-chunk estimate runs in the calling
+thread.  mc_outage scores each sample with the discrete-input mutual
+information; mc_lower_bound replaces it with the min{M, log2(1 + gamma rho)}
+cap, which needs no quadrature and simulates the event behind the
+analytical bound; it takes one log per group of blocks of a row, not one
+per block.
 
 mc_outage decides most samples without quadrature at their own SNRs.  Each
 per-block SNR v lies between two nodes of the fixed geometric grid
@@ -108,16 +110,16 @@ def _check_counts(n, workers) -> None:
 def _estimate(spec: ChannelSpec, n: int, seed: int, stream_id: int, workers: int, count_rows) -> McEstimate:
     """Estimate from count_rows(gains) summed over the chunks of n draws of spec's B gains."""
 
-    def count_chunk(first: int) -> int:
-        count = min(fading.CHUNK, n - first)
-        return count_rows(fading.gain_block(spec.fading, seed, first, count, width=spec.B, stream_id=stream_id))
+    def count_chunk(chunk: int) -> int:
+        count = min(fading.CHUNK, n - chunk * fading.CHUNK)
+        return count_rows(fading.gain_block(spec.fading, seed, chunk, count, width=spec.B, stream_id=stream_id))
 
-    firsts = range(0, n, fading.CHUNK)
-    threads = min(workers, len(firsts))
+    chunks = range(-(-n // fading.CHUNK))
+    threads = min(workers, len(chunks))
     if threads <= 1:
-        return McEstimate.from_count(sum(map(count_chunk, firsts)), n)
+        return McEstimate.from_count(sum(map(count_chunk, chunks)), n)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return McEstimate.from_count(sum(pool.map(count_chunk, firsts)), n)
+        return McEstimate.from_count(sum(pool.map(count_chunk, chunks)), n)
 
 
 def _window(rho_lo: float, rho_hi: float, values: int, m: float) -> tuple[int, int]:

@@ -156,6 +156,21 @@ class TestCodingGain:
         # The product in log space: at m = 50, e^log_k alone overflows.
         assert coding_gain(ChannelSpec(B, M, NakagamiParam(m), rate), cells) == pytest.approx(math.exp(math.log(f_y) + log_k), rel=1e-6)
 
+    # B=4, M=4 at 64 cells: h = 1/16, and the read at x = 4R sees the 4-fold
+    # sums below x + h/2, the smallest of which is 4 h/2, so it sees one only
+    # above x = 3h/2.  Below that K is exactly 0; R = 0.025 puts x above it.
+    def test_read_below_the_smallest_sum_is_an_exact_zero(self):
+        assert coding_gain(ChannelSpec(4, 4, M1, 1e-10), 64) == 0.0
+        assert coding_gain(ChannelSpec(4, 4, M1, 0.025), 64) > 0.0
+
+    # At m = 300 the limit law's cell masses underflow below about 1.17 bits,
+    # so no four values sum below 4 and the read sees no mass, though K is
+    # 10^346 already at m = 200.
+    @pytest.mark.parametrize("m", [300.0, 1000.0])
+    def test_underflowed_read_raises(self, m):
+        with pytest.raises(ArithmeticError, match=f"cell masses underflow a float at m = {m:g}"):
+            coding_gain(ChannelSpec(4, 4, NakagamiParam(m), 1.0))
+
 
     @pytest.mark.parametrize("m", [20.0, 100.0])
     def test_large_m_matches_log_space_direct_convolution(self, m):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nakfade import bound, cli
 from nakfade.asymptotics import coding_gain
@@ -67,6 +69,15 @@ class TestChannelSpec:
     def test_blocks_and_bits_must_be_integers(self, B, M):
         with pytest.raises(ValueError, match="must be an integer"):
             ChannelSpec(B, M, M1, 1.0)
+
+    # A bool rate is not R = 1, and a str, None or complex rate is refused as a value, not by a TypeError.
+    @pytest.mark.parametrize("rate", [True, "1.0", None, 1 + 0j], ids=["bool", "str", "None", "complex"])
+    def test_rate_must_be_real(self, rate):
+        with pytest.raises(ValueError, match="rate must be a real number"):
+            ChannelSpec(4, 4, M1, rate)
+
+    def test_numpy_float_rate_accepted(self):
+        assert outage_lower_bound(Snr(10.0), ChannelSpec(4, 4, M1, np.float64(1.0)), 64).value == outage_lower_bound(Snr(10.0), spec44(M1, 1.0), 64).value
 
     def test_numpy_integers_accepted(self):
         assert outage_lower_bound(Snr(10.0), ChannelSpec(np.int64(4), np.int64(4), M1, 1.0), 64).value > 0
@@ -306,6 +317,62 @@ class TestConvolvePower:
             ((got, _),) = convolve_power(law, n).classes
             want = np.fft.irfft(np.fft.rfft(law.classes[0][0], got.size) ** n, got.size)
             assert np.max(np.abs(got - want)) <= 1e-14 * want.max(), n
+
+
+def read_weights(law, v, x):
+    """The weight of each tilted value v in law's read at x: its untilt relative to the read's scale times its kernel fraction."""
+    fraction = np.clip((x - v) / law.grid_step + 0.5, 0.0, 1.0)
+    return np.exp(law.theta * (np.minimum(v, x + law.grid_step / 2) - law.x)) * fraction
+
+
+def half_step_read(law, direct, x):
+    """log F(x) from a half_step_power of law, read as cdf_Y_at reads, with no skipped values."""
+    total = direct @ read_weights(law, np.arange(direct.size) * (law.grid_step / 2), x)
+    return law.log_scale + math.log(total) if total > 0 else -math.inf
+
+
+class TestShortenedPower:
+    """A tilted power's transform stops where the Chernoff bound puts the
+    wrapped mass below e^-39.2 of the read's scale (ROADMAP item 15)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_cells=st.integers(2, 64),
+        atom=st.sampled_from([0.0, 0.3, 0.9]),
+        n=st.integers(2, 64),
+        frac=st.floats(0.0, 1.0),
+        below=st.floats(0.0, 0.1),
+    )
+    def test_read_matches_direct_convolution(self, seed, n_cells, atom, n, frac, below):
+        # Tilted toward x, the read at x is at the tilted mean (theta > 0) or
+        # above the untilted one; a read up to 10% lower is below both.  x/n
+        # is at least a cell, above the smallest value h/2, so a tilted mean
+        # can reach it.
+        pmf = random_pmf(seed, n_cells, atom)
+        x = n * (pmf.grid_step + frac * (4.0 - pmf.grid_step))
+        law = tilt(pmf, n, x)
+        power = convolve_power(law, n)
+        (cells, _), *capped = law.classes
+        size = power.classes[0][0].size
+        # Never longer than the transform of the full n N (atom) or n(K - 1) + 1 sums.
+        assert size <= bound._fft_length(n * n_cells if capped else n * (cells.size - 1) + 1)
+        direct = half_step_power(pmf, law, n)
+        for read in (x, x * (1.0 - below)):
+            # The wrapped tilted mass: each class holds the direct sums of its
+            # parity folded modulo the transform's length.
+            wrapped = 0.0
+            for _, offset in power.classes:
+                lattice = direct[int(2 * offset) :: 2]
+                folded = np.bincount(np.arange(lattice.size) % size, lattice, size)
+                folded[: lattice.size] -= lattice[:size]
+                wrapped += folded @ read_weights(power, (np.arange(size) + offset) * law.grid_step, read)
+            assert wrapped <= math.exp(-39.2)
+            # In units of the read's scale: beyond the wrapped mass, only the
+            # transform's round-off, far above e^-39.2 = 9e-18 in float64.
+            got = math.exp(cdf_Y_at(power, read) - power.log_scale)
+            want = math.exp(half_step_read(power, direct, read) - power.log_scale)
+            assert abs(got - want) <= math.exp(-39.2) + 1e-13, (read, law.theta)
 
 
 class TestCdfYAt:
@@ -609,6 +676,11 @@ def direct_bound(snr, spec, n_cells=bound.DEFAULT_CELLS, terms=None):
     return total
 
 
+# (B, m, R, dB) of a bound-curve benchmark read at M = 4 that the single
+# power cannot resolve, so it is summed over the capped-block counts.
+BENCH_COUNT_READ = (4, 5.0, 2.9762948825855524, 39.423128648821994)
+
+
 class TestFftFloor:
     """Deep-tail values, which an untilted FFT power reads from its round-off
     floor, against the truncated direct convolution (ROADMAP items 2 and 14)."""
@@ -636,6 +708,9 @@ class TestFftFloor:
             # holds all but about 1e-11 of the mass.
             (4, 5.0, 4.0, 38.0),
             (8, 20.0, 4.0, 25.0),
+            # The last SNR of a seed-1 bound-curve benchmark command, read by
+            # the capped-count sum (test_benchmark_point_takes_the_count_sum).
+            BENCH_COUNT_READ,
         ],
     )
     def test_matches_truncated_direct_convolution(self, B, m, rate, db):
@@ -651,3 +726,16 @@ class TestFftFloor:
     @pytest.mark.parametrize("B, m, rate, db", [(3, 14.358, 3.8187, 40.39), (2, 18.637, 3.7082, 31.04), (5, 14.626, 3.5908, 50.26)])
     def test_reads_between_atom_clusters(self, B, m, rate, db):
         self.test_matches_truncated_direct_convolution(B, m, rate, db)
+
+    def test_benchmark_point_takes_the_count_sum(self, monkeypatch):
+        calls = []
+        count_sum = bound._by_capped_count
+
+        def spy(*args):
+            calls.append(args)
+            return count_sum(*args)
+
+        monkeypatch.setattr(bound, "_by_capped_count", spy)
+        B, m, rate, db = BENCH_COUNT_READ
+        outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, NakagamiParam(m), rate))
+        assert len(calls) == 1

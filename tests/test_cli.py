@@ -344,6 +344,12 @@ class TestConfigAndErrors:
         assert res.exit_code == 3
         assert "coding gain K overflows a float: log10 K = 346.0" in res.output
 
+    def test_underflowed_coding_gain_read_exits_3(self, runner):
+        # At m = 300 the read that K needs underflows; it is not a silent K = 0.
+        res = runner.invoke(main, ["asymptote", "--m", "300", "--rate", "1", "--snr-db", "0:10:5"])
+        assert res.exit_code == 3
+        assert "coding gain K cannot be computed: the limit law's cell masses underflow a float at m = 300" in res.output
+
     def test_coding_gain_of_large_m_fits_a_float(self, runner):
         # K = 10^85.76 at m = 50: the deep-tail read no longer overflows it.
         # The first row is 0 dB, where the asymptote is K itself.

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from helpers import gain_rows
 from nakfade import fading
 from nakfade.fading import CHUNK, NakagamiParam, gain_block, reg_gamma_pq
 
@@ -119,49 +121,61 @@ class TestPerPointValues:
 
 class TestSampling:
     def test_unit_mean(self):
-        g = gain_block(NakagamiParam(2), seed=42, first=0, count=10**6)
+        g = gain_rows(NakagamiParam(2), seed=42, n=10**6)
         assert g.mean() == pytest.approx(1.0, abs=0.005)
 
     def test_variance_one_over_m(self):
-        g = gain_block(NakagamiParam(2), seed=42, first=0, count=10**6)
+        g = gain_rows(NakagamiParam(2), seed=42, n=10**6)
         assert g.var() == pytest.approx(0.5, abs=0.01)
 
     def test_ks_rayleigh(self):
-        g = gain_block(NakagamiParam(1), seed=7, first=0, count=10**5).ravel()
+        g = gain_rows(NakagamiParam(1), seed=7, n=10**5).ravel()
         stat = stats.kstest(g, lambda x: 1 - np.exp(-x)).statistic
         assert stat < 1.628 / math.sqrt(g.size)  # 1% critical value
 
     @pytest.mark.parametrize("m", M_SET)
     def test_ks_against_gain_cdf(self, m):
         p = NakagamiParam(m)
-        g = gain_block(p, seed=11, first=0, count=2 * 10**4).ravel()
+        g = gain_rows(p, seed=11, n=2 * 10**4).ravel()
         stat = stats.kstest(g, stats.gamma(m, scale=1.0 / m).cdf).statistic
         assert stat < 1.628 / math.sqrt(g.size)
 
     def test_partition_independence(self):
+        # A chunk's rows are the same whichever other chunks are drawn, in
+        # whatever order and thread: drawn forwards, backwards or by a pool.
         p = NakagamiParam(1.3)
-        whole = gain_block(p, seed=5, first=0, count=3 * CHUNK + 17, width=4)
-        parts = np.vstack(
-            [
-                gain_block(p, seed=5, first=0, count=100, width=4),
-                gain_block(p, seed=5, first=100, count=CHUNK, width=4),
-                gain_block(p, seed=5, first=100 + CHUNK, count=2 * CHUNK - 83, width=4),
-            ]
-        )
-        assert np.array_equal(whole[: parts.shape[0]], parts)
+        counts = [CHUNK, CHUNK, CHUNK, 17]
+
+        def draw(c):
+            return gain_block(p, 5, c, counts[c], width=4)
+
+        forward = [draw(c) for c in range(4)]
+        backward = [draw(c) for c in (3, 2, 1, 0)][::-1]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = list(pool.map(draw, range(4)))
+        for a, b, c in zip(forward, backward, pooled):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+        assert np.array_equal(np.vstack(forward), gain_rows(p, 5, 3 * CHUNK + 17, width=4))
 
     @pytest.mark.parametrize("m", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_ranges_ending_mid_chunk_match_full_chunk_draws(self, m):
+        # Drawing k rows of a chunk gives the first k rows of the full chunk.
         p = NakagamiParam(m)
-        full = gain_block(p, seed=8, first=0, count=2 * CHUNK, width=3, stream_id=2)
-        for first, count in [(CHUNK, 1), (CHUNK, 24), (CHUNK, 1950), (CHUNK, CHUNK - 1), (CHUNK + 7, 100), (CHUNK - 5, 29)]:
-            part = gain_block(p, seed=8, first=first, count=count, width=3, stream_id=2)
-            assert np.array_equal(part, full[first : first + count])
+        full = gain_block(p, seed=8, chunk=1, count=CHUNK, width=3, stream_id=2)
+        for count in (0, 1, 24, 29, 1950, CHUNK - 1):
+            part = gain_block(p, seed=8, chunk=1, count=count, width=3, stream_id=2)
+            assert np.array_equal(part, full[:count])
 
     def test_deterministic_per_index(self):
         p = NakagamiParam(2)
-        a = gain_block(p, seed=9, first=123, count=1)
-        b = gain_block(p, seed=9, first=123, count=1)
+        a = gain_block(p, seed=9, chunk=123, count=1)
+        b = gain_block(p, seed=9, chunk=123, count=1)
         assert a[0, 0] == b[0, 0]
-        assert gain_block(p, seed=10, first=123, count=1)[0, 0] != a[0, 0]
+        assert gain_block(p, seed=10, chunk=123, count=1)[0, 0] != a[0, 0]
+        assert gain_block(p, seed=9, chunk=124, count=1)[0, 0] != a[0, 0]
+        assert gain_block(p, seed=9, chunk=123, count=1, stream_id=1)[0, 0] != a[0, 0]
 
+    @pytest.mark.parametrize("count", [-1, CHUNK + 1])
+    def test_count_beyond_one_chunk_raises(self, count):
+        with pytest.raises(ValueError, match=rf"count must be in \[0, {CHUNK}\]"):
+            gain_block(NakagamiParam(2), seed=9, chunk=0, count=count)

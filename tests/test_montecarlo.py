@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 from click.testing import CliRunner
 
+from helpers import gain_rows
 from nakfade import cli, fading, montecarlo
 from nakfade.bound import ChannelSpec, outage_lower_bound
 from nakfade.constellation import KNOWN_NAMES, Constellation, from_name, make_psk, make_qam
@@ -128,7 +129,7 @@ class TestMcLowerBound:
 
 def direct_capped_count(snr, spec, n, seed, stream_id):
     """Oracle: each row's sum of per-block capped log2(1 + gamma rho), compared with BR."""
-    gains = fading.gain_block(spec.fading, seed, 0, n, width=spec.B, stream_id=stream_id)
+    gains = gain_rows(spec.fading, seed, n, width=spec.B, stream_id=stream_id)
     return int(np.count_nonzero(np.minimum(spec.M, np.log2(1 + gains * snr.rho)).sum(axis=1) < spec.B * spec.rate))
 
 
@@ -154,7 +155,7 @@ class TestCappedCount:
     def test_all_capped_rows_are_not_in_outage_at_rate_m(self, B, M):
         # At R = M a row is in outage unless every block caps, where its sum is exactly BM.
         rho = 100.0 * 2.0**M
-        gains = fading.gain_block(M1, 4, 0, self.N, width=B, stream_id=3)
+        gains = gain_rows(M1, 4, self.N, width=B, stream_id=3)
         not_all_capped = int(np.count_nonzero((1 + gains * rho < 2.0**M).any(axis=1)))
         assert 0 < not_all_capped < self.N
         est = mc_lower_bound(Snr(rho), ChannelSpec(B, M, M1, M), n=self.N, seed=4, stream_id=3)
@@ -223,7 +224,7 @@ class TestMcOutage:
 
 def direct_outage_count(snr, spec, c, n, seed, stream_id, rule):
     """Oracle: MI quadrature at every block of every sample, each row decided by its mean."""
-    gains = fading.gain_block(spec.fading, seed, 0, n, width=spec.B, stream_id=stream_id)
+    gains = gain_rows(spec.fading, seed, n, width=spec.B, stream_id=stream_id)
     mi = mi_discrete_array(gains * snr.rho, c, rule)
     return int(np.count_nonzero(mi.mean(axis=1) < spec.rate))
 
@@ -322,7 +323,7 @@ class TestBracketTable:
         spec = ChannelSpec(2, 2, NakagamiParam(0.1), 1.0)
         n, seed = 3000, 43
         snr = Snr(rho)
-        v = fading.gain_block(spec.fading, seed, 0, n, width=spec.B) * rho
+        v = gain_rows(spec.fading, seed, n, width=spec.B) * rho
         assert np.count_nonzero(v == 0.0) > 20
         want = direct_outage_count(snr, spec, c, n, seed, 0, rule)
         own = mc_outage(snr, spec, c, rule, n=n, seed=seed)
