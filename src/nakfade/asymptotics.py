@@ -2,15 +2,13 @@
 constant of the outage lower bound.
 
 The bound decays as K * SNR^(-m d_B(R)), where d_B is the Singleton bound
-and K collects the SNR-free limit of the dominant way to fall below BR,
-with B - d_B blocks at the cap:
-
-    K = F_Ybar(BR - (B - d_B) M) C(B, B - d_B) (m (2^M-1))^(m d_B) / (m Gamma(m))^d_B
-
-with Ybar a sum of d_B copies of the SNR-free limit law of A, whose cdf is
-((2^xi - 1)/(2^M - 1))^m on [0, M].  Random codes with block length growing
-like lambda * ln(SNR) achieve an exponent that saturates at m d_B(R) as
-lambda grows.
+and K is the SNR-free limit of the bound's dominant capped-count term, the
+one with B - d_B blocks at the cap: bound._capped_term with t = B - d_B on
+A's limit law, whose cdf is ((2^xi - 1)/(2^M - 1))^m on [0, M], log p = 0
+and log q = m ln(m (2^M - 1)) - ln Gamma(m + 1), the limit of q SNR^m.
+K and every asymptote leave log space through bound.exp_checked.  Random
+codes with block length growing like lambda * ln(SNR) achieve an exponent
+that saturates at m d_B(R) as lambda grows.
 """
 
 from __future__ import annotations
@@ -18,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bound import DEFAULT_CELLS, ChannelSpec, _cell_edges, build_pmf_A, cdf_Y_at, convolve_power, diversity_arg, singleton_bound, tilt
+from .bound import DEFAULT_CELLS, ChannelSpec, _capped_term, _cell_edges, build_pmf_A, diversity_arg, exp_checked, singleton_bound
+# Unused here: bench/tracing.py patches asymptotics.convolve_power and asymptotics.cdf_Y_at.
+from .bound import cdf_Y_at, convolve_power
 from .mutual_info import Snr
 
 __all__ = [
@@ -51,48 +51,25 @@ def optimal_exponent(spec: ChannelSpec) -> float:
 
 
 def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
-    """SNR-free prefactor K of the bound's power-law decay.
-
-    Reads the sum of d_B(R) copies of A's limit law, which build_pmf_A
-    tabulates as it does the bound's law, at BR - (B - d_B) M through the
-    bound's tilted kernel (the dominant way to fall below BR keeps d_B
-    blocks below the cap), and adds the closed-form constants in log space.
+    """SNR-free prefactor K of the bound's power-law decay, its capped-count
+    term at t = B - d_B(R) on A's limit law, tabulated by build_pmf_A.
     K is exactly 0 only where no d-fold sum of the lattice reaches the read;
-    a zero read above that, or a K past the float range, is an
-    ArithmeticError.
+    a zero read above that, or a K outside the normal floats, is an ArithmeticError.
     """
     B, M, R, m = spec.B, spec.M, spec.rate, spec.fading.m
     d = singleton_bound(B, M, R)
-    edges = _cell_edges(M, n_cells)
-    pmf = build_pmf_A(((2.0**edges - 1.0) / (2.0**M - 1.0)) ** m, M)
-    x = B * R - (B - d) * M
-    log_k = cdf_Y_at(convolve_power(tilt(pmf, d, x), d), x)
-    # The read at x sees the d-fold sums below x + h/2, the smallest of which
-    # is d h/2; above (d - 1) h/2 a zero read means the cell masses underflowed.
-    if log_k == -math.inf and x > (d - 1) * pmf.grid_step / 2:
+    pmf = build_pmf_A(((2.0 ** _cell_edges(M, n_cells) - 1.0) / (2.0**M - 1.0)) ** m, M)
+    log_k = _capped_term(pmf, 0.0, m * math.log(m * (2.0**M - 1.0)) - math.lgamma(m + 1), B, B - d, B * R, M)
+    # The read at x = BR - (B - d) M sees a d-fold sum, d h/2 or more, above (d - 1) h/2: only underflow zeroes it.
+    if log_k == -math.inf and B * R - (B - d) * M > (d - 1) * pmf.grid_step / 2:
         raise ArithmeticError(f"coding gain K cannot be computed: the limit law's cell masses underflow a float at m = {m:g}")
-    log_k += math.lgamma(B + 1) - math.lgamma(d + 1) - math.lgamma(B - d + 1)
-    log_k += m * d * math.log(m * (2.0**M - 1.0)) - d * (math.log(m) + math.lgamma(m))
-    try:
-        return math.exp(log_k)
-    except OverflowError:
-        raise ArithmeticError(f"coding gain K overflows a float: log10 K = {log_k / math.log(10.0):.6g}") from None
+    return exp_checked(log_k, "coding gain K")
 
 
 def power_law(gain: float, exponent: float, snr: Snr) -> float:
-    """gain * rho^-exponent, raising ArithmeticError where it overflows a float.
-
-    At low SNR the product, or rho^-exponent alone, leaves the float range;
-    the error names the SNR and log10 of the value.
-    """
-    try:
-        value = gain * snr.rho**-exponent
-    except OverflowError:
-        value = math.inf if gain > 0 else 0.0
-    if value == math.inf:
-        log10_value = math.log10(gain) - exponent * math.log10(snr.rho)
-        raise ArithmeticError(f"asymptote overflows a float at snr_db {snr.db:.6g}: log10 asymptote = {log10_value:.6g}")
-    return value
+    """gain * rho^-exponent, formed in log space, never from rho^-exponent alone;
+    outside the normal floats, ArithmeticError names the SNR and log10 of the value."""
+    return exp_checked((math.log(gain) if gain else -math.inf) - exponent * math.log(snr.rho), "asymptote", f" at snr_db {snr.db:.6g}")
 
 
 def asymptote(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:

@@ -9,7 +9,8 @@ from one FFT power of X's law tilted by e^(-theta v)/Z, theta solving
 B E_theta[X] = BR, so that the read sits in the bulk of the tilted sum, not
 in its far left tail, where FFT round-off would decide it; the tilt is
 undone in log space.  The sums are split by the parity of their number of
-below-cap blocks (convolve_power).  The coding gain uses the same kernel.
+below-cap blocks (convolve_power).  The coding gain is one capped-count term
+(_capped_term), and each reported value leaves log space through exp_checked.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import functools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +30,7 @@ from .mutual_info import Snr
 
 __all__ = [
     "ChannelSpec", "TabulatedPmf", "TiltedLaw", "BoundResult", "DEFAULT_CELLS", "build_pmf_A", "tabulate_A",
-    "tilt", "convolve_power", "cdf_Y_at", "outage_lower_bound", "outage_lower_bounds",
+    "tilt", "convolve_power", "cdf_Y_at", "exp_checked", "outage_lower_bound", "outage_lower_bounds",
 ]
 
 # Grid cells over [0, M]; doubling this moves acceptance-grid bound values
@@ -185,9 +187,9 @@ def tabulate_A(snrs, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS):
 
     The SNRs are tabulated in blocks of about _BLOCK_POINTS grid points, each
     by one reg_gamma_pq call over every SNR's interior cell edges and its cap
-    m(2^M - 1)/rho.  The cap's (Q, P) is (p, 1 - p), each with full relative
-    accuracy, and its P the conditioning probability.  A value of reg_gamma_pq
-    depends only on its (a, x), so no result depends on the block.
+    m(2^M - 1)/rho.  The cap's (Q, P) is (p, 1 - p), each to reg_gamma_pq's
+    relative accuracy, and its P the conditioning probability.  A value of
+    reg_gamma_pq depends only on its (a, x), so no result depends on the block.
     """
     snrs = list(snrs)
     if any(s.rho <= 0 for s in snrs):
@@ -345,12 +347,33 @@ def cdf_Y_at(law: TiltedLaw, x: float) -> float:
     return law.log_scale + math.log(total) if total > 0 else -math.inf
 
 
+_LOG_NORMAL = math.log(sys.float_info.min), math.log(sys.float_info.max)
+
+
+def exp_checked(log_value: float, name: str, where: str = "") -> float:
+    """e^log_value as a float: -inf is an exact 0, and a value below the smallest
+    normal float or past the largest (or NaN) raises ArithmeticError naming
+    where it arose and log10 of the value, denoted by the last word of name."""
+    if log_value == -math.inf:
+        return 0.0
+    if not _LOG_NORMAL[0] <= log_value <= _LOG_NORMAL[1]:
+        kind = "underflows" if log_value < _LOG_NORMAL[0] else "overflows"
+        raise ArithmeticError(f"{name} {kind} a float{where}: log10 {name.split()[-1]} = {log_value / math.log(10.0):.6g}")
+    return math.exp(log_value)
+
+
+def _capped_term(pmf_a: TabulatedPmf, log_p: float, log_q: float, n: int, t: int, x: float, M: int) -> float:
+    """log[C(n, t) p^t q^(n - t) P(A_1 + ... + A_(n - t) < x - t M)], t of n blocks
+    capped, read from the tilted power of n - t copies of A, which has no atom."""
+    return (math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1) + (t * log_p if t else 0.0) + (n - t) * log_q
+            + cdf_Y_at(convolve_power(tilt(pmf_a, n - t, x - t * M), n - t), x - t * M))
+
+
 def _by_capped_count(pmf_a: TabulatedPmf, p: float, q: float, n: int, x: float, M: int) -> float:
-    """log P(sum < x) as the mixture over the number t of capped blocks, each
-    term the tilted read of n - t copies of A alone, whose sum has no atom to
-    cluster around; for reads that the single power cannot resolve."""
-    logs = [math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1) + (t * math.log(p) if t else 0.0) + (n - t) * math.log(q)
-            + cdf_Y_at(convolve_power(tilt(pmf_a, n - t, x - t * M), n - t), x - t * M) for t in range(n if p > 0 else 1) if x - t * M > 0]
+    """log P(sum < x) as the sum of _capped_term over the number t of capped
+    blocks; for reads that the single power cannot resolve."""
+    log_p, log_q = math.log(p) if p > 0 else -math.inf, math.log(q)
+    logs = [_capped_term(pmf_a, log_p, log_q, n, t, x, M) for t in range(n if p > 0 else 1) if x - t * M > 0]
     top = max(logs, default=-math.inf)
     return top + math.log(sum(math.exp(v - top) for v in logs)) if top > -math.inf else -math.inf
 
@@ -362,25 +385,27 @@ def outage_lower_bounds(
 
     tabulate_A gives each SNR's pmf_A, p and 1 - p, the capped per-block
     law, and each rate tilts it toward BR.  A rate that keeps the atom and
-    whose theta is 0, or whose Chernoff bound e^(theta (BR + h/2)) Z^B is at
-    least 1e-4, reads the SNR's one untilted power, of full length and
+    whose Chernoff bound e^(theta (BR + h/2)) Z^B is at least 1e-4, as it is
+    where theta is 0, reads the SNR's one untilted power, of full length and
     computed at most once; any other rate reads its own power, which without
     the atom is cut at BR and needs one inverse transform.  A read below 1e6
     times its power's round-off is summed over the capped-block counts.  All
     of it depends only on the SNR and the rate, not on the rest of the call.
+    A value that leaves the normal float range, or a zero read that only
+    underflowed cell masses can give, raises ArithmeticError naming both.
     """
-    specs = [ChannelSpec(B, M, fading, r) for r in rates]
+    snrs, specs = list(snrs), [ChannelSpec(B, M, fading, r) for r in rates]
     if not specs:
         return [[] for _ in snrs]
     B, M = specs[0].B, specs[0].M
     out = []
-    for pmf_a, p, q in tabulate_A(snrs, specs[0], n_cells):
+    for snr, (pmf_a, p, q) in zip(snrs, tabulate_A(snrs, specs[0], n_cells)):
         law = TabulatedPmf(pmf_a.grid_step, q * pmf_a.masses, p)
         untilted, results = None, []
         for s in specs:
             x = B * s.rate
             tilted = tilt(law, B, x)
-            if len(tilted.classes) < 2 or tilted.theta > 0 and B * tilted.log_scale + tilted.theta * tilted.grid_step / 2 < _LOG_UNTILTED:
+            if len(tilted.classes) < 2 or B * tilted.log_scale + tilted.theta * tilted.grid_step / 2 < _LOG_UNTILTED:
                 power = convolve_power(tilted, B)
             else:  # tilted toward B M, the law keeps every value and theta is 0
                 untilted = untilted or convolve_power(tilt(law, B, B * M), B)
@@ -388,10 +413,11 @@ def outage_lower_bounds(
             log_f = cdf_Y_at(power, x)
             if power.noise and not log_f - power.log_scale > math.log(_RESOLVED * power.noise):
                 log_f = _by_capped_count(pmf_a, p, q, B, x, M)
-            value = math.exp(log_f)
-            if not math.isfinite(value):
-                raise ArithmeticError("outage bound evaluated to a non-finite value")
-            results.append(BoundResult(min(value, 1.0)))
+            where = f" at snr_db {snr.db:.6g}, rate {s.rate:.6g}"
+            # The read sees a B-fold sum, B h/2 or more, above (B - 1) h/2: only underflow zeroes it.
+            if log_f == -math.inf and x > (B - 1) * law.grid_step / 2:
+                raise ArithmeticError(f"outage bound cannot be computed{where}: its cell masses underflow a float")
+            results.append(BoundResult(min(exp_checked(log_f, "outage bound p_out_lower", where), 1.0)))
         out.append(results)
     return out
 

@@ -238,11 +238,12 @@ def _run_asymptote(cfg: RunConfig) -> int:
     snrs = [Snr.from_db(db) for db in dbs]
     gain = asymptotics.coding_gain(spec, cfg.cells)
     d_exp = asymptotics.optimal_exponent(spec)
-    # The asymptote overflows only at low SNR and the conditioning
-    # probability underflows only at high SNR, so on an ascending grid
-    # evaluating the asymptotes first reports the first failing point.
-    lines = [asymptotics.power_law(gain, d_exp, rho) for rho in snrs]
-    rows = [(db, res.value, line) for db, (res,), line in zip(dbs, _bounds(cfg, snrs, [cfg.rate]), lines)]
+    # An asymptote fails where it overflows a float at low SNR or underflows
+    # one at high SNR; a bound fails only at high SNR, where it is the more
+    # telling failure, so the bounds are evaluated first.
+    results = _bounds(cfg, snrs, [cfg.rate])
+    lines = [asymptotics.power_law(gain, d_exp, snr) for snr in snrs]
+    rows = [(db, res.value, line) for db, (res,), line in zip(dbs, results, lines)]
     return _emit(cfg, ["snr_db", "p_out_lower", "asymptote"], rows)
 
 

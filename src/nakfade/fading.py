@@ -118,7 +118,8 @@ def _reg_q_contfrac(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def reg_gamma_pq(a: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """(P(a,x), Q(a,x)) with full relative accuracy in whichever is small.
+    """(P(a,x), Q(a,x)), the smaller value v of the two within a relative
+    error of 5e-14 + 2.2e-16 |ln v|, so within 2.1e-13 for any normal float.
 
     The series evaluates P directly for x < a+1 and the continued fraction
     evaluates Q for x >= a+1, so the small tail never comes from a

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nakfade import asymptotics
+from nakfade import asymptotics, bound
 from nakfade.asymptotics import (
     BlockLengthScale,
     asymptote,
@@ -155,6 +155,17 @@ class TestCodingGain:
         log_k = math.log(math.comb(B, B - d)) + m * d * math.log(m * (2.0**M - 1.0)) - d * (math.log(m) + math.lgamma(m))
         # The product in log space: at m = 50, e^log_k alone overflows.
         assert coding_gain(ChannelSpec(B, M, NakagamiParam(m), rate), cells) == pytest.approx(math.exp(math.log(f_y) + log_k), rel=1e-6)
+
+    # K is the SNR-free limit of the bound's capped-count term with
+    # t = B - d_B blocks at the cap, q rho^m in place of q: at 80 dB the term
+    # is within rho^-1 (m = 2) or rho^-1/2 (m = 1/2) of K, in log.
+    @pytest.mark.parametrize("m, rate", [(2.0, 1.0), (2.0, 2.5), (0.5, 3.0)])
+    def test_is_the_limit_of_the_bounds_capped_count_term(self, m, rate):
+        spec, snr = ChannelSpec(4, 4, NakagamiParam(m), rate), Snr.from_db(80.0)
+        d = singleton_bound(4, 4, rate)
+        pmf, p, q = next(tabulate_A([snr], spec, 1024))
+        term = bound._capped_term(pmf, math.log(p), math.log(q) + m * math.log(snr.rho), 4, 4 - d, 4 * rate, 4)
+        assert term == pytest.approx(math.log(coding_gain(spec, 1024)), abs=1e-3)
 
     # B=4, M=4 at 64 cells: h = 1/16, and the read at x = 4R sees the 4-fold
     # sums below x + h/2, the smallest of which is 4 h/2, so it sees one only

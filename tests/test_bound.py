@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -390,6 +391,33 @@ class TestCdfYAt:
     def test_linear_within_cell(self):
         law = convolve_power(tilt(TabulatedPmf(0.25, np.array([1.0])), 1, 0.125), 1)
         assert cdf_Y_at(law, 0.125) == pytest.approx(math.log(0.5), rel=1e-15)
+
+
+class TestExpChecked:
+    """The one place a reported log becomes a float."""
+
+    def test_minus_inf_is_an_exact_zero(self):
+        assert bound.exp_checked(-math.inf, "x") == 0.0
+
+    @pytest.mark.parametrize("log_value", [0.0, -700.0, 700.0, math.log(sys.float_info.min), math.log(sys.float_info.max)])
+    def test_value_in_the_normal_range(self, log_value):
+        value = bound.exp_checked(log_value, "x")
+        assert sys.float_info.min <= value <= sys.float_info.max
+        assert value == math.exp(log_value)
+
+    @pytest.mark.parametrize(
+        "log_value,kind,log10_value",
+        [
+            (-709.0, "underflows", "-307.915"),
+            (-1e6, "underflows", "-434294"),
+            (math.nextafter(math.log(sys.float_info.max), math.inf), "overflows", "308.255"),
+            (1e6, "overflows", "434294"),
+            (math.nan, "overflows", "nan"),
+        ],
+    )
+    def test_outside_the_normal_range_raises_naming_log10(self, log_value, kind, log10_value):
+        with pytest.raises(ArithmeticError, match=f"^coding gain K {kind} a float at here: log10 K = {log10_value}$"):
+            bound.exp_checked(log_value, "coding gain K", " at here")
 
 
 class TestOutageLowerBound:

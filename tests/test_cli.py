@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 from nakfade import __version__, montecarlo
+from nakfade.asymptotics import coding_gain
+from nakfade.bound import ChannelSpec
+from nakfade.fading import NakagamiParam
 from nakfade.cli import RunConfig, _build_config, main
 
 
@@ -353,9 +357,47 @@ class TestConfigAndErrors:
     def test_coding_gain_of_large_m_fits_a_float(self, runner):
         # K = 10^85.76 at m = 50: the deep-tail read no longer overflows it.
         # The first row is 0 dB, where the asymptote is K itself.
-        res = runner.invoke(main, ["asymptote", "--m", "50", "--rate", "1"])
+        res = runner.invoke(main, ["asymptote", "--m", "50", "--rate", "1", "--snr-db", "0:18:2"])
         assert res.exit_code == 0, res.output
         assert np.log10(float(rows_of(res.output)[1][0][2])) == pytest.approx(85.7589, abs=1e-4)
+
+    def test_subnormal_bound_exits_3_naming_the_snr(self, runner):
+        # On the default grid, 0:40:2, the bound at 20 dB is 10^-315.1, below
+        # the smallest normal float; it is not printed as a subnormal value.
+        res = runner.invoke(main, ["asymptote", "--m", "50", "--rate", "1"])
+        assert res.exit_code == 3
+        assert "outage bound p_out_lower underflows a float at snr_db 20, rate 1: log10 p_out_lower = -315.112" in res.output
+
+    def test_asymptote_is_formed_in_log_space(self, runner):
+        # B = M = 4, m = 50, R = 1: m d_B = 200, so each asymptote is
+        # 10^(log10 K - 20 dB), far below where rho^-200 alone underflows.
+        log10_k = math.log10(coding_gain(ChannelSpec(4, 4, NakagamiParam(50), 1.0)))
+        assert log10_k == pytest.approx(85.7589, abs=1e-4)
+        res = runner.invoke(main, ["asymptote", "--m", "50", "--rate", "1", "--snr-db", "12:19:1"])
+        assert res.exit_code == 0, res.output
+        rows = rows_of(res.output)[1]
+        assert [row[0] for row in rows] == [str(db) for db in range(12, 20)]
+        for db, _, line in rows:
+            assert float(line) == pytest.approx(10.0 ** (log10_k - 20 * int(db)), rel=1e-12)
+
+    # Bounds below the smallest normal float, which printed as 0 before.
+    @pytest.mark.parametrize("m,db,log10_value", [("20", "80", "-606.162"), ("300", "10", "-732.451")])
+    def test_underflowing_bound_exits_3_naming_log10(self, runner, m, db, log10_value):
+        res = runner.invoke(main, ["curve", "--m", m, "--rate", "1", "--snr-db", f"{db}:{db}:1"])
+        assert res.exit_code == 3
+        assert f"outage bound p_out_lower underflows a float at snr_db {db}, rate 1: log10 p_out_lower = {log10_value}" in res.output
+
+    def test_underflowed_cell_masses_exit_3(self, runner):
+        # At m = 300 and 20 dB the cell masses that a read at BR = 2 can see
+        # underflow, so the read is -inf; it is not a silent bound of 0.
+        res = runner.invoke(main, ["curve", "--m", "300", "--rate", "0.5", "--snr-db", "20:20:1"])
+        assert res.exit_code == 3
+        assert "outage bound cannot be computed at snr_db 20, rate 0.5: its cell masses underflow a float" in res.output
+
+    def test_read_below_the_smallest_sum_prints_an_exact_zero(self, runner):
+        res = runner.invoke(main, ["curve", "--rate", "1e-10", "--snr-db", "0:0:1"])
+        assert res.exit_code == 0, res.output
+        assert rows_of(res.output)[1] == [["0", "0"]]
 
     # At -770 dB the product K rho^-4 overflows; at -800 dB rho^-4 itself does.
     @pytest.mark.parametrize("db,log10_value", [("-770", "309.393"), ("-800", "321.393")])
@@ -365,12 +407,22 @@ class TestConfigAndErrors:
         assert f"asymptote overflows a float at snr_db {db}: log10 asymptote = {log10_value}" in res.output
 
     # At m=20 the conditioning probability underflows from about 178 dB, so
-    # 180 dB, the last SNR of the grid's first block, is the first to fail.
+    # 180 dB, the first SNR of the grid, is the first to fail tabulation.
     @pytest.mark.parametrize("command", ["curve", "asymptote"])
     def test_underflowing_conditioning_probability_names_the_snr(self, runner, command):
-        res = runner.invoke(main, [command, "--m", "20", "--rate", "1", "--snr-db", "150:200:10"])
+        res = runner.invoke(main, [command, "--m", "20", "--rate", "1", "--snr-db", "180:200:10"])
         assert res.exit_code == 3
         assert "conditioning probability underflowed at snr_db 180;" in res.output
+
+    # From 150 dB the grid first fails on the bound's value, 10^-1166.16,
+    # before tabulation fails at 180 dB; the asymptote command evaluates the
+    # bounds first, so it reports the bound, not its asymptote, which
+    # underflows at 150 dB too.
+    @pytest.mark.parametrize("command", ["curve", "asymptote"])
+    def test_underflowing_bound_is_the_first_failure(self, runner, command):
+        res = runner.invoke(main, [command, "--m", "20", "--rate", "1", "--snr-db", "150:200:10"])
+        assert res.exit_code == 3
+        assert "underflows a float at snr_db 150, rate 1: log10 p_out_lower = -1166.16" in res.output
 
     def test_numerical_failure_exits_3(self, runner, monkeypatch):
         from nakfade import cli

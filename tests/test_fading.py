@@ -1,4 +1,5 @@
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -117,6 +118,31 @@ class TestPerPointValues:
                 want_q = mpmath.gammainc(a, xi, mpmath.inf, regularized=True)
                 got, want = (pi, want_p) if want_p < want_q else (qi, want_q)
                 assert abs(got / want - 1) < 1e-13, (a, xi)
+
+
+    # The bound reg_gamma_pq states, in whichever value v of P and Q is
+    # small: relative error below 5e-14 + 2.2e-16 |ln v|.  The prefactor
+    # e^(a ln x - x - ln Gamma(a)) rounds its exponent, which is about ln v,
+    # so the error grows with |ln v| (3.1e-14 at (a, x) = (20, 1e-12), 2.2e-14
+    # at (2, 1e-100), 1.7e-13 at (20.48, 1.77e-12), where ln v = -598), and
+    # Q = 1 - P just below a + 1 costs 2.6e-14 at (0.12, 0.81).  Values below
+    # the normal float range are not compared.
+    def test_stated_accuracy_against_mpmath(self):
+        a_grid = [*np.geomspace(0.1, 50.0, 11), 0.12, 2.0, 18.7, 20.0, 20.482812950457934]
+        x_grid = np.array([*np.geomspace(1e-100, 100.0, 21), 0.81, 1e-6, 1e-12, 1.7668147296146927e-12])
+        compared = 0
+        with mpmath.workdps(40):
+            for a in a_grid:
+                p, q = reg_gamma_pq(float(a), x_grid)
+                for xi, pi, qi in zip(x_grid, p, q):
+                    want_p = mpmath.gammainc(a, 0, xi, regularized=True)
+                    want_q = mpmath.gammainc(a, xi, mpmath.inf, regularized=True)
+                    got, want = (pi, want_p) if want_p < want_q else (qi, want_q)
+                    if want < sys.float_info.min:
+                        continue
+                    compared += 1
+                    assert abs(got / want - 1) < 5e-14 + 2.2e-16 * abs(float(mpmath.log(want))), (a, xi)
+        assert compared > 250
 
 
 class TestSampling:

@@ -94,3 +94,21 @@ def test_ratesweep_convolutions_are_traced_with_their_fft_points(monkeypatch):
     convolve = [s for s in tracer.spans if s.name == "bound.convolve"]
     assert convolve
     assert all(s.counts.get("fft_points", 0) > 0 for s in convolve)
+
+
+def test_traced_asymptote_records_the_coding_gain_kernel(monkeypatch):
+    # coding_gain reads K through bound's kernel, so its powers and reads are
+    # spans of the names the tracer patches in bound, nested in its own span;
+    # the names it patches in asymptotics still resolve.
+    assert asymptotics.convolve_power is bound.convolve_power and asymptotics.cdf_Y_at is bound.cdf_Y_at
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install(NK)
+    try:
+        res = CliRunner().invoke(cli.main, ["asymptote", "--rate", "2", "--snr-db", "5:5:1", "--cells", "64"])
+    finally:
+        tracer.restore()
+    assert res.exit_code == 0, (res.output, res.exception)
+    (gain,) = [s for s in tracer.spans if s.name == "asymptotics.coding_gain"]
+    inner = {s.name for s in tracer.spans if s.parent == gain.id}
+    assert {"bound.convolve", "bound.cdf_Y_at"} <= inner
