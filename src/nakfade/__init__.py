@@ -10,17 +10,7 @@ from .asymptotics import (
     random_coding_exponent,
     singleton_bound,
 )
-from .bound import (
-    BoundResult,
-    ChannelSpec,
-    TabulatedPmf,
-    build_pmf_A,
-    cdf_Y_at,
-    convolve_power,
-    outage_lower_bound,
-    outage_lower_bounds,
-    tabulate_A,
-)
+from .bound import BoundResult, ChannelSpec, outage_lower_bound, outage_lower_bounds
 from .constellation import Constellation, from_name, make_psk, make_qam
 from .fading import NakagamiParam, gain_block
 from .montecarlo import McEstimate, mc_lower_bound, mc_outage

@@ -3,7 +3,7 @@ constant of the outage lower bound.
 
 The bound decays as K * SNR^(-m d_B(R)), where d_B is the Singleton bound
 and K is the SNR-free limit of the bound's dominant capped-count term, the
-one with B - d_B blocks at the cap: bound._capped_term with t = B - d_B on
+one with B - d_B blocks at the cap: bound._by_capped_count at t = B - d_B on
 A's limit law, whose cdf is ((2^xi - 1)/(2^M - 1))^m on [0, M], log p = 0
 and log q = m ln(m (2^M - 1)) - ln Gamma(m + 1), the limit of q SNR^m.
 K and every asymptote leave log space through bound.exp_checked.  Random
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bound import DEFAULT_CELLS, ChannelSpec, _capped_term, _cell_edges, build_pmf_A, diversity_arg, exp_checked, singleton_bound
+from .bound import DEFAULT_CELLS, ChannelSpec, _by_capped_count, _cell_edges, build_pmf_A, exp_checked
 # Unused here: bench/tracing.py patches asymptotics.convolve_power and asymptotics.cdf_Y_at.
 from .bound import cdf_Y_at, convolve_power
 from .mutual_info import Snr
@@ -32,6 +32,30 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# Rates where B(1 - R/M) is within this of an integer sit on a diversity
+# discontinuity: the floor in d_B(R) must see the integer, not float fuzz.
+_DISCONT_TOL = 1e-9
+
+
+def diversity_arg(B: int, M: int, R: float) -> float:
+    """B(1 - R/M), snapped to integers within 1e-9 to absorb float fuzz."""
+    v = B * (M - R) / M
+    snapped = round(v)
+    return float(snapped) if abs(v - snapped) < _DISCONT_TOL else v
+
+
+def singleton_bound(B: int, M: int, R: float) -> int:
+    """Maximum block diversity of rate-R codes: 1 + floor(B(1 - R/M)).
+
+    R > 0, so the diversity is at most B even where the snap lifts a
+    B(1 - R/M) just below B to B itself.
+    """
+    if B < 1 or M < 1:
+        raise ValueError("B and M must be positive integers")
+    if not (0.0 < R <= M):
+        raise ValueError(f"rate must lie in (0, M={M}], got {R}")
+    return min(B, 1 + int(math.floor(diversity_arg(B, M, R))))
 
 
 @dataclass(frozen=True)
@@ -51,15 +75,15 @@ def optimal_exponent(spec: ChannelSpec) -> float:
 
 
 def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
-    """SNR-free prefactor K of the bound's power-law decay, its capped-count
-    term at t = B - d_B(R) on A's limit law, tabulated by build_pmf_A.
+    """SNR-free prefactor K of the bound's power-law decay: its capped-count
+    sum at the one count t = B - d_B(R), on A's limit law tabulated by build_pmf_A.
     K is exactly 0 only where no d-fold sum of the lattice reaches the read;
     a zero read above that, or a K outside the normal floats, is an ArithmeticError.
     """
     B, M, R, m = spec.B, spec.M, spec.rate, spec.fading.m
     d = singleton_bound(B, M, R)
     pmf = build_pmf_A(((2.0 ** _cell_edges(M, n_cells) - 1.0) / (2.0**M - 1.0)) ** m, M)
-    log_k = _capped_term(pmf, 0.0, m * math.log(m * (2.0**M - 1.0)) - math.lgamma(m + 1), B, B - d, B * R, M)
+    log_k = _by_capped_count(pmf, 0.0, m * math.log(m * (2.0**M - 1.0)) - math.lgamma(m + 1), B, [B - d], B * R, M)
     # The read at x = BR - (B - d) M sees a d-fold sum, d h/2 or more, above (d - 1) h/2: only underflow zeroes it.
     if log_k == -math.inf and B * R - (B - d) * M > (d - 1) * pmf.grid_step / 2:
         raise ArithmeticError(f"coding gain K cannot be computed: the limit law's cell masses underflow a float at m = {m:g}")

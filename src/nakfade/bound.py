@@ -9,8 +9,9 @@ from one FFT power of X's law tilted by e^(-theta v)/Z, theta solving
 B E_theta[X] = BR, so that the read sits in the bulk of the tilted sum, not
 in its far left tail, where FFT round-off would decide it; the tilt is
 undone in log space.  The sums are split by the parity of their number of
-below-cap blocks (convolve_power).  The coding gain is one capped-count term
-(_capped_term), and each reported value leaves log space through exp_checked.
+below-cap blocks (convolve_power).  A read the power cannot resolve is summed
+over the capped-block counts (_by_capped_count), one term of which is the
+coding gain; each reported value leaves log space through exp_checked.
 """
 
 from __future__ import annotations
@@ -28,10 +29,7 @@ import numpy as np
 from .fading import NakagamiParam, reg_gamma_p, reg_gamma_pq
 from .mutual_info import Snr
 
-__all__ = [
-    "ChannelSpec", "TabulatedPmf", "TiltedLaw", "BoundResult", "DEFAULT_CELLS", "build_pmf_A", "tabulate_A",
-    "tilt", "convolve_power", "cdf_Y_at", "exp_checked", "outage_lower_bound", "outage_lower_bounds",
-]
+__all__ = ["ChannelSpec", "BoundResult", "DEFAULT_CELLS", "outage_lower_bound", "outage_lower_bounds"]
 
 # Grid cells over [0, M]; doubling this moves acceptance-grid bound values
 # by well under 1e-4 relative.
@@ -130,31 +128,6 @@ class BoundResult:
     """Bound value at one SNR and rate."""
 
     value: float
-
-
-# Rates where B(1 - R/M) is within this of an integer sit on a diversity
-# discontinuity: the floor in d_B(R) must see the integer, not float fuzz.
-_DISCONT_TOL = 1e-9
-
-
-def diversity_arg(B: int, M: int, R: float) -> float:
-    """B(1 - R/M), snapped to integers within 1e-9 to absorb float fuzz."""
-    v = B * (M - R) / M
-    snapped = round(v)
-    return float(snapped) if abs(v - snapped) < _DISCONT_TOL else v
-
-
-def singleton_bound(B: int, M: int, R: float) -> int:
-    """Maximum block diversity of rate-R codes: 1 + floor(B(1 - R/M)).
-
-    R > 0, so the diversity is at most B even where the snap lifts a
-    B(1 - R/M) just below B to B itself.
-    """
-    if B < 1 or M < 1:
-        raise ValueError("B and M must be positive integers")
-    if not (0.0 < R <= M):
-        raise ValueError(f"rate must lie in (0, M={M}], got {R}")
-    return min(B, 1 + int(math.floor(diversity_arg(B, M, R))))
 
 
 def build_pmf_A(levels: np.ndarray, M: int) -> TabulatedPmf:
@@ -362,18 +335,11 @@ def exp_checked(log_value: float, name: str, where: str = "") -> float:
     return math.exp(log_value)
 
 
-def _capped_term(pmf_a: TabulatedPmf, log_p: float, log_q: float, n: int, t: int, x: float, M: int) -> float:
-    """log[C(n, t) p^t q^(n - t) P(A_1 + ... + A_(n - t) < x - t M)], t of n blocks
-    capped, read from the tilted power of n - t copies of A, which has no atom."""
-    return (math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1) + (t * log_p if t else 0.0) + (n - t) * log_q
-            + cdf_Y_at(convolve_power(tilt(pmf_a, n - t, x - t * M), n - t), x - t * M))
-
-
-def _by_capped_count(pmf_a: TabulatedPmf, p: float, q: float, n: int, x: float, M: int) -> float:
-    """log P(sum < x) as the sum of _capped_term over the number t of capped
-    blocks; for reads that the single power cannot resolve."""
-    log_p, log_q = math.log(p) if p > 0 else -math.inf, math.log(q)
-    logs = [_capped_term(pmf_a, log_p, log_q, n, t, x, M) for t in range(n if p > 0 else 1) if x - t * M > 0]
+def _by_capped_count(pmf_a: TabulatedPmf, log_p: float, log_q: float, n: int, counts, x: float, M: int) -> float:
+    """log of the sum over t in counts of C(n, t) p^t q^(n - t) P(A_1 + ... + A_(n - t) < x - t M),
+    t of n blocks capped, each read from the tilted power of n - t copies of A, which has no atom."""
+    logs = [math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1) + (t * log_p if t else 0.0) + (n - t) * log_q
+            + cdf_Y_at(convolve_power(tilt(pmf_a, n - t, x - t * M), n - t), x - t * M) for t in counts if x - t * M > 0]
     top = max(logs, default=-math.inf)
     return top + math.log(sum(math.exp(v - top) for v in logs)) if top > -math.inf else -math.inf
 
@@ -412,7 +378,8 @@ def outage_lower_bounds(
                 power = untilted
             log_f = cdf_Y_at(power, x)
             if power.noise and not log_f - power.log_scale > math.log(_RESOLVED * power.noise):
-                log_f = _by_capped_count(pmf_a, p, q, B, x, M)
+                log_p = math.log(p) if p > 0 else -math.inf
+                log_f = _by_capped_count(pmf_a, log_p, math.log(q), B, range(B) if p > 0 else [0], x, M)
             where = f" at snr_db {snr.db:.6g}, rate {s.rate:.6g}"
             # The read sees a B-fold sum, B h/2 or more, above (B - 1) h/2: only underflow zeroes it.
             if log_f == -math.inf and x > (B - 1) * law.grid_step / 2:

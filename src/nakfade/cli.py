@@ -137,11 +137,18 @@ class RunConfig:
             self.order = montecarlo.MC_QUAD_ORDER if self.subcommand == "mc" else DEFAULT_ORDER
 
 
+_MAX_GRID_POINTS = 10**6  # a larger grid is a configuration error, refused before it is built
+
+
+def _grid_size(start: float, stop: float, step: float) -> float:
+    """The number of points of start:stop:step, inf where it overflows a float."""
+    return math.floor(span) + 1 if math.isfinite(span := (stop - start) / step + 1e-9) else math.inf
+
+
 def _grid(spec3: tuple) -> list:
     """start, start + step, ... up to stop; a point that rounds past stop is stop."""
     start, stop, step = spec3
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [min(start + i * step, stop) for i in range(n)]
+    return [min(start + i * step, stop) for i in range(_grid_size(start, stop, step))]
 
 
 def _parse_grid(value, name: str) -> tuple:
@@ -163,6 +170,8 @@ def _parse_grid(value, name: str) -> tuple:
         raise click.UsageError(f"field '{name}': step must be positive, got {step}")
     if stop < start:
         raise click.UsageError(f"field '{name}': stop must be >= start in {value!r}")
+    if _grid_size(start, stop, step) > _MAX_GRID_POINTS:
+        raise click.UsageError(f"field '{name}': grid {value!r} holds more than {_MAX_GRID_POINTS} points")
     return (start, stop, step)
 
 
@@ -211,7 +220,7 @@ def run(config: RunConfig) -> int:
     """Dispatch one resolved configuration and write its CSV."""
     try:
         return _COMMANDS[config.subcommand][0](config)
-    except (ArithmeticError, FloatingPointError) as exc:
+    except ArithmeticError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
 

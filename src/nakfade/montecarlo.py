@@ -100,7 +100,7 @@ class McEstimate:
         return cls(int(count) / n, n)
 
 
-def _check_counts(n, workers) -> None:
+def _check_counts(n, workers=1) -> None:
     """Refuse an n or a workers that is not a positive integer; a bool is not one, a numpy integer is."""
     for name, value, unit in (("n", n, "sample"), ("workers", workers, "worker")):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
@@ -162,10 +162,17 @@ class BracketTable:
     of rhos (see _window).  Built by one mi_discrete_array call and only
     read afterwards, so one table serves any number of chunks and threads,
     at any SNR: the window sets how many samples are decided from it, never
-    a count.
+    a count.  It refuses an empty rhos, an SNR that Snr refuses and a bad n.
     """
 
     def __init__(self, c: Constellation, q: QuadratureRule, rhos, n: int, spec: ChannelSpec) -> None:
+        try:
+            rhos = [Snr(rho).rho for rho in rhos]
+        except ValueError as exc:
+            raise ValueError(f"rhos: {exc}") from None
+        if not rhos:
+            raise ValueError("rhos must hold at least one SNR")
+        _check_counts(n)
         self.c = c
         self.q = q
         self._first, last = _window(min(rhos), max(rhos), len(rhos) * n * spec.B, spec.fading.m)

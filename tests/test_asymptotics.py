@@ -164,7 +164,7 @@ class TestCodingGain:
         spec, snr = ChannelSpec(4, 4, NakagamiParam(m), rate), Snr.from_db(80.0)
         d = singleton_bound(4, 4, rate)
         pmf, p, q = next(tabulate_A([snr], spec, 1024))
-        term = bound._capped_term(pmf, math.log(p), math.log(q) + m * math.log(snr.rho), 4, 4 - d, 4 * rate, 4)
+        term = bound._by_capped_count(pmf, math.log(p), math.log(q) + m * math.log(snr.rho), 4, [4 - d], 4 * rate, 4)
         assert term == pytest.approx(math.log(coding_gain(spec, 1024)), abs=1e-3)
 
     # B=4, M=4 at 64 cells: h = 1/16, and the read at x = 4R sees the 4-fold

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nakfade import bound, cli
-from nakfade.asymptotics import coding_gain
+from nakfade.asymptotics import coding_gain, diversity_arg, singleton_bound
 from nakfade.bound import (
     ChannelSpec,
     TabulatedPmf,
@@ -16,7 +16,6 @@ from nakfade.bound import (
     convolve_power,
     outage_lower_bound,
     outage_lower_bounds,
-    singleton_bound,
     tabulate_A,
     tilt,
 )
@@ -622,7 +621,7 @@ GRID_SIZES = [1, 4, 5, 7, 8, 9, 17]
 def discontinuity_rates(B):
     """A rate off every diversity discontinuity at M = 4, then one on it: B(1 - R/M) an integer."""
     rates = [1.3, 4.0 * (1 - (B // 2) / B)]
-    assert [bound.diversity_arg(B, 4, r).is_integer() for r in rates] == [False, True]
+    assert [diversity_arg(B, 4, r).is_integer() for r in rates] == [False, True]
     return rates
 
 
@@ -767,3 +766,20 @@ class TestFftFloor:
         B, m, rate, db = BENCH_COUNT_READ
         outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, NakagamiParam(m), rate))
         assert len(calls) == 1
+
+
+class TestCappedCountSum:
+    """The capped-count sum that resolves lumpy reads gives the single power's
+    read on ordinary points too: the same bound by the other path."""
+
+    @pytest.mark.parametrize("B", [2, 4, 8])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 5.0])
+    def test_matches_the_bound(self, B, m):
+        rates, snrs = [0.5, 1.0, 2.0, 3.0], [Snr.from_db(db) for db in (0.0, 10.0, 20.0, 30.0)]
+        spec = ChannelSpec(B, 4, NakagamiParam(m), 1.0)
+        bounds = outage_lower_bounds(snrs, B, 4, NakagamiParam(m), rates, 1024)
+        for snr, row in zip(snrs, bounds):
+            pmf, p, q = tabulated(snr, spec, 1024)
+            for rate, res in zip(rates, row):
+                log_f = bound._by_capped_count(pmf, math.log(p), math.log(q), B, range(B), B * rate, 4)
+                assert math.exp(log_f) == pytest.approx(res.value, rel=1e-9, abs=0.0), (snr.db, rate)

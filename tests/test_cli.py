@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from nakfade import __version__, montecarlo
+from nakfade import __version__, cli, montecarlo
 from nakfade.asymptotics import coding_gain
 from nakfade.bound import ChannelSpec
 from nakfade.fading import NakagamiParam
@@ -283,6 +283,24 @@ class TestConfigAndErrors:
         res = runner.invoke(main, ["curve", "--snr-db", "10:0:2"])
         assert res.exit_code == 2
         assert "snr_db" in res.output
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            pytest.param(["curve", "--snr-db", "0:1e308:1e-308"], "snr_db", id="curve-overflowing-count"),
+            pytest.param(["ratesweep", "--rate", "0.25:3.75:1e-308"], "rate_grid", id="ratesweep-overflowing-count"),
+            pytest.param(["curve", "--snr-db", "0:40:1e-7"], "snr_db", id="curve-4e8-points"),
+        ],
+    )
+    def test_oversized_grid_exits_2_before_it_is_built(self, runner, monkeypatch, args, field):
+        monkeypatch.setattr(cli, "_grid", lambda spec3: pytest.fail("an oversized grid was built"))
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert f"field '{field}'" in res.output and "more than 1000000 points" in res.output
+
+    def test_largest_grid_is_accepted(self):
+        grid = cli._parse_grid("0:999999:1", "snr_db")
+        assert len(cli._grid(grid)) == cli._MAX_GRID_POINTS
 
     @pytest.mark.parametrize(
         "args,config,field",

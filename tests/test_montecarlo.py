@@ -354,6 +354,23 @@ class TestBracketTable:
         est = mc_outage(Snr(5.0), spec, c, hermite_rule(32), n=n, seed=7, table=table)
         assert est == mc_outage(Snr(5.0), spec, c, hermite_rule(32), n=n, seed=7)
 
+    @pytest.mark.parametrize(
+        "rhos, n, name",
+        [
+            pytest.param([], 100, "rhos", id="no-snr"),
+            pytest.param([math.nan], 100, "rhos", id="nan-snr"),
+            pytest.param([1.0, math.inf], 100, "rhos", id="inf-snr"),
+            pytest.param([-1.0], 100, "rhos", id="negative-snr"),
+            pytest.param([1.0], 0, "n", id="n=0"),
+            pytest.param([1.0], -5, "n", id="n=-5"),
+            pytest.param([1.0], 2.5, "n", id="n=2.5"),
+            pytest.param([1.0], True, "n", id="n=True"),
+        ],
+    )
+    def test_bad_input_raises_naming_it(self, rhos, n, name):
+        with pytest.raises(ValueError, match=rf"^(need at least one sample: )?{name}\b"):
+            montecarlo.BracketTable(make_qam(4), hermite_rule(8), rhos, n, ChannelSpec(4, 4, M1, 2.0))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_point_of_a_cli_command_equals_direct_quadrature(self, monkeypatch, workers):
         calls = []
