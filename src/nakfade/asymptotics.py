@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import integer, real, require
 from .bound import DEFAULT_CELLS, ChannelSpec, _by_capped_count, _cell_edges, build_pmf_A, exp_checked
 # Unused here: bench/tracing.py patches asymptotics.convolve_power and asymptotics.cdf_Y_at.
 from .bound import cdf_Y_at, convolve_power
@@ -51,10 +52,8 @@ def singleton_bound(B: int, M: int, R: float) -> int:
     R > 0, so the diversity is at most B even where the snap lifts a
     B(1 - R/M) just below B to B itself.
     """
-    if B < 1 or M < 1:
-        raise ValueError("B and M must be positive integers")
-    if not (0.0 < R <= M):
-        raise ValueError(f"rate must lie in (0, M={M}], got {R}")
+    B, M = require("B", B, integer, least=1), require("M", M, integer, least=1)
+    R = require("R", R, real, above=0, most=M)
     return min(B, 1 + int(math.floor(diversity_arg(B, M, R))))
 
 
@@ -65,8 +64,7 @@ class BlockLengthScale:
     lam: float
 
     def __post_init__(self) -> None:
-        if not (self.lam >= 0):
-            raise ValueError(f"block-length scale must be >= 0, got {self.lam}")
+        object.__setattr__(self, "lam", require("block-length scale lam", self.lam, real, least=0))
 
 
 def optimal_exponent(spec: ChannelSpec) -> float:

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._checks import integer, real, require
 # Nothing here calls reg_gamma_p: bench/tracing.py wraps bound.reg_gamma_p, and ROADMAP item 8 drops both.
 from .fading import NakagamiParam, reg_gamma_p, reg_gamma_pq
 from .mutual_info import Snr
@@ -61,19 +60,11 @@ class ChannelSpec:
     rate: float
 
     def __post_init__(self) -> None:
-        for name in ("B", "M"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.B < 1:
-            raise ValueError(f"need at least one fading block, got B={self.B}")
-        if self.M < 1:
-            raise ValueError(f"need at least one bit per symbol, got M={self.M}")
-        if not isinstance(self.rate, numbers.Real) or isinstance(self.rate, bool):
-            raise ValueError(f"rate must be a real number, got {self.rate!r}")
-        if not (0.0 < self.rate <= self.M):
-            raise ValueError(f"rate must lie in (0, M={self.M}], got {self.rate}")
+        object.__setattr__(self, "B", require("B", self.B, integer, least=1))
+        object.__setattr__(self, "M", require("M", self.M, integer, least=1))
+        if not isinstance(self.fading, NakagamiParam):
+            raise ValueError(f"fading must be a NakagamiParam, got {self.fading!r}")
+        object.__setattr__(self, "rate", require("rate", self.rate, real, above=0, most=self.M))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +83,7 @@ class TabulatedPmf:
     def __post_init__(self) -> None:
         masses = np.asarray(self.masses, dtype=float)
         object.__setattr__(self, "masses", masses)
-        if not (0 < self.grid_step < math.inf):
-            raise ValueError(f"grid step must be positive and finite, got {self.grid_step}")
+        object.__setattr__(self, "grid_step", require("grid step", self.grid_step, real, above=0))
         if masses.ndim != 1 or masses.size < 1:
             raise ValueError("masses must be a nonempty 1-D array")
         # Written so that NaN fails them too.
@@ -139,8 +129,7 @@ def build_pmf_A(levels: np.ndarray, M: int) -> TabulatedPmf:
     probabilities are exact, so a density that blows up at 0 (m < 1) is
     never point-evaluated.
     """
-    if levels.size < 2:
-        raise ValueError(f"need at least 2 cells, got {levels.size}")
+    require("n_cells", levels.size, integer, least=2)
     cdf = np.empty(levels.size + 1)
     cdf[0] = 0.0
     np.minimum(levels[:-1] / levels[-1], 1.0, out=cdf[1:-1])
@@ -150,9 +139,7 @@ def build_pmf_A(levels: np.ndarray, M: int) -> TabulatedPmf:
 
 def _cell_edges(M: int, n_cells: int) -> np.ndarray:
     """The right edges of n_cells >= 2 equal cells over [0, M]: the interior edges, then M."""
-    if n_cells < 2:
-        raise ValueError(f"need at least 2 cells, got {n_cells}")
-    return np.linspace(0.0, M, n_cells + 1)[1:]
+    return np.linspace(0.0, M, require("n_cells", n_cells, integer, least=2) + 1)[1:]
 
 
 def tabulate_A(snrs, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS):
@@ -267,9 +254,7 @@ def convolve_power(law: TiltedLaw, n: int) -> TiltedLaw:
     (y - x)) / Z^n, the wrapped mass is below e^-39.2 of the read's scale.
     Residue below -1e-12 raises ArithmeticError.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"convolution power must be >= 1, got {n}")
+    n = require("n", n, integer, least=1)
     h, theta, x, log_scale = law.grid_step, law.theta, n * law.x, n * law.log_scale
     if not law.classes or n == 1:
         return TiltedLaw(h, law.classes[:1], theta, x, log_scale)
@@ -360,12 +345,13 @@ def outage_lower_bounds(
     A value that leaves the normal float range, or a zero read that only
     underflowed cell masses can give, raises ArithmeticError naming both.
     """
-    snrs, specs = list(snrs), [ChannelSpec(B, M, fading, r) for r in rates]
+    snrs, spec = list(snrs), ChannelSpec(B, M, fading, M)  # checks B, M and fading even with no rates
+    specs = [replace(spec, rate=r) for r in rates]
     if not specs:
         return [[] for _ in snrs]
-    B, M = specs[0].B, specs[0].M
+    B, M = spec.B, spec.M
     out = []
-    for snr, (pmf_a, p, q) in zip(snrs, tabulate_A(snrs, specs[0], n_cells)):
+    for snr, (pmf_a, p, q) in zip(snrs, tabulate_A(snrs, spec, n_cells)):
         law = TabulatedPmf(pmf_a.grid_step, q * pmf_a.masses, p)
         untilted, results = None, []
         for s in specs:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 import click
 
 from . import __version__, asymptotics, bound, montecarlo
+from ._checks import integer, real
 from .constellation import KNOWN_NAMES, from_name
 from .fading import NakagamiParam
 from .mutual_info import DEFAULT_ORDER, Snr, hermite_rule, mi_discrete_array
@@ -42,19 +43,6 @@ def _fmt_exact(v) -> str:
     return str(v)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _must(ok, msg: str):
-    """The check that a value passes ok(value), failing with msg."""
-    return lambda v, cfg: None if ok(v) else msg
-
-
 def _zero_snr(db: float) -> str | None:
     """What is wrong with db dB for the bound, which needs rho > 0, or None (a large db overflows, not underflows)."""
     return f"{_fmt_exact(db)} dB is a linear SNR of 0" if db < 0 and 10.0 ** (db / 10.0) == 0.0 else None
@@ -74,18 +62,18 @@ def _check_constellation(v, cfg) -> str | None:
 # Each field's check(value, cfg), in declaration order, says what is wrong
 # with a value the command reads, or returns None.
 _MODES = ["outage", "lowerbound"]
-_MODE = _must(lambda v: v in _MODES, "must be 'outage' or 'lowerbound'")
-_POSITIVE_INT = _must(lambda v: _is_int(v) and v >= 1, "must be a positive integer")
-_SHAPE = _must(lambda v: _is_real(v) and math.isfinite(v) and v > 0, "must be a positive finite real")
-_RATE = lambda v, cfg: "must be a real number" if not _is_real(v) else None if 0 < v <= cfg.bits else f"must lie in (0, M={cfg.bits}]"
+_MODE = lambda v, cfg: None if v in _MODES else "must be 'outage' or 'lowerbound'"
+_POSITIVE_INT = lambda v, cfg: integer(v, least=1)
+_SHAPE = lambda v, cfg: real(v, above=0)
+_RATE = lambda v, cfg: real(v, above=0, most=cfg.bits)
 _RATE_GRID = lambda v, cfg: None if 0 < v[0] and v[1] <= cfg.bits else f"grid must stay inside (0, M={cfg.bits}]"
-_FIXED_SNR = lambda v, cfg: _zero_snr(v) if _is_real(v) and math.isfinite(v) else "must be a finite real"
-_CELLS = _must(lambda v: _is_int(v) and v >= 2, "must be an integer >= 2")
-_SEED = _must(lambda v: _is_int(v) and 0 <= v < 2**64, "must be an integer in [0, 2^64)")
+_FIXED_SNR = lambda v, cfg: real(v) or _zero_snr(v)
+_CELLS = lambda v, cfg: integer(v, least=2)
+_SEED = lambda v, cfg: integer(v, least=0, most=2**64 - 1)
 # The bound commands (those that read cells) need rho > 0; mc and mi are right at rho = 0.
 _SNR_GRID = lambda v, cfg: _zero_snr(v[0]) if "cells" in _reads(cfg) else None
-_LAMBDAS = _must(lambda v: all(_is_real(x) and x > 0 for x in v), "entries must be positive reals")
-_PATH = _must(lambda v: v is None or isinstance(v, str), "must be a file path")
+_LAMBDAS = lambda v, cfg: next(filter(None, (real(x, above=0) for x in v)), None)
+_PATH = lambda v, cfg: None if v is None or isinstance(v, str) else "must be a file path"
 
 
 def _option(default, flags: str, help: str, check, header: str | None, **click_settings):
@@ -222,6 +210,9 @@ def run(config: RunConfig) -> int:
         return _COMMANDS[config.subcommand][0](config)
     except ArithmeticError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(3)
+    except MemoryError as exc:
+        click.echo(f"allocation failure: {str(exc) or 'out of memory'}", err=True)
         sys.exit(3)
 
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, require
+
 __all__ = ["Constellation", "make_qam", "make_psk", "from_name", "KNOWN_NAMES"]
 
 KNOWN_NAMES = ("qam4", "qam16", "qam64", "psk2", "psk4", "psk8")
@@ -29,8 +31,9 @@ class Constellation:
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=complex)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "bits_per_symbol", require("bits_per_symbol", self.bits_per_symbol, integer, least=1))
         M = self.bits_per_symbol
-        if M < 1 or pts.shape != (2**M,):
+        if pts.shape != (2**M,):
             raise ValueError(f"expected 2^{M} points, got shape {pts.shape}")
         if len(np.unique(pts)) != pts.size:
             raise ValueError("constellation points must be distinct")
@@ -52,6 +55,7 @@ def make_qam(M: int) -> Constellation:
 
     M must be even and at most 8 (no cross constellations).
     """
+    M = require("M", M, integer)
     if M < 2 or M % 2 != 0:
         raise ValueError(f"square QAM needs an even number of bits, got M={M}")
     if M > 8:
@@ -70,8 +74,7 @@ def make_qam(M: int) -> Constellation:
 
 def make_psk(M: int) -> Constellation:
     """2^M phase-shift-keyed points e^(2 pi j k / 2^M), all unit modulus."""
-    if M < 1:
-        raise ValueError(f"PSK needs M >= 1, got M={M}")
+    M = require("M", M, integer, least=1)
     n = 2**M
     pts = np.exp(2j * np.pi * np.arange(n) / n)
     if M == 1:

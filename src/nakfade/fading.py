@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer, real, require
+
 __all__ = [
     "NakagamiParam",
-    "reg_gamma_p",
     "reg_gamma_pq",
     "gain_block",
 ]
@@ -45,11 +46,7 @@ class NakagamiParam:
     m: float
 
     def __post_init__(self) -> None:
-        m = self.m
-        if not isinstance(m, (int, float)) or isinstance(m, bool):
-            raise ValueError(f"Nakagami shape must be a real number, got {m!r}")
-        if not math.isfinite(m) or m <= 0:
-            raise ValueError(f"Nakagami shape must be positive and finite, got {m}")
+        object.__setattr__(self, "m", require("Nakagami shape m", self.m, real, above=0))
 
 
 def _reg_p_series(a: float, x: np.ndarray) -> np.ndarray:
@@ -128,8 +125,7 @@ def reg_gamma_pq(a: float, x) -> tuple[np.ndarray, np.ndarray]:
     value depends only on (a, x): a point's value is the same in any call.
     """
     arr = np.asarray(x, dtype=float)
-    if a <= 0:
-        raise ValueError(f"incomplete gamma requires a > 0, got a={a}")
+    a = require("incomplete gamma's a", a, real, above=0)
     if np.any(np.isnan(arr)):
         raise ValueError("incomplete gamma requires x to be a number, got NaN")
     if np.any(arr < 0):
@@ -185,10 +181,9 @@ def gain_block(
     numpy samples the standard Gamma by Marsaglia-Tsang for m >= 1 and by
     rejection with an exponential proposal for m < 1.
     """
-    if not 0 <= count <= CHUNK:
-        raise ValueError(f"count must be in [0, {CHUNK}], got {count}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    count = require("count", count, integer, least=0, most=CHUNK)
+    seed = require("seed", seed, integer, least=0, most=2**64 - 1)
+    chunk, width, stream_id = (require(k, v, integer, least=0) for k, v in (("chunk", chunk), ("width", width), ("stream_id", stream_id)))
     m = p.m
     out = _chunk_rng(seed, stream_id, chunk).standard_gamma(m, size=(count, width))
     out *= 1.0 / m

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fading
+from ._checks import integer, require
 from .bound import ChannelSpec
 from .constellation import Constellation
 from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete_array
@@ -86,8 +87,7 @@ class McEstimate:
     n_samples: int
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError("need at least one sample")
+        object.__setattr__(self, "n_samples", require("n_samples", self.n_samples, integer, least=1))
 
     @property
     def std_err(self) -> float:
@@ -96,15 +96,7 @@ class McEstimate:
     @classmethod
     def from_count(cls, count: int, n: int) -> "McEstimate":
         """Estimate from count events in n samples, as a Python float and int."""
-        n = int(n)
-        return cls(int(count) / n, n)
-
-
-def _check_counts(n, workers=1) -> None:
-    """Refuse an n or a workers that is not a positive integer; a bool is not one, a numpy integer is."""
-    for name, value, unit in (("n", n, "sample"), ("workers", workers, "worker")):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"need at least one {unit}: {name} must be a positive integer, got {value!r}")
+        return cls(int(count) / int(n), n)
 
 
 def _estimate(spec: ChannelSpec, n: int, seed: int, stream_id: int, workers: int, count_rows) -> McEstimate:
@@ -172,7 +164,7 @@ class BracketTable:
             raise ValueError(f"rhos: {exc}") from None
         if not rhos:
             raise ValueError("rhos must hold at least one SNR")
-        _check_counts(n)
+        n = require("n", n, integer, least=1)
         self.c = c
         self.q = q
         self._first, last = _window(min(rhos), max(rhos), len(rhos) * n * spec.B, spec.fading.m)
@@ -233,7 +225,7 @@ def mc_outage(
     table, built for the same points and order, may serve other SNRs too;
     without one, every chunk reads one table built for snr and n.
     """
-    _check_counts(n, workers)
+    n, workers = require("n", n, integer, least=1), require("workers", workers, integer, least=1)
     if c.bits_per_symbol != spec.M:
         raise ValueError(f"constellation carries {c.bits_per_symbol} bits but spec.M = {spec.M}")
     if q is None:
@@ -264,7 +256,7 @@ def mc_lower_bound(
     M > 1000 takes groups of one block, and from M = 1024 on, where 2^M is
     past the float range, no finite factor is capped.
     """
-    _check_counts(n, workers)
+    n, workers = require("n", n, integer, least=1), require("workers", workers, integer, least=1)
     rho = snr.rho
     B, M = spec.B, spec.M
     threshold = B * spec.rate

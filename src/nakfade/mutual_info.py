@@ -42,6 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._checks import integer, real, require
 from .constellation import Constellation
 
 __all__ = ["Snr", "QuadratureRule", "hermite_rule", "DEFAULT_ORDER", "mi_discrete_array"]
@@ -75,13 +76,12 @@ class Snr:
     rho: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho) and self.rho >= 0):
-            raise ValueError(f"SNR must be a nonnegative finite ratio, got {self.rho}")
+        object.__setattr__(self, "rho", require("SNR rho", self.rho, real, least=0))
 
     @classmethod
     def from_db(cls, db: float) -> "Snr":
         try:
-            return cls(10.0 ** (db / 10.0))
+            return cls(10.0 ** (require("db", db, real) / 10.0))
         except OverflowError:
             raise OverflowError(f"an SNR of {db} dB overflows a float") from None
 
@@ -126,9 +126,8 @@ class QuadratureRule:
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.order
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"quadrature order must be an int >= 1, got {n!r}")
+        n = require("quadrature order", self.order, integer, least=1)
+        object.__setattr__(self, "order", n)
         t = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1, n) / 2.0), 1), UPLO="U")
         p_last, p_n, _ = _hermite(n, t)
         t -= p_n / (math.sqrt(2.0 * n) * p_last)  # p_n' = sqrt(2n) p_(n-1)

@@ -73,8 +73,14 @@ class TestChannelSpec:
     # A bool rate is not R = 1, and a str, None or complex rate is refused as a value, not by a TypeError.
     @pytest.mark.parametrize("rate", [True, "1.0", None, 1 + 0j], ids=["bool", "str", "None", "complex"])
     def test_rate_must_be_real(self, rate):
-        with pytest.raises(ValueError, match="rate must be a real number"):
+        with pytest.raises(ValueError, match="^rate must be a finite real > 0 and <= 4, got "):
             ChannelSpec(4, 4, M1, rate)
+
+    # A fading that is not a NakagamiParam is refused when the spec is built, not by an AttributeError in the bound.
+    @pytest.mark.parametrize("fading", [2.0, None, "m=2"], ids=repr)
+    def test_fading_must_be_a_nakagami_param(self, fading):
+        with pytest.raises(ValueError, match="^fading must be a NakagamiParam"):
+            ChannelSpec(4, 4, fading, 1.0)
 
     def test_numpy_float_rate_accepted(self):
         assert outage_lower_bound(Snr(10.0), ChannelSpec(4, 4, M1, np.float64(1.0)), 64).value == outage_lower_bound(Snr(10.0), spec44(M1, 1.0), 64).value
@@ -180,9 +186,9 @@ class TestBuildPmfA:
 
     def test_bound_and_coding_gain_share_the_cell_check(self):
         spec = spec44(M2, 1)
-        with pytest.raises(ValueError, match="need at least 2 cells, got 1"):
+        with pytest.raises(ValueError, match="n_cells must be an integer >= 2, got 1"):
             next(tabulate_A([Snr(10.0)], spec, 1))
-        with pytest.raises(ValueError, match="need at least 2 cells, got 1"):
+        with pytest.raises(ValueError, match="n_cells must be an integer >= 2, got 1"):
             coding_gain(spec, 1)
 
     # Each entry point refuses the cell count before it divides by it or
@@ -197,7 +203,7 @@ class TestBuildPmfA:
         ],
     )
     def test_cell_count_checked_before_any_arithmetic(self, entry, n_cells):
-        with pytest.raises(ValueError, match=f"^need at least 2 cells, got {n_cells}$"):
+        with pytest.raises(ValueError, match=f"^n_cells must be an integer >= 2, got {n_cells}$"):
             entry(spec44(M2, 1), n_cells)
 
 
@@ -562,6 +568,11 @@ class TestSharedEvaluator:
         assert outage_lower_bounds([Snr(10.0)], 4, 4, M1, []) == [[]]
         with pytest.raises(ValueError):
             outage_lower_bounds([Snr(10.0)], 4, 4, M1, [1.0, 4.5])
+
+    @pytest.mark.parametrize("B, M, fading, name", [(-5, 4, M1, "B"), (4, "x", M1, "M"), (4, 4, None, "fading")], ids=["B", "M", "fading"])
+    def test_channel_checked_without_rates(self, B, M, fading, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            outage_lower_bounds([Snr(10.0)], B, M, fading, [])
 
     def test_ratesweep_rows_equal_curve(self):
         runner = CliRunner()

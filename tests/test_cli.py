@@ -312,6 +312,9 @@ class TestConfigAndErrors:
             pytest.param(["curve"], {"m": True}, "m", id="m-bool"),
             pytest.param(["ratesweep"], {"snr_db_fixed": "x"}, "snr_db_fixed", id="snr_db_fixed-str"),
             pytest.param(["exponent"], {"lambda_scaled": ["a"]}, "lambda_scaled", id="lambda_scaled-str"),
+            pytest.param(["exponent", "--lambda-scaled", "inf"], None, "lambda_scaled", id="lambda_scaled-inf"),
+            pytest.param(["exponent", "--lambda-scaled", "1", "--lambda-scaled", "nan"], None, "lambda_scaled", id="lambda_scaled-nan"),
+            pytest.param(["mc"], {"seed": 1.5}, "seed", id="seed-float"),
             pytest.param(["mc"], {"samples": 10.5}, "samples", id="samples-float"),
             pytest.param(["mc"], {"order": None}, "order", id="order-null"),
             pytest.param(["mi", "--constellation", "foo"], None, "constellation", id="constellation-unknown"),
@@ -451,6 +454,18 @@ class TestConfigAndErrors:
         monkeypatch.setattr(cli.bound, "outage_lower_bounds", boom)
         res = runner.invoke(main, ["curve", "--rate", "1", "--snr-db", "0:4:2"])
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("message, line", [("Unable to allocate 6.71 GiB", "Unable to allocate 6.71 GiB"), ("", "out of memory")])
+    def test_allocation_failure_exits_3(self, runner, monkeypatch, message, line):
+        from nakfade import cli
+
+        def boom(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.bound, "outage_lower_bounds", boom)
+        res = runner.invoke(main, ["curve", "--rate", "1", "--snr-db", "0:4:2"])
+        assert res.exit_code == 3
+        assert res.output == f"allocation failure: {line}\n"
 
 
 def _options(name):

@@ -24,6 +24,14 @@ def test_module_all_resolves(name):
     assert not missing
 
 
+def test_fading_exports_leave_out_the_uncalled_reg_gamma_p():
+    # bench/tracing.py wraps bound.reg_gamma_p, so the function and bound's import stay.
+    from nakfade import bound, fading
+
+    assert "reg_gamma_p" not in fading.__all__
+    assert bound.reg_gamma_p is fading.reg_gamma_p
+
+
 def test_package_imports_resolve():
     tree = ast.parse(Path(nakfade.__file__).read_text())
     names = [alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]

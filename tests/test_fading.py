@@ -203,5 +203,5 @@ class TestSampling:
 
     @pytest.mark.parametrize("count", [-1, CHUNK + 1])
     def test_count_beyond_one_chunk_raises(self, count):
-        with pytest.raises(ValueError, match=rf"count must be in \[0, {CHUNK}\]"):
+        with pytest.raises(ValueError, match=f"^count must be an integer >= 0 and <= {CHUNK}, got {count}$"):
             gain_block(NakagamiParam(2), seed=9, chunk=0, count=count)
