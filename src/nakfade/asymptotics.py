@@ -91,6 +91,7 @@ def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
 def power_law(gain: float, exponent: float, snr: Snr) -> float:
     """gain * rho^-exponent, formed in log space, never from rho^-exponent alone;
     outside the normal floats, ArithmeticError names the SNR and log10 of the value."""
+    gain, exponent = require("gain", gain, real, least=0), require("exponent", exponent, real)
     return exp_checked((math.log(gain) if gain else -math.inf) - exponent * math.log(snr.rho), "asymptote", f" at snr_db {snr.db:.6g}")
 
 

@@ -4,11 +4,11 @@ Capping the per-block mutual information at min{M, log2(1 + gamma SNR)}
 gives a per-block variable X on [0, M]: an atom of mass p at M, and with
 mass 1 - p a variable A, tabulated as exact masses of N cells of width h,
 cell k at its midpoint (k + 1/2)h.  Only p and A's law depend on the SNR.
-The bound is P(X_1 + ... + X_B < BR), read with a width-h linear kernel
-from one FFT power of X's law tilted by e^(-theta v)/Z, theta solving
-B E_theta[X] = BR, so that the read sits in the bulk of the tilted sum, not
-in its far left tail, where FFT round-off would decide it; the tilt is
-undone in log space.  The sums are split by the parity of their number of
+The bound is P(X_1 + ... + X_B < BR), read by _log_cdf_sum with a width-h
+linear kernel from one FFT power of X's law tilted by e^(-theta v)/Z, theta
+solving B E_theta[X] = BR, so that the read sits in the bulk of the tilted
+sum, not in its far left tail, where FFT round-off would decide it; the tilt
+is undone in log space.  The sums are split by the parity of their number of
 below-cap blocks (convolve_power).  A read the power cannot resolve is summed
 over the capped-block counts (_by_capped_count), one term of which is the
 coding gain; each reported value leaves log space through exp_checked.
@@ -39,9 +39,8 @@ DEFAULT_CELLS = 4096
 # memory; one SNR per call was about 20% slower on bound-curve.
 _BLOCK_POINTS = 1 << 14
 
-# A read whose Chernoff bound e^(theta (x + h/2)) Z^n is at least 1e-4 is
-# at least about 1e-6 (the bound is 10-100 times above it), where the
-# untilted power's round-off of about 1e-16 costs at most 1e-10 relative.
+# A read whose Chernoff bound is at least 1e-4 is at least about 1e-6 (the bound is 10-100 times above it),
+# where the untilted power's round-off of about 1e-16 costs at most 1e-10 relative.
 _LOG_UNTILTED = math.log(1e-4)
 # The wrapped tilted mass allowed on a shortened transform and the read weight
 # below which a sum is skipped, e^-39.2 and e^-46.1 of the read's scale;
@@ -320,11 +319,25 @@ def exp_checked(log_value: float, name: str, where: str = "") -> float:
     return math.exp(log_value)
 
 
+def _log_cdf_sum(law: TabulatedPmf, n: int, x: float, shared: dict | None = None) -> tuple[float, bool, TiltedLaw]:
+    """log P(X_1 + ... + X_n < x) for n copies of law, whether the read resolves it, and the power read, which the caller
+    holds until its next read (freeing it before the next is built cost bound-wide about 20% in page faults).  A tilt
+    toward x keeping the atom, with Chernoff bound e^(theta (x + h/2)) Z^n >= 1e-4, reads shared[n], law's untilted power."""
+    tilted = tilt(law, n, x)
+    if len(tilted.classes) < 2 or n * tilted.log_scale + tilted.theta * tilted.grid_step / 2 < _LOG_UNTILTED:
+        power = convolve_power(tilted, n)
+    else:  # tilted toward n times its top value, the law keeps every value and theta is 0
+        shared = {} if shared is None else shared
+        power = shared[n] = shared.get(n) or convolve_power(tilt(law, n, n * law.n_cells * law.grid_step), n)
+    log_f = cdf_Y_at(power, x)
+    return log_f, not power.noise or log_f - power.log_scale > math.log(_RESOLVED * power.noise), power
+
+
 def _by_capped_count(pmf_a: TabulatedPmf, log_p: float, log_q: float, n: int, counts, x: float, M: int) -> float:
     """log of the sum over t in counts of C(n, t) p^t q^(n - t) P(A_1 + ... + A_(n - t) < x - t M),
     t of n blocks capped, each read from the tilted power of n - t copies of A, which has no atom."""
     logs = [math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1) + (t * log_p if t else 0.0) + (n - t) * log_q
-            + cdf_Y_at(convolve_power(tilt(pmf_a, n - t, x - t * M), n - t), x - t * M) for t in counts if x - t * M > 0]
+            + _log_cdf_sum(pmf_a, n - t, x - t * M)[0] for t in counts if x - t * M > 0]
     top = max(logs, default=-math.inf)
     return top + math.log(sum(math.exp(v - top) for v in logs)) if top > -math.inf else -math.inf
 
@@ -334,16 +347,10 @@ def outage_lower_bounds(
 ) -> list[list[BoundResult]]:
     """Evaluate the outage lower bound at every SNR for every rate: [snr][rate].
 
-    tabulate_A gives each SNR's pmf_A, p and 1 - p, the capped per-block
-    law, and each rate tilts it toward BR.  A rate that keeps the atom and
-    whose Chernoff bound e^(theta (BR + h/2)) Z^B is at least 1e-4, as it is
-    where theta is 0, reads the SNR's one untilted power, of full length and
-    computed at most once; any other rate reads its own power, which without
-    the atom is cut at BR and needs one inverse transform.  A read below 1e6
-    times its power's round-off is summed over the capped-block counts.  All
-    of it depends only on the SNR and the rate, not on the rest of the call.
-    A value that leaves the normal float range, or a zero read that only
-    underflowed cell masses can give, raises ArithmeticError naming both.
+    Each rate reads its SNR's capped per-block law at BR through _log_cdf_sum, and a read it
+    does not resolve is summed over the capped-block counts; a value depends only on its SNR
+    and rate.  A value outside the normal floats, or a zero read that only underflowed cell
+    masses can give, raises ArithmeticError naming both.
     """
     snrs, spec = list(snrs), ChannelSpec(B, M, fading, M)  # checks B, M and fading even with no rates
     specs = [replace(spec, rate=r) for r in rates]
@@ -353,19 +360,12 @@ def outage_lower_bounds(
     out = []
     for snr, (pmf_a, p, q) in zip(snrs, tabulate_A(snrs, spec, n_cells)):
         law = TabulatedPmf(pmf_a.grid_step, q * pmf_a.masses, p)
-        untilted, results = None, []
+        shared, results = {}, []
         for s in specs:
             x = B * s.rate
-            tilted = tilt(law, B, x)
-            if len(tilted.classes) < 2 or B * tilted.log_scale + tilted.theta * tilted.grid_step / 2 < _LOG_UNTILTED:
-                power = convolve_power(tilted, B)
-            else:  # tilted toward B M, the law keeps every value and theta is 0
-                untilted = untilted or convolve_power(tilt(law, B, B * M), B)
-                power = untilted
-            log_f = cdf_Y_at(power, x)
-            if power.noise and not log_f - power.log_scale > math.log(_RESOLVED * power.noise):
-                log_p = math.log(p) if p > 0 else -math.inf
-                log_f = _by_capped_count(pmf_a, log_p, math.log(q), B, range(B) if p > 0 else [0], x, M)
+            log_f, resolved, power = _log_cdf_sum(law, B, x, shared)  # power: held until the next read
+            if not resolved:
+                log_f = _by_capped_count(pmf_a, math.log(p) if p > 0 else -math.inf, math.log(q), B, range(B) if p > 0 else [0], x, M)
             where = f" at snr_db {snr.db:.6g}, rate {s.rate:.6g}"
             # The read sees a B-fold sum, B h/2 or more, above (B - 1) h/2: only underflow zeroes it.
             if log_f == -math.inf and x > (B - 1) * law.grid_step / 2:

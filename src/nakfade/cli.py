@@ -48,6 +48,17 @@ def _zero_snr(db: float) -> str | None:
     return f"{_fmt_exact(db)} dB is a linear SNR of 0" if db < 0 and 10.0 ** (db / 10.0) == 0.0 else None
 
 
+def _block_length_scale(v: float, cfg) -> float:
+    """lambda from its scaled form v = lambda M ln2 / m."""
+    return v * cfg.m / (cfg.bits * math.log(2.0))
+
+
+def _scaled_lambda(v: float, cfg) -> str | None:
+    """What is wrong with the lambda that v scales to (m and bits are checked first), or None."""
+    lam = _block_length_scale(v, cfg)
+    return None if math.isfinite(lam) else f"{_fmt_exact(v)} scales to lambda = {lam!r}, past the float range"
+
+
 def _check_constellation(v, cfg) -> str | None:
     if not isinstance(v, str):
         return "must be a name such as 'qam16'"
@@ -72,7 +83,7 @@ _CELLS = lambda v, cfg: integer(v, least=2)
 _SEED = lambda v, cfg: integer(v, least=0, most=2**64 - 1)
 # The bound commands (those that read cells) need rho > 0; mc and mi are right at rho = 0.
 _SNR_GRID = lambda v, cfg: _zero_snr(v[0]) if "cells" in _reads(cfg) else None
-_LAMBDAS = lambda v, cfg: next(filter(None, (real(x, above=0) for x in v)), None)
+_LAMBDAS = lambda v, cfg: next(filter(None, (real(x, above=0) or _scaled_lambda(x, cfg) for x in v)), None)
 _PATH = lambda v, cfg: None if v is None or isinstance(v, str) else "must be a file path"
 
 
@@ -148,6 +159,10 @@ def _parse_grid(value, name: str) -> tuple:
         raise click.UsageError(f"field '{name}': expected start:stop:step, got {value!r}")
     if len(parts) != 3:
         raise click.UsageError(f"field '{name}': expected start:stop:step, got {value!r}")
+    # A config file's number is a real, never a bool; a string such as "0" is parsed below.
+    for p in parts:
+        if not isinstance(p, str) and (problem := real(p)):
+            raise click.UsageError(f"field '{name}': grid bound {problem}")
     try:
         start, stop, step = (float(p) for p in parts)
     except (ValueError, TypeError):
@@ -250,8 +265,7 @@ def _run_asymptote(cfg: RunConfig) -> int:
 def _run_exponent(cfg: RunConfig) -> int:
     """Singleton bound, optimal exponent, and random-coding exponents."""
     rates = _grid(cfg.rate_grid)
-    ln2 = math.log(2.0)
-    scales = [asymptotics.BlockLengthScale(v * cfg.m / (cfg.bits * ln2)) for v in cfg.lambda_scaled]
+    scales = [asymptotics.BlockLengthScale(_block_length_scale(v, cfg)) for v in cfg.lambda_scaled]
 
     def point(r: float) -> list:
         spec = _channel_spec(cfg, r)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fading
-from ._checks import integer, require
+from ._checks import integer, real, require
 from .bound import ChannelSpec
 from .constellation import Constellation
 from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete_array
@@ -87,6 +87,7 @@ class McEstimate:
     n_samples: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p_hat", require("p_hat", self.p_hat, real, least=0, most=1))
         object.__setattr__(self, "n_samples", require("n_samples", self.n_samples, integer, least=1))
 
     @property
@@ -96,7 +97,8 @@ class McEstimate:
     @classmethod
     def from_count(cls, count: int, n: int) -> "McEstimate":
         """Estimate from count events in n samples, as a Python float and int."""
-        return cls(int(count) / int(n), n)
+        n = require("n", n, integer, least=1)
+        return cls(require("count", count, integer, least=0, most=n) / n, n)
 
 
 def _estimate(spec: ChannelSpec, n: int, seed: int, stream_id: int, workers: int, count_rows) -> McEstimate:

@@ -794,3 +794,21 @@ class TestCappedCountSum:
             for rate, res in zip(rates, row):
                 log_f = bound._by_capped_count(pmf, math.log(p), math.log(q), B, range(B), B * rate, 4)
                 assert math.exp(log_f) == pytest.approx(res.value, rel=1e-9, abs=0.0), (snr.db, rate)
+
+
+class TestLogCdfSum:
+    """The one read of an n-fold sum: its untilted power is built once per
+    shared cache, and a read without a cache gives the same values."""
+
+    def test_shared_untilted_power_changes_no_read(self):
+        spec = ChannelSpec(8, 4, M1, 4)
+        pmf_a, p, q = tabulated(Snr(10.0), spec, 1024)
+        law = TabulatedPmf(pmf_a.grid_step, q * pmf_a.masses, p)
+        shared, took_shared = {}, 0
+        for rate in sweep_rates(8, 4):
+            log_f, resolved, power = bound._log_cdf_sum(law, 8, 8 * rate, shared)
+            took_shared += power is shared.get(8)
+            alone = bound._log_cdf_sum(law, 8, 8 * rate)
+            assert (alone[0], alone[1]) == (log_f, resolved), rate
+        assert list(shared) == [8] and shared[8].theta == 0
+        assert 0 < took_shared < len(sweep_rates(8, 4))

@@ -16,7 +16,7 @@ import pytest
 
 from nakfade import montecarlo
 from nakfade._checks import integer, real, require
-from nakfade.asymptotics import BlockLengthScale, random_coding_exponent, singleton_bound
+from nakfade.asymptotics import BlockLengthScale, power_law, random_coding_exponent, singleton_bound
 from nakfade.bound import ChannelSpec, TabulatedPmf, _cell_edges, cdf_Y_at, convolve_power, outage_lower_bound, outage_lower_bounds, tilt
 from nakfade.constellation import Constellation, make_psk, make_qam
 from nakfade.fading import NakagamiParam, gain_block, reg_gamma_pq
@@ -159,3 +159,34 @@ NOT_REALS = [True, np.True_, math.nan, math.inf, -math.inf, "1", None, 1 + 0j, 1
 def test_refused_value_is_a_value_error_naming_the_argument(name, call, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
         call(value)
+
+
+# Values refused only by the limits of the site, not by the rule itself.
+OUT_OF_RANGE_SITES = [
+    ("gain", lambda v: power_law(v, 1.0, Snr(10.0)), [-1.0, -1e-300]),
+    ("p_hat", lambda v: McEstimate(v, 10), [2.0, 1.0000000000000002, -0.1]),
+    ("count", lambda v: McEstimate.from_count(v, 10), [11, -1]),
+]
+RULE_SITES = [
+    ("gain", lambda v: power_law(v, 1.0, Snr(10.0)), NOT_REALS),
+    ("exponent", lambda v: power_law(1.0, v, Snr(10.0)), NOT_REALS),
+    ("p_hat", lambda v: McEstimate(v, 10), NOT_REALS),
+    ("count", lambda v: McEstimate.from_count(v, 10), NOT_INTEGERS),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call, value",
+    [pytest.param(name, call, v, id=f"{name}-{v!r}"[:60]) for name, call, values in OUT_OF_RANGE_SITES + RULE_SITES for v in values],
+)
+def test_asymptote_and_estimate_refuse_values_naming_the_argument(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        call(value)
+
+
+def test_asymptote_and_estimate_keep_accepted_values():
+    assert power_law(0, 2, Snr(10.0)) == 0.0
+    assert same(power_law(np.float64(0.5), np.int64(2), Snr(10.0)), power_law(0.5, 2.0, Snr(10.0)))
+    for est in (McEstimate(np.float64(0.3), 10), McEstimate.from_count(np.int64(3), np.int64(10)), McEstimate.from_count(3, 10)):
+        assert type(est.p_hat) is float and est.p_hat == 0.3 and est.n_samples == 10
+    assert McEstimate.from_count(0, 1).p_hat == 0.0 and McEstimate.from_count(1, 1).p_hat == 1.0

@@ -518,3 +518,28 @@ class TestFieldLists:
         res = runner.invoke(main, [name, "--help"])
         assert res.exit_code == 0
         assert "--config" in res.output
+
+
+class TestScaledAndConfigGridChecks:
+    @pytest.mark.parametrize("args", [["--m", "20", "--lambda-scaled", "1e308"], ["--bits", "1", "--lambda-scaled", "1.7e308"]], ids=["m20", "M1"])
+    def test_lambda_scaled_past_the_float_range_exits_2(self, runner, args):
+        # lambda = v m / (M ln 2) overflows a float although v itself is finite.
+        res = runner.invoke(main, ["exponent", "--rate", "1:1:1", *args])
+        assert res.exit_code == 2, res.output
+        assert "field 'lambda_scaled'" in res.output and "inf" in res.output
+
+    @pytest.mark.parametrize("grid", [[True, 3, 1], [0, False, 1], [0, 3, True], [0, 3, None], [0, 3, [1]], [0, 3, {}]], ids=repr)
+    def test_config_grid_bound_must_be_a_real(self, runner, tmp_path, grid):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"snr_db": grid}))
+        res = runner.invoke(main, ["curve", "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert "field 'snr_db'" in res.output
+
+    def test_config_grid_bound_may_be_a_string(self, runner, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"snr_db": ["0", "3", 1.5]}))
+        res = runner.invoke(main, ["curve", "--config", str(path)])
+        assert res.exit_code == 0, res.output
+        header, data = rows_of(res.output)
+        assert [r[0] for r in data] == ["0", "1.5", "3"]

@@ -71,3 +71,27 @@ def test_readme_cli_example_runs(line):
     first = res.output.splitlines()[0]
     assert first.startswith(f"# nakfade {args[0]} ")
     assert first.endswith(f" version={nakfade.__version__}")
+
+
+KERNEL_CALLS = {"tilt", "convolve_power", "cdf_Y_at"}
+KERNEL_LIMITS = {"_LOG_UNTILTED", "_RESOLVED"}
+
+
+def test_one_kernel_read():
+    # Every tilt -> convolve_power -> cdf_Y_at chain, and every read of the
+    # untilted-power and resolution limits, lies inside bound._log_cdf_sum.
+    outside = []
+    for path in sorted(Path(nakfade.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == ("bound.py", "_log_cdf_sum") for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id if node.id in KERNEL_LIMITS else None
+            else:
+                continue
+            if name in KERNEL_CALLS | KERNEL_LIMITS and id(node) not in inside:
+                outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []
+    assert all(hasattr(nakfade.bound, name) for name in KERNEL_CALLS)
