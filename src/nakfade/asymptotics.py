@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ._checks import integer, real, require
 from .bound import DEFAULT_CELLS, ChannelSpec, _by_capped_count, _cell_edges, build_pmf_A, exp_checked
-# Unused here: bench/tracing.py patches asymptotics.convolve_power and asymptotics.cdf_Y_at.
+# Unused here: bench/tracing.py patches asymptotics.convolve_power and asymptotics.cdf_Y_at; ROADMAP item 19's tracer half drops them.
 from .bound import cdf_Y_at, convolve_power
 from .mutual_info import Snr
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -35,10 +36,10 @@ def _fmt(v) -> str:
 
 def _fmt_exact(v) -> str:
     """Header format: the shortest text that parses back to the same float; a grid as start:stop:step."""
-    if isinstance(v, tuple):
+    if isinstance(v, (tuple, list)):
         return ":".join(_fmt_exact(x) for x in v)
     if isinstance(v, float):
-        text = repr(v)
+        text = repr(float(v))
         return text[:-2] if text.endswith(".0") else text
     return str(v)
 
@@ -70,6 +71,34 @@ def _check_constellation(v, cfg) -> str | None:
     return f"{v!r} carries {bits} bits, spec needs {cfg.bits}" if "bits" in _reads(cfg) and bits != cfg.bits else None
 
 
+_MAX_GRID_POINTS = 10**6  # a larger grid is a configuration error, refused before it is built
+
+
+def _check_grid(v) -> str | None:
+    """What is wrong with v as a grid: three finite reals, step > 0, stop >= start, at most _MAX_GRID_POINTS points."""
+    if not isinstance(v, (tuple, list)) or len(v) != 3:
+        return f"expected start:stop:step, got {v!r}"
+    if problem := next(filter(None, map(real, v)), None):
+        return f"grid bound {problem}"
+    start, stop, step = v
+    if step <= 0 or stop < start:
+        return f"step must be positive and stop >= start, got {_fmt_exact(v)}"
+    if _grid_size(start, stop, step) > _MAX_GRID_POINTS:
+        return f"grid {_fmt_exact(v)} holds more than {_MAX_GRID_POINTS} points"
+
+
+def _check_out(v, cfg) -> str | None:
+    """What is wrong with v as the path of the CSV to write (None is stdout), or None."""
+    if v is None:
+        return None
+    if not isinstance(v, (str, os.PathLike)):
+        return "must be a file path"
+    if os.path.isdir(v):
+        return f"{os.fspath(v)!r} is a directory"
+    parent = os.path.dirname(v) or "."
+    return None if os.path.isdir(parent) else f"directory {parent!r} does not exist"
+
+
 # Each field's check(value, cfg), in declaration order, says what is wrong
 # with a value the command reads, or returns None.
 _MODES = ["outage", "lowerbound"]
@@ -77,14 +106,13 @@ _MODE = lambda v, cfg: None if v in _MODES else "must be 'outage' or 'lowerbound
 _POSITIVE_INT = lambda v, cfg: integer(v, least=1)
 _SHAPE = lambda v, cfg: real(v, above=0)
 _RATE = lambda v, cfg: real(v, above=0, most=cfg.bits)
-_RATE_GRID = lambda v, cfg: None if 0 < v[0] and v[1] <= cfg.bits else f"grid must stay inside (0, M={cfg.bits}]"
+_RATE_GRID = lambda v, cfg: _check_grid(v) or (None if 0 < v[0] and v[1] <= cfg.bits else f"grid must stay inside (0, M={cfg.bits}]")
 _FIXED_SNR = lambda v, cfg: real(v) or _zero_snr(v)
 _CELLS = lambda v, cfg: integer(v, least=2)
 _SEED = lambda v, cfg: integer(v, least=0, most=2**64 - 1)
 # The bound commands (those that read cells) need rho > 0; mc and mi are right at rho = 0.
-_SNR_GRID = lambda v, cfg: _zero_snr(v[0]) if "cells" in _reads(cfg) else None
+_SNR_GRID = lambda v, cfg: _check_grid(v) or (_zero_snr(v[0]) if "cells" in _reads(cfg) else None)
 _LAMBDAS = lambda v, cfg: next(filter(None, (real(x, above=0) or _scaled_lambda(x, cfg) for x in v)), None)
-_PATH = lambda v, cfg: None if v is None or isinstance(v, str) else "must be a file path"
 
 
 def _option(default, flags: str, help: str, check, header: str | None, **click_settings):
@@ -125,7 +153,7 @@ class RunConfig:
         (0.5, 2.0), "--lambda-scaled", "lambda M ln2 / m; repeat for extra columns.", _LAMBDAS, None, type=float, multiple=True
     )
     workers: int = _option(1, "--workers", "Worker threads over each grid point's Monte Carlo sample chunks.", _POSITIVE_INT, None, type=int)
-    out: str | None = _option(None, "--out -o", "Output CSV path (default: stdout).", _PATH, None, type=click.Path(dir_okay=False))
+    out: str | None = _option(None, "--out -o", "Output CSV path (default: stdout).", _check_out, None, type=click.Path())
 
     def __post_init__(self) -> None:
         # mi prints MI values, so it takes the order whose doubling moves
@@ -134,9 +162,6 @@ class RunConfig:
         # below the Monte Carlo noise.
         if self.order is None:
             self.order = montecarlo.MC_QUAD_ORDER if self.subcommand == "mc" else DEFAULT_ORDER
-
-
-_MAX_GRID_POINTS = 10**6  # a larger grid is a configuration error, refused before it is built
 
 
 def _grid_size(start: float, stop: float, step: float) -> float:
@@ -151,31 +176,15 @@ def _grid(spec3: tuple) -> list:
 
 
 def _parse_grid(value, name: str) -> tuple:
-    if isinstance(value, str):
-        parts = value.split(":")
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
+    """A flag's start:stop:step text or a config file's list as three bounds; the field's check judges them."""
+    parts = value.split(":") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)) or len(parts) != 3:
         raise click.UsageError(f"field '{name}': expected start:stop:step, got {value!r}")
-    if len(parts) != 3:
-        raise click.UsageError(f"field '{name}': expected start:stop:step, got {value!r}")
-    # A config file's number is a real, never a bool; a string such as "0" is parsed below.
-    for p in parts:
-        if not isinstance(p, str) and (problem := real(p)):
-            raise click.UsageError(f"field '{name}': grid bound {problem}")
+    # A config file's bound may be a string such as "0"; any other bound is left for the real rule.
     try:
-        start, stop, step = (float(p) for p in parts)
-    except (ValueError, TypeError):
+        return tuple(float(p) if isinstance(p, str) else p for p in parts)
+    except ValueError:
         raise click.UsageError(f"field '{name}': non-numeric grid bounds in {value!r}")
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise click.UsageError(f"field '{name}': grid bounds must be finite in {value!r}")
-    if step <= 0:
-        raise click.UsageError(f"field '{name}': step must be positive, got {step}")
-    if stop < start:
-        raise click.UsageError(f"field '{name}': stop must be >= start in {value!r}")
-    if _grid_size(start, stop, step) > _MAX_GRID_POINTS:
-        raise click.UsageError(f"field '{name}': grid {value!r} holds more than {_MAX_GRID_POINTS} points")
-    return (start, stop, step)
 
 
 def _channel_spec(cfg: RunConfig, rate: float | None = None) -> bound.ChannelSpec:
@@ -220,9 +229,13 @@ def _emit(cfg: RunConfig, columns: list, rows: list) -> int:
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch one resolved configuration and write its CSV."""
+    """Check the fields the command reads (exit 2 naming the first bad one), then write its CSV (exit 3 on a numerical or allocation failure)."""
     try:
+        _validate(config)
         return _COMMANDS[config.subcommand][0](config)
+    except click.UsageError as exc:
+        exc.show()
+        sys.exit(exc.exit_code)
     except ArithmeticError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
@@ -274,7 +287,7 @@ def _run_exponent(cfg: RunConfig) -> int:
         row += [asymptotics.random_coding_exponent(spec, sc) for sc in scales]
         return row
 
-    columns = ["rate", "d_singleton", "d_optimal"] + [f"d_random_lambda{v:g}" for v in cfg.lambda_scaled]
+    columns = ["rate", "d_singleton", "d_optimal"] + [f"d_random_lambda{_fmt_exact(v)}" for v in cfg.lambda_scaled]
     return _emit(cfg, columns, [point(r) for r in rates])
 
 
@@ -325,7 +338,7 @@ def _load_config(path: str | None, subcommand: str, keys) -> dict:
 
 
 def _build_config(subcommand: str, config_path: str | None, flags: dict) -> RunConfig:
-    """Start from defaults, apply the JSON config file, then CLI flags.
+    """Start from defaults, apply the JSON config file, then CLI flags; run checks the values.
 
     flags maps each of the command's options to its value, None (or () for a
     repeatable option) when not given; its keys are the keys the file may set.
@@ -340,26 +353,20 @@ def _build_config(subcommand: str, config_path: str | None, flags: dict) -> RunC
             elif key == "lambda_scaled":
                 value = tuple(value) if isinstance(value, (list, tuple)) else (value,)
             setattr(cfg, key, value)
-    _validate(cfg, file_values.keys() | flag_values.keys())
+    # A command takes only fields it can read, so one given but not read is mc's in lowerbound mode.
+    given = file_values.keys() | flag_values.keys()
+    if unread := [f.name for f in fields(cfg) if f.name in given and f.name not in _reads(cfg)]:
+        raise click.UsageError(f"field '{unread[0]}': {subcommand} reads it only in --mode outage")
     return cfg
 
 
-def _validate(cfg: RunConfig, given) -> None:
-    """Exit 2 naming the first bad field; a config that passes runs without a usage error.
-
-    given holds the fields set by a flag or a config key.  A command takes only
-    fields it can read, so one given but not read is mc's in lowerbound mode.
-    """
+def _validate(cfg: RunConfig) -> None:
+    """Raise a usage error naming the first bad field that cfg's command reads."""
     reads = _reads(cfg)
     for f in fields(cfg):
-        if f.name in reads:
-            problem = f.metadata["check"](getattr(cfg, f.name), cfg)
-        elif f.name in given:
-            problem = f"{cfg.subcommand} reads it only in --mode outage"
-        else:
-            continue
-        if problem:
-            raise click.UsageError(f"field '{f.name}': {problem}")
+        if f.name in reads and (problem := f.metadata["check"](getattr(cfg, f.name), cfg)):
+            # Under a click command, the error shows the command's usage, as click's own errors do.
+            raise click.UsageError(f"field '{f.name}': {problem}", click.get_current_context(silent=True))
 
 
 # Each command: the function that writes its CSV (whose docstring is the

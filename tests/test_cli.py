@@ -107,6 +107,20 @@ class TestExponent:
         header, _ = rows_of(res.output)
         assert header[-2:] == ["d_random_lambda0.5", "d_random_lambda2"]
 
+    def test_lambda_columns_name_each_value_exactly(self, runner):
+        # Two close values get two names, each the shortest text that parses back to its value.
+        args = ["exponent", "--rate", "1:1:1", "--lambda-scaled", "0.5", "--lambda-scaled", "0.5000001", "--lambda-scaled", "1e-05"]
+        header, data = rows_of(runner.invoke(main, args + ["--lambda-scaled", "1e6"]).output)
+        assert header[3:] == ["d_random_lambda0.5", "d_random_lambda0.5000001", "d_random_lambda1e-05", "d_random_lambda1000000"]
+        assert data[0][3:5] == ["1.5", "1.5000003"]
+
+    def test_numpy_values_are_named_by_their_value(self, tmp_path):
+        out = tmp_path / "e.csv"
+        cfg = RunConfig("exponent", m=np.float64(2.0), rate_grid=(1.0, 1.0, 1.0), lambda_scaled=(np.float64(0.5),), out=str(out))
+        assert cli.run(cfg) == 0
+        assert out.read_text().splitlines()[0] == f"# nakfade exponent B=4 M=4 m=2 R=1:1:1 version={__version__}"
+        assert rows_of(out.read_text())[0][-1] == "d_random_lambda0.5"
+
 
 class TestMc:
     def test_csv_and_determinism(self, runner, tmp_path):
@@ -466,6 +480,40 @@ class TestConfigAndErrors:
         res = runner.invoke(main, ["curve", "--rate", "1", "--snr-db", "0:4:2"])
         assert res.exit_code == 3
         assert res.output == f"allocation failure: {line}\n"
+
+
+class TestOutPath:
+    """--out names a file in a directory that exists; anything else exits 2 before a number is computed."""
+
+    @pytest.fixture(autouse=True)
+    def record_bounds(self, monkeypatch):
+        self.computed = []
+        real_bounds = cli.bound.outage_lower_bounds
+        monkeypatch.setattr(cli.bound, "outage_lower_bounds", lambda *a, **k: self.computed.append(a) or real_bounds(*a, **k))
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_bad_out_exits_2_naming_out(self, runner, tmp_path, where):
+        out = tmp_path / "missing" / "c.csv" if where == "missing-dir" else tmp_path
+        res = runner.invoke(main, ["curve", "--snr-db", "0:0:1", "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "field 'out'" in res.output
+        assert not self.computed
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_bad_out_exits_2_naming_out_in_process(self, capsys, tmp_path, where):
+        out = tmp_path / "missing" / "c.csv" if where == "missing-dir" else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            cli.run(RunConfig("curve", snr_db=(0.0, 0.0, 1.0), out=str(out)))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("Error: field 'out': ")
+        assert not self.computed
+
+    def test_out_in_the_working_directory_is_written(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        res = runner.invoke(main, ["curve", "--snr-db", "0:0:1", "-o", "c.csv"])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "c.csv").read_text().startswith("# nakfade curve ")
+        assert self.computed
 
 
 def _options(name):
