@@ -92,6 +92,8 @@ def power_law(gain: float, exponent: float, snr: Snr) -> float:
     """gain * rho^-exponent, formed in log space, never from rho^-exponent alone;
     outside the normal floats, ArithmeticError names the SNR and log10 of the value."""
     gain, exponent = require("gain", gain, real, least=0), require("exponent", exponent, real)
+    if snr.rho <= 0:
+        raise ValueError("asymptote requires rho > 0")
     return exp_checked((math.log(gain) if gain else -math.inf) - exponent * math.log(snr.rho), "asymptote", f" at snr_db {snr.db:.6g}")
 
 

@@ -145,7 +145,7 @@ class RunConfig:
         "qam16", "--constellation", f"Signal set ({', '.join(KNOWN_NAMES)}); mc reads it in outage mode.", _check_constellation, "constellation",
         type=str,
     )
-    order: int | None = _option(None, "--order", "Gauss-Hermite order per dimension; mc reads it in outage mode.", _POSITIVE_INT, "order", type=int)
+    order: int = _option(DEFAULT_ORDER, "--order", "Gauss-Hermite order per dimension.", _POSITIVE_INT, "order", type=int)
     samples: int = _option(10**5, "--samples", "Monte Carlo samples per grid point.", _POSITIVE_INT, "samples", type=int)
     seed: int = _option(0, "--seed", "Explicit 64-bit seed, in [0, 2^64).", _SEED, "seed", type=int)
     snr_db: tuple = _option((0.0, 40.0, 2.0), "--snr-db", "SNR grid in dB as start:stop:step.", _SNR_GRID, None, type=str)
@@ -154,14 +154,6 @@ class RunConfig:
     )
     workers: int = _option(1, "--workers", "Worker threads over each grid point's Monte Carlo sample chunks.", _POSITIVE_INT, None, type=int)
     out: str | None = _option(None, "--out -o", "Output CSV path (default: stdout).", _check_out, None, type=click.Path())
-
-    def __post_init__(self) -> None:
-        # mi prints MI values, so it takes the order whose doubling moves
-        # none of them by 1e-6; mc decides samples from many MI values, where
-        # the library's cheaper MC_QUAD_ORDER keeps the quadrature bias far
-        # below the Monte Carlo noise.
-        if self.order is None:
-            self.order = montecarlo.MC_QUAD_ORDER if self.subcommand == "mc" else DEFAULT_ORDER
 
 
 def _grid_size(start: float, stop: float, step: float) -> float:
@@ -197,10 +189,10 @@ def _bounds(cfg: RunConfig, snrs: list, rates: list) -> list:
 
 
 def _reads(cfg: RunConfig) -> list:
-    """The fields cfg's command reads: its _COMMANDS fields, less constellation and order under mc --mode lowerbound."""
+    """The fields cfg's command reads: its _COMMANDS fields, less constellation under mc --mode lowerbound."""
     names = _COMMANDS[cfg.subcommand][1].split()
     if cfg.subcommand == "mc" and cfg.mode == "lowerbound":
-        names = [n for n in names if n not in ("constellation", "order")]
+        names.remove("constellation")
     return names
 
 
@@ -229,7 +221,7 @@ def _emit(cfg: RunConfig, columns: list, rows: list) -> int:
 
 
 def run(config: RunConfig) -> int:
-    """Check the fields the command reads (exit 2 naming the first bad one), then write its CSV (exit 3 on a numerical or allocation failure)."""
+    """Check the command and the fields it reads (exit 2 naming the first bad one), then write its CSV (exit 3 on a numerical or allocation failure)."""
     try:
         _validate(config)
         return _COMMANDS[config.subcommand][0](config)
@@ -299,7 +291,7 @@ def _run_mc(cfg: RunConfig) -> int:
     kw = dict(n=cfg.samples, seed=cfg.seed, workers=cfg.workers)
     if cfg.mode == "outage":
         c = from_name(cfg.constellation)
-        rule = hermite_rule(cfg.order)
+        rule = hermite_rule(montecarlo.MC_QUAD_ORDER)
         # One bracket table for the whole grid; the points only read it.
         table = montecarlo.BracketTable(c, rule, [Snr.from_db(db).rho for db in dbs], cfg.samples, spec)
         ests = [montecarlo.mc_outage(Snr.from_db(db), spec, c, rule, stream_id=i, table=table, **kw) for i, db in enumerate(dbs)]
@@ -361,7 +353,9 @@ def _build_config(subcommand: str, config_path: str | None, flags: dict) -> RunC
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Raise a usage error naming the first bad field that cfg's command reads."""
+    """Raise a usage error naming an unknown command, or else the first bad field that cfg's command reads."""
+    if not isinstance(cfg.subcommand, str) or cfg.subcommand not in _COMMANDS:
+        raise click.UsageError(f"field 'subcommand': must be one of {', '.join(_COMMANDS)}, got {cfg.subcommand!r}")
     reads = _reads(cfg)
     for f in fields(cfg):
         if f.name in reads and (problem := f.metadata["check"](getattr(cfg, f.name), cfg)):
@@ -376,7 +370,7 @@ _COMMANDS = {
     "ratesweep": (_run_ratesweep, "blocks bits m cells snr_db_fixed rate_grid out"),
     "asymptote": (_run_asymptote, "blocks bits m cells rate snr_db out"),
     "exponent": (_run_exponent, "blocks bits m rate_grid lambda_scaled out"),
-    "mc": (_run_mc, "blocks bits m rate snr_db samples seed mode constellation order workers out"),
+    "mc": (_run_mc, "blocks bits m rate snr_db samples seed mode constellation workers out"),
     "mi": (_run_mi, "constellation snr_db order out"),
 }
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,8 +30,12 @@ class Constellation:
     grid_levels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=complex)
+        # Read-only copies: a caller's own arrays are never frozen, and a
+        # shared constellation (from_name caches one per name) cannot be written.
+        pts = _frozen(self.points, complex)
         object.__setattr__(self, "points", pts)
+        if self.grid_levels is not None:
+            object.__setattr__(self, "grid_levels", _frozen(self.grid_levels, float))
         object.__setattr__(self, "bits_per_symbol", require("bits_per_symbol", self.bits_per_symbol, integer, least=1))
         M = self.bits_per_symbol
         if pts.shape != (2**M,):
@@ -46,8 +51,11 @@ class Constellation:
         return self.points.size
 
 
-def _gray(k: int) -> int:
-    return k ^ (k >> 1)
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of values as an array of dtype."""
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 def make_qam(M: int) -> Constellation:
@@ -65,11 +73,10 @@ def make_qam(M: int) -> Constellation:
     raw = 2.0 * np.arange(side) - (side - 1)
     scale = math.sqrt(2.0 * (side**2 - 1) / 3.0)
     levels = raw / scale
-    pts = np.empty(side * side, dtype=complex)
-    for idx in range(side * side):
-        hi, lo = divmod(idx, side)
-        pts[idx] = levels[_gray(hi)] + 1j * levels[_gray(lo)]
-    return Constellation(pts, M, grid_levels=levels)
+    # Point hi * side + lo is levels[gray(hi)] + j levels[gray(lo)], gray(k) = k ^ (k >> 1).
+    k = np.arange(side)
+    g = levels[k ^ (k >> 1)]
+    return Constellation((g[:, None] + 1j * g[None, :]).ravel(), M, grid_levels=levels)
 
 
 def make_psk(M: int) -> Constellation:
@@ -82,8 +89,9 @@ def make_psk(M: int) -> Constellation:
     return Constellation(pts, M)
 
 
+@lru_cache(maxsize=16)
 def from_name(name: str) -> Constellation:
-    """Constellation from a CLI/config name such as "qam16" or "psk8"."""
+    """The cached Constellation of a CLI/config name such as "qam16" or "psk8"."""
     key = name.strip().lower()
     for prefix, maker in (("qam", make_qam), ("psk", make_psk)):
         if key.startswith(prefix):

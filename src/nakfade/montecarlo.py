@@ -51,8 +51,11 @@ from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete_array
 
 __all__ = ["McEstimate", "MC_QUAD_ORDER", "BracketTable", "mc_outage", "mc_lower_bound"]
 
-# Order of the MI quadrature: its bias is far below the Monte Carlo noise for
-# any n <= 1e7, and it keeps the cost of each evaluated SNR low.
+# Order of the MI quadrature, the only one `mc` uses: its bias is far below
+# the Monte Carlo noise for any n <= 1e7, and it keeps the cost of each
+# evaluated SNR low.  Orders 32 and 96 gave the same event count at all 96
+# mc-outage benchmark points of seeds 1, 2 and 77, and at the 20 points of
+# 1e5 samples of qam16, psk8, qam64 and psk4 at m = 2, R = 1 and 0 to 20 dB.
 MC_QUAD_ORDER = 32
 
 # Bracket nodes per octave of SNR.  Doubling it halves the undecided

@@ -87,7 +87,7 @@ class Snr:
 
     @property
     def db(self) -> float:
-        return 10.0 * math.log10(self.rho)
+        return 10.0 * math.log10(self.rho) if self.rho > 0 else -math.inf
 
 
 def _hermite(order: int, t: np.ndarray) -> tuple:
@@ -135,6 +135,8 @@ class QuadratureRule:
         with np.errstate(under="ignore"):
             p_last, _, log_scale = _hermite(n, t)
             w = np.exp(-2.0 * (np.log(np.abs(p_last)) + log_scale) - math.log(n))
+        # hermite_rule shares one rule per order, so no caller may write its arrays.
+        t.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "nodes", t)
         object.__setattr__(self, "weights", w)
 

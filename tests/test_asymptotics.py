@@ -211,6 +211,11 @@ class TestCodingGain:
 
 
 class TestAsymptote:
+    @pytest.mark.parametrize("fn", [lambda snr: asymptote(snr, ChannelSpec(4, 4, M1, 1.0)), lambda snr: asymptotics.power_law(1e-3, 4.0, snr)])
+    def test_zero_snr_refused(self, fn):
+        with pytest.raises(ValueError, match=r"^asymptote requires rho > 0$"):
+            fn(Snr(0.0))
+
     def test_pure_power_law(self):
         spec = ChannelSpec(4, 4, M2, 1.0)
         ratio = asymptote(Snr(1e4), spec) / asymptote(Snr(1e5), spec)

@@ -16,6 +16,8 @@ from nakfade.asymptotics import coding_gain
 from nakfade.bound import ChannelSpec
 from nakfade.fading import NakagamiParam
 from nakfade.cli import RunConfig, _build_config, main
+from nakfade.constellation import from_name
+from nakfade.mutual_info import DEFAULT_ORDER, Snr, hermite_rule
 
 
 @pytest.fixture
@@ -136,7 +138,7 @@ class TestMc:
     def test_outage_mode_uses_constellation(self, runner):
         res = runner.invoke(
             main,
-            ["mc", "--samples", "500", "--seed", "1", "--mode", "outage", "--constellation", "qam16", "--snr-db", "6:6:1", "--order", "16"],
+            ["mc", "--samples", "500", "--seed", "1", "--mode", "outage", "--constellation", "qam16", "--snr-db", "6:6:1"],
         )
         assert res.exit_code == 0
         _, data = rows_of(res.output)
@@ -242,10 +244,17 @@ class TestHeaders:
         args = ["mc", "--mode", "lowerbound", "--samples", "1000", "--seed", "3", "--rate", "1", "--snr-db", "5:5:1"]
         assert self.first_line(runner, args) == f"# nakfade mc mode=lowerbound B=4 M=4 m=1 R=1 samples=1000 seed=3 version={__version__}"
 
-    def test_mc_outage_names_constellation_and_order(self, runner):
+    def test_mc_outage_names_constellation(self, runner):
         args = ["mc", "--mode", "outage", "--samples", "200", "--seed", "3", "--rate", "1", "--snr-db", "5:5:1"]
-        line = self.first_line(runner, args + ["--order", "16"])
-        assert line == f"# nakfade mc mode=outage B=4 M=4 m=1 R=1 constellation=qam16 order=16 samples=200 seed=3 version={__version__}"
+        line = self.first_line(runner, args)
+        assert line == f"# nakfade mc mode=outage B=4 M=4 m=1 R=1 constellation=qam16 samples=200 seed=3 version={__version__}"
+
+    def test_mc_in_process_ignores_an_order_it_does_not_read(self, tmp_path):
+        # run ignores a field its command does not read, so the benchmark's mc configs, which pass order=32, still run.
+        out = tmp_path / "mc.csv"
+        cfg = RunConfig("mc", mode="outage", order=32, samples=200, seed=3, rate=1.0, snr_db=(5.0, 5.0, 1.0), out=str(out))
+        assert cli.run(cfg) == 0
+        assert out.read_text().splitlines()[0] == f"# nakfade mc mode=outage B=4 M=4 m=1 R=1 constellation=qam16 samples=200 seed=3 version={__version__}"
 
     def test_mi_names_only_what_it_uses(self, runner):
         line = self.first_line(runner, ["mi", "--constellation", "psk2", "--snr-db", "0:6:3", "--order", "32"])
@@ -253,12 +262,20 @@ class TestHeaders:
 
 
 class TestDefaults:
-    def test_mc_order_defaults_to_library_order(self, runner):
+    def test_mc_order_defaults_to_library_order(self, runner, monkeypatch):
+        orders = []
+        monkeypatch.setattr(cli, "hermite_rule", lambda order: orders.append(order) or hermite_rule(order))
         args = ["mc", "--mode", "outage", "--samples", "300", "--seed", "5", "--rate", "2", "--snr-db", "4:8:4"]
-        default = runner.invoke(main, args)
-        explicit = runner.invoke(main, args + ["--order", "32"])
-        assert default.exit_code == 0
-        assert default.output == explicit.output
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert orders == [montecarlo.MC_QUAD_ORDER]
+        spec, rule = ChannelSpec(4, 4, NakagamiParam(1.0), 2.0), hermite_rule(montecarlo.MC_QUAD_ORDER)
+        ests = [montecarlo.mc_outage(Snr.from_db(db), spec, from_name("qam16"), rule, n=300, seed=5, stream_id=i) for i, db in enumerate((4.0, 8.0))]
+        assert rows_of(res.output)[1] == [[db, f"{e.p_hat:.12g}", f"{e.std_err:.12g}", "300"] for db, e in zip(("4", "8"), ests)]
+
+    def test_config_default_does_not_depend_on_the_command(self):
+        assert not hasattr(RunConfig, "__post_init__")
+        assert RunConfig("mi").order == RunConfig("mc").order == DEFAULT_ORDER == 96
 
     def test_mi_order_default_is_96(self, runner):
         res = runner.invoke(main, ["mi", "--snr-db", "0:0:1"])
@@ -344,8 +361,8 @@ class TestConfigAndErrors:
             pytest.param(["curve", "--snr-db", "-4000:-4000:1"], None, "snr_db", id="snr_db-underflow-curve"),
             pytest.param(["asymptote", "--snr-db", "-4000:0:1000"], None, "snr_db", id="snr_db-underflow-asymptote"),
             pytest.param(["ratesweep", "--snr-db-fixed", "-4000"], None, "snr_db_fixed", id="snr_db_fixed-underflow"),
-            pytest.param(["mc", "--mode", "lowerbound", "--constellation", "foo", "--order", "7"], None, "constellation", id="lowerbound-constellation"),
-            pytest.param(["mc", "--order", "7"], None, "order", id="lowerbound-order"),
+            pytest.param(["mc", "--mode", "lowerbound", "--constellation", "foo"], None, "constellation", id="lowerbound-constellation"),
+            pytest.param(["mc", "--mode", "outage"], {"order": 32}, "order", id="outage-order-config"),
             pytest.param(["mc"], {"constellation": "qam16"}, "constellation", id="lowerbound-constellation-config"),
             pytest.param(["mc"], {"order": 32}, "order", id="lowerbound-order-config"),
         ],
@@ -358,6 +375,12 @@ class TestConfigAndErrors:
         res = runner.invoke(main, args)
         assert res.exit_code == 2, res.output
         assert f"field '{field}'" in res.output
+
+    @pytest.mark.parametrize("mode", ["outage", "lowerbound"])
+    def test_mc_takes_no_order_flag(self, runner, mode):
+        res = runner.invoke(main, ["mc", "--mode", mode, "--order", "8"])
+        assert res.exit_code == 2
+        assert "--order" in res.output
 
     @pytest.mark.parametrize("args", [["mi"], ["curve"]], ids=["mi", "curve"])
     def test_snr_overflow_exits_3_naming_db(self, runner, args):
@@ -545,7 +568,7 @@ class TestFieldLists:
     @pytest.mark.parametrize("name", list(main.commands))
     def test_config_of_own_fields_accepted(self, tmp_path, name):
         keys = _options(name)
-        # mc reads constellation and order only in outage mode.
+        # mc reads constellation only in outage mode.
         defaults = RunConfig(subcommand=name, **({"mode": "outage"} if name == "mc" else {}))
         data = _as_json(defaults, keys)
         assert set(data) == keys

@@ -86,6 +86,8 @@ IN_PROCESS_CASES = [
     pytest.param(dict(subcommand="curve", snr_db=(True, 3.0, 1.0)), "snr_db", id="snr_db-bool-bound"),
     pytest.param(dict(subcommand="curve", snr_db=(0.0, 3.0)), "snr_db", id="snr_db-two-bounds"),
     pytest.param(dict(subcommand="curve", out=3), "out", id="out-int"),
+    pytest.param(dict(subcommand="bogus"), "subcommand", id="subcommand-unknown"),
+    pytest.param(dict(subcommand=["curve"]), "subcommand", id="subcommand-list"),
 ]
 
 
@@ -108,12 +110,12 @@ def test_click_path_checks_no_field_twice(monkeypatch, tmp_path, dispatched):
         monkeypatch.setattr(cli, name, lambda value, *a, _rule=rule, **k: checked.append(value) or _rule(value, *a, **k))
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"snr_db": [0, "3", 1.5], "blocks": 2}))
-    res = CliRunner().invoke(cli.main, ["mc", "--config", str(path), "--mode", "outage", "--samples", "10", "--rate", "2", "--order", "8"])
+    res = CliRunner().invoke(cli.main, ["mc", "--config", str(path), "--mode", "outage", "--samples", "10", "--rate", "2"])
     assert res.exit_code == 0, res.output
     via_flags, checked[:] = checked[:], []
     assert cli.run(dispatched[0]) == 0
     assert via_flags == checked
-    assert set(map(repr, checked)) >= {"2", "10", "8", "2.0", "0", "3.0", "1.5"}
+    assert set(map(repr, checked)) >= {"2", "10", "2.0", "0", "3.0", "1.5"}
 
 
 def test_parsing_a_grid_judges_no_bound():

@@ -34,6 +34,14 @@ class TestQam:
         with pytest.raises(ValueError):
             make_qam(M)
 
+    @pytest.mark.parametrize("M", [2, 4, 6, 8])
+    def test_gray_ordering(self, M):
+        # Point hi * side + lo is levels[gray(hi)] + j levels[gray(lo)], gray(k) = k ^ (k >> 1).
+        c = make_qam(M)
+        side, gray = 2 ** (M // 2), lambda k: k ^ (k >> 1)
+        expected = [c.grid_levels[gray(hi)] + 1j * c.grid_levels[gray(lo)] for hi in range(side) for lo in range(side)]
+        assert c.points.tobytes() == np.array(expected).tobytes()
+
     def test_rejects_large(self):
         with pytest.raises(ValueError):
             make_qam(10)
@@ -65,6 +73,15 @@ class TestConstellationType:
         with pytest.raises(ValueError):
             Constellation(np.array([1.0 + 0j, 1.0 + 0j]), 1)
 
+    def test_arrays_are_read_only_copies(self):
+        pts, levels = make_qam(2).points.copy(), make_qam(2).grid_levels.copy()
+        c = Constellation(pts, 2, grid_levels=levels)
+        for values in (c.points, c.grid_levels):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+        # The caller's own arrays stay writeable.
+        assert pts.flags.writeable and levels.flags.writeable
+
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError):
             Constellation(np.array([1.0 + 0j, -1.0 + 0j]), 2)
@@ -75,6 +92,9 @@ class TestNames:
     def test_known_names_resolve(self, name):
         c = from_name(name)
         assert c.size == int(name[3:])
+
+    def test_each_name_builds_one_constellation(self):
+        assert from_name("psk8") is from_name("psk8")
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):

@@ -340,10 +340,11 @@ class TestBracketTable:
                 mc_outage(Snr(5.0), spec, other_c, other_rule, n=10, table=table)
 
     def test_table_serves_an_equal_constellation(self):
+        # Two make_qam calls give equal but distinct objects (from_name would give one cached object).
         spec, n = ChannelSpec(4, 4, M1, 2.0), 500
-        table = montecarlo.BracketTable(from_name("qam16"), hermite_rule(8), [5.0], n, spec)
-        est = mc_outage(Snr(5.0), spec, from_name("qam16"), hermite_rule(8), n=n, seed=7, table=table)
-        assert est == mc_outage(Snr(5.0), spec, from_name("qam16"), hermite_rule(8), n=n, seed=7)
+        table = montecarlo.BracketTable(make_qam(4), hermite_rule(8), [5.0], n, spec)
+        est = mc_outage(Snr(5.0), spec, make_qam(4), hermite_rule(8), n=n, seed=7, table=table)
+        assert est == mc_outage(Snr(5.0), spec, make_qam(4), hermite_rule(8), n=n, seed=7)
 
     def test_table_outlives_its_rule_in_the_cache(self):
         c, spec, n = make_qam(4), ChannelSpec(4, 4, M1, 2.0), 500
@@ -382,12 +383,12 @@ class TestBracketTable:
         monkeypatch.setattr(montecarlo, "mi_discrete_array", recording)
         n, seed = 1500, 3
         args = ["mc", "--mode", "outage", "--constellation", "qam4", "-M", "2", "--m", "1", "--rate", "1"]
-        args += ["--snr-db", "0:14:2", "--samples", str(n), "--seed", str(seed), "--order", "8", "--workers", str(workers)]
+        args += ["--snr-db", "0:14:2", "--samples", str(n), "--seed", str(seed), "--workers", str(workers)]
         res = CliRunner().invoke(cli.main, args)
         assert res.exit_code == 0, res.output
         rows = [line.split(",") for line in res.output.splitlines()[2:]]
         assert len(rows) == 8
-        spec, c, rule = ChannelSpec(4, 2, M1, 1.0), make_qam(2), hermite_rule(8)
+        spec, c, rule = ChannelSpec(4, 2, M1, 1.0), make_qam(2), hermite_rule(montecarlo.MC_QUAD_ORDER)
         for idx, row in enumerate(rows):
             want = direct_outage_count(Snr.from_db(float(row[0])), spec, c, n, seed, idx, rule)
             assert row[1] == f"{want / n:.12g}"

@@ -57,6 +57,9 @@ class TestSnr:
     def test_db_roundtrip(self):
         assert Snr(31.6).db == pytest.approx(10 * math.log10(31.6), rel=1e-15)
 
+    def test_zero_is_minus_infinity_db(self):
+        assert Snr(0.0).db == -math.inf
+
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -64,6 +67,13 @@ class TestSnr:
 
 
 class TestQuadratureRule:
+    def test_shared_rule_is_read_only(self):
+        # hermite_rule hands every caller the same rule, so one caller's write would corrupt every later MI.
+        rule = hermite_rule(8)
+        for values in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
     @pytest.mark.parametrize("order", [1, 2, 8, 32, 96, 192, 256, 350])
     def test_matches_hermgauss(self, order):
         rule = hermite_rule(order)

@@ -16,8 +16,8 @@ COMMANDS = [
     ["asymptote", "--rate", "2", "--snr-db", "5:5:1", "--cells", "64"],
     ["ratesweep", "--snr-db-fixed", "5", "--rate", "1:3:1", "--cells", "64"],
     ["mc", "--mode", "lowerbound", "--snr-db", "5:5:1", "--samples", "100"],
-    ["mc", "--mode", "outage", "--snr-db", "5:5:1", "--samples", "20", "--order", "8"],
-    ["mc", "--mode", "outage", "--snr-db", "5:5:1", "--samples", "2", "--order", "8"],
+    ["mc", "--mode", "outage", "--snr-db", "5:5:1", "--samples", "20"],
+    ["mc", "--mode", "outage", "--snr-db", "5:5:1", "--samples", "2"],
 ]
 
 
@@ -64,7 +64,7 @@ def test_outage_command_repeats_its_per_layer_counts(monkeypatch):
     # the repeat check guards against work that depends on call order, such
     # as a node table that the points fill as they need it.
     tracing = load_tracing(monkeypatch)
-    args = ["mc", "--mode", "outage", "--snr-db", "4:7.5:0.5", "--samples", "2000", "--order", "8", "--workers", "2"]
+    args = ["mc", "--mode", "outage", "--snr-db", "4:7.5:0.5", "--samples", "2000", "--workers", "2"]
     counts = []
     for _ in range(4):
         tracer = tracing.Tracer()
