@@ -3,8 +3,7 @@
 __version__ = "0.2.0"
 
 from .asymptotics import (
-    BlockLengthScale,
-    asymptote,
+    asymptotes,
     coding_gain,
     optimal_exponent,
     random_coding_exponent,

@@ -14,7 +14,6 @@ that saturates at m d_B(R) as lambda grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._checks import integer, real, require
 from .bound import DEFAULT_CELLS, ChannelSpec, _by_capped_count, _cell_edges, build_pmf_A, exp_checked
@@ -23,12 +22,10 @@ from .bound import cdf_Y_at, convolve_power
 from .mutual_info import Snr
 
 __all__ = [
-    "BlockLengthScale",
     "singleton_bound",
     "optimal_exponent",
     "coding_gain",
-    "power_law",
-    "asymptote",
+    "asymptotes",
     "random_coding_exponent",
 ]
 
@@ -57,16 +54,6 @@ def singleton_bound(B: int, M: int, R: float) -> int:
     return min(B, 1 + int(math.floor(diversity_arg(B, M, R))))
 
 
-@dataclass(frozen=True)
-class BlockLengthScale:
-    """Block-length growth rate lambda = lim L(SNR)/ln(SNR), lambda >= 0."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", require("block-length scale lam", self.lam, real, least=0))
-
-
 def optimal_exponent(spec: ChannelSpec) -> float:
     """Optimal SNR exponent m d_B(R) of the outage probability."""
     return spec.fading.m * singleton_bound(spec.B, spec.M, spec.rate)
@@ -88,24 +75,23 @@ def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     return exp_checked(log_k, "coding gain K")
 
 
-def power_law(gain: float, exponent: float, snr: Snr) -> float:
-    """gain * rho^-exponent, formed in log space, never from rho^-exponent alone;
-    outside the normal floats, ArithmeticError names the SNR and log10 of the value."""
-    gain, exponent = require("gain", gain, real, least=0), require("exponent", exponent, real)
-    if snr.rho <= 0:
+def asymptotes(snrs: list[Snr], spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> list[float]:
+    """High-SNR power law K * rho^(-m d_B(R)) of the outage lower bound at each SNR.
+
+    Any rho <= 0 is refused before K is computed, and K is computed once for
+    the grid.  Each value is formed in log space, never from rho^(-m d_B(R))
+    alone; outside the normal floats, ArithmeticError names the SNR and
+    log10 of the value.
+    """
+    if any(snr.rho <= 0 for snr in snrs):
         raise ValueError("asymptote requires rho > 0")
-    return exp_checked((math.log(gain) if gain else -math.inf) - exponent * math.log(snr.rho), "asymptote", f" at snr_db {snr.db:.6g}")
+    gain, exponent = coding_gain(spec, n_cells), optimal_exponent(spec)
+    log_gain = math.log(gain) if gain else -math.inf
+    return [exp_checked(log_gain - exponent * math.log(snr.rho), "asymptote", f" at snr_db {snr.db:.6g}") for snr in snrs]
 
 
-def asymptote(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
-    """High-SNR power law K * rho^(-m d_B(R)) of the outage lower bound."""
-    if snr.rho <= 0:
-        raise ValueError("asymptote requires rho > 0")
-    return power_law(coding_gain(spec, n_cells), optimal_exponent(spec), snr)
-
-
-def random_coding_exponent(spec: ChannelSpec, scale: BlockLengthScale) -> float:
-    """Achievable SNR exponent of random codes with L(SNR) ~ lambda ln SNR.
+def random_coding_exponent(spec: ChannelSpec, lam: float) -> float:
+    """Achievable SNR exponent of random codes with L(SNR) ~ lam ln SNR, lam >= 0.
 
     Below lambda = m/(M ln 2) the exponent is block-length limited at
     lambda B M ln2 (1 - R/M); above it, the fading statistics limit all but
@@ -113,8 +99,8 @@ def random_coding_exponent(spec: ChannelSpec, scale: BlockLengthScale) -> float:
     block-length scale.)
     """
     B, M, R, m = spec.B, spec.M, spec.rate, spec.fading.m
+    lam = require("block-length scale lam", lam, real, least=0)
     d = singleton_bound(B, M, R)
-    lam = scale.lam
     if lam * M * _LN2 < m:
         return lam * B * M * _LN2 * (1.0 - R / M)
     return m * (d - 1) + min(m, lam * M * _LN2 * (diversity_arg(B, M, R) - d + 1))

@@ -60,6 +60,12 @@ def _scaled_lambda(v: float, cfg) -> str | None:
     return None if math.isfinite(lam) else f"{_fmt_exact(v)} scales to lambda = {lam!r}, past the float range"
 
 
+def _repeated_column(v: float, earlier) -> str | None:
+    """What is wrong with v if its column name, d_random_lambda<v>, is an earlier value's, or None."""
+    text = _fmt_exact(v)
+    return f"{text} names the column d_random_lambda{text} a second time" if text in map(_fmt_exact, earlier) else None
+
+
 def _check_constellation(v, cfg) -> str | None:
     if not isinstance(v, str):
         return "must be a name such as 'qam16'"
@@ -112,7 +118,7 @@ _CELLS = lambda v, cfg: integer(v, least=2)
 _SEED = lambda v, cfg: integer(v, least=0, most=2**64 - 1)
 # The bound commands (those that read cells) need rho > 0; mc and mi are right at rho = 0.
 _SNR_GRID = lambda v, cfg: _check_grid(v) or (_zero_snr(v[0]) if "cells" in _reads(cfg) else None)
-_LAMBDAS = lambda v, cfg: next(filter(None, (real(x, above=0) or _scaled_lambda(x, cfg) for x in v)), None)
+_LAMBDAS = lambda v, cfg: next(filter(None, (real(x, above=0) or _scaled_lambda(x, cfg) or _repeated_column(x, v[:i]) for i, x in enumerate(v))), None)
 
 
 def _option(default, flags: str, help: str, check, header: str | None, **click_settings):
@@ -253,16 +259,13 @@ def _run_ratesweep(cfg: RunConfig) -> int:
 
 def _run_asymptote(cfg: RunConfig) -> int:
     """Outage lower bound next to its high-SNR power-law asymptote."""
-    spec = _channel_spec(cfg)
     dbs = _grid(cfg.snr_db)
     snrs = [Snr.from_db(db) for db in dbs]
-    gain = asymptotics.coding_gain(spec, cfg.cells)
-    d_exp = asymptotics.optimal_exponent(spec)
-    # An asymptote fails where it overflows a float at low SNR or underflows
-    # one at high SNR; a bound fails only at high SNR, where it is the more
-    # telling failure, so the bounds are evaluated first.
+    # A bound fails only at high SNR, where its failure is the more telling
+    # one, so the bounds are evaluated before K and the asymptotes, which
+    # fail where K does or where a value over- or underflows a float.
     results = _bounds(cfg, snrs, [cfg.rate])
-    lines = [asymptotics.power_law(gain, d_exp, snr) for snr in snrs]
+    lines = asymptotics.asymptotes(snrs, _channel_spec(cfg), cfg.cells)
     rows = [(db, res.value, line) for db, (res,), line in zip(dbs, results, lines)]
     return _emit(cfg, ["snr_db", "p_out_lower", "asymptote"], rows)
 
@@ -270,13 +273,13 @@ def _run_asymptote(cfg: RunConfig) -> int:
 def _run_exponent(cfg: RunConfig) -> int:
     """Singleton bound, optimal exponent, and random-coding exponents."""
     rates = _grid(cfg.rate_grid)
-    scales = [asymptotics.BlockLengthScale(_block_length_scale(v, cfg)) for v in cfg.lambda_scaled]
+    lams = [_block_length_scale(v, cfg) for v in cfg.lambda_scaled]
 
     def point(r: float) -> list:
         spec = _channel_spec(cfg, r)
         d_s = asymptotics.singleton_bound(cfg.blocks, cfg.bits, r)
         row = [r, d_s, asymptotics.optimal_exponent(spec)]
-        row += [asymptotics.random_coding_exponent(spec, sc) for sc in scales]
+        row += [asymptotics.random_coding_exponent(spec, lam) for lam in lams]
         return row
 
     columns = ["rate", "d_singleton", "d_optimal"] + [f"d_random_lambda{_fmt_exact(v)}" for v in cfg.lambda_scaled]

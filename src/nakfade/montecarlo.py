@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fading
-from ._checks import integer, real, require
+from ._checks import integer, require
 from .bound import ChannelSpec
 from .constellation import Constellation
 from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete_array
@@ -84,28 +84,27 @@ _CAP_PRODUCT_BITS = 1000
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Binomial-proportion estimate; its standard error follows from p_hat and n."""
+    """Binomial-proportion estimate from `events` outage events in `n_samples` draws."""
 
-    p_hat: float
+    events: int
     n_samples: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_hat", require("p_hat", self.p_hat, real, least=0, most=1))
         object.__setattr__(self, "n_samples", require("n_samples", self.n_samples, integer, least=1))
+        object.__setattr__(self, "events", require("events", self.events, integer, least=0, most=self.n_samples))
+
+    @property
+    def p_hat(self) -> float:
+        return self.events / self.n_samples
 
     @property
     def std_err(self) -> float:
         return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_samples)
 
-    @classmethod
-    def from_count(cls, count: int, n: int) -> "McEstimate":
-        """Estimate from count events in n samples, as a Python float and int."""
-        n = require("n", n, integer, least=1)
-        return cls(require("count", count, integer, least=0, most=n) / n, n)
-
 
 def _estimate(spec: ChannelSpec, n: int, seed: int, stream_id: int, workers: int, count_rows) -> McEstimate:
     """Estimate from count_rows(gains) summed over the chunks of n draws of spec's B gains."""
+    n, workers = require("n", n, integer, least=1), require("workers", workers, integer, least=1)
 
     def count_chunk(chunk: int) -> int:
         count = min(fading.CHUNK, n - chunk * fading.CHUNK)
@@ -114,9 +113,9 @@ def _estimate(spec: ChannelSpec, n: int, seed: int, stream_id: int, workers: int
     chunks = range(-(-n // fading.CHUNK))
     threads = min(workers, len(chunks))
     if threads <= 1:
-        return McEstimate.from_count(sum(map(count_chunk, chunks)), n)
+        return McEstimate(sum(map(count_chunk, chunks)), n)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return McEstimate.from_count(sum(pool.map(count_chunk, chunks)), n)
+        return McEstimate(sum(pool.map(count_chunk, chunks)), n)
 
 
 def _window(rho_lo: float, rho_hi: float, values: int, m: float) -> tuple[int, int]:
@@ -230,7 +229,6 @@ def mc_outage(
     table, built for the same points and order, may serve other SNRs too;
     without one, every chunk reads one table built for snr and n.
     """
-    n, workers = require("n", n, integer, least=1), require("workers", workers, integer, least=1)
     if c.bits_per_symbol != spec.M:
         raise ValueError(f"constellation carries {c.bits_per_symbol} bits but spec.M = {spec.M}")
     if q is None:
@@ -261,7 +259,6 @@ def mc_lower_bound(
     M > 1000 takes groups of one block, and from M = 1024 on, where 2^M is
     past the float range, no finite factor is capped.
     """
-    n, workers = require("n", n, integer, least=1), require("workers", workers, integer, least=1)
     rho = snr.rho
     B, M = spec.B, spec.M
     threshold = B * spec.rate

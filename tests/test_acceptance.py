@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from nakfade.asymptotics import (
-    BlockLengthScale,
-    asymptote,
+    asymptotes,
     coding_gain,
     random_coding_exponent,
     singleton_bound,
@@ -96,8 +95,9 @@ def test_criterion_05_asymptote_convergence():
     ok = True
     for rate in (1.0, 2.0, 3.0):
         spec = ChannelSpec(4, 4, NakagamiParam(2.0), rate)
-        off20 = abs(outage_lower_bound(Snr.from_db(20), spec).value / asymptote(Snr.from_db(20), spec) - 1.0)
-        off40 = abs(outage_lower_bound(Snr.from_db(40), spec).value / asymptote(Snr.from_db(40), spec) - 1.0)
+        a20, a40 = asymptotes([Snr.from_db(20), Snr.from_db(40)], spec)
+        off20 = abs(outage_lower_bound(Snr.from_db(20), spec).value / a20 - 1.0)
+        off40 = abs(outage_lower_bound(Snr.from_db(40), spec).value / a40 - 1.0)
         details.append(f"R={rate}: |ratio-1| {off20:.3f} @20dB -> {off40:.5f} @40dB")
         ok = ok and off40 < off20 and off40 < 0.25
     _report(5, "asymptote convergence", ok, "; ".join(details))
@@ -162,7 +162,7 @@ def test_criterion_09_random_coding_exponent():
     ok = True
     worst = -math.inf
     for scaled in (0.5, 2.0):
-        lam = BlockLengthScale(scaled * m / (4.0 * LN2))
+        lam = scaled * m / (4.0 * LN2)
         for rate in rates:
             spec = ChannelSpec(4, 4, NakagamiParam(m), float(rate))
             excess = random_coding_exponent(spec, lam) - m * singleton_bound(4, 4, float(rate))
@@ -172,8 +172,8 @@ def test_criterion_09_random_coding_exponent():
     jump = 0.0
     for rate in np.linspace(0.05, 3.95, 50):
         spec = ChannelSpec(4, 4, NakagamiParam(m), float(rate))
-        lo = random_coding_exponent(spec, BlockLengthScale(lam_star * (1 - 1e-12)))
-        hi = random_coding_exponent(spec, BlockLengthScale(lam_star * (1 + 1e-12)))
+        lo = random_coding_exponent(spec, lam_star * (1 - 1e-12))
+        hi = random_coding_exponent(spec, lam_star * (1 + 1e-12))
         jump = max(jump, abs(lo - hi))
     ok = ok and jump < 1e-9
     _report(9, "random-coding exponent", ok, f"worst excess {worst:.1e}, branch jump {jump:.1e}")

@@ -5,8 +5,7 @@ import pytest
 
 from nakfade import asymptotics, bound
 from nakfade.asymptotics import (
-    BlockLengthScale,
-    asymptote,
+    asymptotes,
     coding_gain,
     optimal_exponent,
     random_coding_exponent,
@@ -210,16 +209,51 @@ class TestCodingGain:
         assert math.log(coding_gain(ChannelSpec(B, M, NakagamiParam(m), rate), cells)) == pytest.approx(log_f + log_k, abs=1e-6)
 
 
+def asymptote(snr: Snr, spec: ChannelSpec) -> float:
+    """The asymptote at one SNR."""
+    (value,) = asymptotes([snr], spec)
+    return value
+
+
 class TestAsymptote:
-    @pytest.mark.parametrize("fn", [lambda snr: asymptote(snr, ChannelSpec(4, 4, M1, 1.0)), lambda snr: asymptotics.power_law(1e-3, 4.0, snr)])
-    def test_zero_snr_refused(self, fn):
+    # A grid that holds rho = 0 anywhere is refused before K is computed.
+    @pytest.mark.parametrize("snrs", [lambda: [Snr(0.0)], lambda: [Snr(1.0), Snr(0.0), Snr(10.0)]])
+    def test_zero_snr_refused(self, snrs, monkeypatch):
+        monkeypatch.setattr(asymptotics, "coding_gain", lambda *a: pytest.fail("K was computed"))
         with pytest.raises(ValueError, match=r"^asymptote requires rho > 0$"):
-            fn(Snr(0.0))
+            asymptotes(snrs(), ChannelSpec(4, 4, M1, 1.0))
+
+    def test_one_coding_gain_per_grid(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(asymptotics, "coding_gain", lambda *a: calls.append(a) or coding_gain(*a))
+        spec = ChannelSpec(4, 4, M2, 1.0)
+        values = asymptotes([Snr.from_db(db) for db in range(0, 50, 2)], spec, 256)
+        assert len(values) == 25 and calls == [(spec, 256)]
+
+    @pytest.mark.parametrize("m,rate", [(1.0, 1.0), (2.0, 2.0), (0.5, 3.3), (5.0, 0.4771)])
+    def test_values_are_the_log_space_power_law(self, m, rate):
+        # Each value is exp_checked(ln K - m d_B ln rho), bit for bit.
+        spec = ChannelSpec(4, 4, NakagamiParam(m), rate)
+        snrs = [Snr.from_db(db) for db in (-20.0, 0.0, 7.5, 30.0)]
+        log_k, e = math.log(coding_gain(spec, 512)), optimal_exponent(spec)
+        want = [bound.exp_checked(log_k - e * math.log(snr.rho), "asymptote", f" at snr_db {snr.db:.6g}") for snr in snrs]
+        assert asymptotes(snrs, spec, 512) == want
+
+    @pytest.mark.parametrize("m,rate", [(1.0, 1.0), (2.0, 3.0), (0.5, 0.4)])
+    def test_value_does_not_depend_on_the_grid(self, m, rate):
+        spec = ChannelSpec(4, 4, NakagamiParam(m), rate)
+        snrs = [Snr.from_db(db) for db in (-10.0, 3.3, 25.0, 60.0)]
+        assert asymptotes(snrs, spec, 256) == [asymptotes([snr], spec, 256)[0] for snr in snrs]
+        assert asymptotes(snrs[::-1], spec, 256) == asymptotes(snrs, spec, 256)[::-1]
+
+    def test_zero_coding_gain_gives_exact_zeros(self):
+        # No 4-fold sum of the lattice reaches the read at R = 1e-10, so K = 0.
+        assert asymptotes([Snr(10.0), Snr(1e3)], ChannelSpec(4, 4, M1, 1e-10), 64) == [0.0, 0.0]
 
     def test_pure_power_law(self):
         spec = ChannelSpec(4, 4, M2, 1.0)
-        ratio = asymptote(Snr(1e4), spec) / asymptote(Snr(1e5), spec)
-        assert ratio == pytest.approx(10.0 ** (2 * 4), rel=1e-9)
+        low, high = asymptotes([Snr(1e4), Snr(1e5)], spec)
+        assert low / high == pytest.approx(10.0 ** (2 * 4), rel=1e-9)
 
     def test_single_block_value(self):
         got = asymptote(Snr(1e3), ChannelSpec(1, 4, M1, 2.0))
@@ -227,8 +261,9 @@ class TestAsymptote:
 
     def test_bound_approaches_asymptote(self):
         spec = ChannelSpec(4, 4, M2, 2.0)
-        r20 = outage_lower_bound(Snr.from_db(20), spec).value / asymptote(Snr.from_db(20), spec)
-        r40 = outage_lower_bound(Snr.from_db(40), spec).value / asymptote(Snr.from_db(40), spec)
+        a20, a40 = asymptotes([Snr.from_db(20), Snr.from_db(40)], spec)
+        r20 = outage_lower_bound(Snr.from_db(20), spec).value / a20
+        r40 = outage_lower_bound(Snr.from_db(40), spec).value / a40
         assert abs(r40 - 1) < abs(r20 - 1)
 
     # At -770 dB the product K rho^-4 overflows; at -800 dB rho^-4 itself does.
@@ -243,23 +278,23 @@ class TestRandomCodingExponent:
     def test_first_branch_value(self):
         # lambda M ln2 = m/2 = 1 at B=M=4, R=1 -> 4 * 1 * (1 - 1/4) = 3
         spec = ChannelSpec(4, 4, M2, 1.0)
-        lam = BlockLengthScale(1.0 / (4.0 * LN2))
+        lam = 1.0 / (4.0 * LN2)
         assert random_coding_exponent(spec, lam) == pytest.approx(3.0, rel=1e-12)
 
     def test_rate_equal_bits_vanishes(self):
         spec = ChannelSpec(4, 4, M2, 4.0)
         for lam in (0.1, 1.0, 50.0):
-            assert random_coding_exponent(spec, BlockLengthScale(lam)) == pytest.approx(0.0, abs=1e-12)
+            assert random_coding_exponent(spec, lam) == pytest.approx(0.0, abs=1e-12)
 
     def test_large_lambda_attains_optimal_off_discontinuity(self):
         spec = ChannelSpec(4, 4, M2, 1.5)  # B(1 - R/M) = 2.5, not integer
-        got = random_coding_exponent(spec, BlockLengthScale(1e3))
+        got = random_coding_exponent(spec, 1e3)
         assert got == pytest.approx(optimal_exponent(spec), rel=1e-12)
 
     @pytest.mark.parametrize("scaled", [0.5, 1.0, 2.0, 1000.0])
     def test_never_exceeds_optimal(self, scaled):
         m = 2.0
-        lam = BlockLengthScale(scaled * m / (4.0 * LN2))
+        lam = scaled * m / (4.0 * LN2)
         for rate in np.linspace(0.02, 3.98, 200):
             spec = ChannelSpec(4, 4, M2, float(rate))
             assert random_coding_exponent(spec, lam) <= m * singleton_bound(4, 4, float(rate)) + 1e-12
@@ -269,6 +304,6 @@ class TestRandomCodingExponent:
         lam_star = m / (4.0 * LN2)
         for rate in np.linspace(0.05, 3.95, 40):
             spec = ChannelSpec(4, 4, M2, float(rate))
-            lo = random_coding_exponent(spec, BlockLengthScale(lam_star * (1 - 1e-12)))
-            hi = random_coding_exponent(spec, BlockLengthScale(lam_star * (1 + 1e-12)))
+            lo = random_coding_exponent(spec, lam_star * (1 - 1e-12))
+            hi = random_coding_exponent(spec, lam_star * (1 + 1e-12))
             assert abs(lo - hi) < 1e-9

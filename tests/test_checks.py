@@ -16,7 +16,7 @@ import pytest
 
 from nakfade import montecarlo
 from nakfade._checks import integer, real, require
-from nakfade.asymptotics import BlockLengthScale, power_law, random_coding_exponent, singleton_bound
+from nakfade.asymptotics import asymptotes, random_coding_exponent, singleton_bound
 from nakfade.bound import ChannelSpec, TabulatedPmf, _cell_edges, cdf_Y_at, convolve_power, outage_lower_bound, outage_lower_bounds, tilt
 from nakfade.constellation import Constellation, make_psk, make_qam
 from nakfade.fading import NakagamiParam, gain_block, reg_gamma_pq
@@ -100,8 +100,9 @@ NUMPY_SITES = [
     pytest.param(lambda n: QuadratureRule(n).weights, (8,), (np.int64(8),), id="QuadratureRule"),
     pytest.param(lambda n: mc_outage(Snr(1.0), SPEC, make_qam(4), QuadratureRule(n), n=200, seed=3), (8,), (np.int64(8),), id="QuadratureRule-mc_outage"),
     pytest.param(singleton_bound, (4, 4, 1.0), (np.int64(4), np.int64(4), np.float64(1.0)), id="singleton_bound"),
-    pytest.param(lambda lam: random_coding_exponent(SPEC, BlockLengthScale(lam)), (0.5,), (np.float64(0.5),), id="BlockLengthScale"),
-    pytest.param(lambda n: McEstimate(0.5, n), (10,), (np.int64(10),), id="McEstimate"),
+    pytest.param(lambda lam: random_coding_exponent(SPEC, lam), (0.5,), (np.float64(0.5),), id="random_coding_exponent"),
+    pytest.param(lambda n: asymptotes([Snr(10.0)], SPEC, n), (64,), (np.int64(64),), id="asymptotes"),
+    pytest.param(McEstimate, (5, 10), (np.uint8(5), np.int64(10)), id="McEstimate"),
     pytest.param(lambda n: mc_lower_bound(Snr(1.0), SPEC, n=n, seed=3, workers=n // 100), (200,), (np.int32(200),), id="mc_lower_bound"),
 ]
 
@@ -130,7 +131,7 @@ INTEGER_SITES = [
     ("quadrature order", QuadratureRule),
     ("B", lambda v: singleton_bound(v, 4, 1.0)),
     ("M", lambda v: singleton_bound(4, v, 1.0)),
-    ("n_samples", lambda v: McEstimate(0.5, v)),
+    ("n_samples", lambda v: McEstimate(5, v)),
     ("n", lambda v: mc_lower_bound(Snr(1.0), SPEC, n=v)),
     ("workers", lambda v: mc_lower_bound(Snr(1.0), SPEC, n=10, workers=v)),
     ("n", lambda v: mc_outage(Snr(1.0), SPEC, make_qam(4), n=v)),
@@ -145,7 +146,7 @@ REAL_SITES = [
     ("SNR rho", Snr),
     ("db", Snr.from_db),
     ("R", lambda v: singleton_bound(4, 4, v)),
-    ("block-length scale lam", BlockLengthScale),
+    ("block-length scale lam", lambda v: random_coding_exponent(SPEC, v)),
 ]
 NOT_INTEGERS = [True, np.True_, 2.5, 2.0, np.float64(2.0), math.nan, math.inf, "2", None]
 NOT_REALS = [True, np.True_, math.nan, math.inf, -math.inf, "1", None, 1 + 0j, 10**400]
@@ -163,15 +164,14 @@ def test_refused_value_is_a_value_error_naming_the_argument(name, call, value):
 
 # Values refused only by the limits of the site, not by the rule itself.
 OUT_OF_RANGE_SITES = [
-    ("gain", lambda v: power_law(v, 1.0, Snr(10.0)), [-1.0, -1e-300]),
-    ("p_hat", lambda v: McEstimate(v, 10), [2.0, 1.0000000000000002, -0.1]),
-    ("count", lambda v: McEstimate.from_count(v, 10), [11, -1]),
+    ("n_cells", lambda v: asymptotes([Snr(10.0)], SPEC, v), [1, 0]),
+    ("block-length scale lam", lambda v: random_coding_exponent(SPEC, v), [-1.0, -1e-300]),
+    ("events", lambda v: McEstimate(v, 10), [11, -1]),
+    ("n_samples", lambda v: McEstimate(0, v), [0, -1]),
 ]
 RULE_SITES = [
-    ("gain", lambda v: power_law(v, 1.0, Snr(10.0)), NOT_REALS),
-    ("exponent", lambda v: power_law(1.0, v, Snr(10.0)), NOT_REALS),
-    ("p_hat", lambda v: McEstimate(v, 10), NOT_REALS),
-    ("count", lambda v: McEstimate.from_count(v, 10), NOT_INTEGERS),
+    ("n_cells", lambda v: asymptotes([Snr(10.0)], SPEC, v), NOT_INTEGERS),
+    ("events", lambda v: McEstimate(v, 10), NOT_INTEGERS),
 ]
 
 
@@ -185,8 +185,7 @@ def test_asymptote_and_estimate_refuse_values_naming_the_argument(name, call, va
 
 
 def test_asymptote_and_estimate_keep_accepted_values():
-    assert power_law(0, 2, Snr(10.0)) == 0.0
-    assert same(power_law(np.float64(0.5), np.int64(2), Snr(10.0)), power_law(0.5, 2.0, Snr(10.0)))
-    for est in (McEstimate(np.float64(0.3), 10), McEstimate.from_count(np.int64(3), np.int64(10)), McEstimate.from_count(3, 10)):
-        assert type(est.p_hat) is float and est.p_hat == 0.3 and est.n_samples == 10
-    assert McEstimate.from_count(0, 1).p_hat == 0.0 and McEstimate.from_count(1, 1).p_hat == 1.0
+    assert asymptotes([], SPEC) == []
+    for est in (McEstimate(np.int64(3), np.int64(10)), McEstimate(3, 10)):
+        assert type(est.events) is int and type(est.p_hat) is float and est.p_hat == 0.3 and est.n_samples == 10
+    assert McEstimate(0, 1).p_hat == 0.0 and McEstimate(1, 1).p_hat == 1.0

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from nakfade import __version__, cli, montecarlo
-from nakfade.asymptotics import coding_gain
+from nakfade.asymptotics import asymptotes, coding_gain
 from nakfade.bound import ChannelSpec
 from nakfade.fading import NakagamiParam
 from nakfade.cli import RunConfig, _build_config, main
@@ -93,6 +93,16 @@ class TestAsymptote:
         assert header == ["snr_db", "p_out_lower", "asymptote"]
         near = [abs(float(r[1]) / float(r[2]) - 1) for r in data]
         assert near[-1] < near[0]
+
+    def test_column_is_the_library_evaluator(self, runner, monkeypatch):
+        # The asymptote column is one asymptotes call over the command's grid.
+        calls = []
+        monkeypatch.setattr(cli.asymptotics, "asymptotes", lambda *a: calls.append(a) or asymptotes(*a))
+        res = runner.invoke(main, ["asymptote", "--m", "0.5", "--rate", "3", "--cells", "512", "--snr-db", "-5:25:7.5"])
+        assert res.exit_code == 0, res.output
+        ((snrs, spec, cells),) = calls
+        assert snrs == [Snr.from_db(db) for db in (-5.0, 2.5, 10.0, 17.5, 25.0)] and spec == ChannelSpec(4, 4, NakagamiParam(0.5), 3.0) and cells == 512
+        assert [row[2] for row in rows_of(res.output)[1]] == [f"{v:.12g}" for v in asymptotes(snrs, spec, 512)]
 
 
 class TestExponent:
@@ -345,6 +355,8 @@ class TestConfigAndErrors:
             pytest.param(["exponent"], {"lambda_scaled": ["a"]}, "lambda_scaled", id="lambda_scaled-str"),
             pytest.param(["exponent", "--lambda-scaled", "inf"], None, "lambda_scaled", id="lambda_scaled-inf"),
             pytest.param(["exponent", "--lambda-scaled", "1", "--lambda-scaled", "nan"], None, "lambda_scaled", id="lambda_scaled-nan"),
+            pytest.param(["exponent", "--lambda-scaled", "1", "--lambda-scaled", "1.0", "--rate", "1:2:1"], None, "lambda_scaled", id="lambda_scaled-repeated"),
+            pytest.param(["exponent"], {"lambda_scaled": [0.5, 2, 2.0]}, "lambda_scaled", id="lambda_scaled-repeated-config"),
             pytest.param(["mc"], {"seed": 1.5}, "seed", id="seed-float"),
             pytest.param(["mc"], {"samples": 10.5}, "samples", id="samples-float"),
             pytest.param(["mc"], {"order": None}, "order", id="order-null"),
@@ -401,16 +413,26 @@ class TestConfigAndErrors:
         assert res.exit_code == 0, res.output
         assert rows_of(res.output)[1] == [["-3100", "1"]]
 
+    # K is computed after the bounds, so these grids stop at 0 dB, where the
+    # bound is finite: at m = 200 it first fails at 8 dB, at m = 300 at 10 dB.
     def test_overflowing_coding_gain_exits_3_naming_k(self, runner):
-        res = runner.invoke(main, ["asymptote", "--m", "200", "--snr-db", "20:20:1", "-B", "4", "-M", "4", "--rate", "1"])
+        res = runner.invoke(main, ["asymptote", "--m", "200", "--snr-db", "0:0:1", "-B", "4", "-M", "4", "--rate", "1"])
         assert res.exit_code == 3
         assert "coding gain K overflows a float: log10 K = 346.0" in res.output
 
     def test_underflowed_coding_gain_read_exits_3(self, runner):
         # At m = 300 the read that K needs underflows; it is not a silent K = 0.
-        res = runner.invoke(main, ["asymptote", "--m", "300", "--rate", "1", "--snr-db", "0:10:5"])
+        res = runner.invoke(main, ["asymptote", "--m", "300", "--rate", "1", "--snr-db", "0:0:1"])
         assert res.exit_code == 3
         assert "coding gain K cannot be computed: the limit law's cell masses underflow a float at m = 300" in res.output
+
+    # Where both the bound and K fail, the bound is named.
+    @pytest.mark.parametrize("m,grid,db,log10_value", [("200", "0:8:8", "8", "-349.044"), ("300", "0:10:5", "10", "-732.451")])
+    def test_bound_failure_is_named_before_coding_gain_failure(self, runner, m, grid, db, log10_value):
+        res = runner.invoke(main, ["asymptote", "--m", m, "--rate", "1", "--snr-db", grid])
+        assert res.exit_code == 3
+        assert f"outage bound p_out_lower underflows a float at snr_db {db}, rate 1: log10 p_out_lower = {log10_value}" in res.output
+        assert "coding gain" not in res.output
 
     def test_coding_gain_of_large_m_fits_a_float(self, runner):
         # K = 10^85.76 at m = 50: the deep-tail read no longer overflows it.

@@ -54,6 +54,8 @@ READ_FIELD_CASES = [
     pytest.param(dict(subcommand="exponent", lambda_scaled=("a",)), "lambda_scaled", id="lambda_scaled-str"),
     pytest.param(dict(subcommand="exponent", lambda_scaled=(INF,)), "lambda_scaled", id="lambda_scaled-inf"),
     pytest.param(dict(subcommand="exponent", lambda_scaled=(1.0, NAN)), "lambda_scaled", id="lambda_scaled-nan"),
+    pytest.param(dict(subcommand="exponent", lambda_scaled=(1.0, 1.0), rate_grid=(1.0, 2.0, 1.0)), "lambda_scaled", id="lambda_scaled-repeated"),
+    pytest.param(dict(subcommand="exponent", lambda_scaled=(0.5, 2, 2.0)), "lambda_scaled", id="lambda_scaled-repeated-config"),
     pytest.param(dict(subcommand="mc", seed=1.5), "seed", id="seed-float"),
     pytest.param(dict(subcommand="mc", samples=10.5), "samples", id="samples-float"),
     pytest.param(dict(subcommand="mi", constellation="foo"), "constellation", id="constellation-unknown"),

@@ -95,3 +95,19 @@ def test_one_kernel_read():
                 outside.append(f"{path.name}:{node.lineno} {name}")
     assert outside == []
     assert all(hasattr(nakfade.bound, name) for name in KERNEL_CALLS)
+
+
+def test_one_asymptote_evaluator():
+    # Only asymptotics.asymptotes forms K, calling coding_gain by its module
+    # name, so a wrapper of asymptotics.coding_gain sees every call.
+    inside, outside = [], []
+    for path in sorted(Path(nakfade.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        evaluator = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == ("asymptotics.py", "asymptotes") for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "coding_gain":
+                (inside if id(node) in evaluator else outside).append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "coding_gain":
+                outside.append(f"{path.name}:{node.lineno}")
+    assert outside == [] and len(inside) == 1
+    assert not {"power_law", "asymptote", "BlockLengthScale"} & (set(dir(nakfade.asymptotics)) | set(dir(nakfade)))

@@ -23,14 +23,20 @@ def spec44(m, rate):
 
 class TestMcEstimate:
     def test_std_err_formula_enforced(self):
-        est = McEstimate.from_count(37, 1000)
+        est = McEstimate(37, 1000)
+        assert est.p_hat == 0.037
         assert est.std_err == pytest.approx(math.sqrt(0.037 * 0.963 / 1000), abs=1e-15)
         with pytest.raises(ValueError):
-            McEstimate(0.5, 0)
+            McEstimate(0, 0)
+
+    def test_holds_the_exact_count(self):
+        est = McEstimate(np.int64(3), 7)
+        assert (est.events, est.n_samples, est.p_hat) == (3, 7, 3 / 7)
+        assert est == McEstimate(3, 7) and est != McEstimate(3, 8) and hash(est) == hash(McEstimate(3, 7))
 
     def test_degenerate_counts(self):
-        assert McEstimate.from_count(0, 10).std_err == 0.0
-        assert McEstimate.from_count(10, 10).p_hat == 1.0
+        assert McEstimate(0, 10).std_err == 0.0
+        assert McEstimate(10, 10).p_hat == 1.0
 
 
 # Seeds alias nothing: one outside [0, 2^64) is refused, not reduced mod 2^64.
@@ -149,7 +155,7 @@ class TestCappedCount:
             spec = ChannelSpec(B, M, M1, rate)
             est = mc_lower_bound(Snr(snr), spec, n=self.N, seed=4, stream_id=3)
             want = direct_capped_count(Snr(snr), spec, self.N, 4, 3)
-            assert est.p_hat == McEstimate.from_count(want, self.N).p_hat, (rate, snr)
+            assert est.events == want, (rate, snr)
 
     @pytest.mark.parametrize("B,M", [(1, 1), (4, 4), (64, 16)], ids=["B1-M1", "B4-M4", "B64-M16"])
     def test_all_capped_rows_are_not_in_outage_at_rate_m(self, B, M):
@@ -159,14 +165,14 @@ class TestCappedCount:
         not_all_capped = int(np.count_nonzero((1 + gains * rho < 2.0**M).any(axis=1)))
         assert 0 < not_all_capped < self.N
         est = mc_lower_bound(Snr(rho), ChannelSpec(B, M, M1, M), n=self.N, seed=4, stream_id=3)
-        assert est.p_hat == McEstimate.from_count(not_all_capped, self.N).p_hat
+        assert est.events == not_all_capped
 
     def test_cap_past_the_float_range(self):
         # 2^M overflows a float at M = 1100, and a group holds one block.
         for rate in (10.0, 1100.0):
             spec = ChannelSpec(3, 1100, M1, rate)
             est = mc_lower_bound(Snr(1e3), spec, n=self.N, seed=4, stream_id=3)
-            assert est.p_hat == McEstimate.from_count(direct_capped_count(Snr(1e3), spec, self.N, 4, 3), self.N).p_hat
+            assert est.events == direct_capped_count(Snr(1e3), spec, self.N, 4, 3)
 
 
 class TestMcOutage:
@@ -202,7 +208,7 @@ class TestMcOutage:
     )
     def test_pinned_event_counts(self, c, M, m, rate, db, n, seed, count):
         est = mc_outage(Snr.from_db(db), ChannelSpec(4, M, m, rate), c, n=n, seed=seed)
-        assert est.p_hat == McEstimate.from_count(count, n).p_hat
+        assert est.events == count
 
     @pytest.mark.parametrize("m,db", [(M2, 5.0), (M2, 9.0), (NakagamiParam(0.5), 5.0), (NakagamiParam(0.5), 15.0)])
     def test_lower_bound_estimate_below_outage_estimate(self, m, db):
@@ -268,7 +274,7 @@ class TestScreening:
         seed, stream_id = 31, 5
         est = mc_outage(snr, spec, c, rule, n=n, seed=seed, stream_id=stream_id, workers=workers)
         want = direct_outage_count(snr, spec, c, n, seed, stream_id, rule)
-        assert est.p_hat == McEstimate.from_count(want, n).p_hat
+        assert est.events == want
 
     def test_screen_leaves_few_snrs_to_evaluate(self, monkeypatch):
         # A silent fall-back to evaluating every sample would still give
@@ -282,7 +288,7 @@ class TestScreening:
         monkeypatch.setattr(montecarlo, "mi_discrete_array", counting)
         n, B = 50_000, 4
         est = mc_outage(Snr.from_db(12.0), ChannelSpec(B, 4, M1, 2.0), make_qam(4), n=n, seed=23)
-        assert est.p_hat == McEstimate.from_count(2099, n).p_hat
+        assert est.events == 2099
         assert sum(evaluated) < n * B / 5
 
 
@@ -313,7 +319,7 @@ class TestBracketTable:
         snr, n, seed = Snr.from_db(-10.0), fading.CHUNK + 500, 41
         table = montecarlo.BracketTable(c, rule, [Snr.from_db(40.0).rho], n, spec)
         est = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=table)
-        assert est.p_hat == McEstimate.from_count(direct_outage_count(snr, spec, c, n, seed, 0, rule), n).p_hat
+        assert est.events == direct_outage_count(snr, spec, c, n, seed, 0, rule)
 
     @pytest.mark.parametrize("rho", [0.0, 1e-310], ids=["zero", "subnormal"])
     def test_exact_zero_snrs(self, rho):
@@ -328,7 +334,7 @@ class TestBracketTable:
         want = direct_outage_count(snr, spec, c, n, seed, 0, rule)
         own = mc_outage(snr, spec, c, rule, n=n, seed=seed)
         shared = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=montecarlo.BracketTable(c, rule, [10.0], n, spec))
-        assert own.p_hat == shared.p_hat == McEstimate.from_count(want, n).p_hat
+        assert own.events == shared.events == want
 
     def test_table_of_another_constellation_or_rule_rejected(self):
         c, rule = make_qam(4), hermite_rule(8)
