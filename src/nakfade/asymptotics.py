@@ -14,9 +14,10 @@ that saturates at m d_B(R) as lambda grows.
 from __future__ import annotations
 
 import math
+import sys
 
 from ._checks import integer, real, require
-from .bound import DEFAULT_CELLS, ChannelSpec, _by_capped_count, _cell_edges, build_pmf_A, exp_checked
+from .bound import DEFAULT_CELLS, ChannelSpec, _by_capped_count, _cell_edges, _zero_read, build_pmf_A, exp_checked
 # Unused here: bench/tracing.py patches asymptotics.convolve_power and asymptotics.cdf_Y_at; ROADMAP item 19's tracer half drops them.
 from .bound import cdf_Y_at, convolve_power
 from .mutual_info import Snr
@@ -62,16 +63,17 @@ def optimal_exponent(spec: ChannelSpec) -> float:
 def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
     """SNR-free prefactor K of the bound's power-law decay: its capped-count
     sum at the one count t = B - d_B(R), on A's limit law tabulated by build_pmf_A.
-    K is exactly 0 only where no d-fold sum of the lattice reaches the read;
-    a zero read above that, or a K outside the normal floats, is an ArithmeticError.
+    A zero read, a K outside the normal floats or a 2^M past them is an ArithmeticError.
     """
     B, M, R, m = spec.B, spec.M, spec.rate, spec.fading.m
+    if M >= sys.float_info.max_exp:
+        raise ArithmeticError(f"coding gain K cannot be computed at M = {M}: 2^M overflows a float")
     d = singleton_bound(B, M, R)
     pmf = build_pmf_A(((2.0 ** _cell_edges(M, n_cells) - 1.0) / (2.0**M - 1.0)) ** m, M)
     log_k = _by_capped_count(pmf, 0.0, m * math.log(m * (2.0**M - 1.0)) - math.lgamma(m + 1), B, [B - d], B * R, M)
-    # The read at x = BR - (B - d) M sees a d-fold sum, d h/2 or more, above (d - 1) h/2: only underflow zeroes it.
-    if log_k == -math.inf and B * R - (B - d) * M > (d - 1) * pmf.grid_step / 2:
-        raise ArithmeticError(f"coding gain K cannot be computed: the limit law's cell masses underflow a float at m = {m:g}")
+    if log_k == -math.inf:
+        underflow = f"coding gain K cannot be computed: the limit law's cell masses underflow a float at m = {m:g}"
+        raise _zero_read(pmf, d, B * R - (B - d) * M, "coding gain K", f" at rate {R:.6g}", underflow)
     return exp_checked(log_k, "coding gain K")
 
 
@@ -85,8 +87,7 @@ def asymptotes(snrs: list[Snr], spec: ChannelSpec, n_cells: int = DEFAULT_CELLS)
     """
     if any(snr.rho <= 0 for snr in snrs):
         raise ValueError("asymptote requires rho > 0")
-    gain, exponent = coding_gain(spec, n_cells), optimal_exponent(spec)
-    log_gain = math.log(gain) if gain else -math.inf
+    log_gain, exponent = math.log(coding_gain(spec, n_cells)), optimal_exponent(spec)
     return [exp_checked(log_gain - exponent * math.log(snr.rho), "asymptote", f" at snr_db {snr.db:.6g}") for snr in snrs]
 
 

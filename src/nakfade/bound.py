@@ -308,15 +308,20 @@ _LOG_NORMAL = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 def exp_checked(log_value: float, name: str, where: str = "") -> float:
-    """e^log_value as a float: -inf is an exact 0, and a value below the smallest
-    normal float or past the largest (or NaN) raises ArithmeticError naming
-    where it arose and log10 of the value, denoted by the last word of name."""
-    if log_value == -math.inf:
-        return 0.0
+    """e^log_value as a float: a value below the smallest normal float (-inf too) or past the largest (or NaN) raises
+    ArithmeticError naming where it arose and log10 of the value, denoted by the last word of name."""
     if not _LOG_NORMAL[0] <= log_value <= _LOG_NORMAL[1]:
         kind = "underflows" if log_value < _LOG_NORMAL[0] else "overflows"
         raise ArithmeticError(f"{name} {kind} a float{where}: log10 {name.split()[-1]} = {log_value / math.log(10.0):.6g}")
     return math.exp(log_value)
+
+
+def _zero_read(pmf: TabulatedPmf, n: int, x: float, name: str, where: str, underflow: str) -> ArithmeticError:
+    """The error for a -inf read at x of pmf's n-fold sum: no sum is below x + h/2 (the least is n h/2), or masses underflow."""
+    need = (n - 1) * pmf.n_cells * pmf.grid_step / (2 * x)  # the cell count above which n h/2 < x + h/2
+    if pmf.n_cells > need:
+        return ArithmeticError(underflow)
+    return ArithmeticError(f"{name} cannot be computed{where}: no sum of {n} cells reaches its read; more than {need:.6g} cells resolve it")
 
 
 def _log_cdf_sum(law: TabulatedPmf, n: int, x: float, shared: dict | None = None) -> tuple[float, bool, TiltedLaw]:
@@ -349,8 +354,7 @@ def outage_lower_bounds(
 
     Each rate reads its SNR's capped per-block law at BR through _log_cdf_sum, and a read it
     does not resolve is summed over the capped-block counts; a value depends only on its SNR
-    and rate.  A value outside the normal floats, or a zero read that only underflowed cell
-    masses can give, raises ArithmeticError naming both.
+    and rate.  A zero read or a value outside the normal floats raises ArithmeticError naming both.
     """
     snrs, spec = list(snrs), ChannelSpec(B, M, fading, M)  # checks B, M and fading even with no rates
     specs = [replace(spec, rate=r) for r in rates]
@@ -367,9 +371,8 @@ def outage_lower_bounds(
             if not resolved:
                 log_f = _by_capped_count(pmf_a, math.log(p) if p > 0 else -math.inf, math.log(q), B, range(B) if p > 0 else [0], x, M)
             where = f" at snr_db {snr.db:.6g}, rate {s.rate:.6g}"
-            # The read sees a B-fold sum, B h/2 or more, above (B - 1) h/2: only underflow zeroes it.
-            if log_f == -math.inf and x > (B - 1) * law.grid_step / 2:
-                raise ArithmeticError(f"outage bound cannot be computed{where}: its cell masses underflow a float")
+            if log_f == -math.inf:
+                raise _zero_read(law, B, x, "outage bound", where, f"outage bound cannot be computed{where}: its cell masses underflow a float")
             results.append(BoundResult(min(exp_checked(log_f, "outage bound p_out_lower", where), 1.0)))
         out.append(results)
     return out

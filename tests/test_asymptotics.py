@@ -70,9 +70,11 @@ class TestSingletonBound:
 
     @pytest.mark.parametrize("rate", [1e-10, 1e-300])
     def test_tiny_rate_has_diversity_b(self, rate):
-        # B(1 - R/M) snaps up to B, but R > 0 keeps d_B(R) at B.
+        # B(1 - R/M) snaps up to B, but R > 0 keeps d_B(R) at B.  No 4-fold
+        # sum of the 64-cell lattice reaches the read at 4R, so K is refused.
         assert singleton_bound(4, 4, rate) == 4
-        assert coding_gain(ChannelSpec(4, 4, M1, rate), 64) >= 0.0
+        with pytest.raises(ArithmeticError, match=f"^coding gain K cannot be computed at rate {rate:.6g}: no sum of 4 cells reaches its read"):
+            coding_gain(ChannelSpec(4, 4, M1, rate), 64)
 
 
 class TestOptimalExponent:
@@ -168,10 +170,25 @@ class TestCodingGain:
 
     # B=4, M=4 at 64 cells: h = 1/16, and the read at x = 4R sees the 4-fold
     # sums below x + h/2, the smallest of which is 4 h/2, so it sees one only
-    # above x = 3h/2.  Below that K is exactly 0; R = 0.025 puts x above it.
-    def test_read_below_the_smallest_sum_is_an_exact_zero(self):
-        assert coding_gain(ChannelSpec(4, 4, M1, 1e-10), 64) == 0.0
+    # above x = 3h/2.  Below that K is refused, naming the cells above which
+    # some sum reaches x, 3 * 4/(2x); R = 0.025 puts x above it.
+    def test_read_below_the_smallest_sum_is_refused(self):
+        with pytest.raises(ArithmeticError, match=r"^coding gain K cannot be computed at rate 1e-10: no sum of 4 cells reaches its read; more than 1\.5e\+10 cells resolve it$"):
+            coding_gain(ChannelSpec(4, 4, M1, 1e-10), 64)
         assert coding_gain(ChannelSpec(4, 4, M1, 0.025), 64) > 0.0
+
+    # At R = 0.02 the read at x = 0.08 needs more than 3 * 4/0.16 = 75 cells.
+    def test_stated_cell_count_resolves_the_read(self):
+        with pytest.raises(ArithmeticError, match=r"; more than 75 cells resolve it$"):
+            coding_gain(ChannelSpec(4, 4, M1, 0.02), 75)
+        assert coding_gain(ChannelSpec(4, 4, M1, 0.02), 76) > 0.0
+
+    # 2^M overflows a float from M = 1024: K is refused naming M, before any
+    # numpy overflow warning (which filterwarnings = error would raise).
+    @pytest.mark.parametrize("M", [1024, 2000])
+    def test_m_past_the_float_range_is_refused(self, M):
+        with pytest.raises(ArithmeticError, match=f"^coding gain K cannot be computed at M = {M}: 2\\^M overflows a float$"):
+            coding_gain(ChannelSpec(1, M, M1, 1.0))
 
     # At m = 300 the limit law's cell masses underflow below about 1.17 bits,
     # so no four values sum below 4 and the read sees no mass, though K is
@@ -246,9 +263,10 @@ class TestAsymptote:
         assert asymptotes(snrs, spec, 256) == [asymptotes([snr], spec, 256)[0] for snr in snrs]
         assert asymptotes(snrs[::-1], spec, 256) == asymptotes(snrs, spec, 256)[::-1]
 
-    def test_zero_coding_gain_gives_exact_zeros(self):
-        # No 4-fold sum of the lattice reaches the read at R = 1e-10, so K = 0.
-        assert asymptotes([Snr(10.0), Snr(1e3)], ChannelSpec(4, 4, M1, 1e-10), 64) == [0.0, 0.0]
+    def test_unreached_coding_gain_is_refused(self):
+        # No 4-fold sum of the lattice reaches the read at R = 1e-10, so K, and every asymptote, is refused.
+        with pytest.raises(ArithmeticError, match="^coding gain K cannot be computed at rate 1e-10: no sum of 4 cells reaches its read"):
+            asymptotes([Snr(10.0), Snr(1e3)], ChannelSpec(4, 4, M1, 1e-10), 64)
 
     def test_pure_power_law(self):
         spec = ChannelSpec(4, 4, M2, 1.0)

@@ -401,8 +401,9 @@ class TestCdfYAt:
 class TestExpChecked:
     """The one place a reported log becomes a float."""
 
-    def test_minus_inf_is_an_exact_zero(self):
-        assert bound.exp_checked(-math.inf, "x") == 0.0
+    def test_minus_inf_underflows(self):
+        with pytest.raises(ArithmeticError, match="^x underflows a float: log10 x = -inf$"):
+            bound.exp_checked(-math.inf, "x")
 
     @pytest.mark.parametrize("log_value", [0.0, -700.0, 700.0, math.log(sys.float_info.min), math.log(sys.float_info.max)])
     def test_value_in_the_normal_range(self, log_value):
@@ -462,8 +463,13 @@ class TestOutageLowerBound:
     def test_read_below_the_support_is_zero(self):
         # 64 blocks of at least h/2 = 0.25 each cannot sum below BR = 3.2:
         # the tilted power's read window is empty, with no overflowing weight.
+        # The read is refused, naming the cells, 63 * 4/(2 BR), above which some sum reaches it.
         spec = ChannelSpec(64, 4, MH, 0.05)
-        assert outage_lower_bound(Snr.from_db(0.0), spec, 8).value == 0.0 == direct_bound(Snr.from_db(0.0), spec, 8)
+        assert direct_bound(Snr.from_db(0.0), spec, 8) == 0.0
+        message = "^outage bound cannot be computed at snr_db 0, rate 0.05: no sum of 64 cells reaches its read; more than 39.375 cells resolve it$"
+        with pytest.raises(ArithmeticError, match=message):
+            outage_lower_bound(Snr.from_db(0.0), spec, 8)
+        assert 0.0 < outage_lower_bound(Snr.from_db(0.0), spec, 40).value <= 1.0
 
     @pytest.mark.parametrize("m", [MH, M2])
     def test_grid_convergence_on_acceptance_grid(self, m):
@@ -502,12 +508,19 @@ class TestTermCount:
         # On and just off the integers BR/M, the value is the mixture over the
         # terms whose threshold BR - tM can count: ceil(BR/M) of them, which is
         # B + 1 - d_B(R) except where d_B snaps a rate within 1e-9 of an
-        # integer BR/M and the read still counts the last term's sliver.
+        # integer BR/M and the read still counts the last term's sliver.  At
+        # k = 0 and B >= 2, no B-fold sum of the 8 cells reaches BR: the read
+        # is 0, and the bound is refused.
         for B, M, rate in term_count_rates():
             spec = ChannelSpec(B, M, M1, rate)
             terms = math.ceil(B * rate / M)
             assert terms == B + 1 - singleton_bound(B, M, rate) or abs(B * rate / M - round(B * rate / M)) < 1e-9
             want = direct_bound(Snr(10.0), spec, 8, terms=terms)
+            if B > 1 and rate < 1e-9:
+                assert want == 0.0
+                with pytest.raises(ArithmeticError, match=f"no sum of {B} cells reaches its read"):
+                    outage_lower_bound(Snr(10.0), spec, 8)
+                continue
             assert outage_lower_bound(Snr(10.0), spec, 8).value == pytest.approx(want, rel=1e-9, abs=1e-300), (B, M, rate)
 
     def test_per_term_columns_match(self):
@@ -516,6 +529,9 @@ class TestTermCount:
         for B, M, rate in term_count_rates():
             args = ["curve", "-B", str(B), "-M", str(M), "--rate", repr(rate), "--snr-db", "10:10:1", "--cells", "8"]
             res = runner.invoke(cli.main, args)
+            if B > 1 and rate < 1e-9:  # k = 0: no sum reaches BR, and curve exits 3 naming it
+                assert res.exit_code == 3 and f"no sum of {B} cells reaches its read" in res.output, (B, M, rate)
+                continue
             assert res.exit_code == 0, res.output
             value = outage_lower_bound(Snr.from_db(10.0), ChannelSpec(B, M, M1, rate), 8).value
             assert res.output.splitlines()[1:] == ["snr_db,p_out_lower", f"10,{cli._fmt(value)}"], (B, M, rate)

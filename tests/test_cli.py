@@ -474,10 +474,37 @@ class TestConfigAndErrors:
         assert res.exit_code == 3
         assert "outage bound cannot be computed at snr_db 20, rate 0.5: its cell masses underflow a float" in res.output
 
-    def test_read_below_the_smallest_sum_prints_an_exact_zero(self, runner):
-        res = runner.invoke(main, ["curve", "--rate", "1e-10", "--snr-db", "0:0:1"])
+    # No bound, K or asymptote is ever an exact 0: a read that no sum of the
+    # grid's cells reaches exits 3 with one line naming the quantity, the rate
+    # and the cells above which some sum reaches it.
+    @pytest.mark.parametrize(
+        "args,line",
+        [
+            ("curve --rate 1e-10 --snr-db 0:0:1", "outage bound cannot be computed at snr_db 0, rate 1e-10: no sum of 4 cells reaches its read; more than 1.5e+10 cells resolve it"),
+            ("curve --cells 16 --rate 0.05 --snr-db 0:10:10", "outage bound cannot be computed at snr_db 0, rate 0.05: no sum of 4 cells reaches its read; more than 30 cells resolve it"),
+            ("asymptote --rate 1.0001 --snr-db 20:40:20", "coding gain K cannot be computed at rate 1.0001: no sum of 3 cells reaches its read; more than 10000 cells resolve it"),
+        ],
+        ids=["curve-rate-1e-10", "curve-cells-16", "asymptote-rate-1.0001"],
+    )
+    def test_read_below_the_smallest_sum_exits_3(self, runner, args, line):
+        res = runner.invoke(main, args.split())
+        assert res.exit_code == 3
+        assert res.output == f"numerical failure: {line}\n"
+
+    def test_more_cells_resolve_the_read(self, runner):
+        res = runner.invoke(main, ["asymptote", "--rate", "1.0001", "--snr-db", "20:40:20", "--cells", "65536"])
         assert res.exit_code == 0, res.output
-        assert rows_of(res.output)[1] == [["0", "0"]]
+        assert all(float(asym) > 0.0 for _, _, asym in rows_of(res.output)[1])
+        res = runner.invoke(main, ["curve", "--cells", "31", "--rate", "0.05", "--snr-db", "0:10:10"])
+        assert res.exit_code == 0, res.output
+        assert all(0.0 < float(v) < 1.0 for _, v in rows_of(res.output)[1])
+
+    def test_coding_gain_past_the_float_range_exits_3_naming_m(self, runner):
+        res = runner.invoke(main, ["asymptote", "--bits", "1024", "--snr-db", "0:0:1"])
+        assert res.exit_code == 3
+        assert res.output == "numerical failure: coding gain K cannot be computed at M = 1024: 2^M overflows a float\n"
+        res = runner.invoke(main, ["asymptote", "--bits", "1023", "--snr-db", "0:0:1"])
+        assert res.exit_code == 0 and rows_of(res.output)[1] == [["0", "0.687204656905", "24.969735638"]]
 
     # At -770 dB the product K rho^-4 overflows; at -800 dB rho^-4 itself does.
     @pytest.mark.parametrize("db,log10_value", [("-770", "309.393"), ("-800", "321.393")])

@@ -111,3 +111,11 @@ def test_one_asymptote_evaluator():
                 outside.append(f"{path.name}:{node.lineno}")
     assert outside == [] and len(inside) == 1
     assert not {"power_law", "asymptote", "BlockLengthScale"} & (set(dir(nakfade.asymptotics)) | set(dir(nakfade)))
+
+
+def test_asymptotics_knows_no_lattice_geometry():
+    # Whether any n-fold sum of the lattice reaches a read, which picks the
+    # message of a zero read, is decided in bound._zero_read: asymptotics
+    # reads no grid step.
+    tree = ast.parse(Path(nakfade.asymptotics.__file__).read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "grid_step"] == []
