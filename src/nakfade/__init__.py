@@ -1,6 +1,6 @@
 """Outage-probability lower bounds for discrete-input Nakagami-m block-fading channels."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .asymptotics import (
     asymptotes,
@@ -12,5 +12,5 @@ from .asymptotics import (
 from .bound import BoundResult, ChannelSpec, outage_lower_bound, outage_lower_bounds
 from .constellation import Constellation, from_name, make_psk, make_qam
 from .fading import NakagamiParam, gain_block
-from .montecarlo import McEstimate, mc_lower_bound, mc_outage
+from .montecarlo import McEstimate, mc_lower_bound, mc_lower_bounds, mc_outage, mc_outages
 from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete_array

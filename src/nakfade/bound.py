@@ -317,11 +317,14 @@ def exp_checked(log_value: float, name: str, where: str = "") -> float:
 
 
 def _zero_read(pmf: TabulatedPmf, n: int, x: float, name: str, where: str, underflow: str) -> ArithmeticError:
-    """The error for a -inf read at x of pmf's n-fold sum: no sum is below x + h/2 (the least is n h/2), or masses underflow."""
+    """The error for a -inf read at x of pmf's n-fold sum: no sum is below x + h/2 (the least is n h/2), or masses underflow.
+
+    A subnormal x can put the cell count that resolves the read past the float range; the message then says so."""
     need = (n - 1) * pmf.n_cells * pmf.grid_step / (2 * x)  # the cell count above which n h/2 < x + h/2
     if pmf.n_cells > need:
         return ArithmeticError(underflow)
-    return ArithmeticError(f"{name} cannot be computed{where}: no sum of {n} cells reaches its read; more than {need:.6g} cells resolve it")
+    resolve = f"more than {need:.6g} cells resolve it" if math.isfinite(need) else "no finite grid resolves it"
+    return ArithmeticError(f"{name} cannot be computed{where}: no sum of {n} cells reaches its read; {resolve}")
 
 
 def _log_cdf_sum(law: TabulatedPmf, n: int, x: float, shared: dict | None = None) -> tuple[float, bool, TiltedLaw]:

@@ -290,16 +290,14 @@ def _run_mc(cfg: RunConfig) -> int:
     """Monte Carlo outage estimates across an SNR grid."""
     spec = _channel_spec(cfg)
     dbs = _grid(cfg.snr_db)
-    # Points run in grid order; each spreads its sample chunks over --workers threads.
+    # One estimator call per command: each chunk of gains is drawn once and
+    # scored at every point, and the chunks spread over --workers threads.
+    snrs = [Snr.from_db(db) for db in dbs]
     kw = dict(n=cfg.samples, seed=cfg.seed, workers=cfg.workers)
     if cfg.mode == "outage":
-        c = from_name(cfg.constellation)
-        rule = hermite_rule(montecarlo.MC_QUAD_ORDER)
-        # One bracket table for the whole grid; the points only read it.
-        table = montecarlo.BracketTable(c, rule, [Snr.from_db(db).rho for db in dbs], cfg.samples, spec)
-        ests = [montecarlo.mc_outage(Snr.from_db(db), spec, c, rule, stream_id=i, table=table, **kw) for i, db in enumerate(dbs)]
+        ests = montecarlo.mc_outages(snrs, spec, from_name(cfg.constellation), hermite_rule(montecarlo.MC_QUAD_ORDER), **kw)
     else:
-        ests = [montecarlo.mc_lower_bound(Snr.from_db(db), spec, stream_id=i, **kw) for i, db in enumerate(dbs)]
+        ests = montecarlo.mc_lower_bounds(snrs, spec, **kw)
     rows = [(db, e.p_hat, e.std_err, e.n_samples) for db, e in zip(dbs, ests)]
     return _emit(cfg, ["snr_db", "p_hat", "std_err", "n"], rows)
 

@@ -1,31 +1,36 @@
 """Seeded Monte Carlo estimators for outage probabilities.
 
-Both estimators run one chunk loop (_estimate): it splits n samples into
-chunks of fading.CHUNK rows, the last one partial, draws each with one
-fading.gain_block call, and tallies outage events as exact integer counts.
-A chunk's rows depend only on (seed, stream_id, chunk, width, count), so no
-count depends on the worker count, and a given (seed, n, parameters) triple
-reproduces bit-identical results.  The chunks of one estimate are spread
-over min(workers, chunks) threads, the package's only thread pool;
-`mc --workers` reaches it, and a one-chunk estimate runs in the calling
-thread.  mc_outage scores each sample with the discrete-input mutual
-information; mc_lower_bound replaces it with the min{M, log2(1 + gamma rho)}
-cap, which needs no quadrature and simulates the event behind the
-analytical bound; it takes one log per group of blocks of a row, not one
-per block.
+Both estimators take a grid of SNRs and run one chunk loop (_estimate): it
+splits n samples into chunks of fading.CHUNK rows, the last one partial,
+draws each with one fading.gain_block call, scores the chunk at every SNR
+of the grid, and tallies outage events as exact integer counts, one per
+SNR.  So the SNRs share their draws (common random numbers): each point
+keeps its marginal law and its standard error, the points of one grid are
+positively correlated, and since every sample's score is nondecreasing in
+the SNR, the estimated curve is nonincreasing in it.  A chunk's rows depend
+only on (seed, stream_id, chunk, width, count), so no count depends on the
+worker count, a given (seed, n, parameters) triple reproduces bit-identical
+results, and a point's count is that of a one-SNR call at the same stream.
+The chunks of one estimate are spread over min(workers, chunks) threads,
+the package's only thread pool; `mc --workers` reaches it, and a one-chunk
+estimate runs in the calling thread.  mc_outages scores each sample with
+the discrete-input mutual information; mc_lower_bounds replaces it with the
+min{M, log2(1 + gamma rho)} cap, which needs no quadrature and simulates
+the event behind the analytical bound; it takes one log per group of blocks
+of a row, not one per block.
 
-mc_outage decides most samples without quadrature at their own SNRs.  Each
+mc_outages decides most samples without quadrature at their own SNRs.  Each
 per-block SNR v lies between two nodes of the fixed geometric grid
 2^(k/_NODES_PER_OCTAVE), and the computed I(rho) is nondecreasing, so the
 mean of the MI values at the lower nodes bounds a sample's mean MI from
 below and the mean at the upper nodes bounds it from above.  A BracketTable
 holds I(0) and the MI at every node of a window around the SNRs it serves,
-from one quadrature call.  Every mc_outage call reads one table, shared by
-all its chunks: the one it is given (the CLI builds one for all the points
-of a command) or one built for its own SNR.  The window is sized from what
-the table serves: it spans the gains outside of which at most one octave
-of nodes' worth of the values it scores is expected, and it starts no
-lower than the SNR below which I is no wider than a bracket (see _window).
+from one quadrature call.  Every mc_outages call reads one table, shared by
+all its chunks and SNRs: the one it is given or one built for its own SNRs.
+The window is sized from what the table serves: it spans the gains outside
+of which at most one octave of nodes' worth of the values it scores is
+expected, and it starts no lower than the SNR below which I is no wider
+than a bracket (see _window).
 A v below the window is bracketed by [I(0), I(lowest node)] and one above
 it by [I(highest node), M], which holds because the computed I is also
 clamped to [0, M]; so the window decides only how many samples are left
@@ -49,7 +54,7 @@ from .bound import ChannelSpec
 from .constellation import Constellation
 from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete_array
 
-__all__ = ["McEstimate", "MC_QUAD_ORDER", "BracketTable", "mc_outage", "mc_lower_bound"]
+__all__ = ["McEstimate", "MC_QUAD_ORDER", "BracketTable", "mc_outages", "mc_outage", "mc_lower_bounds", "mc_lower_bound"]
 
 # Order of the MI quadrature, the only one `mc` uses: its bias is far below
 # the Monte Carlo noise for any n <= 1e7, and it keeps the cost of each
@@ -102,20 +107,30 @@ class McEstimate:
         return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_samples)
 
 
-def _estimate(spec: ChannelSpec, n: int, seed: int, stream_id: int, workers: int, count_rows) -> McEstimate:
-    """Estimate from count_rows(gains) summed over the chunks of n draws of spec's B gains."""
+def _estimate(spec: ChannelSpec, n: int, seed: int, stream_id: int, workers: int, count_rows) -> list[McEstimate]:
+    """One estimate per entry of count_rows(gains), an integer count per SNR, summed over the chunks of n draws of spec's B gains."""
     n, workers = require("n", n, integer, least=1), require("workers", workers, integer, least=1)
 
-    def count_chunk(chunk: int) -> int:
+    def count_chunk(chunk: int) -> np.ndarray:
         count = min(fading.CHUNK, n - chunk * fading.CHUNK)
         return count_rows(fading.gain_block(spec.fading, seed, chunk, count, width=spec.B, stream_id=stream_id))
 
     chunks = range(-(-n // fading.CHUNK))
     threads = min(workers, len(chunks))
     if threads <= 1:
-        return McEstimate(sum(map(count_chunk, chunks)), n)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return McEstimate(sum(pool.map(count_chunk, chunks)), n)
+        counts = sum(map(count_chunk, chunks))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            counts = sum(pool.map(count_chunk, chunks))
+    return [McEstimate(int(k), n) for k in counts]
+
+
+def _rhos(snrs) -> list[float]:
+    """The linear SNRs of snrs, a nonempty sequence of Snr."""
+    rhos = [snr.rho for snr in snrs]
+    if not rhos:
+        raise ValueError("snrs must hold at least one SNR")
+    return rhos
 
 
 def _window(rho_lo: float, rho_hi: float, values: int, m: float) -> tuple[int, int]:
@@ -207,6 +222,41 @@ class BracketTable:
         return count
 
 
+def mc_outages(
+    snrs,
+    spec: ChannelSpec,
+    c: Constellation,
+    q: QuadratureRule | None = None,
+    n: int = 10**5,
+    seed: int = 0,
+    stream_id: int = 0,
+    workers: int = 1,
+    table: BracketTable | None = None,
+) -> list[McEstimate]:
+    """Estimate Pr((1/B) sum_b I(gamma_b rho) < R) with discrete-input MI at every SNR of snrs, from shared draws.
+
+    Each count is that of evaluating I at every sample's SNRs; most samples
+    are decided from a BracketTable instead (see the module notes).  That
+    needs I(rho) under the rule q to be nondecreasing.  It is for every
+    built-in constellation at orders 1-8, 16, 24, 32, 48, 64, 96, 128, 192
+    and 256, on a grid of 64 points per octave over 2^-40 to 2^40.
+
+    table, built for the same points and order, may serve other SNRs too;
+    without one, every chunk reads one table built for snrs and n.
+    """
+    if c.bits_per_symbol != spec.M:
+        raise ValueError(f"constellation carries {c.bits_per_symbol} bits but spec.M = {spec.M}")
+    if q is None:
+        q = hermite_rule(MC_QUAD_ORDER)
+    rhos = _rhos(snrs)
+    rate = spec.rate
+    if table is None:
+        table = BracketTable(c, q, rhos, n, spec)
+    elif not table.serves(c, q):
+        raise ValueError("bracket table was built for another constellation or quadrature rule")
+    return _estimate(spec, n, seed, stream_id, workers, lambda gains: np.array([table.count_rows(gains * rho, rate) for rho in rhos]))
+
+
 def mc_outage(
     snr: Snr,
     spec: ChannelSpec,
@@ -218,28 +268,52 @@ def mc_outage(
     workers: int = 1,
     table: BracketTable | None = None,
 ) -> McEstimate:
-    """Estimate Pr((1/B) sum_b I(gamma_b rho) < R) with discrete-input MI.
+    """Estimate the outage with discrete-input MI at one SNR point (see mc_outages)."""
+    return mc_outages([snr], spec, c, q, n, seed, stream_id, workers, table)[0]
 
-    The count is that of evaluating I at every sample's SNRs; most samples
-    are decided from a BracketTable instead (see the module notes).  That
-    needs I(rho) under the rule q to be nondecreasing.  It is for every
-    built-in constellation at orders 1-8, 16, 24, 32, 48, 64, 96, 128, 192
-    and 256, on a grid of 64 points per octave over 2^-40 to 2^40.
 
-    table, built for the same points and order, may serve other SNRs too;
-    without one, every chunk reads one table built for snr and n.
+def mc_lower_bounds(
+    snrs,
+    spec: ChannelSpec,
+    n: int = 10**6,
+    seed: int = 0,
+    stream_id: int = 0,
+    workers: int = 1,
+) -> list[McEstimate]:
+    """Estimate Pr((1/B) sum_b min{M, log2(1 + gamma_b rho)} < R) at every SNR of snrs, from shared draws.
+
+    A row's sum is taken as sum_g log2(prod_{b in g} min(2^M, 1 + gamma_b rho))
+    over groups g of at most 1000 // M blocks: one log per group
+    instead of one per block.  Each factor lies in [1, 2^M], so no group's
+    product exceeds 2^1000, and an all-capped row sums to exactly BM.  An
+    M > 1000 takes groups of one block, and from M = 1024 on, where 2^M is
+    past the float range, no finite factor is capped.
     """
-    if c.bits_per_symbol != spec.M:
-        raise ValueError(f"constellation carries {c.bits_per_symbol} bits but spec.M = {spec.M}")
-    if q is None:
-        q = hermite_rule(MC_QUAD_ORDER)
-    rho = snr.rho
-    rate = spec.rate
-    if table is None:
-        table = BracketTable(c, q, [rho], n, spec)
-    elif not table.serves(c, q):
-        raise ValueError("bracket table was built for another constellation or quadrature rule")
-    return _estimate(spec, n, seed, stream_id, workers, lambda gains: table.count_rows(gains * rho, rate))
+    rhos = _rhos(snrs)
+    B, M = spec.B, spec.M
+    threshold = B * spec.rate
+    cap = 2.0**M if M < 1024 else math.inf
+    group = max(_CAP_PRODUCT_BITS // M, 1)
+
+    def count_rows(gains: np.ndarray) -> np.ndarray:
+        # Every SNR reads the same gains, so each writes its factors into one scratch array.
+        factors = np.empty_like(gains)
+        counts = np.empty(len(rhos), dtype=np.int64)
+        for i, rho in enumerate(rhos):
+            np.multiply(gains, rho, out=factors)
+            factors += 1.0
+            np.minimum(factors, cap, out=factors)
+            total = np.zeros(len(factors))
+            for lo in range(0, B, group):
+                # Column by column: numpy's product over a short row axis is slow.
+                prod = factors[:, lo].copy()
+                for b in range(lo + 1, min(lo + group, B)):
+                    prod *= factors[:, b]
+                total += np.log2(prod)
+            counts[i] = np.count_nonzero(total < threshold)
+        return counts
+
+    return _estimate(spec, n, seed, stream_id, workers, count_rows)
 
 
 def mc_lower_bound(
@@ -250,34 +324,5 @@ def mc_lower_bound(
     stream_id: int = 0,
     workers: int = 1,
 ) -> McEstimate:
-    """Estimate Pr((1/B) sum_b min{M, log2(1 + gamma_b rho)} < R).
-
-    A row's sum is taken as sum_g log2(prod_{b in g} min(2^M, 1 + gamma_b rho))
-    over groups g of at most 1000 // M blocks: one log per group
-    instead of one per block.  Each factor lies in [1, 2^M], so no group's
-    product exceeds 2^1000, and an all-capped row sums to exactly BM.  An
-    M > 1000 takes groups of one block, and from M = 1024 on, where 2^M is
-    past the float range, no finite factor is capped.
-    """
-    rho = snr.rho
-    B, M = spec.B, spec.M
-    threshold = B * spec.rate
-    cap = 2.0**M if M < 1024 else math.inf
-    group = max(_CAP_PRODUCT_BITS // M, 1)
-
-    def count_rows(gains: np.ndarray) -> int:
-        # gains is this chunk's own fresh array, so it becomes the factors in place.
-        factors = gains
-        factors *= rho
-        factors += 1.0
-        np.minimum(factors, cap, out=factors)
-        total = np.zeros(len(factors))
-        for lo in range(0, B, group):
-            # Column by column: numpy's product over a short row axis is slow.
-            prod = factors[:, lo].copy()
-            for b in range(lo + 1, min(lo + group, B)):
-                prod *= factors[:, b]
-            total += np.log2(prod)
-        return int(np.count_nonzero(total < threshold))
-
-    return _estimate(spec, n, seed, stream_id, workers, count_rows)
+    """Estimate the capped-rate outage at one SNR point (see mc_lower_bounds)."""
+    return mc_lower_bounds([snr], spec, n, seed, stream_id, workers)[0]

@@ -154,8 +154,8 @@ class TestMc:
         _, data = rows_of(res.output)
         assert 0.0 <= float(data[0][1]) <= 1.0
 
-    # Each point has 3 (lowerbound) or 2 (outage) chunks of fading.CHUNK samples
-    # to spread over the threads.
+    # Each command draws 3 (lowerbound) or 2 (outage) chunks of fading.CHUNK
+    # samples, shared by its points, to spread over the threads.
     @pytest.mark.parametrize(
         "mode_args",
         [
@@ -194,7 +194,8 @@ class TestMc:
         args = ["mc", "--workers", str(workers), "--samples", str(samples), "--snr-db", "0:6:3"]
         res = runner.invoke(main, args)
         assert res.exit_code == 0, (res.output, res.exception)
-        assert pools == [threads] * 3
+        # One pool per command: its points share every chunk.
+        assert pools == [threads]
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_exits_2(self, runner, seed):
@@ -280,7 +281,7 @@ class TestDefaults:
         assert res.exit_code == 0, res.output
         assert orders == [montecarlo.MC_QUAD_ORDER]
         spec, rule = ChannelSpec(4, 4, NakagamiParam(1.0), 2.0), hermite_rule(montecarlo.MC_QUAD_ORDER)
-        ests = [montecarlo.mc_outage(Snr.from_db(db), spec, from_name("qam16"), rule, n=300, seed=5, stream_id=i) for i, db in enumerate((4.0, 8.0))]
+        ests = montecarlo.mc_outages([Snr.from_db(db) for db in (4.0, 8.0)], spec, from_name("qam16"), rule, n=300, seed=5)
         assert rows_of(res.output)[1] == [[db, f"{e.p_hat:.12g}", f"{e.std_err:.12g}", "300"] for db, e in zip(("4", "8"), ests)]
 
     def test_config_default_does_not_depend_on_the_command(self):
@@ -476,15 +477,17 @@ class TestConfigAndErrors:
 
     # No bound, K or asymptote is ever an exact 0: a read that no sum of the
     # grid's cells reaches exits 3 with one line naming the quantity, the rate
-    # and the cells above which some sum reaches it.
+    # and the cells above which some sum reaches it, or saying that no finite
+    # grid does, where that count passes the float range.
     @pytest.mark.parametrize(
         "args,line",
         [
             ("curve --rate 1e-10 --snr-db 0:0:1", "outage bound cannot be computed at snr_db 0, rate 1e-10: no sum of 4 cells reaches its read; more than 1.5e+10 cells resolve it"),
             ("curve --cells 16 --rate 0.05 --snr-db 0:10:10", "outage bound cannot be computed at snr_db 0, rate 0.05: no sum of 4 cells reaches its read; more than 30 cells resolve it"),
             ("asymptote --rate 1.0001 --snr-db 20:40:20", "coding gain K cannot be computed at rate 1.0001: no sum of 3 cells reaches its read; more than 10000 cells resolve it"),
+            ("curve --rate 5e-324 --snr-db 0:0:1", "outage bound cannot be computed at snr_db 0, rate 4.94066e-324: no sum of 4 cells reaches its read; no finite grid resolves it"),
         ],
-        ids=["curve-rate-1e-10", "curve-cells-16", "asymptote-rate-1.0001"],
+        ids=["curve-rate-1e-10", "curve-cells-16", "asymptote-rate-1.0001", "curve-rate-subnormal"],
     )
     def test_read_below_the_smallest_sum_exits_3(self, runner, args, line):
         res = runner.invoke(main, args.split())

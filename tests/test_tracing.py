@@ -49,12 +49,33 @@ def test_tracer_records_spans_of_every_command(monkeypatch):
         "bound.convolve",
         "bound.cdf_Y_at",
         "asymptotics.coding_gain",
-        "montecarlo.mc_lower_bound",
-        "montecarlo.mc_outage",
+        "fading.gain_block",
     }
     assert expected <= names
-    # Every bound command goes through the one evaluator, not the per-point call.
-    assert "bound.outage_lower_bound" not in names
+    # Every bound command goes through the one evaluator, and every mc
+    # command through one grid estimator, not the per-point calls.
+    assert not names & {"bound.outage_lower_bound", "montecarlo.mc_lower_bound", "montecarlo.mc_outage"}
+
+
+def test_mc_command_draws_each_chunk_once_and_direct_calls_keep_their_spans(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install(NK)
+    try:
+        # Three points of 3 chunks: one gain_block span per chunk, not per point.
+        args = ["mc", "--mode", "lowerbound", "--snr-db", "0:10:5", "--samples", str(2 * fading.CHUNK + 1), "--workers", "2"]
+        res = CliRunner().invoke(cli.main, args)
+        assert res.exit_code == 0, (res.output, res.exception)
+        assert sum(s.name == "fading.gain_block" for s in tracer.spans) == 3
+        spec, snr = bound.ChannelSpec(4, 4, fading.NakagamiParam(1.0), 1.0), mutual_info.Snr(10.0)
+        montecarlo.mc_outage(snr, spec, constellation.make_qam(4), n=300, seed=1)
+        montecarlo.mc_lower_bound(snr, spec, n=500, seed=1)
+    finally:
+        tracer.restore()
+    summary = tracing.summarize(tracer.spans)
+    assert summary["montecarlo.mc_outage"]["spans"] == summary["montecarlo.mc_lower_bound"]["spans"] == 1
+    assert summary["montecarlo.mc_outage"]["counts"]["samples"] == 300
+    assert summary["montecarlo.mc_lower_bound"]["counts"]["samples"] == 500
 
 
 def test_outage_command_repeats_its_per_layer_counts(monkeypatch):
@@ -77,7 +98,8 @@ def test_outage_command_repeats_its_per_layer_counts(monkeypatch):
         summary = tracing.summarize(tracer.spans)
         counts.append({(name, k): v for name, row in summary.items() for k, v in dict(row["counts"], spans=row["spans"]).items()})
     assert all(c == counts[0] for c in counts[1:])
-    assert counts[0][("montecarlo.mc_outage", "spans")] == 8
+    # Its 8 points share one chunk of draws.
+    assert counts[0][("fading.gain_block", "spans")] == 1
 
 
 def test_ratesweep_convolutions_are_traced_with_their_fft_points(monkeypatch):
