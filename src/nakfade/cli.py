@@ -158,7 +158,7 @@ class RunConfig:
     lambda_scaled: tuple = _option(
         (0.5, 2.0), "--lambda-scaled", "lambda M ln2 / m; repeat for extra columns.", _LAMBDAS, None, type=float, multiple=True
     )
-    workers: int = _option(1, "--workers", "Worker threads over each grid point's Monte Carlo sample chunks.", _POSITIVE_INT, None, type=int)
+    workers: int = _option(1, "--workers", "Worker threads over the command's Monte Carlo sample chunks, which all its grid points share.", _POSITIVE_INT, None, type=int)
     out: str | None = _option(None, "--out -o", "Output CSV path (default: stdout).", _check_out, None, type=click.Path())
 
 

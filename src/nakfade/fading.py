@@ -5,8 +5,8 @@ Gamma-distributed with shape m and scale 1/m (unit mean), so its cdf is the
 regularized incomplete gamma P(m, m gamma).  This module provides that
 incomplete-gamma pair, plus a chunk-seeded block sampler: gain_block draws
 the leading rows of one CHUNK-row chunk from that chunk's own generator, so
-a chunk's rows depend only on (seed, stream_id, chunk, width, count) and a
-caller may draw its chunks in any order and in any thread.
+a chunk's rows depend only on (seed, chunk, width, count) and a caller may
+draw its chunks in any order and in any thread.
 """
 
 from __future__ import annotations
@@ -159,23 +159,17 @@ def reg_gamma_p(a: float, x):
     return float(p) if np.isscalar(x) else p
 
 
-def _chunk_rng(seed: int, stream_id: int, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=(seed, stream_id, chunk_index))
+def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+    # The 0 keeps every stream of 0.3.0, whose entropy held a stream number there.
+    ss = np.random.SeedSequence(entropy=(seed, 0, chunk_index))
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def gain_block(
-    p: NakagamiParam,
-    seed: int,
-    chunk: int,
-    count: int,
-    width: int = 1,
-    stream_id: int = 0,
-) -> np.ndarray:
+def gain_block(p: NakagamiParam, seed: int, chunk: int, count: int, width: int = 1) -> np.ndarray:
     """The first `count` rows of chunk `chunk` of the gain stream, each row `width` draws.
 
     A chunk holds CHUNK rows, so 0 <= count <= CHUNK, and its rows come from
-    its own SFC64 generator, seeded from (seed, stream_id, chunk).  No two
+    its own SFC64 generator, seeded from (seed, chunk).  No two
     seeds in [0, 2^64) share a stream; any other seed is a ValueError.  Each
     draw is Gamma(shape=m, scale=1/m), a standard Gamma draw times 1/m;
     numpy samples the standard Gamma by Marsaglia-Tsang for m >= 1 and by
@@ -183,8 +177,8 @@ def gain_block(
     """
     count = require("count", count, integer, least=0, most=CHUNK)
     seed = require("seed", seed, integer, least=0, most=2**64 - 1)
-    chunk, width, stream_id = (require(k, v, integer, least=0) for k, v in (("chunk", chunk), ("width", width), ("stream_id", stream_id)))
+    chunk, width = require("chunk", chunk, integer, least=0), require("width", width, integer, least=0)
     m = p.m
-    out = _chunk_rng(seed, stream_id, chunk).standard_gamma(m, size=(count, width))
+    out = _chunk_rng(seed, chunk).standard_gamma(m, size=(count, width))
     out *= 1.0 / m
     return out

@@ -8,9 +8,11 @@ SNR.  So the SNRs share their draws (common random numbers): each point
 keeps its marginal law and its standard error, the points of one grid are
 positively correlated, and since every sample's score is nondecreasing in
 the SNR, the estimated curve is nonincreasing in it.  A chunk's rows depend
-only on (seed, stream_id, chunk, width, count), so no count depends on the
-worker count, a given (seed, n, parameters) triple reproduces bit-identical
-results, and a point's count is that of a one-SNR call at the same stream.
+only on (seed, chunk, width, count), so no count depends on the worker
+count, a given (seed, n, parameters) triple reproduces bit-identical
+results, and a point's count is that of a one-SNR call at the same seed.
+Each call checks its SNRs, n and workers (_checked) before any draw or MI
+evaluation.
 The chunks of one estimate are spread over min(workers, chunks) threads,
 the package's only thread pool; `mc --workers` reaches it, and a one-chunk
 estimate runs in the calling thread.  mc_outages scores each sample with
@@ -24,13 +26,12 @@ per-block SNR v lies between two nodes of the fixed geometric grid
 2^(k/_NODES_PER_OCTAVE), and the computed I(rho) is nondecreasing, so the
 mean of the MI values at the lower nodes bounds a sample's mean MI from
 below and the mean at the upper nodes bounds it from above.  A BracketTable
-holds I(0) and the MI at every node of a window around the SNRs it serves,
-from one quadrature call.  Every mc_outages call reads one table, shared by
-all its chunks and SNRs: the one it is given or one built for its own SNRs.
-The window is sized from what the table serves: it spans the gains outside
-of which at most one octave of nodes' worth of the values it scores is
-expected, and it starts no lower than the SNR below which I is no wider
-than a bracket (see _window).
+holds I(0) and the MI at every node of a window around the SNRs it is built
+for, from one quadrature call.  Every mc_outages call builds one table for
+its own SNRs and n, shared by all its chunks and SNRs.  The window spans
+the gains outside of which at most one octave of nodes' worth of the values
+the table scores is expected, and it starts no lower than the SNR below
+which I is no wider than a bracket (see _window).
 A v below the window is bracketed by [I(0), I(lowest node)] and one above
 it by [I(highest node), M], which holds because the computed I is also
 clamped to [0, M]; so the window decides only how many samples are left
@@ -54,7 +55,7 @@ from .bound import ChannelSpec
 from .constellation import Constellation
 from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete_array
 
-__all__ = ["McEstimate", "MC_QUAD_ORDER", "BracketTable", "mc_outages", "mc_outage", "mc_lower_bounds", "mc_lower_bound"]
+__all__ = ["McEstimate", "MC_QUAD_ORDER", "mc_outages", "mc_outage", "mc_lower_bounds", "mc_lower_bound"]
 
 # Order of the MI quadrature, the only one `mc` uses: its bias is far below
 # the Monte Carlo noise for any n <= 1e7, and it keeps the cost of each
@@ -107,13 +108,20 @@ class McEstimate:
         return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_samples)
 
 
-def _estimate(spec: ChannelSpec, n: int, seed: int, stream_id: int, workers: int, count_rows) -> list[McEstimate]:
+def _checked(snrs, n: int, workers: int) -> tuple[list[float], int, int]:
+    """The linear SNRs of snrs, a nonempty sequence of Snr, and the checked n and workers."""
+    rhos = [snr.rho for snr in snrs]
+    if not rhos:
+        raise ValueError("snrs must hold at least one SNR")
+    return rhos, require("n", n, integer, least=1), require("workers", workers, integer, least=1)
+
+
+def _estimate(spec: ChannelSpec, n: int, seed: int, workers: int, count_rows) -> list[McEstimate]:
     """One estimate per entry of count_rows(gains), an integer count per SNR, summed over the chunks of n draws of spec's B gains."""
-    n, workers = require("n", n, integer, least=1), require("workers", workers, integer, least=1)
 
     def count_chunk(chunk: int) -> np.ndarray:
         count = min(fading.CHUNK, n - chunk * fading.CHUNK)
-        return count_rows(fading.gain_block(spec.fading, seed, chunk, count, width=spec.B, stream_id=stream_id))
+        return count_rows(fading.gain_block(spec.fading, seed, chunk, count, width=spec.B))
 
     chunks = range(-(-n // fading.CHUNK))
     threads = min(workers, len(chunks))
@@ -123,14 +131,6 @@ def _estimate(spec: ChannelSpec, n: int, seed: int, stream_id: int, workers: int
         with ThreadPoolExecutor(max_workers=threads) as pool:
             counts = sum(pool.map(count_chunk, chunks))
     return [McEstimate(int(k), n) for k in counts]
-
-
-def _rhos(snrs) -> list[float]:
-    """The linear SNRs of snrs, a nonempty sequence of Snr."""
-    rhos = [snr.rho for snr in snrs]
-    if not rhos:
-        raise ValueError("snrs must hold at least one SNR")
-    return rhos
 
 
 def _window(rho_lo: float, rho_hi: float, values: int, m: float) -> tuple[int, int]:
@@ -170,20 +170,13 @@ class BracketTable:
     """I(0) and the MI at the grid nodes around the SNRs rhos under (c, q).
 
     The window is sized for n samples of spec's B Nakagami-m gains at each
-    of rhos (see _window).  Built by one mi_discrete_array call and only
-    read afterwards, so one table serves any number of chunks and threads,
-    at any SNR: the window sets how many samples are decided from it, never
-    a count.  It refuses an empty rhos, an SNR that Snr refuses and a bad n.
+    of rhos (see _window), a nonempty list of checked SNRs.  Built by one
+    mi_discrete_array call and only read afterwards, so any number of
+    chunks and threads may read one table, at any SNR: the window sets how
+    many samples are decided from it, never a count.
     """
 
-    def __init__(self, c: Constellation, q: QuadratureRule, rhos, n: int, spec: ChannelSpec) -> None:
-        try:
-            rhos = [Snr(rho).rho for rho in rhos]
-        except ValueError as exc:
-            raise ValueError(f"rhos: {exc}") from None
-        if not rhos:
-            raise ValueError("rhos must hold at least one SNR")
-        n = require("n", n, integer, least=1)
+    def __init__(self, c: Constellation, q: QuadratureRule, rhos: list[float], n: int, spec: ChannelSpec) -> None:
         self.c = c
         self.q = q
         self._first, last = _window(min(rhos), max(rhos), len(rhos) * n * spec.B, spec.fading.m)
@@ -192,11 +185,6 @@ class BracketTable:
         # Slot 0 is I(0), slots 1..size the nodes, slot size + 1 the cap M.
         self._size = nodes.size
         self._values = np.append(mi, float(c.bits_per_symbol))
-
-    def serves(self, c: Constellation, q: QuadratureRule) -> bool:
-        """Whether (c, q) gives this table's values: the same order, and the same points on the same MI path."""
-        # np.array_equal takes a missing grid_levels (None) as equal only to another.
-        return q == self.q and all(np.array_equal(getattr(c, k), getattr(self.c, k)) for k in ("bits_per_symbol", "points", "grid_levels"))
 
     def count_rows(self, v: np.ndarray, rate: float) -> int:
         """Number of rows of per-block SNRs v whose mean MI is below rate.
@@ -229,9 +217,7 @@ def mc_outages(
     q: QuadratureRule | None = None,
     n: int = 10**5,
     seed: int = 0,
-    stream_id: int = 0,
     workers: int = 1,
-    table: BracketTable | None = None,
 ) -> list[McEstimate]:
     """Estimate Pr((1/B) sum_b I(gamma_b rho) < R) with discrete-input MI at every SNR of snrs, from shared draws.
 
@@ -240,21 +226,16 @@ def mc_outages(
     needs I(rho) under the rule q to be nondecreasing.  It is for every
     built-in constellation at orders 1-8, 16, 24, 32, 48, 64, 96, 128, 192
     and 256, on a grid of 64 points per octave over 2^-40 to 2^40.
-
-    table, built for the same points and order, may serve other SNRs too;
-    without one, every chunk reads one table built for snrs and n.
+    Every chunk reads one table built for snrs and n.
     """
     if c.bits_per_symbol != spec.M:
         raise ValueError(f"constellation carries {c.bits_per_symbol} bits but spec.M = {spec.M}")
+    rhos, n, workers = _checked(snrs, n, workers)
     if q is None:
         q = hermite_rule(MC_QUAD_ORDER)
-    rhos = _rhos(snrs)
     rate = spec.rate
-    if table is None:
-        table = BracketTable(c, q, rhos, n, spec)
-    elif not table.serves(c, q):
-        raise ValueError("bracket table was built for another constellation or quadrature rule")
-    return _estimate(spec, n, seed, stream_id, workers, lambda gains: np.array([table.count_rows(gains * rho, rate) for rho in rhos]))
+    table = BracketTable(c, q, rhos, n, spec)
+    return _estimate(spec, n, seed, workers, lambda gains: np.array([table.count_rows(gains * rho, rate) for rho in rhos]))
 
 
 def mc_outage(
@@ -264,12 +245,10 @@ def mc_outage(
     q: QuadratureRule | None = None,
     n: int = 10**5,
     seed: int = 0,
-    stream_id: int = 0,
     workers: int = 1,
-    table: BracketTable | None = None,
 ) -> McEstimate:
     """Estimate the outage with discrete-input MI at one SNR point (see mc_outages)."""
-    return mc_outages([snr], spec, c, q, n, seed, stream_id, workers, table)[0]
+    return mc_outages([snr], spec, c, q, n, seed, workers)[0]
 
 
 def mc_lower_bounds(
@@ -277,7 +256,6 @@ def mc_lower_bounds(
     spec: ChannelSpec,
     n: int = 10**6,
     seed: int = 0,
-    stream_id: int = 0,
     workers: int = 1,
 ) -> list[McEstimate]:
     """Estimate Pr((1/B) sum_b min{M, log2(1 + gamma_b rho)} < R) at every SNR of snrs, from shared draws.
@@ -289,7 +267,7 @@ def mc_lower_bounds(
     M > 1000 takes groups of one block, and from M = 1024 on, where 2^M is
     past the float range, no finite factor is capped.
     """
-    rhos = _rhos(snrs)
+    rhos, n, workers = _checked(snrs, n, workers)
     B, M = spec.B, spec.M
     threshold = B * spec.rate
     cap = 2.0**M if M < 1024 else math.inf
@@ -313,7 +291,7 @@ def mc_lower_bounds(
             counts[i] = np.count_nonzero(total < threshold)
         return counts
 
-    return _estimate(spec, n, seed, stream_id, workers, count_rows)
+    return _estimate(spec, n, seed, workers, count_rows)
 
 
 def mc_lower_bound(
@@ -321,8 +299,7 @@ def mc_lower_bound(
     spec: ChannelSpec,
     n: int = 10**6,
     seed: int = 0,
-    stream_id: int = 0,
     workers: int = 1,
 ) -> McEstimate:
     """Estimate the capped-rate outage at one SNR point (see mc_lower_bounds)."""
-    return mc_lower_bounds([snr], spec, n, seed, stream_id, workers)[0]
+    return mc_lower_bounds([snr], spec, n, seed, workers)[0]

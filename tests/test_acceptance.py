@@ -20,19 +20,16 @@ from nakfade.asymptotics import (
 from nakfade.bound import ChannelSpec, TabulatedPmf, convolve_power, outage_lower_bound, tabulate_A, tilt
 from nakfade.constellation import make_qam
 from nakfade.fading import NakagamiParam, reg_gamma_pq
-from nakfade.montecarlo import mc_lower_bound, mc_outage
+from nakfade.montecarlo import mc_lower_bound, mc_lower_bounds, mc_outages
 from nakfade.mutual_info import Snr
 
 QAM16 = make_qam(4)
 LN2 = math.log(2.0)
 
-# Shared Monte Carlo comparison grid: m x R x SNR(dB).
-GRID = [
-    (m, rate, db)
-    for m in (0.5, 2.0)
-    for rate in (1.0, 2.0, 3.0)
-    for db in (5.0, 10.0, 15.0, 20.0)
-]
+# Shared Monte Carlo comparison grid: m x R, each scored at every SNR by one
+# grid call on one seed's draws, as `nakfade mc` scores a command's points.
+GROUPS = [(m, rate) for m in (0.5, 2.0) for rate in (1.0, 2.0, 3.0)]
+SNRS = [Snr.from_db(db) for db in (5.0, 10.0, 15.0, 20.0)]
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -50,30 +47,28 @@ def test_criterion_01_singleton_values():
 def test_criterion_02_analytic_matches_mc_lower_bound():
     worst = 0.0
     checked = 0
-    for idx, (m, rate, db) in enumerate(GRID):
+    for m, rate in GROUPS:
         spec = ChannelSpec(4, 4, NakagamiParam(m), rate)
-        snr = Snr.from_db(db)
-        est = mc_lower_bound(snr, spec, n=10**6, seed=2, stream_id=idx)
-        if est.p_hat < 1e-4:
-            continue
-        checked += 1
-        z = abs(est.p_hat - outage_lower_bound(snr, spec).value) / est.std_err
-        worst = max(worst, z)
+        for snr, est in zip(SNRS, mc_lower_bounds(SNRS, spec, n=10**6, seed=2)):
+            if est.p_hat < 1e-4:
+                continue
+            checked += 1
+            z = abs(est.p_hat - outage_lower_bound(snr, spec).value) / est.std_err
+            worst = max(worst, z)
     _report(2, "analytic vs MC lower bound", worst <= 3.0 and checked > 0, f"{checked} points, worst |z| = {worst:.2f}")
 
 
 def test_criterion_03_bound_below_true_outage():
     worst = -math.inf
-    for idx, (m, rate, db) in enumerate(GRID):
+    for m, rate in GROUPS:
         spec = ChannelSpec(4, 4, NakagamiParam(m), rate)
-        snr = Snr.from_db(db)
-        est = mc_outage(snr, spec, QAM16, n=10**5, seed=3, stream_id=idx)
-        value = outage_lower_bound(snr, spec).value
-        # At zero observed events the proportion SE degenerates to width 0;
-        # there the valid 3-sigma band is the binomial deviation predicted
-        # by the bound value itself (true outage >= bound).
-        se = max(est.std_err, math.sqrt(value * (1.0 - value) / est.n_samples))
-        worst = max(worst, value - (est.p_hat + 3.0 * se))
+        for snr, est in zip(SNRS, mc_outages(SNRS, spec, QAM16, n=10**5, seed=3)):
+            value = outage_lower_bound(snr, spec).value
+            # At zero observed events the proportion SE degenerates to width 0;
+            # there the valid 3-sigma band is the binomial deviation predicted
+            # by the bound value itself (true outage >= bound).
+            se = max(est.std_err, math.sqrt(value * (1.0 - value) / est.n_samples))
+            worst = max(worst, value - (est.p_hat + 3.0 * se))
     _report(3, "bound validity vs 16-QAM outage", worst <= 0.0, f"worst excess over MC + 3se = {worst:.3e}")
 
 

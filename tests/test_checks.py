@@ -14,13 +14,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nakfade import montecarlo
 from nakfade._checks import integer, real, require
 from nakfade.asymptotics import asymptotes, random_coding_exponent, singleton_bound
 from nakfade.bound import ChannelSpec, TabulatedPmf, _cell_edges, cdf_Y_at, convolve_power, outage_lower_bound, outage_lower_bounds, tilt
 from nakfade.constellation import Constellation, make_psk, make_qam
 from nakfade.fading import NakagamiParam, gain_block, reg_gamma_pq
-from nakfade.montecarlo import McEstimate, mc_lower_bound, mc_outage
+from nakfade.montecarlo import McEstimate, mc_lower_bound, mc_lower_bounds, mc_outage, mc_outages
 from nakfade.mutual_info import QuadratureRule, Snr
 
 M2 = NakagamiParam(2)
@@ -90,7 +89,7 @@ NUMPY_SITES = [
     pytest.param(lambda m: outage_lower_bound(Snr(10.0), ChannelSpec(4, 4, NakagamiParam(m), 1.0), 64), (2.0,), (np.float32(2.0),), id="NakagamiParam-float32"),
     pytest.param(lambda a: reg_gamma_pq(a, np.array([0.5, 3.0, 10.0])), (2.0,), (np.int64(2),), id="reg_gamma_pq"),
     pytest.param(lambda seed, count: gain_block(M2, seed, 3, count, width=2), (9, 10), (np.uint64(9), np.int16(10)), id="gain_block"),
-    pytest.param(lambda chunk, width, stream: gain_block(M2, 9, chunk, 5, width, stream), (3, 2, 1), (np.int64(3), np.uint8(2), np.int32(1)), id="gain_block-stream"),
+    pytest.param(lambda chunk, width: gain_block(M2, 9, chunk, 5, width), (3, 2), (np.int64(3), np.uint8(2)), id="gain_block-stream"),
     pytest.param(lambda M: make_qam(M).points, (4,), (np.int64(4),), id="make_qam"),
     pytest.param(lambda M: make_psk(M).bits_per_symbol, (3,), (np.int8(3),), id="make_psk"),
     pytest.param(lambda M: Constellation(np.array([1.0, -1.0]), M).bits_per_symbol, (1,), (np.int64(1),), id="Constellation"),
@@ -112,7 +111,8 @@ def test_numpy_value_gives_identical_result(call, python_args, numpy_args):
     assert same(call(*python_args), call(*numpy_args))
 
 
-# Each site, by the name its error gives the argument.
+# Each site, by the name its error gives the argument.  A site's position is
+# part of its cases' ids, so a new site takes a freed position or goes last.
 INTEGER_SITES = [
     ("B", lambda v: ChannelSpec(v, 4, M2, 1.0)),
     ("M", lambda v: ChannelSpec(4, v, M2, 1.0)),
@@ -123,8 +123,8 @@ INTEGER_SITES = [
     ("seed", lambda v: gain_block(M2, v, 0, 1)),
     ("chunk", lambda v: gain_block(M2, 0, v, 1)),
     ("width", lambda v: gain_block(M2, 0, 0, 1, width=v)),
-    ("stream_id", lambda v: gain_block(M2, 0, 0, 1, stream_id=v)),
-    ("stream_id", lambda v: mc_lower_bound(Snr(1.0), SPEC, n=10, stream_id=v)),
+    ("n", lambda v: mc_lower_bounds([Snr(1.0), Snr(2.0)], SPEC, n=v)),
+    ("workers", lambda v: mc_outages([Snr(1.0), Snr(2.0)], SPEC, make_qam(4), n=10, workers=v)),
     ("bits_per_symbol", lambda v: Constellation(np.array([1.0, -1.0]), v)),
     ("M", make_qam),
     ("M", make_psk),
@@ -136,7 +136,8 @@ INTEGER_SITES = [
     ("workers", lambda v: mc_lower_bound(Snr(1.0), SPEC, n=10, workers=v)),
     ("n", lambda v: mc_outage(Snr(1.0), SPEC, make_qam(4), n=v)),
     ("workers", lambda v: mc_outage(Snr(1.0), SPEC, make_qam(4), n=10, workers=v)),
-    ("n", lambda v: montecarlo.BracketTable(make_qam(4), QuadratureRule(8), [1.0], v, SPEC)),
+    ("n", lambda v: mc_outages([Snr(1.0), Snr(2.0)], SPEC, make_qam(4), n=v)),
+    ("workers", lambda v: mc_lower_bounds([Snr(1.0), Snr(2.0)], SPEC, n=10, workers=v)),
 ]
 REAL_SITES = [
     ("rate", lambda v: ChannelSpec(4, 4, M2, v)),

@@ -187,9 +187,9 @@ class TestSampling:
     def test_ranges_ending_mid_chunk_match_full_chunk_draws(self, m):
         # Drawing k rows of a chunk gives the first k rows of the full chunk.
         p = NakagamiParam(m)
-        full = gain_block(p, seed=8, chunk=1, count=CHUNK, width=3, stream_id=2)
+        full = gain_block(p, seed=8, chunk=1, count=CHUNK, width=3)
         for count in (0, 1, 24, 29, 1950, CHUNK - 1):
-            part = gain_block(p, seed=8, chunk=1, count=count, width=3, stream_id=2)
+            part = gain_block(p, seed=8, chunk=1, count=count, width=3)
             assert np.array_equal(part, full[:count])
 
     def test_deterministic_per_index(self):
@@ -199,7 +199,7 @@ class TestSampling:
         assert a[0, 0] == b[0, 0]
         assert gain_block(p, seed=10, chunk=123, count=1)[0, 0] != a[0, 0]
         assert gain_block(p, seed=9, chunk=124, count=1)[0, 0] != a[0, 0]
-        assert gain_block(p, seed=9, chunk=123, count=1, stream_id=1)[0, 0] != a[0, 0]
+        assert gain_block(p, seed=123, chunk=9, count=1)[0, 0] != a[0, 0]
 
     @pytest.mark.parametrize("count", [-1, CHUNK + 1])
     def test_count_beyond_one_chunk_raises(self, count):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import gain_rows
 from nakfade import cli, fading, montecarlo
 from nakfade.bound import ChannelSpec, outage_lower_bound
-from nakfade.constellation import KNOWN_NAMES, Constellation, from_name, make_psk, make_qam
+from nakfade.constellation import KNOWN_NAMES, from_name, make_psk, make_qam
 from nakfade.fading import NakagamiParam
 from nakfade.montecarlo import McEstimate, mc_lower_bound, mc_lower_bounds, mc_outage, mc_outages
 from nakfade.mutual_info import Snr, hermite_rule, mi_discrete_array
@@ -70,13 +70,19 @@ ESTIMATORS = [
         pytest.param(dict(workers=-3), "workers must be an integer >= 1, got -3", id="workers=-3"),
         pytest.param(dict(workers=True), "workers must be an integer >= 1, got True", id="workers=True"),
         pytest.param(dict(workers=2.0), "workers must be an integer >= 1, got 2.0", id="workers=2.0"),
+        pytest.param(dict(n=0), "n must be an integer >= 1, got 0", id="n=0"),
         pytest.param(dict(n=True), "n must be an integer >= 1, got True", id="n=True"),
         pytest.param(dict(n=100.0), "n must be an integer >= 1, got 100.0", id="n=100.0"),
     ],
 )
-def test_counts_must_be_positive_integers(estimate, kw, msg):
-    with pytest.raises(ValueError, match=msg):
+def test_counts_must_be_positive_integers(monkeypatch, estimate, kw, msg):
+    # Refused before any work: no MI evaluation (the bracket table's included) and no draw.
+    calls = []
+    monkeypatch.setattr(montecarlo, "mi_discrete_array", lambda *args, **kw: calls.append("mi_discrete_array"))
+    monkeypatch.setattr(fading, "gain_block", lambda *args, **kw: calls.append("gain_block"))
+    with pytest.raises(ValueError, match=f"^{msg}$"):
         estimate(**{"n": 100, **kw})
+    assert calls == []
 
 
 @pytest.mark.parametrize("estimate", ESTIMATORS)
@@ -135,14 +141,14 @@ class TestMcLowerBound:
         assert est.p_hat > 0.9
 
 
-def direct_capped_count(snr, spec, n, seed, stream_id):
+def direct_capped_count(snr, spec, n, seed):
     """Oracle: each row's sum of per-block capped log2(1 + gamma rho), compared with BR."""
-    gains = gain_rows(spec.fading, seed, n, width=spec.B, stream_id=stream_id)
+    gains = gain_rows(spec.fading, seed, n, width=spec.B)
     return int(np.count_nonzero(np.minimum(spec.M, np.log2(1 + gains * snr.rho)).sum(axis=1) < spec.B * spec.rate))
 
 
 class TestSharedDraws:
-    """The points of a grid call score one stream's draws: each equals its one-point call at stream 0."""
+    """The points of a grid call score one seed's draws: each equals its one-point call at that seed."""
 
     N = 2 * fading.CHUNK + 321
     SNRS = [Snr.from_db(db) for db in (-3.0, 2.0, 7.0, 12.0)]
@@ -157,9 +163,10 @@ class TestSharedDraws:
         assert ests == [mc_outage(snr, spec, c, rule, n=self.N, seed=8) for snr in self.SNRS]
 
     def test_first_point_reads_the_given_stream(self):
+        # The stream is the given seed's, not one of its own per point.
         spec = spec44(M1, 1.0)
-        first = mc_lower_bounds(self.SNRS, spec, n=self.N, seed=8, stream_id=5)[0]
-        assert first.events == direct_capped_count(self.SNRS[0], spec, self.N, 8, 5)
+        first = mc_lower_bounds(self.SNRS, spec, n=self.N, seed=5)[0]
+        assert first.events == direct_capped_count(self.SNRS[0], spec, self.N, 5)
 
     @pytest.mark.parametrize(
         "run",
@@ -223,26 +230,26 @@ class TestCappedCount:
     def test_count_equals_direct_count(self, B, M, low_rate_snr):
         for rate, snr in ((M / 4, low_rate_snr), (M, 1.0), (M / 4, 100.0 * 2.0**M), (M, 100.0 * 2.0**M)):
             spec = ChannelSpec(B, M, M1, rate)
-            est = mc_lower_bound(Snr(snr), spec, n=self.N, seed=4, stream_id=3)
-            want = direct_capped_count(Snr(snr), spec, self.N, 4, 3)
+            est = mc_lower_bound(Snr(snr), spec, n=self.N, seed=4)
+            want = direct_capped_count(Snr(snr), spec, self.N, 4)
             assert est.events == want, (rate, snr)
 
     @pytest.mark.parametrize("B,M", [(1, 1), (4, 4), (64, 16)], ids=["B1-M1", "B4-M4", "B64-M16"])
     def test_all_capped_rows_are_not_in_outage_at_rate_m(self, B, M):
         # At R = M a row is in outage unless every block caps, where its sum is exactly BM.
         rho = 100.0 * 2.0**M
-        gains = gain_rows(M1, 4, self.N, width=B, stream_id=3)
+        gains = gain_rows(M1, 4, self.N, width=B)
         not_all_capped = int(np.count_nonzero((1 + gains * rho < 2.0**M).any(axis=1)))
         assert 0 < not_all_capped < self.N
-        est = mc_lower_bound(Snr(rho), ChannelSpec(B, M, M1, M), n=self.N, seed=4, stream_id=3)
+        est = mc_lower_bound(Snr(rho), ChannelSpec(B, M, M1, M), n=self.N, seed=4)
         assert est.events == not_all_capped
 
     def test_cap_past_the_float_range(self):
         # 2^M overflows a float at M = 1100, and a group holds one block.
         for rate in (10.0, 1100.0):
             spec = ChannelSpec(3, 1100, M1, rate)
-            est = mc_lower_bound(Snr(1e3), spec, n=self.N, seed=4, stream_id=3)
-            assert est.events == direct_capped_count(Snr(1e3), spec, self.N, 4, 3)
+            est = mc_lower_bound(Snr(1e3), spec, n=self.N, seed=4)
+            assert est.events == direct_capped_count(Snr(1e3), spec, self.N, 4)
 
 
 class TestMcOutage:
@@ -298,9 +305,9 @@ class TestMcOutage:
         assert abs(a.p_hat - b.p_hat) <= 6.0 * pooled
 
 
-def direct_outage_count(snr, spec, c, n, seed, stream_id, rule):
+def direct_outage_count(snr, spec, c, n, seed, rule):
     """Oracle: MI quadrature at every block of every sample, each row decided by its mean."""
-    gains = gain_rows(spec.fading, seed, n, width=spec.B, stream_id=stream_id)
+    gains = gain_rows(spec.fading, seed, n, width=spec.B)
     mi = mi_discrete_array(gains * snr.rho, c, rule)
     return int(np.count_nonzero(mi.mean(axis=1) < spec.rate))
 
@@ -341,9 +348,9 @@ class TestScreening:
         M = c.bits_per_symbol
         spec = ChannelSpec(2, M, NakagamiParam(m), M / 2)
         rule = hermite_rule(8)
-        seed, stream_id = 31, 5
-        est = mc_outage(snr, spec, c, rule, n=n, seed=seed, stream_id=stream_id, workers=workers)
-        want = direct_outage_count(snr, spec, c, n, seed, stream_id, rule)
+        seed = 31
+        est = mc_outage(snr, spec, c, rule, n=n, seed=seed, workers=workers)
+        want = direct_outage_count(snr, spec, c, n, seed, rule)
         assert est.events == want
 
     def test_screen_leaves_few_snrs_to_evaluate(self, monkeypatch):
@@ -380,7 +387,7 @@ def test_window_leaves_at_most_an_octave_of_values_outside(m):
 
 
 class TestBracketTable:
-    """One table serves any SNR, chunk and thread without changing a count."""
+    """One table counts at any SNR, chunk and thread as direct quadrature does."""
 
     def test_table_whose_window_misses_the_snr(self):
         # Rate 0.1 puts the outage probability near 0.4 at -10 dB.
@@ -388,8 +395,8 @@ class TestBracketTable:
         spec = ChannelSpec(2, 4, M1, 0.1)
         snr, n, seed = Snr.from_db(-10.0), fading.CHUNK + 500, 41
         table = montecarlo.BracketTable(c, rule, [Snr.from_db(40.0).rho], n, spec)
-        est = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=table)
-        assert est.events == direct_outage_count(snr, spec, c, n, seed, 0, rule)
+        v = gain_rows(spec.fading, seed, n, width=spec.B) * snr.rho
+        assert table.count_rows(v, spec.rate) == direct_outage_count(snr, spec, c, n, seed, rule)
 
     @pytest.mark.parametrize("rho", [0.0, 1e-310], ids=["zero", "subnormal"])
     def test_exact_zero_snrs(self, rho):
@@ -401,52 +408,10 @@ class TestBracketTable:
         snr = Snr(rho)
         v = gain_rows(spec.fading, seed, n, width=spec.B) * rho
         assert np.count_nonzero(v == 0.0) > 20
-        want = direct_outage_count(snr, spec, c, n, seed, 0, rule)
+        want = direct_outage_count(snr, spec, c, n, seed, rule)
         own = mc_outage(snr, spec, c, rule, n=n, seed=seed)
-        shared = mc_outage(snr, spec, c, rule, n=n, seed=seed, table=montecarlo.BracketTable(c, rule, [10.0], n, spec))
-        assert own.events == shared.events == want
-
-    def test_table_of_another_constellation_or_rule_rejected(self):
-        c, rule = make_qam(4), hermite_rule(8)
-        spec = ChannelSpec(4, 4, M1, 2.0)
-        table = montecarlo.BracketTable(c, rule, [1.0, 10.0], 125, spec)
-        # Another set, the same points on the generic path, another order.
-        for other_c, other_rule in ((make_psk(4), rule), (Constellation(c.points, 4), rule), (c, hermite_rule(16))):
-            with pytest.raises(ValueError, match="bracket table"):
-                mc_outage(Snr(5.0), spec, other_c, other_rule, n=10, table=table)
-
-    def test_table_serves_an_equal_constellation(self):
-        # Two make_qam calls give equal but distinct objects (from_name would give one cached object).
-        spec, n = ChannelSpec(4, 4, M1, 2.0), 500
-        table = montecarlo.BracketTable(make_qam(4), hermite_rule(8), [5.0], n, spec)
-        est = mc_outage(Snr(5.0), spec, make_qam(4), hermite_rule(8), n=n, seed=7, table=table)
-        assert est == mc_outage(Snr(5.0), spec, make_qam(4), hermite_rule(8), n=n, seed=7)
-
-    def test_table_outlives_its_rule_in_the_cache(self):
-        c, spec, n = make_qam(4), ChannelSpec(4, 4, M1, 2.0), 500
-        table = montecarlo.BracketTable(c, hermite_rule(32), [5.0], n, spec)
-        for order in range(1, 21):
-            hermite_rule(order)
-        assert hermite_rule(32) is not table.q
-        est = mc_outage(Snr(5.0), spec, c, hermite_rule(32), n=n, seed=7, table=table)
-        assert est == mc_outage(Snr(5.0), spec, c, hermite_rule(32), n=n, seed=7)
-
-    @pytest.mark.parametrize(
-        "rhos, n, name",
-        [
-            pytest.param([], 100, "rhos", id="no-snr"),
-            pytest.param([math.nan], 100, "rhos", id="nan-snr"),
-            pytest.param([1.0, math.inf], 100, "rhos", id="inf-snr"),
-            pytest.param([-1.0], 100, "rhos", id="negative-snr"),
-            pytest.param([1.0], 0, "n", id="n=0"),
-            pytest.param([1.0], -5, "n", id="n=-5"),
-            pytest.param([1.0], 2.5, "n", id="n=2.5"),
-            pytest.param([1.0], True, "n", id="n=True"),
-        ],
-    )
-    def test_bad_input_raises_naming_it(self, rhos, n, name):
-        with pytest.raises(ValueError, match=rf"^{name}\b"):
-            montecarlo.BracketTable(make_qam(4), hermite_rule(8), rhos, n, ChannelSpec(4, 4, M1, 2.0))
+        shared = montecarlo.BracketTable(c, rule, [10.0], n, spec).count_rows(v, spec.rate)
+        assert own.events == shared == want
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_point_of_a_cli_command_equals_direct_quadrature(self, monkeypatch, workers):
@@ -465,9 +430,9 @@ class TestBracketTable:
         rows = [line.split(",") for line in res.output.splitlines()[2:]]
         assert len(rows) == 8
         spec, c, rule = ChannelSpec(4, 2, M1, 1.0), make_qam(2), hermite_rule(montecarlo.MC_QUAD_ORDER)
-        # Every point reads the command's one stream, stream 0.
+        # Every point reads the draws of the command's seed.
         for row in rows:
-            want = direct_outage_count(Snr.from_db(float(row[0])), spec, c, n, seed, 0, rule)
+            want = direct_outage_count(Snr.from_db(float(row[0])), spec, c, n, seed, rule)
             assert row[1] == f"{want / n:.12g}"
         # The table is the one one-dimensional call; every point only reads it.
         assert sum(len(shape) == 1 for shape in calls) == 1
