@@ -4,9 +4,12 @@ The fading power gain gamma = |h|^2 of a Nakagami-m channel is
 Gamma-distributed with shape m and scale 1/m (unit mean), so its cdf is the
 regularized incomplete gamma P(m, m gamma).  This module provides that
 incomplete-gamma pair, plus a chunk-seeded block sampler: gain_block draws
-the leading rows of one CHUNK-row chunk from that chunk's own generator, so
+the leading rows of one CHUNK-row chunk from that chunk's own generators, so
 a chunk's rows depend only on (seed, chunk, width, count) and a caller may
-draw its chunks in any order and in any thread.
+draw its chunks in any order and in any thread.  A gain with m >= 1 is a
+Marsaglia-Tsang Gamma(m) draw; one with m < 1 is the exact boost
+X U^(1/m), X ~ Gamma(m + 1) and U ~ U(0, 1) independent, which gives
+Gamma(m) at Marsaglia-Tsang speed (Marsaglia and Tsang 2000, sec. 4).
 """
 
 from __future__ import annotations
@@ -159,26 +162,39 @@ def reg_gamma_p(a: float, x):
     return float(p) if np.isscalar(x) else p
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    # The 0 keeps every stream of 0.3.0, whose entropy held a stream number there.
-    ss = np.random.SeedSequence(entropy=(seed, 0, chunk_index))
-    return np.random.Generator(np.random.SFC64(ss))
+def checked_seed(seed) -> int:
+    """seed as an int, or a ValueError: a seed is an integer in [0, 2^64), so no two seeds share a stream."""
+    return require("seed", seed, integer, least=0, most=2**64 - 1)
 
 
 def gain_block(p: NakagamiParam, seed: int, chunk: int, count: int, width: int = 1) -> np.ndarray:
     """The first `count` rows of chunk `chunk` of the gain stream, each row `width` draws.
 
     A chunk holds CHUNK rows, so 0 <= count <= CHUNK, and its rows come from
-    its own SFC64 generator, seeded from (seed, chunk).  No two
-    seeds in [0, 2^64) share a stream; any other seed is a ValueError.  Each
-    draw is Gamma(shape=m, scale=1/m), a standard Gamma draw times 1/m;
-    numpy samples the standard Gamma by Marsaglia-Tsang for m >= 1 and by
-    rejection with an exponential proposal for m < 1.
+    its own SFC64 generator, seeded from (seed, chunk), which every draw
+    reads in row order.  Each draw is Gamma(shape=m, scale=1/m), a standard
+    Gamma draw times 1/m.  For m >= 1 numpy draws the standard Gamma by
+    Marsaglia-Tsang.  For m < 1 it is X U^(1/m): X is a Marsaglia-Tsang
+    Gamma(m + 1) draw from that generator, and U a uniform draw from a
+    second SFC64 generator, seeded from a child of the chunk's seed
+    sequence.  U is a multiple of 2^-53, so the draws are coarse only below
+    about 2^(-53/m), where the law holds about m^m 2^-53 / Gamma(m + 1)
+    (~1e-16) of its mass, and U = 0, with chance 2^-53, gives a zero gain.
     """
     count = require("count", count, integer, least=0, most=CHUNK)
-    seed = require("seed", seed, integer, least=0, most=2**64 - 1)
+    seed = checked_seed(seed)
     chunk, width = require("chunk", chunk, integer, least=0), require("width", width, integer, least=0)
     m = p.m
-    out = _chunk_rng(seed, chunk).standard_gamma(m, size=(count, width))
+    # The 0 keeps every stream of 0.3.0, whose entropy held a stream number there.
+    seeds = np.random.SeedSequence(entropy=(seed, 0, chunk))
+    draws = np.random.Generator(np.random.SFC64(seeds))
+    if m >= 1:
+        out = draws.standard_gamma(m, size=(count, width))
+    else:
+        out = draws.standard_gamma(m + 1.0, size=(count, width))
+        # A spawned child's entropy is no (seed, k, chunk) triple of another stream.
+        u = np.random.Generator(np.random.SFC64(seeds.spawn(1)[0])).random(size=(count, width))
+        np.power(u, 1.0 / m, out=u)
+        out *= u
     out *= 1.0 / m
     return out

@@ -11,8 +11,8 @@ the SNR, the estimated curve is nonincreasing in it.  A chunk's rows depend
 only on (seed, chunk, width, count), so no count depends on the worker
 count, a given (seed, n, parameters) triple reproduces bit-identical
 results, and a point's count is that of a one-SNR call at the same seed.
-Each call checks its SNRs, n and workers (_checked) before any draw or MI
-evaluation.
+Each call checks its SNRs, n, seed and workers (_checked) before any draw
+or MI evaluation.
 The chunks of one estimate are spread over min(workers, chunks) threads,
 the package's only thread pool; `mc --workers` reaches it, and a one-chunk
 estimate runs in the calling thread.  mc_outages scores each sample with
@@ -108,12 +108,12 @@ class McEstimate:
         return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_samples)
 
 
-def _checked(snrs, n: int, workers: int) -> tuple[list[float], int, int]:
-    """The linear SNRs of snrs, a nonempty sequence of Snr, and the checked n and workers."""
+def _checked(snrs, n: int, seed: int, workers: int) -> tuple[list[float], int, int, int]:
+    """The linear SNRs of snrs, a nonempty sequence of Snr, and the checked n, seed and workers."""
     rhos = [snr.rho for snr in snrs]
     if not rhos:
         raise ValueError("snrs must hold at least one SNR")
-    return rhos, require("n", n, integer, least=1), require("workers", workers, integer, least=1)
+    return rhos, require("n", n, integer, least=1), fading.checked_seed(seed), require("workers", workers, integer, least=1)
 
 
 def _estimate(spec: ChannelSpec, n: int, seed: int, workers: int, count_rows) -> list[McEstimate]:
@@ -230,7 +230,7 @@ def mc_outages(
     """
     if c.bits_per_symbol != spec.M:
         raise ValueError(f"constellation carries {c.bits_per_symbol} bits but spec.M = {spec.M}")
-    rhos, n, workers = _checked(snrs, n, workers)
+    rhos, n, seed, workers = _checked(snrs, n, seed, workers)
     if q is None:
         q = hermite_rule(MC_QUAD_ORDER)
     rate = spec.rate
@@ -267,7 +267,7 @@ def mc_lower_bounds(
     M > 1000 takes groups of one block, and from M = 1024 on, where 2^M is
     past the float range, no finite factor is capped.
     """
-    rhos, n, workers = _checked(snrs, n, workers)
+    rhos, n, seed, workers = _checked(snrs, n, seed, workers)
     B, M = spec.B, spec.M
     threshold = B * spec.rate
     cap = 2.0**M if M < 1024 else math.inf

@@ -201,6 +201,36 @@ class TestSampling:
         assert gain_block(p, seed=9, chunk=124, count=1)[0, 0] != a[0, 0]
         assert gain_block(p, seed=123, chunk=9, count=1)[0, 0] != a[0, 0]
 
+    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9])
+    def test_lower_tail_counts(self, m):
+        # The outage at high SNR is a lower-tail event, which a KS statistic
+        # cannot see.  At thresholds where P(m, m g) runs from 1e-1 to 1e-5,
+        # the count of 2^20 gains below g is within 4 binomial s.d. of n P.
+        g = gain_rows(NakagamiParam(m), seed=31, n=2**18, width=4).ravel()
+        thresholds = special.gammaincinv(m, [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]) / m
+        probs = reg_gamma_pq(m, m * thresholds)[0]
+        for t, prob in zip(thresholds, probs):
+            want = g.size * prob
+            assert abs(np.count_nonzero(g < t) - want) <= 4.0 * math.sqrt(want * (1.0 - prob)), (m, prob)
+
+    # The first draws of seed 1, chunk 0.  Those at m >= 1 are 0.3.0's.  At
+    # m < 1 numpy's power may round the last bit differently on another CPU's
+    # SIMD path, so those are pinned to a relative 4.5e-16 (2 to 4 ulp).
+    @pytest.mark.parametrize(
+        "m, first",
+        [
+            (1.0, [1.0414817315066947, 1.059181835683032, 2.3120518081345978]),
+            (2.0, [1.779214777835027, 0.41757252457665717, 2.4256382804689154]),
+            (5.0, [1.5021842464180584, 0.62967827228751, 1.8478037026360494]),
+        ],
+    )
+    def test_pinned_draws(self, m, first):
+        assert gain_block(NakagamiParam(m), seed=1, chunk=0, count=1, width=3)[0].tolist() == first
+
+    def test_pinned_boosted_draws(self):
+        got = gain_block(NakagamiParam(0.5), seed=1, chunk=0, count=1, width=3)[0]
+        assert got == pytest.approx([0.22324469044087858, 0.845399001528478, 3.7115137673548104], rel=4.5e-16, abs=0)
+
     @pytest.mark.parametrize("count", [-1, CHUNK + 1])
     def test_count_beyond_one_chunk_raises(self, count):
         with pytest.raises(ValueError, match=f"^count must be an integer >= 0 and <= {CHUNK}, got {count}$"):

@@ -73,6 +73,10 @@ ESTIMATORS = [
         pytest.param(dict(n=0), "n must be an integer >= 1, got 0", id="n=0"),
         pytest.param(dict(n=True), "n must be an integer >= 1, got True", id="n=True"),
         pytest.param(dict(n=100.0), "n must be an integer >= 1, got 100.0", id="n=100.0"),
+        *(
+            pytest.param(dict(seed=seed), f"seed must be an integer >= 0 and <= {2**64 - 1}, got {seed!r}", id=f"seed={seed!r}")
+            for seed in (-1, 2**64, True, 1.5)
+        ),
     ],
 )
 def test_counts_must_be_positive_integers(monkeypatch, estimate, kw, msg):
@@ -130,6 +134,15 @@ class TestMcLowerBound:
         est = mc_lower_bound(snr, s, n=10**6, seed=42)
         assert est.p_hat >= 1e-4
         assert abs(est.p_hat - analytic) <= 3.0 * est.std_err
+
+    def test_matches_analytic_bound_at_severe_fading(self):
+        # m = 0.1 draws every gain by the m < 1 boost, and at 60 dB the
+        # outage is a lower-tail event of the gains.
+        s = spec44(NakagamiParam(0.1), 1.0)
+        snrs = [Snr.from_db(db) for db in (10.0, 30.0, 60.0)]
+        for snr, est in zip(snrs, mc_lower_bounds(snrs, s, n=10**6, seed=11)):
+            assert est.p_hat >= 1e-3
+            assert abs(est.p_hat - outage_lower_bound(snr, s).value) <= 3.0 * est.std_err, snr.db
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_rejects_fewer_than_one_sample(self, n):
