@@ -13,15 +13,18 @@ def _fault(kind: str, value, ok: bool, least, most, above) -> str | None:
     return f"must be {kind}{' ' if limits else ''}{limits}, got {value!r}"
 
 
+# A Python int or float is checked by its exact type before the numbers ABCs,
+# which cost about 1.6 us a call; a bool's type is bool, so it takes the ABC path.
 def integer(value, least=None, most=None) -> str | None:
     """What is wrong with value as an integer in [least, most], or None."""
-    return _fault("an integer", value, isinstance(value, numbers.Integral) and not isinstance(value, bool), least, most, None)
+    ok = type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    return _fault("an integer", value, ok, least, most, None)
 
 
 def real(value, least=None, most=None, above=None) -> str | None:
     """What is wrong with value as a finite real in [least, most] and above `above`, or None."""
     try:
-        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        ok = (type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))) and math.isfinite(value)
     except OverflowError:  # an int past the float range
         ok = False
     return _fault("a finite real", value, ok, least, most, above)

@@ -5,13 +5,17 @@ gives a per-block variable X on [0, M]: an atom of mass p at M, and with
 mass 1 - p a variable A, tabulated as exact masses of N cells of width h,
 cell k at its midpoint (k + 1/2)h.  Only p and A's law depend on the SNR.
 The bound is P(X_1 + ... + X_B < BR), read by _log_cdf_sum with a width-h
-linear kernel from one FFT power of X's law tilted by e^(-theta v)/Z, theta
-solving B E_theta[X] = BR, so that the read sits in the bulk of the tilted
-sum, not in its far left tail, where FFT round-off would decide it; the tilt
-is undone in log space.  The sums are split by the parity of their number of
-below-cap blocks (convolve_power).  A read the power cannot resolve is summed
-over the capped-block counts (_by_capped_count), one term of which is the
-coding gain; each reported value leaves log space through exp_checked.
+linear kernel from X's law tilted by e^(-theta v)/Z, theta solving
+B E_theta[X] = BR, so that the read sits in the bulk of the tilted sum, not
+in its far left tail, where FFT round-off would decide it; the tilt is
+undone in log space.  The B-fold sum is read as two half sums, of a =
+floor(B/2) and b = B - a blocks: P(S_a + S_b < x) is the sum over u of
+P(S_a = u) P(S_b < x - u), so both powers come from one FFT of half the
+B-fold length (convolve_power) and are joined by one positive dot product per
+pair of classes (cdf_Y_at).  The sums are split by the parity of their
+number of below-cap blocks.  A read the powers cannot resolve is summed over
+the capped-block counts (_by_capped_count), one term of which is the coding
+gain; each reported value leaves log space through exp_checked.
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ _BLOCK_POINTS = 1 << 14
 # A read whose Chernoff bound is at least 1e-4 is at least about 1e-6 (the bound is 10-100 times above it),
 # where the untilted power's round-off of about 1e-16 costs at most 1e-10 relative.
 _LOG_UNTILTED = math.log(1e-4)
-# The wrapped tilted mass allowed on a shortened transform and the read weight
-# below which a sum is skipped, e^-39.2 and e^-46.1 of the read's scale;
-# theta h where x/n is at most the smallest value (neighbours differ by e^-50);
-# and the read, in units of its round-off, below which it is summed by count.
-_LOG_ALIAS, _LOG_WINDOW, _THETA_CAP, _RESOLVED = 39.2, 46.1, 50.0, 1e6
+# The tilted mass each half sum may wrap on a shortened transform, e^-39.2 of
+# the read's scale; theta h where x/n is at most the smallest value
+# (neighbours differ by e^-50); and the read, in units of its round-off, below
+# which it is summed by count.
+_LOG_ALIAS, _THETA_CAP, _RESOLVED = 39.2, 50.0, 1e6
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,28 @@ class TiltedLaw:
     """A law on the half-step lattice of grid_step, tilted toward x: in each
     class (masses, offset), masses[j] is the tilted mass of the value
     v = (j + offset) grid_step, and e^(log_scale + theta (v - x)) times it
-    is v's untilted mass.  noise bounds the round-off of a read's tilted sum."""
+    is v's untilted mass."""
 
     grid_step: float
     classes: tuple
+    theta: float
+    x: float
+    log_scale: float
+
+
+@dataclass(frozen=True, eq=False)
+class PairedPower:
+    """The law of a sum of n copies of a tilted per-block law as two independent
+    half sums, of a = floor(n/2) and b = n - a copies: halves is ((classes,
+    capped), (classes, capped)) for a then b.  Each class (masses, offset, sums)
+    holds the tilted mass masses[j] of the value (j + offset) grid_step and the
+    running sums of _prefix_sums; capped holds the half's all-capped sum as such
+    a class of one value, or nothing.  e^(log_scale + theta (v - x)) times a
+    pair's tilted mass is the untilted mass of its sum v.  noise bounds the
+    round-off of a read's tilted sum."""
+
+    grid_step: float
+    halves: tuple
     theta: float
     x: float
     log_scale: float
@@ -242,66 +264,153 @@ def _power(spec: np.ndarray, n: int) -> np.ndarray:
     return power
 
 
-def convolve_power(law: TiltedLaw, n: int) -> TiltedLaw:
-    """The law of the sum of n copies of a tilted per-block law, less the
-    all-capped sum n M, which the read never counts, by one FFT power.
+def _prefix_sums(masses: np.ndarray, decay: float) -> np.ndarray:
+    """E[k], the sum over j < k of masses[j] e^(-decay (k - 1 - j)), for k = 0..masses.size: running sums in
+    which each mass fades by e^-decay a cell, plain prefix sums at decay 0.
 
-    The transform has n N points with the atom (the all-capped sum lands on
-    index n N modulo the length, where it is subtracted) and n(K - 1) + 1
-    without it, so that no other sum wraps.  A tilted law's transform stops
-    at y/h, past which, by the Chernoff bound P_theta(sum >= y) <= e^(-theta
-    (y - x)) / Z^n, the wrapped mass is below e^-39.2 of the read's scale.
-    Residue below -1e-12 raises ArithmeticError.
+    A fading sum is the prefix sum of masses[j] e^(decay j) over e^(decay k), formed in rows over which
+    e^(decay j) stays at most e^600; each row takes the last sum of the row before it, and a mass that
+    would reach further has faded below e^-550 and is dropped."""
+    size = masses.size
+    sums = np.empty(size + 1)
+    sums[0] = 0.0
+    if not decay:
+        np.cumsum(masses, out=sums[1:])
+        return sums
+    rows = math.ceil(decay * size / 600.0)
+    width = -(-size // rows)
+    whole = rows * width == size
+    run = sums[1:].reshape(rows, width) if whole else np.zeros((rows, width))
+    run.reshape(-1)[:size] = masses
+    grow = np.arange(width, dtype=float)
+    np.exp(np.multiply(grow, decay, out=grow), out=grow)
+    run *= grow
+    np.cumsum(run, axis=1, out=run)
+    run /= grow
+    if rows > 1:
+        run[1:] += run[:-1, -1:] / (grow * math.exp(decay))
+    if not whole:
+        sums[1:] = run.reshape(-1)[:size]
+    return sums
+
+
+def convolve_power(law: TiltedLaw, n: int) -> PairedPower:
+    """The sum of n copies of a tilted per-block law as a pairing of its a- and
+    b-fold half sums, a = floor(n/2) and b = n - a, each less its all-capped sum
+    count M, which it holds apart as a class of one value (the sum of no copies,
+    for n = 1, is that value 0).  The read never counts the pair of two
+    all-capped half sums, whose sum is n M.
+
+    For n <= 2 the halves are the law itself.  Otherwise both come from one
+    rfft of the law's cells: spec^a, then for odd n spec^a spec, split by the
+    parity of their number of below-cap blocks.  The cells start at the lowest
+    with mass, L cells up, so that no round-off lands below the least sum.  The
+    transform has b(N - L) points with the atom (an all-capped half sum lands
+    on index count (N - L) modulo the length, where it is subtracted) and
+    b(K - L - 1) + 1 without it, so that no other sum wraps.  A tilted law's
+    transform stops where, by the Chernoff bound P_theta(S_c >= y) <=
+    e^(-theta (y - c x/n)) / Z^c for c = a and b, the wrapped mass of each
+    half is below e^-39.2 of the read's scale.  Residue below -1e-12 raises
+    ArithmeticError.
     """
     n = require("n", n, integer, least=1)
-    h, theta, x, log_scale = law.grid_step, law.theta, n * law.x, n * law.log_scale
-    if not law.classes or n == 1:
-        return TiltedLaw(h, law.classes[:1], theta, x, log_scale)
+    h, theta, a, b = law.grid_step, law.theta, n // 2, n - n // 2
+    power = functools.partial(PairedPower, h, theta=theta, x=n * law.x, log_scale=n * law.log_scale)
+    if not law.classes:
+        return power((((), ()), ((), ())))
     (cells, _), *capped = law.classes
     atom, atom_cell = (float(capped[0][0][0]), int(capped[0][1])) if capped else (0.0, 0)
-    need = n * atom_cell if atom else n * (cells.size - 1) + 1
+    # No sum of count copies lies below count times the lowest cell with mass, and the atom sits top cells above it.
+    low = int(np.argmax(cells > 0))
+    cells, top = cells[low:], atom_cell - low
+
+    def half(count: int, classes) -> tuple:
+        """A half sum of count copies from its classes (masses, offset from count lowest cells), with its running sums."""
+        all_capped = ((np.array([atom**count]), count * atom_cell),) if atom else ()
+        classes = [(m, offset + count * low) for m, offset in classes]
+        return tuple(tuple((m, offset, _prefix_sums(m, theta * h)) for m, offset in part) for part in (classes, all_capped))
+
+    if n <= 2:
+        block = half(1, [(cells, 0.5)])
+        return power(((block if n == 2 else ((), ((np.ones(1), 0.0, np.array([0.0, 1.0])),))), block))
+    need = b * top if atom else b * (cells.size - 1) + 1
     if theta > 0:
-        need = min(need, math.ceil((x + h / 2 + (_LOG_ALIAS - log_scale) / theta) / h))
+        cut = (math.ceil((c * law.x + h / 2 + (_LOG_ALIAS - c * law.log_scale) / theta) / h) - c * low for c in (a, b))
+        need = max(1, min(need, max(cut)))
     size = _fft_length(need)
     spec = np.fft.rfft(cells, size)
     if atom:
-        s, period = _half_step(size), size // math.gcd(size, atom_cell)
+        s, period = _half_step(size), size // math.gcd(size, top)
         spec *= s
-        # atom e^(-2 pi i f N/size), built from its period size/gcd(size, N).
-        capped = atom * np.tile(np.exp(-2j * np.pi / size * (np.arange(period) * atom_cell % size)), size // 2 // period + 1)[: size // 2 + 1]
-        plus, minus = _power(capped + spec, n), _power(np.subtract(capped, spec, out=capped), n)
-        even = np.fft.irfft(np.add(plus, minus, out=spec), size) * 0.5
-        odd = np.fft.irfft(np.multiply(np.subtract(plus, minus, out=plus), np.conj(s), out=plus), size) * 0.5
-        even[n * atom_cell % size] -= atom**n
-        classes = ((even, 0.0), (odd, 0.5))
+        # atom e^(-2 pi i f top/size), built from its period size/gcd(size, top).
+        capped = atom * np.tile(np.exp(-2j * np.pi / size * (np.arange(period) * top % size)), size // 2 // period + 1)[: size // 2 + 1]
+        plus, minus = capped + spec, np.subtract(capped, spec, out=capped)
+        spectra = {a: (_power(plus.copy() if b > a else plus, a), _power(minus.copy() if b > a else minus, a))}
+        if b > a:
+            spectra[b] = (np.multiply(spectra[a][0], plus, out=plus), np.multiply(spectra[a][1], minus, out=minus))
+
+        def classes(count: int) -> list:
+            plus, minus = spectra.pop(count)
+            even = np.fft.irfft(plus + minus, size) * 0.5
+            odd = np.fft.irfft(np.multiply(np.subtract(plus, minus, out=plus), np.conj(s), out=plus), size) * 0.5
+            even[count * top % size] -= atom**count
+            return [(even, 0.0), (odd, 0.5)]
     else:
-        classes = ((np.fft.irfft(_power(spec, n), size), n / 2),)
-    if (residue := min(masses.min() for masses, _ in classes)) < -1e-12:
+        spectra = {a: _power(spec.copy() if b > a else spec, a)}
+        if b > a:
+            spectra[b] = np.multiply(spectra[a], spec, out=spec)
+
+        def classes(count: int) -> list:
+            return [(np.fft.irfft(spectra.pop(count), size), count / 2)]
+
+    halves = (half(a, classes(a)),) * 2 if a == b else (half(a, classes(a)), half(b, classes(b)))
+    if (residue := min(m.min() for part, _ in halves for m, _, _ in part)) < -1e-12:
         raise ArithmeticError(f"FFT convolution produced mass {residue} below tolerance")
-    return TiltedLaw(h, classes, theta, x, log_scale, max(-residue, 0.0) * math.sqrt(sum(m.size for m, _ in classes)))
+    # Each half's round-off meets read weights of at most 1.
+    return power(halves, noise=2 * max(-residue, 0.0) * math.sqrt(sum(m.size for m, _, _ in halves[1][0])))
 
 
-def cdf_Y_at(law: TiltedLaw, x: float) -> float:
-    """Natural log of the law's cdf at x, -inf where it is 0.
+def _pair(first: tuple, second: tuple, x: float, h: float, decay: float) -> float:
+    """The sum, over a value u of the class first and t of second, of their tilted masses times e^(theta (u + t - x))
+    clip((x - u - t)/h + 1/2, 0, 1), decay being theta h: for each u, second's running sums read at x - u.
 
-    A value v counts clip((x - v)/h + 1/2, 0, 1): whole below x - h/2 and a
+    All of a value's kernel fraction falls on the sums of one lattice index, so the read at x - u of second is its
+    running sum there (scaled by e^(-theta h (frac + 1/2))) plus that fraction of the next mass; beyond second's last
+    value the running sums fade from its last, and so do first's masses, which first's running sums give at once."""
+    (ma, oa, sa), (mb, ob, sb) = first, second
+    rel = x / h + (0.5 - oa - ob)
+    if rel <= 0.0:
+        return 0.0
+    top = int(rel)
+    frac = rel - top
+    lo, hi = max(0, top - mb.size + 1), min(top, ma.size - 1)
+    total = 0.0
+    if lo <= hi:
+        # einsum, unlike a BLAS dot, runs on this thread alone and reads the reversed view in place.
+        pairs, k = ma[hi : lo - 1 if lo else None : -1], slice(top - hi, top - lo + 1)
+        total = float(np.einsum("i,i", pairs, sb[k]) + frac * math.exp(decay) * np.einsum("i,i", pairs, mb[k]))
+    if lo:
+        i = min(lo - 1, ma.size - 1)
+        total += float(sa[i + 1] * sb[-1]) * math.exp(-decay * (lo - 1 - i))
+    return total * math.exp(-decay * (frac + 0.5))
+
+
+def cdf_Y_at(power: PairedPower, x: float) -> float:
+    """Natural log of the power's cdf at x, -inf where it is 0.
+
+    A sum v counts clip((x - v)/h + 1/2, 0, 1): whole below x - h/2 and a
     linear fraction within h/2 of x, which reads a sum of cell midpoints as
-    the cdf of the continuous sum interpolated over its cell.  A tilted law's
-    values are weighted by e^(theta (v - law.x)), and those whose weight is
-    below e^-46.1 are skipped.
+    the cdf of the continuous sum interpolated over its cell.  The cdf of
+    S_a + S_b is the sum over u of P(S_a = u) P(S_b < x - u): each class of
+    one half is paired with each class of the other, but for the two
+    all-capped ones.  A tilted pair is weighted by e^(theta (u + t - x)),
+    split between the halves so that no weight exceeds e^(theta h / 2).
     """
-    h, theta, total = law.grid_step, law.theta, 0.0
-    for masses, offset in law.classes:
-        rel = x / h + (0.5 - offset)
-        if rel <= 0.0:
-            continue
-        top = min(int(rel), masses.size)
-        first = max(0, top - math.ceil(_LOG_WINDOW / (theta * h))) if theta else 0
-        window = masses[first : top + 1]
-        if theta:
-            window = window * np.exp(theta * h * (np.arange(first, first + window.size) + offset - law.x / h))
-        total += window[: top - first].sum() + (window[-1] * (rel - top) if top < masses.size else 0.0)
-    return law.log_scale + math.log(total) if total > 0 else -math.inf
+    h, decay = power.grid_step, power.theta * power.grid_step
+    (a, a_capped), (b, b_capped) = power.halves
+    pairs = [(p, q) for p in a + a_capped for q in b] + [(p, q) for p in a for q in b_capped]
+    total = sum(_pair(p, q, x, h, decay) for p, q in pairs)
+    return power.log_scale + power.theta * (x - power.x) + math.log(total) if total > 0 else -math.inf
 
 
 _LOG_NORMAL = math.log(sys.float_info.min), math.log(sys.float_info.max)
@@ -327,10 +436,11 @@ def _zero_read(pmf: TabulatedPmf, n: int, x: float, name: str, where: str, under
     return ArithmeticError(f"{name} cannot be computed{where}: no sum of {n} cells reaches its read; {resolve}")
 
 
-def _log_cdf_sum(law: TabulatedPmf, n: int, x: float, shared: dict | None = None) -> tuple[float, bool, TiltedLaw]:
-    """log P(X_1 + ... + X_n < x) for n copies of law, whether the read resolves it, and the power read, which the caller
-    holds until its next read (freeing it before the next is built cost bound-wide about 20% in page faults).  A tilt
-    toward x keeping the atom, with Chernoff bound e^(theta (x + h/2)) Z^n >= 1e-4, reads shared[n], law's untilted power."""
+def _log_cdf_sum(law: TabulatedPmf, n: int, x: float, shared: dict | None = None) -> tuple[float, bool, PairedPower]:
+    """log P(X_1 + ... + X_n < x) for n copies of law, whether the read resolves it, and the paired power read, which
+    the caller holds until its next read (freeing it before the next is built cost bound-wide about 20% in page faults).
+    A tilt toward x keeping the atom, with Chernoff bound e^(theta (x + h/2)) Z^n >= 1e-4, reads shared[n], law's
+    untilted half powers and their prefix sums, which every such read at n reuses."""
     tilted = tilt(law, n, x)
     if len(tilted.classes) < 2 or n * tilted.log_scale + tilted.theta * tilted.grid_step / 2 < _LOG_UNTILTED:
         power = convolve_power(tilted, n)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nakfade import bound, cli
 from nakfade.asymptotics import coding_gain, diversity_arg, singleton_bound
 from nakfade.bound import (
+    _LOG_ALIAS,
     ChannelSpec,
     TabulatedPmf,
     cdf_Y_at,
@@ -95,7 +96,7 @@ class TestChannelSpec:
         assert [[r.value for r in row] for row in got] == want
         assert coding_gain(ChannelSpec(np.int64(4), np.int64(4), M2, 1.0), 256) == coding_gain(ChannelSpec(4, 4, M2, 1.0), 256)
         law = tilt(pmf_A(Snr(10.0), spec44(M2, 1), 64), 3, 3.0)
-        assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(convolve_power(law, np.int64(3)).classes, convolve_power(law, 3).classes))
+        assert all(np.array_equal(a, b) for a, b in zip(power_arrays(convolve_power(law, np.int64(3))), power_arrays(convolve_power(law, 3))))
 
 
 class TestSuccessRate:
@@ -248,50 +249,83 @@ def half_step_power(pmf, law, n):
     return out
 
 
+def power_halves(power, n):
+    """Each half of a paired power of n copies as (count, classes, capped), classes as (masses, offset)."""
+    return [(count, [(m, o) for m, o, _ in part], [(m, o) for m, o, _ in top]) for count, (part, top) in zip((n // 2, n - n // 2), power.halves)]
+
+
+def power_arrays(power):
+    """Every array a paired power holds, masses and running sums, in order."""
+    return [array for part in power.halves for classes in part for cls in classes for array in (cls[0], cls[2])]
+
+
+def assert_halves_match_direct(pmf, law, power, n, tol=1e-10):
+    # Each class of each half is the half-step lattice's direct convolution of
+    # its count of copies at its parity, and its all-capped sum is the tilted
+    # atom to that count, at count N cells.
+    for count, classes, capped in power_halves(power, n):
+        if count == 0:
+            assert classes == [] and [(list(m), o) for m, o in capped] == [([1.0], 0.0)]
+            continue
+        direct = half_step_power(pmf, law, count)
+        for sums, offset in classes:
+            index = (2 * (np.arange(sums.size) + offset)).astype(int)
+            keep = index < direct.size
+            assert np.max(np.abs(sums[keep] - direct[index[keep]])) < tol, (count, offset, law.theta)
+        atom = law.classes[1][0][0] if len(law.classes) > 1 else 0.0
+        assert [(list(m), o) for m, o in capped] == ([([atom**count], count * pmf.n_cells)] if atom else [])
+
+
 class TestConvolvePower:
     def test_identity(self):
-        # One block: the law's own cells, and no atom (the all-capped sum).
+        # One block: the law's own cells and atom, paired with the sum of no
+        # copies, the value 0, held as all capped; the pair of the two
+        # all-capped sums, the atom, is never read.
         law = tilt(random_pmf(1, 64, 0.25), 1, 4.0)
-        assert len(law.classes) == 2
-        assert convolve_power(law, 1).classes == law.classes[:1]
+        (cells, offset), (atom, _) = law.classes
+        (zero, none, (empty,)), (one, ((got, got_offset),), ((got_atom, atom_offset),)) = power_halves(convolve_power(law, 1), 1)
+        assert (zero, none, empty[0].tolist(), empty[1]) == (0, [], [1.0], 0.0)
+        assert one == 1 and np.array_equal(got, cells) and got_offset == offset
+        assert got_atom.tolist() == atom.tolist() and atom_offset == 64
 
     def test_delta_shift(self):
+        # The cells start at the lowest with mass: three copies of a point mass
+        # at 5.5 cells sum to 16.5 cells, and the read steps there.
         masses = np.zeros(32)
         masses[5] = 1.0
-        out = untilted(TabulatedPmf(0.125, masses), 3)
-        ((sums, offset),) = out.classes
-        assert sums.size >= 3 * 31 + 1 and offset == 1.5
-        assert sums[15] == pytest.approx(1.0, abs=1e-12)
-        assert sums.sum() == pytest.approx(1.0, abs=1e-12)
+        power = untilted(TabulatedPmf(0.125, masses), 3)
+        for count, ((sums, offset),), _ in power_halves(power, 3):
+            assert offset == 5.5 * count and sums[0] == pytest.approx(1.0, abs=1e-12)
+            assert sums.sum() == pytest.approx(1.0, abs=1e-12)
+        assert cdf_Y_at(power, 16.0 * 0.125) == -math.inf
+        assert cdf_Y_at(power, 16.5 * 0.125) == pytest.approx(math.log(0.5), rel=1e-12)
+        assert cdf_Y_at(power, 17.0 * 0.125) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_direct_convolution(self, n):
         pmf = random_pmf(2024, 512)
-        direct = pmf.masses.copy()
-        for _ in range(n - 1):
-            direct = np.convolve(direct, pmf.masses)
-        ((got, _),) = untilted(pmf, n).classes
-        assert np.max(np.abs(got[: direct.size] - direct)) < 1e-10
-        assert np.max(np.abs(got[direct.size :]), initial=0.0) < 1e-10
+        for count, ((got, _),), capped in power_halves(untilted(pmf, n), n):
+            direct = pmf.masses.copy()
+            for _ in range(count - 1):
+                direct = np.convolve(direct, pmf.masses)
+            assert capped == []
+            assert np.max(np.abs(got[: direct.size] - direct)) < 1e-10
+            assert np.max(np.abs(got[direct.size :]), initial=0.0) < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     @pytest.mark.parametrize("x", [2.0, 6.5, 11.0])
     def test_capped_law_matches_direct_convolution(self, n, x):
-        # Tilted or not, with or without the atom, each class is the
-        # half-step lattice's direct convolution at its parity.
+        # Tilted or not, with or without the atom, each class of each half is
+        # the half-step lattice's direct convolution at its parity.
         pmf = random_pmf(n, 256, 0.3)
         law = tilt(pmf, n, x)
-        direct = half_step_power(pmf, law, n)
-        power = convolve_power(law, n)
-        for sums, offset in power.classes:
-            index = (2 * (np.arange(sums.size) + offset)).astype(int)
-            keep = index < direct.size
-            assert np.max(np.abs(sums[keep] - direct[index[keep]])) < 1e-10, (offset, law.theta)
+        assert_halves_match_direct(pmf, law, convolve_power(law, n), n)
 
     def test_midpoint_alignment_offset(self):
-        # Four cells at (k + 1/2) h sum to (j + 2) h: the class offset is n/2 cells.
-        ((_, offset),) = untilted(TabulatedPmf(0.5, np.full(8, 0.125)), 4).classes
-        assert offset == 2.0
+        # c cells at (k + 1/2) h sum to (j + c/2) h: each half's class offset is its count over 2 cells.
+        for n, offsets in ((4, [1.0, 1.0]), (5, [1.0, 1.5])):
+            halves = power_halves(untilted(TabulatedPmf(0.5, np.full(8, 0.125)), n), n)
+            assert [offset for _, ((_, offset),), _ in halves] == offsets
 
     def test_rejects_zero_power(self):
         with pytest.raises(ValueError):
@@ -301,28 +335,28 @@ class TestConvolvePower:
         # A power owns its masses: later powers of the same law leave it as it was.
         law = tilt(random_pmf(7, 64, 0.2), 3, 5.0)
         first = convolve_power(law, 3)
-        kept = [sums.copy() for sums, _ in first.classes]
+        kept = [array.copy() for array in power_arrays(first)]
         convolve_power(law, 3)
         convolve_power(law, 2)
-        assert all(np.array_equal(sums, k) for (sums, _), k in zip(first.classes, kept))
+        assert all(np.array_equal(array, k) for array, k in zip(power_arrays(first), kept))
 
     def test_workspace_result_equals_fresh_one(self):
         # The cached phase tables change no value: a repeated power is bit-identical.
         pmf = random_pmf(8, 64, 0.2)
         for n in (5, 2, 3, 2, 7):
             a, b = convolve_power(tilt(pmf, n, 1.5 * n), n), convolve_power(tilt(pmf, n, 1.5 * n), n)
-            assert all(np.array_equal(x, y) for (x, _), (y, _) in zip(a.classes, b.classes)), n
+            assert all(np.array_equal(x, y) for x, y in zip(power_arrays(a), power_arrays(b))), n
 
     @pytest.mark.parametrize("n_cells", [64, 512, 4096])
     def test_squaring_power_matches_np_power(self, n_cells):
-        # The squarings round differently from np.power, at the level of the
-        # FFT's own round-off.
+        # The squarings, and for odd n the one product by the law's spectrum,
+        # round differently from np.power, at the level of the FFT's own round-off.
         pmf = random_pmf(n_cells, n_cells)
-        for n in range(2, 65):
+        for n in range(3, 65):
             law = tilt(pmf, n, n * 4.0)
-            ((got, _),) = convolve_power(law, n).classes
-            want = np.fft.irfft(np.fft.rfft(law.classes[0][0], got.size) ** n, got.size)
-            assert np.max(np.abs(got - want)) <= 1e-14 * want.max(), n
+            for count, ((got, _),), _ in power_halves(convolve_power(law, n), n):
+                want = np.fft.irfft(np.fft.rfft(law.classes[0][0], got.size) ** count, got.size)
+                assert np.max(np.abs(got - want)) <= 1e-14 * want.max(), (n, count)
 
 
 def read_weights(law, v, x):
@@ -338,15 +372,15 @@ def half_step_read(law, direct, x):
 
 
 class TestShortenedPower:
-    """A tilted power's transform stops where the Chernoff bound puts the
-    wrapped mass below e^-39.2 of the read's scale (ROADMAP item 15)."""
+    """A tilted power's transform stops where the Chernoff bound puts each
+    half's wrapped mass below e^-39.2 of the read's scale (ROADMAP item 15)."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_cells=st.integers(2, 64),
         atom=st.sampled_from([0.0, 0.3, 0.9]),
-        n=st.integers(2, 64),
+        n=st.integers(3, 64),
         frac=st.floats(0.0, 1.0),
         below=st.floats(0.0, 0.1),
     )
@@ -360,27 +394,80 @@ class TestShortenedPower:
         law = tilt(pmf, n, x)
         power = convolve_power(law, n)
         (cells, _), *capped = law.classes
-        size = power.classes[0][0].size
-        # Never longer than the transform of the full n N (atom) or n(K - 1) + 1 sums.
-        assert size <= bound._fft_length(n * n_cells if capped else n * (cells.size - 1) + 1)
+        halves = power_halves(power, n)
+        size = halves[1][1][0][0].size
+        # Never longer than the transform of the full b N (atom) or b(K - 1) + 1 sums of the larger half.
+        b = n - n // 2
+        assert size <= bound._fft_length(b * n_cells if capped else b * (cells.size - 1) + 1)
+        for count, classes, _ in halves:
+            # Each class holds the direct sums of its parity folded modulo the
+            # transform's length: what lies at or past the length wraps, and
+            # meets read weights of at most e^(theta h / 2).
+            direct = half_step_power(pmf, law, count)
+            wrapped = sum(direct[int(2 * offset) :: 2][size:].sum() for _, offset in classes)
+            assert wrapped * math.exp(law.theta * law.grid_step / 2) <= math.exp(-39.2), (count, law.theta)
         direct = half_step_power(pmf, law, n)
         for read in (x, x * (1.0 - below)):
-            # The wrapped tilted mass: each class holds the direct sums of its
-            # parity folded modulo the transform's length.
-            wrapped = 0.0
-            for _, offset in power.classes:
-                lattice = direct[int(2 * offset) :: 2]
-                folded = np.bincount(np.arange(lattice.size) % size, lattice, size)
-                folded[: lattice.size] -= lattice[:size]
-                wrapped += folded @ read_weights(power, (np.arange(size) + offset) * law.grid_step, read)
-            assert wrapped <= math.exp(-39.2)
-            # In units of the read's scale: beyond the wrapped mass, only the
-            # transform's round-off, far above e^-39.2 = 9e-18 in float64.
+            # In units of the read's scale: beyond the wrapped mass of the two
+            # halves, only the transforms' round-off, far above e^-39.2 = 9e-18 in float64.
             got = math.exp(cdf_Y_at(power, read) - power.log_scale)
             want = math.exp(half_step_read(power, direct, read) - power.log_scale)
-            assert abs(got - want) <= math.exp(-39.2) + 1e-13, (read, law.theta)
+            assert abs(got - want) <= 2 * math.exp(-39.2) + 1e-13, (read, law.theta)
 
 
+class TestPairRead:
+    """The read of an n-fold sum as the pairing of its two half sums, against
+    the direct n-fold convolution read as cdf_Y_at reads."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 32])
+    @pytest.mark.parametrize("atom", [0.0, 0.3])
+    def test_matches_direct_n_fold_read(self, n, atom):
+        # Reads in the bulk and the tails, and above a M, where an all-capped
+        # half sum pairs with the other half's below-cap sums.
+        pmf = random_pmf(100 + n, 16, atom)
+        a, M = n // 2, 4.0
+        for x in (0.3 * n, 1.3 * n, 0.5 * n * M, a * M + 0.6 * (n - a), n * M - 0.1):
+            law = tilt(pmf, n, x)
+            power = convolve_power(law, n)
+            got = cdf_Y_at(power, x)
+            want = half_step_read(power, half_step_power(pmf, law, n), x)
+            assert math.exp(got - want) == pytest.approx(1.0, rel=1e-12, abs=0.0), (x, law.theta)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 32])
+    @pytest.mark.parametrize("atom", [0.0, 0.3])
+    def test_read_at_n_caps_is_one_less_all_capped(self, n, atom):
+        # R = M: every sum but the all-capped one, n M, counts.
+        power = untilted(random_pmf(200 + n, 16, atom), n)
+        assert math.exp(cdf_Y_at(power, n * 4.0)) == pytest.approx(1.0 - atom**n, rel=1e-12, abs=0.0)
+
+    def test_tilted_read_whose_weights_would_overflow_unscaled(self):
+        # Masses rising e^4 a cell put 32 copies' read at one cell a block deep
+        # in the left tail: a half's weight e^(theta (u - a x/n)) would reach
+        # e^(39.2 - a log Z), past the float range, were it not split between the halves.
+        masses = np.exp(4.0 * np.arange(16))
+        pmf, n = TabulatedPmf(0.25, masses / masses.sum()), 32
+        law = tilt(pmf, n, n * 0.25)
+        assert law.theta > 0 and _LOG_ALIAS - n // 2 * law.log_scale > math.log(sys.float_info.max)
+        power = convolve_power(law, n)
+        want = half_step_read(power, half_step_power(pmf, law, n), n * 0.25)
+        assert cdf_Y_at(power, n * 0.25) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("size", [1, 15, 16, 1000, 40000])
+    @pytest.mark.parametrize("decay", [0.0, 1e-3, 0.7, 13.0, 50.0])
+    def test_running_sums_match_the_loop(self, size, decay):
+        # The fading sums a pairing reads, formed in rows where e^(decay j)
+        # stays in range, against the recurrence E[k + 1] = masses[k] + e^-decay E[k].
+        masses = np.random.default_rng(size).random(size)
+        want, fade = np.zeros(size + 1), math.exp(-decay)
+        for k, mass in enumerate(masses):
+            want[k + 1] = mass + fade * want[k]
+        assert np.max(np.abs(bound._prefix_sums(masses, decay) - want)) <= 1e-13 * want.max()
+
+    def test_deep_tail_read_leaves_the_float_range(self):
+        # The pairing reads the tail at 80 dB, m = 20, and the value then underflows a float by name.
+        res = CliRunner().invoke(cli.main, ["curve", "--m", "20", "--rate", "1", "--snr-db", "80:80:1"])
+        assert res.exit_code == 3
+        assert "log10 p_out_lower = -606.162" in res.output
 class TestCdfYAt:
     def uniform(self):
         return convolve_power(tilt(TabulatedPmf(0.5, np.full(8, 0.125)), 1, 4.0), 1)

@@ -7,6 +7,7 @@ ValueError that names the argument, never a TypeError or AttributeError.
 """
 
 import math
+import numbers
 import pickle
 import re
 from fractions import Fraction
@@ -49,6 +50,19 @@ class TestRule:
     def test_real_refuses(self, value):
         assert real(value) == f"must be a finite real, got {value!r}"
         assert real(value, above=0) == f"must be a finite real > 0, got {value!r}"
+
+    # Python ints and floats take a fast path by exact type; every other value,
+    # bools and numpy scalars among them, gets the numbers-ABC rule.
+    @pytest.mark.parametrize(
+        "value",
+        [0, 7, -2.5, 1e300, True, False, np.True_, np.int8(3), np.int64(-4), np.uint32(5), np.float16(0.5), np.float32(2.0), np.float64(-1.0), re.RegexFlag.I, math.inf],
+        ids=repr,
+    )
+    def test_fast_path_agrees_with_the_abc_rule(self, value):
+        is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        is_real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        assert (integer(value) is None, real(value) is None) == (is_int, is_real)
+        assert (integer(True), real(True)) == ("must be an integer, got True", "must be a finite real, got True")
 
     @pytest.mark.parametrize(
         "problem, text",
