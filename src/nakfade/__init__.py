@@ -1,6 +1,6 @@
 """Outage-probability lower bounds for discrete-input Nakagami-m block-fading channels."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .asymptotics import (
     asymptotes,

@@ -70,7 +70,8 @@ def coding_gain(spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> float:
         raise ArithmeticError(f"coding gain K cannot be computed at M = {M}: 2^M overflows a float")
     d = singleton_bound(B, M, R)
     pmf = build_pmf_A(((2.0 ** _cell_edges(M, n_cells) - 1.0) / (2.0**M - 1.0)) ** m, M)
-    log_k = _by_capped_count(pmf, 0.0, m * math.log(m * (2.0**M - 1.0)) - math.lgamma(m + 1), B, [B - d], B * R, M)
+    log_q = m * math.log(m * (2.0**M - 1.0)) - math.lgamma(m + 1)
+    log_k = _by_capped_count(pmf, 0.0, log_q, B, [B - d], B * R, M, "coding gain K", f" at rate {R:.6g}")
     if log_k == -math.inf:
         underflow = f"coding gain K cannot be computed: the limit law's cell masses underflow a float at m = {m:g}"
         raise _zero_read(pmf, d, B * R - (B - d) * M, "coding gain K", f" at rate {R:.6g}", underflow)

@@ -12,10 +12,12 @@ undone in log space.  The B-fold sum is read as two half sums, of a =
 floor(B/2) and b = B - a blocks: P(S_a + S_b < x) is the sum over u of
 P(S_a = u) P(S_b < x - u), so both powers come from one FFT of half the
 B-fold length (convolve_power) and are joined by one positive dot product per
-pair of classes (cdf_Y_at).  The sums are split by the parity of their
-number of below-cap blocks.  A read the powers cannot resolve is summed over
-the capped-block counts (_by_capped_count), one term of which is the coding
-gain; each reported value leaves log space through exp_checked.
+pair of classes (cdf_Y_at).  A half of at most two blocks is built from the
+cells' own convolution powers, one inverse transform at most; a larger half
+with the atom is split by the parity of its number of below-cap blocks.  A
+read the powers cannot resolve is summed over the capped-block counts
+(_by_capped_count), one term of which is the coding gain; each reported
+value leaves log space through exp_checked.
 """
 
 from __future__ import annotations
@@ -119,12 +121,12 @@ class TiltedLaw:
 class PairedPower:
     """The law of a sum of n copies of a tilted per-block law as two independent
     half sums, of a = floor(n/2) and b = n - a copies: halves is ((classes,
-    capped), (classes, capped)) for a then b.  Each class (masses, offset, sums)
-    holds the tilted mass masses[j] of the value (j + offset) grid_step and the
-    running sums of _prefix_sums; capped holds the half's all-capped sum as such
-    a class of one value, or nothing.  e^(log_scale + theta (v - x)) times a
-    pair's tilted mass is the untilted mass of its sum v.  noise bounds the
-    round-off of a read's tilted sum."""
+    capped), (classes, capped)) for a then b, one object for even n.  Each
+    class (masses, offset, sums) holds the tilted mass masses[j] of the value
+    (j + offset) grid_step and the running sums of _prefix_sums; capped holds
+    the half's all-capped sum as such a class of one value, or nothing.
+    e^(log_scale + theta (v - x)) times a pair's tilted mass is the untilted
+    mass of its sum v.  noise bounds the round-off of a read's tilted sum."""
 
     grid_step: float
     halves: tuple
@@ -294,6 +296,15 @@ def _prefix_sums(masses: np.ndarray, decay: float) -> np.ndarray:
     return sums
 
 
+def _powers(spec: np.ndarray, counts: list) -> dict:
+    """{c: spec^c} for one or two consecutive ascending counts; spec is overwritten."""
+    first, *rest = counts
+    powers = {first: _power(spec.copy() if rest else spec, first)}
+    if rest:
+        powers[rest[0]] = np.multiply(powers[first], spec, out=spec)
+    return powers
+
+
 def convolve_power(law: TiltedLaw, n: int) -> PairedPower:
     """The sum of n copies of a tilted per-block law as a pairing of its a- and
     b-fold half sums, a = floor(n/2) and b = n - a, each less its all-capped sum
@@ -301,17 +312,21 @@ def convolve_power(law: TiltedLaw, n: int) -> PairedPower:
     for n = 1, is that value 0).  The read never counts the pair of two
     all-capped half sums, whose sum is n M.
 
-    For n <= 2 the halves are the law itself.  Otherwise both come from one
-    rfft of the law's cells: spec^a, then for odd n spec^a spec, split by the
-    parity of their number of below-cap blocks.  The cells start at the lowest
-    with mass, L cells up, so that no round-off lands below the least sum.  The
-    transform has b(N - L) points with the atom (an all-capped half sum lands
-    on index count (N - L) modulo the length, where it is subtracted) and
-    b(K - L - 1) + 1 without it, so that no other sum wraps.  A tilted law's
-    transform stops where, by the Chernoff bound P_theta(S_c >= y) <=
-    e^(-theta (y - c x/n)) / Z^c for c = a and b, the wrapped mass of each
-    half is below e^-39.2 of the read's scale.  Residue below -1e-12 raises
-    ArithmeticError.
+    A half of c <= 2 copies is built from the cells' own convolution powers:
+    with j of its copies below the cap, its class is C(c, j) atom^(c - j) C^*j,
+    so one copy is the cells themselves, and two are C * C, one transform, and
+    2 atom C, the cells again, top cells further up.  Without the atom a half
+    of c copies is the transform's spec^c.  With it, a half of c >= 3 copies
+    comes from the same rfft, split by the parity of its number of below-cap
+    blocks.  For odd n the b spectrum is the a spectrum times the law's.  The
+    cells start at the lowest with mass, L cells up, so that no round-off lands
+    below the least sum.  The transform has b(N - L) points with a parity split
+    (an all-capped half sum lands on index count (N - L) modulo the length,
+    where it is subtracted) and b(K - L - 1) + 1 otherwise, so that no other sum
+    wraps.  A tilted law's transform stops where, by the Chernoff bound
+    P_theta(S_c >= y) <= e^(-theta (y - c x/n)) / Z^c for each transformed
+    count c, the wrapped mass of each half is below e^-39.2 of the read's
+    scale.  Residue below -1e-12 raises ArithmeticError.
     """
     n = require("n", n, integer, least=1)
     h, theta, a, b = law.grid_step, law.theta, n // 2, n - n // 2
@@ -325,49 +340,45 @@ def convolve_power(law: TiltedLaw, n: int) -> PairedPower:
     cells, top = cells[low:], atom_cell - low
 
     def half(count: int, classes) -> tuple:
-        """A half sum of count copies from its classes (masses, offset from count lowest cells), with its running sums."""
-        all_capped = ((np.array([atom**count]), count * atom_cell),) if atom else ()
-        classes = [(m, offset + count * low) for m, offset in classes]
-        return tuple(tuple((m, offset, _prefix_sums(m, theta * h)) for m, offset in part) for part in (classes, all_capped))
+        """A half sum of count copies from its classes (masses, offset from count lowest cells), with its running sums,
+        and its all-capped sum, whose running sums are 0 and its one mass (the sum of no copies is all capped)."""
+        mass = atom**count
+        all_capped = ((np.array([mass]), count * atom_cell, np.array([0.0, mass])),) if mass else ()
+        return tuple((m, offset + count * low, _prefix_sums(m, theta * h)) for m, offset in classes), all_capped
 
-    if n <= 2:
-        block = half(1, [(cells, 0.5)])
-        return power(((block if n == 2 else ((), ((np.ones(1), 0.0, np.array([0.0, 1.0])),))), block))
-    need = b * top if atom else b * (cells.size - 1) + 1
-    if theta > 0:
-        cut = (math.ceil((c * law.x + h / 2 + (_LOG_ALIAS - c * law.log_scale) / theta) / h) - c * low for c in (a, b))
-        need = max(1, min(need, max(cut)))
-    size = _fft_length(need)
-    spec = np.fft.rfft(cells, size)
-    if atom:
+    # Each count's classes (masses, offset from count lowest cells), and apart those that a transform rounds.
+    built, transformed = {0: [], 1: [(cells, 0.5)]}, {}
+    counts = [c for c in dict.fromkeys((a, b)) if c > 1]
+    plain, split = [c for c in counts if not atom or c == 2], [c for c in counts if atom and c > 2]
+    if counts:
+        need = b * top if split else b * (cells.size - 1) + 1
+        if theta > 0:
+            cut = (math.ceil((c * law.x + h / 2 + (_LOG_ALIAS - c * law.log_scale) / theta) / h) - c * low for c in counts)
+            need = max(1, min(need, max(cut)))
+        size = _fft_length(need)
+        spec = np.fft.rfft(cells, size)
+    if plain:
+        for c, spec_c in _powers(spec.copy() if split else spec, plain).items():
+            transformed[c] = [(np.fft.irfft(spec_c, size), c / 2)]
+            built[c] = transformed[c] + ([(2 * atom * cells, 0.5 + top)] if atom else [])
+    if split:
         s, period = _half_step(size), size // math.gcd(size, top)
         spec *= s
         # atom e^(-2 pi i f top/size), built from its period size/gcd(size, top).
         capped = atom * np.tile(np.exp(-2j * np.pi / size * (np.arange(period) * top % size)), size // 2 // period + 1)[: size // 2 + 1]
         plus, minus = capped + spec, np.subtract(capped, spec, out=capped)
-        spectra = {a: (_power(plus.copy() if b > a else plus, a), _power(minus.copy() if b > a else minus, a))}
-        if b > a:
-            spectra[b] = (np.multiply(spectra[a][0], plus, out=plus), np.multiply(spectra[a][1], minus, out=minus))
-
-        def classes(count: int) -> list:
-            plus, minus = spectra.pop(count)
+        for (c, plus), minus in zip(_powers(plus, split).items(), _powers(minus, split).values()):
             even = np.fft.irfft(plus + minus, size) * 0.5
             odd = np.fft.irfft(np.multiply(np.subtract(plus, minus, out=plus), np.conj(s), out=plus), size) * 0.5
-            even[count * top % size] -= atom**count
-            return [(even, 0.0), (odd, 0.5)]
-    else:
-        spectra = {a: _power(spec.copy() if b > a else spec, a)}
-        if b > a:
-            spectra[b] = np.multiply(spectra[a], spec, out=spec)
+            even[c * top % size] -= atom**c
+            built[c] = transformed[c] = [(even, 0.0), (odd, 0.5)]
 
-        def classes(count: int) -> list:
-            return [(np.fft.irfft(spectra.pop(count), size), count / 2)]
-
-    halves = (half(a, classes(a)),) * 2 if a == b else (half(a, classes(a)), half(b, classes(b)))
-    if (residue := min(m.min() for part, _ in halves for m, _, _ in part)) < -1e-12:
+    halves = {c: half(c, built[c]) for c in dict.fromkeys((a, b))}
+    if (residue := min((m.min() for part in transformed.values() for m, _ in part), default=0.0)) < -1e-12:
         raise ArithmeticError(f"FFT convolution produced mass {residue} below tolerance")
     # Each half's round-off meets read weights of at most 1.
-    return power(halves, noise=2 * max(-residue, 0.0) * math.sqrt(sum(m.size for m, _, _ in halves[1][0])))
+    noise = 2 * max(-residue, 0.0) * math.sqrt(sum(m.size for m, _ in transformed.get(b, ())))
+    return power((halves[a], halves[b]), noise=noise)
 
 
 def _pair(first: tuple, second: tuple, x: float, h: float, decay: float) -> float:
@@ -405,11 +416,16 @@ def cdf_Y_at(power: PairedPower, x: float) -> float:
     one half is paired with each class of the other, but for the two
     all-capped ones.  A tilted pair is weighted by e^(theta (u + t - x)),
     split between the halves so that no weight exceeds e^(theta h / 2).
+    Equal halves (even n) read each unordered pair of classes once, an
+    unequal pair counting twice.
     """
     h, decay = power.grid_step, power.theta * power.grid_step
     (a, a_capped), (b, b_capped) = power.halves
-    pairs = [(p, q) for p in a + a_capped for q in b] + [(p, q) for p in a for q in b_capped]
-    total = sum(_pair(p, q, x, h, decay) for p, q in pairs)
+    if power.halves[0] is power.halves[1]:
+        pairs = [(p, p, 1) for p in a] + [(p, q, 2) for i, p in enumerate(a) for q in a[i + 1 :]] + [(p, q, 2) for p in a_capped for q in a]
+    else:
+        pairs = [(p, q, 1) for p in a + a_capped for q in b] + [(p, q, 1) for p in a for q in b_capped]
+    total = sum(k * _pair(p, q, x, h, decay) for p, q, k in pairs)
     return power.log_scale + power.theta * (x - power.x) + math.log(total) if total > 0 else -math.inf
 
 
@@ -436,28 +452,47 @@ def _zero_read(pmf: TabulatedPmf, n: int, x: float, name: str, where: str, under
     return ArithmeticError(f"{name} cannot be computed{where}: no sum of {n} cells reaches its read; {resolve}")
 
 
-def _log_cdf_sum(law: TabulatedPmf, n: int, x: float, shared: dict | None = None) -> tuple[float, bool, PairedPower]:
-    """log P(X_1 + ... + X_n < x) for n copies of law, whether the read resolves it, and the paired power read, which
+def _log_cdf_sum(law: TabulatedPmf, n: int, x: float, shared: dict | None = None) -> tuple[float, float, PairedPower]:
+    """log P(X_1 + ... + X_n < x) for n copies of law, the log of its round-off floor, and the paired power read, which
     the caller holds until its next read (freeing it before the next is built cost bound-wide about 20% in page faults).
-    A tilt toward x keeping the atom, with Chernoff bound e^(theta (x + h/2)) Z^n >= 1e-4, reads shared[n], law's
-    untilted half powers and their prefix sums, which every such read at n reuses."""
+    The read resolves the value where it is at least the floor, _RESOLVED times the power's noise in units of its scale;
+    the floor is -inf where the read has no round-off: the power is untransformed, or x + h/2 lies at or below every
+    value it holds.  A tilt toward x keeping the atom, with Chernoff bound e^(theta (x + h/2)) Z^n >= 1e-4, reads
+    shared[n], law's untilted half powers and their prefix sums, which every such read at n reuses."""
     tilted = tilt(law, n, x)
     if len(tilted.classes) < 2 or n * tilted.log_scale + tilted.theta * tilted.grid_step / 2 < _LOG_UNTILTED:
         power = convolve_power(tilted, n)
     else:  # tilted toward n times its top value, the law keeps every value and theta is 0
         shared = {} if shared is None else shared
         power = shared[n] = shared.get(n) or convolve_power(tilt(law, n, n * law.n_cells * law.grid_step), n)
-    log_f = cdf_Y_at(power, x)
-    return log_f, not power.noise or log_f - power.log_scale > math.log(_RESOLVED * power.noise), power
+    least = sum(min((offset for _, offset, _ in classes + capped), default=math.inf) for classes, capped in power.halves)
+    exact = not power.noise or x / power.grid_step + 0.5 <= least
+    return cdf_Y_at(power, x), -math.inf if exact else power.log_scale + math.log(_RESOLVED * power.noise), power
 
 
-def _by_capped_count(pmf_a: TabulatedPmf, log_p: float, log_q: float, n: int, counts, x: float, M: int) -> float:
+def _by_capped_count(pmf_a: TabulatedPmf, log_p: float, log_q: float, n: int, counts, x: float, M: int,
+                     name: str = "outage bound", where: str = "") -> float:
     """log of the sum over t in counts of C(n, t) p^t q^(n - t) P(A_1 + ... + A_(n - t) < x - t M),
-    t of n blocks capped, each read from the tilted power of n - t copies of A, which has no atom."""
-    logs = [math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1) + (t * log_p if t else 0.0) + (n - t) * log_q
-            + _log_cdf_sum(pmf_a, n - t, x - t * M)[0] for t in counts if x - t * M > 0]
+    t of n blocks capped, each read from the tilted power of n - t copies of A, which has no atom.
+
+    A term whose read lies below its round-off floor is dropped where even the floor lies more than ln 2^53 below the
+    sum of the resolved terms, so that the term cannot change the float; otherwise it raises ArithmeticError naming
+    name, where and t."""
+    logs, ceilings = [], []
+    for t in counts:
+        if x - t * M > 0:
+            log_f, floor, _ = _log_cdf_sum(pmf_a, n - t, x - t * M)
+            log_c = math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1) + (t * log_p if t else 0.0) + (n - t) * log_q
+            if log_f >= floor:
+                logs.append(log_c + log_f)
+            else:
+                ceilings.append((t, log_c + floor))
     top = max(logs, default=-math.inf)
-    return top + math.log(sum(math.exp(v - top) for v in logs)) if top > -math.inf else -math.inf
+    total = top + math.log(sum(math.exp(v - top) for v in logs)) if top > -math.inf else -math.inf
+    for t, ceiling in ceilings:
+        if ceiling > total - 53 * math.log(2.0):
+            raise ArithmeticError(f"{name} cannot be computed{where}: its term with {t} of {n} blocks capped lies below its power's round-off")
+    return total
 
 
 def outage_lower_bounds(
@@ -480,10 +515,11 @@ def outage_lower_bounds(
         shared, results = {}, []
         for s in specs:
             x = B * s.rate
-            log_f, resolved, power = _log_cdf_sum(law, B, x, shared)  # power: held until the next read
-            if not resolved:
-                log_f = _by_capped_count(pmf_a, math.log(p) if p > 0 else -math.inf, math.log(q), B, range(B) if p > 0 else [0], x, M)
+            log_f, floor, power = _log_cdf_sum(law, B, x, shared)  # power: held until the next read
             where = f" at snr_db {snr.db:.6g}, rate {s.rate:.6g}"
+            if log_f < floor:
+                log_p = math.log(p) if p > 0 else -math.inf
+                log_f = _by_capped_count(pmf_a, log_p, math.log(q), B, range(B) if p > 0 else [0], x, M, "outage bound", where)
             if log_f == -math.inf:
                 raise _zero_read(law, B, x, "outage bound", where, f"outage bound cannot be computed{where}: its cell masses underflow a float")
             results.append(BoundResult(min(exp_checked(log_f, "outage bound p_out_lower", where), 1.0)))

@@ -358,6 +358,41 @@ class TestConvolvePower:
                 want = np.fft.irfft(np.fft.rfft(law.classes[0][0], got.size) ** count, got.size)
                 assert np.max(np.abs(got - want)) <= 1e-14 * want.max(), (n, count)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("atom", [0.0, 0.3])
+    def test_small_halves_read_the_truncated_direct_convolution(self, n, atom):
+        # A spike of width 0.1 at 2: the read at n M has theta 0 and sees every
+        # value; the read at 1.5 n is far in the left tail, where for n >= 2
+        # theta > 0, and for n >= 3 the Chernoff cut shortens the transform
+        # of C * C (and, for n = 5, of the parity split).  One block's law, cut
+        # at its read of 1.5, has its mean below it, so theta stays 0.
+        v = (np.arange(64) + 0.5) / 16
+        masses = np.exp(-((v - 2.0) ** 2) / 0.02)
+        pmf = TabulatedPmf(1 / 16, (1.0 - atom) * masses / masses.sum(), atom)
+        for x in (4.0 * n, 1.5 * n):
+            law = tilt(pmf, n, x)
+            power = convolve_power(law, n)
+            assert (law.theta > 0) == (x < 4.0 * n and n > 1)
+            if x < 4.0 * n and n > 2:
+                (cells, _), *capped = law.classes
+                b = n - n // 2
+                full = bound._fft_length(b * cells.size if capped and b > 2 else b * (cells.size - 1) + 1)
+                assert power.halves[1][0][0][0].size < full
+            got = cdf_Y_at(power, x)
+            want = half_step_read(power, half_step_power(pmf, law, n), x)
+            assert math.exp(got - want) == pytest.approx(1.0, rel=1e-12, abs=0.0), (x, law.theta)
+
+    @pytest.mark.parametrize("n, atom, inverse", [(1, 0.3, 0), (2, 0.3, 0), (3, 0.0, 1), (3, 0.3, 1), (4, 0.0, 1), (4, 0.3, 1), (5, 0.3, 3)])
+    def test_inverse_transforms(self, monkeypatch, n, atom, inverse):
+        # Halves of one block are the cells and of two blocks one transform of
+        # C * C, the atom's classes needing none; with the atom a half of three
+        # blocks is split by parity, two inverse transforms.
+        calls = []
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: calls.append(args[1]) or irfft(*args, **kw))
+        convolve_power(tilt(random_pmf(n, 64, atom), n, 4.0 * n), n)
+        assert len(calls) == inverse
+
 
 def read_weights(law, v, x):
     """The weight of each tilted value v in law's read at x: its untilt relative to the read's scale times its kernel fraction."""
@@ -451,6 +486,18 @@ class TestPairRead:
         power = convolve_power(law, n)
         want = half_step_read(power, half_step_power(pmf, law, n), n * 0.25)
         assert cdf_Y_at(power, n * 0.25) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n, pairs", [(4, 5), (5, 8)])
+    def test_equal_halves_read_each_unordered_pair_once(self, monkeypatch, n, pairs):
+        # Halves of two classes and an all-capped sum: equal halves read the two
+        # like pairs, the one unlike pair and the two with an all-capped sum once
+        # each, where unequal halves read all eight ordered pairs.
+        calls = []
+        pair = bound._pair
+        monkeypatch.setattr(bound, "_pair", lambda *args: calls.append(args) or pair(*args))
+        power = untilted(random_pmf(n, 16, 0.3), n)
+        cdf_Y_at(power, 0.6 * n * 4.0)
+        assert len(calls) == pairs
 
     @pytest.mark.parametrize("size", [1, 15, 16, 1000, 40000])
     @pytest.mark.parametrize("decay", [0.0, 1e-3, 0.7, 13.0, 50.0])
@@ -817,9 +864,13 @@ def direct_bound(snr, spec, n_cells=bound.DEFAULT_CELLS, terms=None):
     return total
 
 
-# (B, m, R, dB) of a bound-curve benchmark read at M = 4 that the single
-# power cannot resolve, so it is summed over the capped-block counts.
+# (B, m, R, dB) of a deep-tail bound-curve benchmark read at M = 4, which its
+# single power resolves: its halves of two blocks take one transform.
 BENCH_COUNT_READ = (4, 5.0, 2.9762948825855524, 39.423128648821994)
+
+# (B, m, R, dB) of a read between atom clusters (test_reads_between_atom_clusters)
+# that the single power cannot resolve, so it is summed over the capped-block counts.
+CLUSTERED_READ = (5, 14.626, 3.5908, 50.26)
 
 
 class TestFftFloor:
@@ -849,8 +900,7 @@ class TestFftFloor:
             # holds all but about 1e-11 of the mass.
             (4, 5.0, 4.0, 38.0),
             (8, 20.0, 4.0, 25.0),
-            # The last SNR of a seed-1 bound-curve benchmark command, read by
-            # the capped-count sum (test_benchmark_point_takes_the_count_sum).
+            # The last SNR of a seed-1 bound-curve benchmark command.
             BENCH_COUNT_READ,
         ],
     )
@@ -863,12 +913,13 @@ class TestFftFloor:
     # At high m and SNR the atom holds nearly all the mass, the tilted sum
     # clusters by the number of capped blocks, and BR falls between two
     # clusters: the single power's read is below its round-off, and the
-    # bound is summed over the capped-block counts instead.
-    @pytest.mark.parametrize("B, m, rate, db", [(3, 14.358, 3.8187, 40.39), (2, 18.637, 3.7082, 31.04), (5, 14.626, 3.5908, 50.26)])
+    # bound is summed over the capped-block counts instead.  At B = 2 the
+    # halves are the cells themselves, which carry no round-off.
+    @pytest.mark.parametrize("B, m, rate, db", [(3, 14.358, 3.8187, 40.39), (2, 18.637, 3.7082, 31.04), CLUSTERED_READ])
     def test_reads_between_atom_clusters(self, B, m, rate, db):
         self.test_matches_truncated_direct_convolution(B, m, rate, db)
 
-    def test_benchmark_point_takes_the_count_sum(self, monkeypatch):
+    def test_clustered_point_takes_the_count_sum(self, monkeypatch):
         calls = []
         count_sum = bound._by_capped_count
 
@@ -877,9 +928,10 @@ class TestFftFloor:
             return count_sum(*args)
 
         monkeypatch.setattr(bound, "_by_capped_count", spy)
-        B, m, rate, db = BENCH_COUNT_READ
-        outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, NakagamiParam(m), rate))
-        assert len(calls) == 1
+        for (B, m, rate, db), count_sums in ((CLUSTERED_READ, 1), (BENCH_COUNT_READ, 0)):
+            calls.clear()
+            outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, NakagamiParam(m), rate))
+            assert len(calls) == count_sums, (B, m, rate, db)
 
 
 class TestCappedCountSum:
@@ -897,6 +949,38 @@ class TestCappedCountSum:
             for rate, res in zip(rates, row):
                 log_f = bound._by_capped_count(pmf, math.log(p), math.log(q), B, range(B), B * rate, 4)
                 assert math.exp(log_f) == pytest.approx(res.value, rel=1e-9, abs=0.0), (snr.db, rate)
+
+    def test_unresolved_term_raises_naming_it(self, monkeypatch):
+        # With no read resolved, the single power's read goes to the count sum,
+        # whose transformed terms then raise, by quantity, SNR, rate and count.
+        monkeypatch.setattr(bound, "_RESOLVED", math.inf)
+        B, m, rate, db = BENCH_COUNT_READ
+        with pytest.raises(ArithmeticError, match=r"^outage bound cannot be computed at snr_db 39\.4231, rate 2\.97629: its term with \d of 4 blocks capped"):
+            outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, NakagamiParam(m), rate))
+        with pytest.raises(ArithmeticError, match=r"^coding gain K cannot be computed at rate 2: its term with 1 of 4 blocks capped"):
+            coding_gain(ChannelSpec(4, 4, M2, 2.0))
+        res = CliRunner().invoke(cli.main, ["curve", "--m", "5", "--rate", "2.9", "--snr-db", "40:40:1"])
+        assert res.exit_code == 3 and "outage bound cannot be computed at snr_db 40, rate 2.9: its term with" in res.output
+
+    def test_unresolved_term_far_below_the_sum_is_dropped(self, monkeypatch):
+        # At 80 dB, m = 2, R = 3 the terms with 2, 1 and 0 capped blocks lie
+        # about 0, 29 and 60 nats apart.  A term whose round-off floor is
+        # forced just above its read counts for nothing when the floor lies
+        # more than ln 2^53 below the resolved terms' sum, and raises otherwise.
+        pmf, p, q = tabulated(Snr.from_db(80.0), ChannelSpec(4, 4, M2, 3.0), 1024)
+        want = bound._by_capped_count(pmf, math.log(p), math.log(q), 4, range(4), 12.0, 4)
+        read = bound._log_cdf_sum
+        for blocks, ok in ((4, True), (3, False)):
+            def forced(law, n, x, shared=None):
+                log_f, floor, power = read(law, n, x, shared)
+                return log_f, log_f + 1.0 if n == blocks else floor, power
+
+            monkeypatch.setattr(bound, "_log_cdf_sum", forced)
+            if ok:
+                assert bound._by_capped_count(pmf, math.log(p), math.log(q), 4, range(4), 12.0, 4) == want
+            else:
+                with pytest.raises(ArithmeticError, match="its term with 1 of 4 blocks capped"):
+                    bound._by_capped_count(pmf, math.log(p), math.log(q), 4, range(4), 12.0, 4)
 
 
 class TestLogCdfSum:
