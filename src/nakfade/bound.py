@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from ._checks import integer, real, require
 from .fading import NakagamiParam, reg_gamma_p, reg_gamma_pq
 from .mutual_info import Snr
 
-__all__ = ["ChannelSpec", "BoundResult", "DEFAULT_CELLS", "outage_lower_bound", "outage_lower_bounds"]
+__all__ = ["ChannelSpec", "DEFAULT_CELLS", "outage_lower_bounds"]
 
 # Grid cells over [0, M]; doubling this moves acceptance-grid bound values
 # by well under 1e-4 relative.
@@ -134,13 +134,6 @@ class PairedPower:
     x: float
     log_scale: float
     noise: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class BoundResult:
-    """Bound value at one SNR and rate."""
-
-    value: float
 
 
 def build_pmf_A(levels: np.ndarray, M: int) -> TabulatedPmf:
@@ -497,7 +490,7 @@ def _by_capped_count(pmf_a: TabulatedPmf, log_p: float, log_q: float, n: int, co
 
 def outage_lower_bounds(
     snrs, B: int, M: int, fading: NakagamiParam, rates, n_cells: int = DEFAULT_CELLS
-) -> list[list[BoundResult]]:
+) -> list[list[float]]:
     """Evaluate the outage lower bound at every SNR for every rate: [snr][rate].
 
     Each rate reads its SNR's capped per-block law at BR through _log_cdf_sum, and a read it
@@ -505,28 +498,36 @@ def outage_lower_bounds(
     and rate.  A zero read or a value outside the normal floats raises ArithmeticError naming both.
     """
     snrs, spec = list(snrs), ChannelSpec(B, M, fading, M)  # checks B, M and fading even with no rates
-    specs = [replace(spec, rate=r) for r in rates]
-    if not specs:
-        return [[] for _ in snrs]
     B, M = spec.B, spec.M
+    rates = [require("rate", r, real, above=0, most=M) for r in rates]
+    if not rates:
+        return [[] for _ in snrs]
     out = []
     for snr, (pmf_a, p, q) in zip(snrs, tabulate_A(snrs, spec, n_cells)):
         law = TabulatedPmf(pmf_a.grid_step, q * pmf_a.masses, p)
-        shared, results = {}, []
-        for s in specs:
-            x = B * s.rate
+        shared, values = {}, []
+        for rate in rates:
+            x = B * rate
             log_f, floor, power = _log_cdf_sum(law, B, x, shared)  # power: held until the next read
-            where = f" at snr_db {snr.db:.6g}, rate {s.rate:.6g}"
+            where = f" at snr_db {snr.db:.6g}, rate {rate:.6g}"
             if log_f < floor:
                 log_p = math.log(p) if p > 0 else -math.inf
                 log_f = _by_capped_count(pmf_a, log_p, math.log(q), B, range(B) if p > 0 else [0], x, M, "outage bound", where)
             if log_f == -math.inf:
                 raise _zero_read(law, B, x, "outage bound", where, f"outage bound cannot be computed{where}: its cell masses underflow a float")
-            results.append(BoundResult(min(exp_checked(log_f, "outage bound p_out_lower", where), 1.0)))
-        out.append(results)
+            values.append(min(exp_checked(log_f, "outage bound p_out_lower", where), 1.0))
+        out.append(values)
     return out
+
+
+# Only the benchmark uses these: bench/run.py reads outage_lower_bound(...).value, bench/tracing.py wraps it, and ROADMAP items 8/19 drop both.
+@dataclass(frozen=True, eq=False)
+class BoundResult:
+    """Bound value at one SNR and rate."""
+
+    value: float
 
 
 def outage_lower_bound(snr: Snr, spec: ChannelSpec, n_cells: int = DEFAULT_CELLS) -> BoundResult:
     """Evaluate the outage lower bound at one SNR point and one rate."""
-    return outage_lower_bounds([snr], spec.B, spec.M, spec.fading, [spec.rate], n_cells)[0][0]
+    return BoundResult(outage_lower_bounds([snr], spec.B, spec.M, spec.fading, [spec.rate], n_cells)[0][0])

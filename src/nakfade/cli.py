@@ -245,16 +245,16 @@ def run(config: RunConfig) -> int:
 def _run_curve(cfg: RunConfig) -> int:
     """Outage lower bound across an SNR grid."""
     dbs = _grid(cfg.snr_db)
-    results = [res for (res,) in _bounds(cfg, [Snr.from_db(db) for db in dbs], [cfg.rate])]
-    return _emit(cfg, ["snr_db", "p_out_lower"], [(db, res.value) for db, res in zip(dbs, results)])
+    values = [value for (value,) in _bounds(cfg, [Snr.from_db(db) for db in dbs], [cfg.rate])]
+    return _emit(cfg, ["snr_db", "p_out_lower"], list(zip(dbs, values)))
 
 
 def _run_ratesweep(cfg: RunConfig) -> int:
     """Outage lower bound across a rate grid at fixed SNR."""
     # One SNR: every rate reads one pmf, and those not tilted share one untilted power.
     rates = _grid(cfg.rate_grid)
-    (results,) = _bounds(cfg, [Snr.from_db(cfg.snr_db_fixed)], rates)
-    return _emit(cfg, ["rate", "p_out_lower"], [(r, res.value) for r, res in zip(rates, results)])
+    (values,) = _bounds(cfg, [Snr.from_db(cfg.snr_db_fixed)], rates)
+    return _emit(cfg, ["rate", "p_out_lower"], list(zip(rates, values)))
 
 
 def _run_asymptote(cfg: RunConfig) -> int:
@@ -264,9 +264,9 @@ def _run_asymptote(cfg: RunConfig) -> int:
     # A bound fails only at high SNR, where its failure is the more telling
     # one, so the bounds are evaluated before K and the asymptotes, which
     # fail where K does or where a value over- or underflows a float.
-    results = _bounds(cfg, snrs, [cfg.rate])
+    values = _bounds(cfg, snrs, [cfg.rate])
     lines = asymptotics.asymptotes(snrs, _channel_spec(cfg), cfg.cells)
-    rows = [(db, res.value, line) for db, (res,), line in zip(dbs, results, lines)]
+    rows = [(db, value, line) for db, (value,), line in zip(dbs, values, lines)]
     return _emit(cfg, ["snr_db", "p_out_lower", "asymptote"], rows)
 
 

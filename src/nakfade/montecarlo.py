@@ -55,7 +55,7 @@ from .bound import ChannelSpec
 from .constellation import Constellation
 from .mutual_info import QuadratureRule, Snr, hermite_rule, mi_discrete_array
 
-__all__ = ["McEstimate", "MC_QUAD_ORDER", "mc_outages", "mc_outage", "mc_lower_bounds", "mc_lower_bound"]
+__all__ = ["McEstimate", "MC_QUAD_ORDER", "mc_outages", "mc_lower_bounds"]
 
 # Order of the MI quadrature, the only one `mc` uses: its bias is far below
 # the Monte Carlo noise for any n <= 1e7, and it keeps the cost of each
@@ -225,7 +225,8 @@ def mc_outages(
     are decided from a BracketTable instead (see the module notes).  That
     needs I(rho) under the rule q to be nondecreasing.  It is for every
     built-in constellation at orders 1-8, 16, 24, 32, 48, 64, 96, 128, 192
-    and 256, on a grid of 64 points per octave over 2^-40 to 2^40.
+    and 256, and for psk16, psk32 and qam256 at MC_QUAD_ORDER, on a grid of
+    64 points per octave over 2^-40 to 2^40.
     Every chunk reads one table built for snrs and n.
     """
     if c.bits_per_symbol != spec.M:
@@ -236,19 +237,6 @@ def mc_outages(
     rate = spec.rate
     table = BracketTable(c, q, rhos, n, spec)
     return _estimate(spec, n, seed, workers, lambda gains: np.array([table.count_rows(gains * rho, rate) for rho in rhos]))
-
-
-def mc_outage(
-    snr: Snr,
-    spec: ChannelSpec,
-    c: Constellation,
-    q: QuadratureRule | None = None,
-    n: int = 10**5,
-    seed: int = 0,
-    workers: int = 1,
-) -> McEstimate:
-    """Estimate the outage with discrete-input MI at one SNR point (see mc_outages)."""
-    return mc_outages([snr], spec, c, q, n, seed, workers)[0]
 
 
 def mc_lower_bounds(
@@ -292,6 +280,20 @@ def mc_lower_bounds(
         return counts
 
     return _estimate(spec, n, seed, workers, count_rows)
+
+
+# Only the benchmark uses these: bench/run.py calls mc_outage, bench/tracing.py wraps both, and ROADMAP items 8/19 drop both.
+def mc_outage(
+    snr: Snr,
+    spec: ChannelSpec,
+    c: Constellation,
+    q: QuadratureRule | None = None,
+    n: int = 10**5,
+    seed: int = 0,
+    workers: int = 1,
+) -> McEstimate:
+    """Estimate the outage with discrete-input MI at one SNR point (see mc_outages)."""
+    return mc_outages([snr], spec, c, q, n, seed, workers)[0]
 
 
 def mc_lower_bound(

@@ -80,14 +80,18 @@ class Snr:
 
     @classmethod
     def from_db(cls, db: float) -> "Snr":
+        given = require("db", db, real)
         try:
-            return cls(10.0 ** (require("db", db, real) / 10.0))
+            snr = cls(10.0 ** (given / 10.0))
         except OverflowError:
             raise OverflowError(f"an SNR of {db} dB overflows a float") from None
+        object.__setattr__(snr, "_db", given)  # not a field: equality and repr stay rho's
+        return snr
 
     @property
     def db(self) -> float:
-        return 10.0 * math.log10(self.rho) if self.rho > 0 else -math.inf
+        """The dB that from_db was given: 10 log10 rho cannot read back one below 1e-15 in size."""
+        return self.__dict__.get("_db", 10.0 * math.log10(self.rho) if self.rho > 0 else -math.inf)
 
 
 def _hermite(order: int, t: np.ndarray) -> tuple:

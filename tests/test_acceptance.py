@@ -11,16 +11,17 @@ import time
 import numpy as np
 import pytest
 
+from helpers import bound_at
 from nakfade.asymptotics import (
     asymptotes,
     coding_gain,
     random_coding_exponent,
     singleton_bound,
 )
-from nakfade.bound import ChannelSpec, TabulatedPmf, cdf_Y_at, convolve_power, outage_lower_bound, tabulate_A, tilt
+from nakfade.bound import ChannelSpec, TabulatedPmf, cdf_Y_at, convolve_power, tabulate_A, tilt
 from nakfade.constellation import make_qam
 from nakfade.fading import NakagamiParam, reg_gamma_pq
-from nakfade.montecarlo import mc_lower_bound, mc_lower_bounds, mc_outages
+from nakfade.montecarlo import mc_lower_bounds, mc_outages
 from nakfade.mutual_info import Snr
 
 QAM16 = make_qam(4)
@@ -53,7 +54,7 @@ def test_criterion_02_analytic_matches_mc_lower_bound():
             if est.p_hat < 1e-4:
                 continue
             checked += 1
-            z = abs(est.p_hat - outage_lower_bound(snr, spec).value) / est.std_err
+            z = abs(est.p_hat - bound_at(snr, spec)) / est.std_err
             worst = max(worst, z)
     _report(2, "analytic vs MC lower bound", worst <= 3.0 and checked > 0, f"{checked} points, worst |z| = {worst:.2f}")
 
@@ -63,7 +64,7 @@ def test_criterion_03_bound_below_true_outage():
     for m, rate in GROUPS:
         spec = ChannelSpec(4, 4, NakagamiParam(m), rate)
         for snr, est in zip(SNRS, mc_outages(SNRS, spec, QAM16, n=10**5, seed=3)):
-            value = outage_lower_bound(snr, spec).value
+            value = bound_at(snr, spec)
             # At zero observed events the proportion SE degenerates to width 0;
             # there the valid 3-sigma band is the binomial deviation predicted
             # by the bound value itself (true outage >= bound).
@@ -78,7 +79,7 @@ def test_criterion_04_high_snr_slope():
     ok = True
     for m, rate, target in ((2.0, 1.0, 8.0), (0.5, 3.0, 1.0)):
         spec = ChannelSpec(4, 4, NakagamiParam(m), rate)
-        logp = [math.log10(outage_lower_bound(Snr.from_db(db), spec).value) for db in dbs]
+        logp = [math.log10(bound_at(Snr.from_db(db), spec)) for db in dbs]
         slope = -np.polyfit(dbs / 10.0, logp, 1)[0]
         details.append(f"m={m} R={rate}: slope {slope:.3f} (target {target})")
         ok = ok and abs(slope / target - 1.0) < 0.10
@@ -91,8 +92,8 @@ def test_criterion_05_asymptote_convergence():
     for rate in (1.0, 2.0, 3.0):
         spec = ChannelSpec(4, 4, NakagamiParam(2.0), rate)
         a20, a40 = asymptotes([Snr.from_db(20), Snr.from_db(40)], spec)
-        off20 = abs(outage_lower_bound(Snr.from_db(20), spec).value / a20 - 1.0)
-        off40 = abs(outage_lower_bound(Snr.from_db(40), spec).value / a40 - 1.0)
+        off20 = abs(bound_at(Snr.from_db(20), spec) / a20 - 1.0)
+        off40 = abs(bound_at(Snr.from_db(40), spec) / a40 - 1.0)
         details.append(f"R={rate}: |ratio-1| {off20:.3f} @20dB -> {off40:.5f} @40dB")
         ok = ok and off40 < off20 and off40 < 0.25
     _report(5, "asymptote convergence", ok, "; ".join(details))
@@ -186,17 +187,17 @@ def test_criterion_10_analytic_speedup_over_mc():
     spec = ChannelSpec(4, 4, NakagamiParam(2.0), 1.0)
     # locate the SNR where the bound crosses ~1e-4
     dbs = np.arange(6.0, 10.01, 0.25)
-    vals = [outage_lower_bound(Snr.from_db(db), spec).value for db in dbs]
+    vals = [bound_at(Snr.from_db(db), spec) for db in dbs]
     db_star = float(dbs[int(np.argmin(np.abs(np.log10(vals) + 4.0)))])
     snr = Snr.from_db(db_star)
-    p = outage_lower_bound(snr, spec).value
+    p = bound_at(snr, spec)
     n_mc = int(math.ceil((1.0 - p) / (p * 0.1**2)))  # std err = 10% of p
 
     t_analytic = min(
-        (lambda t0: (outage_lower_bound(snr, spec), time.perf_counter() - t0))(time.perf_counter())[1] for _ in range(3)
+        (lambda t0: (bound_at(snr, spec), time.perf_counter() - t0))(time.perf_counter())[1] for _ in range(3)
     )
     t0 = time.perf_counter()
-    est = mc_lower_bound(snr, spec, n=n_mc, seed=10)
+    est = mc_lower_bounds([snr], spec, n=n_mc, seed=10)[0]
     t_mc = time.perf_counter() - t0
 
     consistent = abs(est.p_hat - p) <= 3.0 * est.std_err

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import bound_at
 from nakfade import bound, cli
 from nakfade.asymptotics import coding_gain, diversity_arg, singleton_bound
 from nakfade.bound import (
@@ -15,13 +16,12 @@ from nakfade.bound import (
     TabulatedPmf,
     cdf_Y_at,
     convolve_power,
-    outage_lower_bound,
     outage_lower_bounds,
     tabulate_A,
     tilt,
 )
 from nakfade.fading import NakagamiParam, reg_gamma_pq
-from nakfade.montecarlo import mc_lower_bound
+from nakfade.montecarlo import mc_lower_bounds
 from nakfade.mutual_info import Snr
 
 M1 = NakagamiParam(1)
@@ -84,16 +84,15 @@ class TestChannelSpec:
             ChannelSpec(4, 4, fading, 1.0)
 
     def test_numpy_float_rate_accepted(self):
-        assert outage_lower_bound(Snr(10.0), ChannelSpec(4, 4, M1, np.float64(1.0)), 64).value == outage_lower_bound(Snr(10.0), spec44(M1, 1.0), 64).value
+        assert bound_at(Snr(10.0), ChannelSpec(4, 4, M1, np.float64(1.0)), 64) == bound_at(Snr(10.0), spec44(M1, 1.0), 64)
 
     def test_numpy_integers_accepted(self):
-        assert outage_lower_bound(Snr(10.0), ChannelSpec(np.int64(4), np.int64(4), M1, 1.0), 64).value > 0
+        assert bound_at(Snr(10.0), ChannelSpec(np.int64(4), np.int64(4), M1, 1.0), 64) > 0
 
     def test_numpy_integers_give_the_values_of_python_integers(self):
         snrs, rates = [Snr(10.0), Snr.from_db(30.0)], [0.5, 1.0, 4.0]
-        want = [[r.value for r in row] for row in outage_lower_bounds(snrs, 4, 4, M2, rates, 256)]
-        got = outage_lower_bounds(snrs, np.int64(4), np.int32(4), M2, rates, 256)
-        assert [[r.value for r in row] for row in got] == want
+        want = outage_lower_bounds(snrs, 4, 4, M2, rates, 256)
+        assert outage_lower_bounds(snrs, np.int64(4), np.int32(4), M2, rates, 256) == want
         assert coding_gain(ChannelSpec(np.int64(4), np.int64(4), M2, 1.0), 256) == coding_gain(ChannelSpec(4, 4, M2, 1.0), 256)
         law = tilt(pmf_A(Snr(10.0), spec44(M2, 1), 64), 3, 3.0)
         assert all(np.array_equal(a, b) for a, b in zip(power_arrays(convolve_power(law, np.int64(3))), power_arrays(convolve_power(law, 3))))
@@ -125,7 +124,7 @@ class TestSuccessRate:
         # At R = 1 every block must fall below the cap, so the bound carries
         # (1-p)^4 ~ 5.1e-116, which keeps its relative accuracy.
         snr, spec = Snr(1e30), spec44(M1, 1)
-        assert outage_lower_bound(snr, spec).value == pytest.approx(direct_bound(snr, spec), rel=1e-9)
+        assert bound_at(snr, spec) == pytest.approx(direct_bound(snr, spec), rel=1e-9)
 
 
 class TestConditionalCdfA:
@@ -562,19 +561,18 @@ class TestExpChecked:
 
 class TestOutageLowerBound:
     def test_vanishing_snr_saturates(self):
-        res = outage_lower_bound(Snr(1e-6), spec44(M2, 1))
-        assert res.value == pytest.approx(1.0, abs=1e-6)
+        assert bound_at(Snr(1e-6), spec44(M2, 1)) == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_in_snr(self):
         s = spec44(M2, 1)
-        assert outage_lower_bound(Snr.from_db(20), s).value <= outage_lower_bound(Snr.from_db(10), s).value
+        assert bound_at(Snr.from_db(20), s) <= bound_at(Snr.from_db(10), s)
 
     def test_value_is_sum_of_products(self):
         # The one power's value is the binomial mixture over the capped blocks.
         snr, spec = Snr.from_db(8), spec44(M2, 3)
-        res = outage_lower_bound(snr, spec)
-        assert res.value == pytest.approx(direct_bound(snr, spec), rel=1e-12)
-        assert 0.0 <= res.value <= 1.0
+        value = bound_at(snr, spec)
+        assert value == pytest.approx(direct_bound(snr, spec), rel=1e-12)
+        assert 0.0 <= value <= 1.0
 
     def test_term_count_and_tail_terms_vanish(self):
         # Mixture terms past t = ceil(BR/M) - 1 add only zeros: A is positive, so F_Yt(<=0) = 0.
@@ -590,7 +588,7 @@ class TestOutageLowerBound:
     def test_rate_equal_bits_uses_full_formula(self):
         # R = M: terms t = 0..B-1, every sum but the all-capped one.
         snr, spec = Snr.from_db(10), spec44(M1, 4.0)
-        value = outage_lower_bound(snr, spec).value
+        value = bound_at(snr, spec)
         assert value == pytest.approx(direct_bound(snr, spec, terms=4), rel=1e-12)
         assert 0.0 < value <= 1.0
 
@@ -602,16 +600,16 @@ class TestOutageLowerBound:
         assert direct_bound(Snr.from_db(0.0), spec, 8) == 0.0
         message = "^outage bound cannot be computed at snr_db 0, rate 0.05: no sum of 64 cells reaches its read; more than 39.375 cells resolve it$"
         with pytest.raises(ArithmeticError, match=message):
-            outage_lower_bound(Snr.from_db(0.0), spec, 8)
-        assert 0.0 < outage_lower_bound(Snr.from_db(0.0), spec, 40).value <= 1.0
+            bound_at(Snr.from_db(0.0), spec, 8)
+        assert 0.0 < bound_at(Snr.from_db(0.0), spec, 40) <= 1.0
 
     @pytest.mark.parametrize("m", [MH, M2])
     def test_grid_convergence_on_acceptance_grid(self, m):
         for rate in (1.0, 2.0, 3.0):
             s = spec44(m, rate)
             for db in (5.0, 10.0, 15.0, 20.0):
-                v1 = outage_lower_bound(Snr.from_db(db), s, 4096).value
-                v2 = outage_lower_bound(Snr.from_db(db), s, 8192).value
+                v1 = bound_at(Snr.from_db(db), s, 4096)
+                v2 = bound_at(Snr.from_db(db), s, 8192)
                 assert abs(v1 / v2 - 1) < 1e-4, (m.m, rate, db)
 
     def test_against_mc_oracle_at_spec_point(self):
@@ -620,8 +618,8 @@ class TestOutageLowerBound:
         # binomial deviation predicted by the analytic value itself.
         s = spec44(M2, 1.0)
         snr = Snr(10**1.6)
-        analytic = outage_lower_bound(snr, s).value
-        est = mc_lower_bound(snr, s, n=10**7, seed=20260809)
+        analytic = bound_at(snr, s)
+        est = mc_lower_bounds([snr], s, n=10**7, seed=20260809)[0]
         se = max(est.std_err, math.sqrt(analytic * (1 - analytic) / est.n_samples))
         assert abs(est.p_hat - analytic) <= 3.0 * se
 
@@ -653,9 +651,9 @@ class TestTermCount:
             if B > 1 and rate < 1e-9:
                 assert want == 0.0
                 with pytest.raises(ArithmeticError, match=f"no sum of {B} cells reaches its read"):
-                    outage_lower_bound(Snr(10.0), spec, 8)
+                    bound_at(Snr(10.0), spec, 8)
                 continue
-            assert outage_lower_bound(Snr(10.0), spec, 8).value == pytest.approx(want, rel=1e-9, abs=1e-300), (B, M, rate)
+            assert bound_at(Snr(10.0), spec, 8) == pytest.approx(want, rel=1e-9, abs=1e-300), (B, M, rate)
 
     def test_per_term_columns_match(self):
         # curve has no per-term columns: every row is the SNR and the one-point bound.
@@ -667,7 +665,7 @@ class TestTermCount:
                 assert res.exit_code == 3 and f"no sum of {B} cells reaches its read" in res.output, (B, M, rate)
                 continue
             assert res.exit_code == 0, res.output
-            value = outage_lower_bound(Snr.from_db(10.0), ChannelSpec(B, M, M1, rate), 8).value
+            value = bound_at(Snr.from_db(10.0), ChannelSpec(B, M, M1, rate), 8)
             assert res.output.splitlines()[1:] == ["snr_db,p_out_lower", f"10,{cli._fmt(value)}"], (B, M, rate)
         assert runner.invoke(cli.main, ["curve", "--per-term"]).exit_code == 2
 
@@ -690,29 +688,23 @@ class TestSharedEvaluator:
             snr = Snr.from_db(db)
             (got,) = outage_lower_bounds([snr], B, M, fading, rates, 512)
             assert len(got) == len(rates)
-            for r, res in zip(rates, got):
-                assert res.value == outage_lower_bound(snr, ChannelSpec(B, M, fading, r), 512).value, (B, M, m, r, db)
+            for r, value in zip(rates, got):
+                assert value == bound_at(snr, ChannelSpec(B, M, fading, r), 512), (B, M, m, r, db)
 
     def test_bit_identical_at_default_cells(self):
         snr, fading = Snr.from_db(10.0), NakagamiParam(1.0)
         rates = sweep_rates(16, 4)
         (got,) = outage_lower_bounds([snr], 16, 4, fading, rates)
-        for r, res in zip(rates, got):
-            assert res.value == outage_lower_bound(snr, ChannelSpec(16, 4, fading, r)).value
+        for r, value in zip(rates, got):
+            assert value == bound_at(snr, ChannelSpec(16, 4, fading, r))
 
     def test_consecutive_calls_are_independent(self):
         snr, rates = Snr.from_db(10.0), [0.5, 1.0, 2.5]
         (wide,) = outage_lower_bounds([snr], 16, 4, M2, rates, 512)
         (narrow,) = outage_lower_bounds([snr], 4, 4, M2, rates, 512)
-        assert [r.value for r in outage_lower_bounds([snr], 4, 4, M2, rates, 512)[0]] == [r.value for r in narrow]
-        assert [r.value for r in outage_lower_bounds([snr], 16, 4, M2, rates, 512)[0]] == [r.value for r in wide]
-        assert [r.value for r in narrow] != [r.value for r in wide]
-
-    def test_one_rate_call_is_outage_lower_bound(self):
-        spec, snr = spec44(MH, 2.5), Snr.from_db(9.0)
-        one = outage_lower_bound(snr, spec)
-        shared = outage_lower_bounds([snr], 4, 4, MH, [0.5, 2.5, 4.0])[0][1]
-        assert one.value == shared.value
+        assert outage_lower_bounds([snr], 4, 4, M2, rates, 512)[0] == narrow
+        assert outage_lower_bounds([snr], 16, 4, M2, rates, 512)[0] == wide
+        assert narrow != wide
 
     def test_empty_and_invalid_rates(self):
         assert outage_lower_bounds([Snr(10.0)], 4, 4, M1, []) == [[]]
@@ -769,9 +761,9 @@ class TestSharedEvaluator:
         monkeypatch.setattr(bound, "build_pmf_A", counted_build)
         monkeypatch.setattr(bound, "convolve_power", counted_convolve)
         rates = [0.25 * k for k in range(1, 16)]
-        values = [r.value for r in outage_lower_bounds([Snr(10.0)], 8, 4, M1, rates, 1024)[0]]
+        (values,) = outage_lower_bounds([Snr(10.0)], 8, 4, M1, rates, 1024)
         assert calls == {"build_pmf_A": 1, "untilted": 1}
-        assert values == [outage_lower_bound(Snr(10.0), ChannelSpec(8, 4, M1, r), 1024).value for r in rates]
+        assert values == [bound_at(Snr(10.0), ChannelSpec(8, 4, M1, r), 1024) for r in rates]
 
 
 # Grid sizes around multiples of the 4 SNRs that share an incomplete-gamma
@@ -810,22 +802,22 @@ class TestBlockTabulation:
         fmt = cli._fmt
         for n in GRID_SIZES:
             dbs = [-3.0 + 2.5 * i for i in range(n)]
-            one = [[outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, MH, r)) for r in rates] for db in dbs]
+            one = [[bound_at(Snr.from_db(db), ChannelSpec(B, 4, MH, r)) for r in rates] for db in dbs]
             got = outage_lower_bounds([Snr.from_db(db) for db in dbs], B, 4, MH, rates)
-            assert [[r.value for r in row] for row in got] == [[r.value for r in row] for row in one]
+            assert got == one
             for j, rate in enumerate(rates):
                 flags = ["-B", str(B), "--m", "0.5", "--rate", repr(rate), "--snr-db", f"-3:{dbs[-1]!r}:2.5"]
                 curve = cli_rows(["curve", *flags])
-                assert curve == [[fmt(db), fmt(row[j].value)] for db, row in zip(dbs, one)]
+                assert curve == [[fmt(db), fmt(row[j])] for db, row in zip(dbs, one)]
                 asymptote = cli_rows(["asymptote", *flags])
-                assert [r[:2] for r in asymptote] == [[fmt(db), fmt(row[j].value)] for db, row in zip(dbs, one)]
+                assert [r[:2] for r in asymptote] == [[fmt(db), fmt(row[j])] for db, row in zip(dbs, one)]
 
     @pytest.mark.parametrize("B", [1, 2, 4, 8])
     def test_ratesweep_equals_the_one_point_bound(self, B):
         rates = discontinuity_rates(B)
         for db in [-3.0 + 2.5 * i for i in range(GRID_SIZES[-1])]:
             sweep = cli_rows(["ratesweep", "-B", str(B), "--m", "0.5", "--snr-db-fixed", repr(db), "--rate", f"{rates[0]!r}:{rates[1]!r}:{rates[1] - rates[0]!r}"])
-            want = [outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, MH, r)).value for r in rates]
+            want = [bound_at(Snr.from_db(db), ChannelSpec(B, 4, MH, r)) for r in rates]
             assert sweep == [[cli._fmt(r), cli._fmt(v)] for r, v in zip(rates, want)]
 
 
@@ -908,7 +900,7 @@ class TestFftFloor:
         spec, snr = ChannelSpec(B, 4, NakagamiParam(m), rate), Snr.from_db(db)
         want = direct_bound(snr, spec)
         assert want > 0.0
-        assert outage_lower_bound(snr, spec).value == pytest.approx(want, rel=1e-6, abs=0.0)
+        assert bound_at(snr, spec) == pytest.approx(want, rel=1e-6, abs=0.0)
 
     # At high m and SNR the atom holds nearly all the mass, the tilted sum
     # clusters by the number of capped blocks, and BR falls between two
@@ -930,7 +922,7 @@ class TestFftFloor:
         monkeypatch.setattr(bound, "_by_capped_count", spy)
         for (B, m, rate, db), count_sums in ((CLUSTERED_READ, 1), (BENCH_COUNT_READ, 0)):
             calls.clear()
-            outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, NakagamiParam(m), rate))
+            bound_at(Snr.from_db(db), ChannelSpec(B, 4, NakagamiParam(m), rate))
             assert len(calls) == count_sums, (B, m, rate, db)
 
 
@@ -946,9 +938,9 @@ class TestCappedCountSum:
         bounds = outage_lower_bounds(snrs, B, 4, NakagamiParam(m), rates, 1024)
         for snr, row in zip(snrs, bounds):
             pmf, p, q = tabulated(snr, spec, 1024)
-            for rate, res in zip(rates, row):
+            for rate, value in zip(rates, row):
                 log_f = bound._by_capped_count(pmf, math.log(p), math.log(q), B, range(B), B * rate, 4)
-                assert math.exp(log_f) == pytest.approx(res.value, rel=1e-9, abs=0.0), (snr.db, rate)
+                assert math.exp(log_f) == pytest.approx(value, rel=1e-9, abs=0.0), (snr.db, rate)
 
     def test_unresolved_term_raises_naming_it(self, monkeypatch):
         # With no read resolved, the single power's read goes to the count sum,
@@ -956,7 +948,7 @@ class TestCappedCountSum:
         monkeypatch.setattr(bound, "_RESOLVED", math.inf)
         B, m, rate, db = BENCH_COUNT_READ
         with pytest.raises(ArithmeticError, match=r"^outage bound cannot be computed at snr_db 39\.4231, rate 2\.97629: its term with \d of 4 blocks capped"):
-            outage_lower_bound(Snr.from_db(db), ChannelSpec(B, 4, NakagamiParam(m), rate))
+            bound_at(Snr.from_db(db), ChannelSpec(B, 4, NakagamiParam(m), rate))
         with pytest.raises(ArithmeticError, match=r"^coding gain K cannot be computed at rate 2: its term with 1 of 4 blocks capped"):
             coding_gain(ChannelSpec(4, 4, M2, 2.0))
         res = CliRunner().invoke(cli.main, ["curve", "--m", "5", "--rate", "2.9", "--snr-db", "40:40:1"])

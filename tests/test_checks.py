@@ -15,12 +15,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import bound_at
 from nakfade._checks import integer, real, require
 from nakfade.asymptotics import asymptotes, random_coding_exponent, singleton_bound
-from nakfade.bound import ChannelSpec, TabulatedPmf, _cell_edges, cdf_Y_at, convolve_power, outage_lower_bound, outage_lower_bounds, tilt
+from nakfade.bound import ChannelSpec, TabulatedPmf, _cell_edges, cdf_Y_at, convolve_power, outage_lower_bounds, tilt
 from nakfade.constellation import Constellation, make_psk, make_qam
 from nakfade.fading import NakagamiParam, gain_block, reg_gamma_pq
-from nakfade.montecarlo import McEstimate, mc_lower_bound, mc_lower_bounds, mc_outage, mc_outages
+from nakfade.montecarlo import McEstimate, mc_lower_bounds, mc_outages
 from nakfade.mutual_info import QuadratureRule, Snr
 
 M2 = NakagamiParam(2)
@@ -94,13 +95,13 @@ def same(a, b) -> bool:
 
 # Each site with Python arguments and numpy arguments of equal value.
 NUMPY_SITES = [
-    pytest.param(lambda B, M, R: outage_lower_bound(Snr(10.0), ChannelSpec(B, M, M2, R), 64), (4, 4, 1.0), (np.int64(4), np.int32(4), np.float32(1.0)), id="ChannelSpec"),
+    pytest.param(lambda B, M, R: bound_at(Snr(10.0), ChannelSpec(B, M, M2, R), 64), (4, 4, 1.0), (np.int64(4), np.int32(4), np.float32(1.0)), id="ChannelSpec"),
     pytest.param(lambda h: TabulatedPmf(h, np.array([0.5, 0.5])).grid_step, (0.5,), (np.float64(0.5),), id="TabulatedPmf"),
     pytest.param(lambda n: outage_lower_bounds([Snr(10.0)], 4, 4, M2, [1.0], n), (64,), (np.int64(64),), id="n_cells"),
     pytest.param(lambda n: _cell_edges(4, n), (8,), (np.uint16(8),), id="_cell_edges"),
     pytest.param(lambda n: cdf_Y_at(convolve_power(LAW, n), 2.0), (4,), (np.int64(4),), id="convolve_power"),
-    pytest.param(lambda m: outage_lower_bound(Snr(10.0), ChannelSpec(4, 4, NakagamiParam(m), 1.0), 64), (2.0,), (np.int64(2),), id="NakagamiParam-int64"),
-    pytest.param(lambda m: outage_lower_bound(Snr(10.0), ChannelSpec(4, 4, NakagamiParam(m), 1.0), 64), (2.0,), (np.float32(2.0),), id="NakagamiParam-float32"),
+    pytest.param(lambda m: bound_at(Snr(10.0), ChannelSpec(4, 4, NakagamiParam(m), 1.0), 64), (2.0,), (np.int64(2),), id="NakagamiParam-int64"),
+    pytest.param(lambda m: bound_at(Snr(10.0), ChannelSpec(4, 4, NakagamiParam(m), 1.0), 64), (2.0,), (np.float32(2.0),), id="NakagamiParam-float32"),
     pytest.param(lambda a: reg_gamma_pq(a, np.array([0.5, 3.0, 10.0])), (2.0,), (np.int64(2),), id="reg_gamma_pq"),
     pytest.param(lambda seed, count: gain_block(M2, seed, 3, count, width=2), (9, 10), (np.uint64(9), np.int16(10)), id="gain_block"),
     pytest.param(lambda chunk, width: gain_block(M2, 9, chunk, 5, width), (3, 2), (np.int64(3), np.uint8(2)), id="gain_block-stream"),
@@ -108,15 +109,15 @@ NUMPY_SITES = [
     pytest.param(lambda M: make_psk(M).bits_per_symbol, (3,), (np.int8(3),), id="make_psk"),
     pytest.param(lambda M: Constellation(np.array([1.0, -1.0]), M).bits_per_symbol, (1,), (np.int64(1),), id="Constellation"),
     pytest.param(lambda db: Snr.from_db(db), (7.5,), (np.float64(7.5),), id="Snr.from_db"),
-    pytest.param(lambda rho: outage_lower_bound(Snr(rho), SPEC, 64), (10.0,), (np.int64(10),), id="Snr"),
+    pytest.param(lambda rho: bound_at(Snr(rho), SPEC, 64), (10.0,), (np.int64(10),), id="Snr"),
     pytest.param(lambda rho: Snr(rho), (10.0,), (np.float64(10.0),), id="Snr-rho"),
     pytest.param(lambda n: QuadratureRule(n).weights, (8,), (np.int64(8),), id="QuadratureRule"),
-    pytest.param(lambda n: mc_outage(Snr(1.0), SPEC, make_qam(4), QuadratureRule(n), n=200, seed=3), (8,), (np.int64(8),), id="QuadratureRule-mc_outage"),
+    pytest.param(lambda n: mc_outages([Snr(1.0)], SPEC, make_qam(4), QuadratureRule(n), n=200, seed=3)[0], (8,), (np.int64(8),), id="QuadratureRule-mc_outage"),
     pytest.param(singleton_bound, (4, 4, 1.0), (np.int64(4), np.int64(4), np.float64(1.0)), id="singleton_bound"),
     pytest.param(lambda lam: random_coding_exponent(SPEC, lam), (0.5,), (np.float64(0.5),), id="random_coding_exponent"),
     pytest.param(lambda n: asymptotes([Snr(10.0)], SPEC, n), (64,), (np.int64(64),), id="asymptotes"),
     pytest.param(McEstimate, (5, 10), (np.uint8(5), np.int64(10)), id="McEstimate"),
-    pytest.param(lambda n: mc_lower_bound(Snr(1.0), SPEC, n=n, seed=3, workers=n // 100), (200,), (np.int32(200),), id="mc_lower_bound"),
+    pytest.param(lambda n: mc_lower_bounds([Snr(1.0)], SPEC, n=n, seed=3, workers=n // 100)[0], (200,), (np.int32(200),), id="mc_lower_bound"),
 ]
 
 
@@ -146,10 +147,10 @@ INTEGER_SITES = [
     ("B", lambda v: singleton_bound(v, 4, 1.0)),
     ("M", lambda v: singleton_bound(4, v, 1.0)),
     ("n_samples", lambda v: McEstimate(5, v)),
-    ("n", lambda v: mc_lower_bound(Snr(1.0), SPEC, n=v)),
-    ("workers", lambda v: mc_lower_bound(Snr(1.0), SPEC, n=10, workers=v)),
-    ("n", lambda v: mc_outage(Snr(1.0), SPEC, make_qam(4), n=v)),
-    ("workers", lambda v: mc_outage(Snr(1.0), SPEC, make_qam(4), n=10, workers=v)),
+    ("n", lambda v: mc_lower_bounds([Snr(1.0)], SPEC, n=v)[0]),
+    ("workers", lambda v: mc_lower_bounds([Snr(1.0)], SPEC, n=10, workers=v)[0]),
+    ("n", lambda v: mc_outages([Snr(1.0)], SPEC, make_qam(4), n=v)[0]),
+    ("workers", lambda v: mc_outages([Snr(1.0)], SPEC, make_qam(4), n=10, workers=v)[0]),
     ("n", lambda v: mc_outages([Snr(1.0), Snr(2.0)], SPEC, make_qam(4), n=v)),
     ("workers", lambda v: mc_lower_bounds([Snr(1.0), Snr(2.0)], SPEC, n=10, workers=v)),
 ]

@@ -8,7 +8,7 @@ and says how it failed; values fall with SNR and rise with R; the CLI exits
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nakfade import cli
@@ -41,11 +41,13 @@ def run_exit_code(config: cli.RunConfig) -> int:
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(point=domain_points())
+# A dB this close to 0 has the linear SNR 1.0 exactly; its error still names the dB given.
+@example(point=(39, 1, 12.182493960703473, (0.125, 0.125), (3.983523924489968e-218, 3.983523924489968e-218)))
 def test_bound_is_in_the_unit_interval_or_an_arithmetic_error(point):
     B, M, m, rates, dbs = point
     fading = NakagamiParam(m)
     try:
-        values = [[res.value for res in row] for row in outage_lower_bounds([Snr.from_db(db) for db in dbs], B, M, fading, rates, CELLS)]
+        values = outage_lower_bounds([Snr.from_db(db) for db in dbs], B, M, fading, rates, CELLS)
     except ArithmeticError as exc:
         message = str(exc)
         assert any(f"snr_db {db:.6g}" in message for db in dbs), message

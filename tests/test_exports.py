@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 import shlex
@@ -30,6 +31,50 @@ def test_fading_exports_leave_out_the_uncalled_reg_gamma_p():
 
     assert "reg_gamma_p" not in fading.__all__
     assert bound.reg_gamma_p is fading.reg_gamma_p
+
+
+# Only the benchmark calls these (bench/run.py and bench/tracing.py), so they stay module attributes outside the API.
+BENCH_ONLY = {"BoundResult": "bound", "outage_lower_bound": "bound", "mc_outage": "montecarlo", "mc_lower_bound": "montecarlo"}
+
+
+def test_every_exported_estimator_takes_a_grid():
+    # An estimator takes an SNR; each the package exports takes a grid of them first.
+    estimators = {name: list(inspect.signature(obj).parameters) for name, obj in vars(nakfade).items() if inspect.isfunction(obj)}
+    estimators = {name: params for name, params in estimators.items() if {"snr", "snrs"} & set(params)}
+    assert sorted(estimators) == ["asymptotes", "mc_lower_bounds", "mc_outages", "outage_lower_bounds"]
+    assert all(params[0] == "snrs" for params in estimators.values())
+
+
+def test_no_module_uses_the_bench_only_names():
+    # The one-point forms and BoundResult are named only inside their own definitions.
+    outside = []
+    for path in sorted(Path(nakfade.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.ClassDef)) and fn.name in BENCH_ONLY for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+            if name in BENCH_ONLY and id(node) not in inside:
+                outside.append(f"{path.name}:{node.lineno} {name}")
+    assert outside == []
+
+
+def test_bench_only_names_leave_the_api():
+    exported = set(dir(nakfade)).union(*(getattr(importlib.import_module(f"nakfade.{m}"), "__all__", ()) for m in MODULES))
+    assert not set(BENCH_ONLY) & exported
+    assert all(hasattr(importlib.import_module(f"nakfade.{module}"), name) for name, module in BENCH_ONLY.items())
+
+
+def test_bench_one_point_forms_give_the_grid_values():
+    # bench/oracle.py's checks read outage_lower_bound(...).value, and bench/run.py passes mc_outage its rule as the 4th argument.
+    from nakfade import bound, montecarlo
+
+    spec, snr = nakfade.ChannelSpec(4, 4, nakfade.NakagamiParam(0.5), 2.5), nakfade.Snr.from_db(9.0)
+    value = bound.outage_lower_bound(snr, spec).value
+    assert type(value) is float and value == nakfade.outage_lower_bounds([snr], 4, 4, spec.fading, [0.5, 2.5, 4.0])[0][1]
+    c, rule = nakfade.from_name("qam16"), nakfade.hermite_rule(montecarlo.MC_QUAD_ORDER)
+    assert list(inspect.signature(montecarlo.mc_outage).parameters)[:4] == ["snr", "spec", "c", "q"]
+    assert montecarlo.mc_outage(snr, spec, c, rule, n=5000, seed=3, workers=2) == nakfade.mc_outages([snr], spec, c, rule, n=5000, seed=3)[0]
+    assert montecarlo.mc_lower_bound(snr, spec, n=5000, seed=3) == nakfade.mc_lower_bounds([snr], spec, n=5000, seed=3)[0]
 
 
 def test_package_imports_resolve():

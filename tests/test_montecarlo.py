@@ -7,12 +7,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gain_rows
+from helpers import bound_at, gain_rows
 from nakfade import cli, fading, montecarlo
-from nakfade.bound import ChannelSpec, outage_lower_bound
+from nakfade.bound import ChannelSpec
 from nakfade.constellation import KNOWN_NAMES, from_name, make_psk, make_qam
 from nakfade.fading import NakagamiParam
-from nakfade.montecarlo import McEstimate, mc_lower_bound, mc_lower_bounds, mc_outage, mc_outages
+from nakfade.montecarlo import McEstimate, mc_lower_bounds, mc_outages
 from nakfade.mutual_info import Snr, hermite_rule, mi_discrete_array
 
 M1 = NakagamiParam(1)
@@ -47,8 +47,8 @@ class TestMcEstimate:
     "draw",
     [
         pytest.param(lambda seed: fading.gain_block(M2, seed, 0, 10), id="gain_block"),
-        pytest.param(lambda seed: mc_lower_bound(Snr(10.0), spec44(M2, 1), n=100, seed=seed), id="mc_lower_bound"),
-        pytest.param(lambda seed: mc_outage(Snr(10.0), spec44(M2, 1), make_qam(4), n=100, seed=seed), id="mc_outage"),
+        pytest.param(lambda seed: mc_lower_bounds([Snr(10.0)], spec44(M2, 1), n=100, seed=seed)[0], id="mc_lower_bound"),
+        pytest.param(lambda seed: mc_outages([Snr(10.0)], spec44(M2, 1), make_qam(4), n=100, seed=seed)[0], id="mc_outage"),
     ],
 )
 def test_seed_outside_64_bits_raises(draw, seed):
@@ -57,8 +57,8 @@ def test_seed_outside_64_bits_raises(draw, seed):
 
 
 ESTIMATORS = [
-    pytest.param(lambda **kw: mc_outage(Snr(10.0), spec44(M2, 1), make_qam(4), **kw), id="mc_outage"),
-    pytest.param(lambda **kw: mc_lower_bound(Snr(10.0), spec44(M2, 1), **kw), id="mc_lower_bound"),
+    pytest.param(lambda **kw: mc_outages([Snr(10.0)], spec44(M2, 1), make_qam(4), **kw)[0], id="mc_outage"),
+    pytest.param(lambda **kw: mc_lower_bounds([Snr(10.0)], spec44(M2, 1), **kw)[0], id="mc_lower_bound"),
 ]
 
 
@@ -97,8 +97,8 @@ def test_numpy_integer_counts_accepted(estimate):
 @pytest.mark.parametrize(
     "estimate",
     [
-        pytest.param(lambda **kw: mc_outage(Snr(1.0), spec44(M2, 1), make_qam(4), **kw), id="mc_outage"),
-        pytest.param(lambda **kw: mc_lower_bound(Snr(1.0), spec44(M2, 1), **kw), id="mc_lower_bound"),
+        pytest.param(lambda **kw: mc_outages([Snr(1.0)], spec44(M2, 1), make_qam(4), **kw)[0], id="mc_outage"),
+        pytest.param(lambda **kw: mc_lower_bounds([Snr(1.0)], spec44(M2, 1), **kw)[0], id="mc_lower_bound"),
     ],
 )
 def test_numpy_integer_count_gives_python_numbers(estimate):
@@ -110,28 +110,28 @@ def test_numpy_integer_count_gives_python_numbers(estimate):
 
 class TestMcLowerBound:
     def test_high_snr_never_in_outage(self):
-        est = mc_lower_bound(Snr(1e12), spec44(M2, 1), n=10**4, seed=3)
+        est = mc_lower_bounds([Snr(1e12)], spec44(M2, 1), n=10**4, seed=3)[0]
         assert est.p_hat == 0.0
 
     def test_reproducible(self):
         # The outage is about 0.69 here, so two seeds' counts of 5e4 samples
         # differ unless by a chance of well under 1%.
-        a = mc_lower_bound(Snr(3.0), spec44(M2, 2), n=50_000, seed=5)
-        b = mc_lower_bound(Snr(3.0), spec44(M2, 2), n=50_000, seed=5)
+        a = mc_lower_bounds([Snr(3.0)], spec44(M2, 2), n=50_000, seed=5)[0]
+        b = mc_lower_bounds([Snr(3.0)], spec44(M2, 2), n=50_000, seed=5)[0]
         assert a.p_hat == b.p_hat
-        assert mc_lower_bound(Snr(3.0), spec44(M2, 2), n=50_000, seed=6).p_hat != a.p_hat
+        assert mc_lower_bounds([Snr(3.0)], spec44(M2, 2), n=50_000, seed=6)[0].p_hat != a.p_hat
 
     def test_worker_count_invariant(self):
         kw = dict(n=200_000, seed=5)
-        single = mc_lower_bound(Snr(10.0), spec44(M2, 1), workers=1, **kw)
-        multi = mc_lower_bound(Snr(10.0), spec44(M2, 1), workers=3, **kw)
+        single = mc_lower_bounds([Snr(10.0)], spec44(M2, 1), workers=1, **kw)[0]
+        multi = mc_lower_bounds([Snr(10.0)], spec44(M2, 1), workers=3, **kw)[0]
         assert single.p_hat == multi.p_hat
 
     def test_matches_analytic_bound(self):
         s = spec44(M2, 1.0)
         snr = Snr.from_db(7.0)
-        analytic = outage_lower_bound(snr, s).value
-        est = mc_lower_bound(snr, s, n=10**6, seed=42)
+        analytic = bound_at(snr, s)
+        est = mc_lower_bounds([snr], s, n=10**6, seed=42)[0]
         assert est.p_hat >= 1e-4
         assert abs(est.p_hat - analytic) <= 3.0 * est.std_err
 
@@ -142,15 +142,15 @@ class TestMcLowerBound:
         snrs = [Snr.from_db(db) for db in (10.0, 30.0, 60.0)]
         for snr, est in zip(snrs, mc_lower_bounds(snrs, s, n=10**6, seed=11)):
             assert est.p_hat >= 1e-3
-            assert abs(est.p_hat - outage_lower_bound(snr, s).value) <= 3.0 * est.std_err, snr.db
+            assert abs(est.p_hat - bound_at(snr, s)) <= 3.0 * est.std_err, snr.db
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_rejects_fewer_than_one_sample(self, n):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
-            mc_lower_bound(Snr(10.0), spec44(M2, 1), n=n)
+            mc_lower_bounds([Snr(10.0)], spec44(M2, 1), n=n)
 
     def test_rate_equal_bits_outage_likely_at_low_snr(self):
-        est = mc_lower_bound(Snr(1.0), spec44(M2, 4.0), n=10**4, seed=8)
+        est = mc_lower_bounds([Snr(1.0)], spec44(M2, 4.0), n=10**4, seed=8)[0]
         assert est.p_hat > 0.9
 
 
@@ -169,11 +169,11 @@ class TestSharedDraws:
     def test_every_point_equals_its_one_point_call(self):
         spec = spec44(M1, 1.0)
         ests = mc_lower_bounds(self.SNRS, spec, n=self.N, seed=8)
-        assert ests == [mc_lower_bound(snr, spec, n=self.N, seed=8) for snr in self.SNRS]
+        assert ests == [mc_lower_bounds([snr], spec, n=self.N, seed=8)[0] for snr in self.SNRS]
         c, rule = make_qam(4), hermite_rule(8)
         spec = spec44(M1, 2.0)
         ests = mc_outages(self.SNRS, spec, c, rule, n=self.N, seed=8)
-        assert ests == [mc_outage(snr, spec, c, rule, n=self.N, seed=8) for snr in self.SNRS]
+        assert ests == [mc_outages([snr], spec, c, rule, n=self.N, seed=8)[0] for snr in self.SNRS]
 
     def test_first_point_reads_the_given_stream(self):
         # The stream is the given seed's, not one of its own per point.
@@ -243,7 +243,7 @@ class TestCappedCount:
     def test_count_equals_direct_count(self, B, M, low_rate_snr):
         for rate, snr in ((M / 4, low_rate_snr), (M, 1.0), (M / 4, 100.0 * 2.0**M), (M, 100.0 * 2.0**M)):
             spec = ChannelSpec(B, M, M1, rate)
-            est = mc_lower_bound(Snr(snr), spec, n=self.N, seed=4)
+            est = mc_lower_bounds([Snr(snr)], spec, n=self.N, seed=4)[0]
             want = direct_capped_count(Snr(snr), spec, self.N, 4)
             assert est.events == want, (rate, snr)
 
@@ -254,35 +254,35 @@ class TestCappedCount:
         gains = gain_rows(M1, 4, self.N, width=B)
         not_all_capped = int(np.count_nonzero((1 + gains * rho < 2.0**M).any(axis=1)))
         assert 0 < not_all_capped < self.N
-        est = mc_lower_bound(Snr(rho), ChannelSpec(B, M, M1, M), n=self.N, seed=4)
+        est = mc_lower_bounds([Snr(rho)], ChannelSpec(B, M, M1, M), n=self.N, seed=4)[0]
         assert est.events == not_all_capped
 
     def test_cap_past_the_float_range(self):
         # 2^M overflows a float at M = 1100, and a group holds one block.
         for rate in (10.0, 1100.0):
             spec = ChannelSpec(3, 1100, M1, rate)
-            est = mc_lower_bound(Snr(1e3), spec, n=self.N, seed=4)
+            est = mc_lower_bounds([Snr(1e3)], spec, n=self.N, seed=4)[0]
             assert est.events == direct_capped_count(Snr(1e3), spec, self.N, 4)
 
 
 class TestMcOutage:
     def test_zero_snr_always_in_outage(self):
-        est = mc_outage(Snr(1e-9), spec44(M2, 1), make_qam(4), n=10**4, seed=1)
+        est = mc_outages([Snr(1e-9)], spec44(M2, 1), make_qam(4), n=10**4, seed=1)[0]
         assert est.p_hat == 1.0
 
     def test_requires_matching_bits(self):
         with pytest.raises(ValueError):
-            mc_outage(Snr(10.0), spec44(M2, 1), make_psk(1), n=10, seed=1)
+            mc_outages([Snr(10.0)], spec44(M2, 1), make_psk(1), n=10, seed=1)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_rejects_fewer_than_one_sample(self, n):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
-            mc_outage(Snr(10.0), spec44(M2, 1), make_qam(4), n=n)
+            mc_outages([Snr(10.0)], spec44(M2, 1), make_qam(4), n=n)
 
     def test_worker_count_invariant(self):
         kw = dict(n=20_000, seed=9)
-        single = mc_outage(Snr(10.0), spec44(M2, 1), make_qam(4), workers=1, **kw)
-        multi = mc_outage(Snr(10.0), spec44(M2, 1), make_qam(4), workers=3, **kw)
+        single = mc_outages([Snr(10.0)], spec44(M2, 1), make_qam(4), workers=1, **kw)[0]
+        multi = mc_outages([Snr(10.0)], spec44(M2, 1), make_qam(4), workers=3, **kw)[0]
         assert single.p_hat == multi.p_hat
 
     # Event counts at fixed seeds, frozen from the direct (unfactorized)
@@ -297,23 +297,23 @@ class TestMcOutage:
         ids=["psk8-m1", "psk8-m2", "qam16-m1"],
     )
     def test_pinned_event_counts(self, c, M, m, rate, db, n, seed, count):
-        est = mc_outage(Snr.from_db(db), ChannelSpec(4, M, m, rate), c, n=n, seed=seed)
+        est = mc_outages([Snr.from_db(db)], ChannelSpec(4, M, m, rate), c, n=n, seed=seed)[0]
         assert est.events == count
 
     @pytest.mark.parametrize("m,db", [(M2, 5.0), (M2, 9.0), (NakagamiParam(0.5), 5.0), (NakagamiParam(0.5), 15.0)])
     def test_lower_bound_estimate_below_outage_estimate(self, m, db):
         s = spec44(m, 2.0)
         snr = Snr.from_db(db)
-        lo = mc_lower_bound(snr, s, n=4 * 10**4, seed=17)
-        hi = mc_outage(snr, s, make_qam(4), n=4 * 10**4, seed=23)
+        lo = mc_lower_bounds([snr], s, n=4 * 10**4, seed=17)[0]
+        hi = mc_outages([snr], s, make_qam(4), n=4 * 10**4, seed=23)[0]
         pooled = math.hypot(lo.std_err, hi.std_err)
         assert lo.p_hat <= hi.p_hat + 3.0 * pooled
 
     def test_two_seed_consistency(self):
         s = spec44(M1, 1.0)
         snr = Snr(10**1.5)
-        a = mc_outage(snr, s, make_qam(4), n=10**6, seed=101)
-        b = mc_outage(snr, s, make_qam(4), n=10**6, seed=202)
+        a = mc_outages([snr], s, make_qam(4), n=10**6, seed=101)[0]
+        b = mc_outages([snr], s, make_qam(4), n=10**6, seed=202)[0]
         pooled = math.hypot(a.std_err, b.std_err)
         assert abs(a.p_hat - b.p_hat) <= 6.0 * pooled
 
@@ -337,7 +337,7 @@ SCREEN_CASES = [
     for j, m in enumerate((0.1, 0.5, 1.0, 2.0))
 ]
 # Small n.  At n = 1, and at n = 100 with m = 0.1 above 5 dB, the table that
-# mc_outage builds has at least as many nodes as values to score; at n = 7 it
+# a one-SNR mc_outages call builds has at least as many nodes as values to score; at n = 7 it
 # has 10 nodes for 14 values.
 SCREEN_CASES += [
     (name, m, *SCREEN_SNRS[snrs[i % len(snrs)]], 1, n)
@@ -362,7 +362,7 @@ class TestScreening:
         spec = ChannelSpec(2, M, NakagamiParam(m), M / 2)
         rule = hermite_rule(8)
         seed = 31
-        est = mc_outage(snr, spec, c, rule, n=n, seed=seed, workers=workers)
+        est = mc_outages([snr], spec, c, rule, n=n, seed=seed, workers=workers)[0]
         want = direct_outage_count(snr, spec, c, n, seed, rule)
         assert est.events == want
 
@@ -377,7 +377,7 @@ class TestScreening:
 
         monkeypatch.setattr(montecarlo, "mi_discrete_array", counting)
         n, B = 50_000, 4
-        est = mc_outage(Snr.from_db(12.0), ChannelSpec(B, 4, M1, 2.0), make_qam(4), n=n, seed=23)
+        est = mc_outages([Snr.from_db(12.0)], ChannelSpec(B, 4, M1, 2.0), make_qam(4), n=n, seed=23)[0]
         assert est.events == 2099
         assert sum(evaluated) < n * B / 5
 
@@ -422,7 +422,7 @@ class TestBracketTable:
         v = gain_rows(spec.fading, seed, n, width=spec.B) * rho
         assert np.count_nonzero(v == 0.0) > 20
         want = direct_outage_count(snr, spec, c, n, seed, rule)
-        own = mc_outage(snr, spec, c, rule, n=n, seed=seed)
+        own = mc_outages([snr], spec, c, rule, n=n, seed=seed)[0]
         shared = montecarlo.BracketTable(c, rule, [10.0], n, spec).count_rows(v, spec.rate)
         assert own.events == shared == want
 
@@ -458,7 +458,7 @@ class TestBracketTable:
             return mi_discrete_array(rhos, c, rule)
 
         monkeypatch.setattr(montecarlo, "mi_discrete_array", counting)
-        mc_outage(Snr.from_db(15.0), spec44(M1, 1.0), make_qam(4), n=10**6, seed=1)
+        mc_outages([Snr.from_db(15.0)], spec44(M1, 1.0), make_qam(4), n=10**6, seed=1)
         assert sum(evaluated) < 300
 
     def test_small_psk8_command_evaluates_few_values(self, monkeypatch):

@@ -7,6 +7,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from nakfade import mutual_info
 from nakfade.constellation import KNOWN_NAMES, Constellation, from_name, make_psk, make_qam
+from nakfade.montecarlo import MC_QUAD_ORDER
 from nakfade.mutual_info import (
     DEFAULT_ORDER,
     QuadratureRule,
@@ -56,6 +57,12 @@ class TestSnr:
 
     def test_db_roundtrip(self):
         assert Snr(31.6).db == pytest.approx(10 * math.log10(31.6), rel=1e-15)
+
+    def test_from_db_keeps_the_db_given(self):
+        # 10 log10 rho cannot read back a dB this small: rho is 1.0 exactly.
+        tiny = Snr.from_db(3.983523924489968e-218)
+        assert tiny.rho == 1.0 and tiny.db == 3.983523924489968e-218
+        assert tiny == Snr(1.0) and hash(tiny) == hash(Snr(1.0)) and repr(tiny) == "Snr(rho=1.0)"
 
     def test_zero_is_minus_infinity_db(self):
         assert Snr(0.0).db == -math.inf
@@ -265,12 +272,20 @@ class TestBatching:
 
 
 class TestMonotone:
-    # mc_outage decides samples from the MI at the grid nodes that bracket
+    # mc_outages decides samples from the MI at the grid nodes that bracket
     # their SNRs (16 per octave), which gives the direct counts only if the
     # computed I(rho) never decreases.  Checked at 64 points per octave.
+    RHOS = np.exp2(np.arange(-40 * 64, 40 * 64 + 1) / 64)
+
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 16, 32, 64, 96])
     @pytest.mark.parametrize("name", KNOWN_NAMES)
     def test_nondecreasing_on_dense_grid(self, name, order):
-        rhos = np.exp2(np.arange(-40 * 64, 40 * 64 + 1) / 64)
-        vals = mi_discrete_array(rhos, from_name(name), hermite_rule(order))
+        vals = mi_discrete_array(self.RHOS, from_name(name), hermite_rule(order))
+        assert np.diff(vals).min() >= 0.0
+
+    # from_name builds any power-of-two QAM or PSK, so `mc --mode outage`
+    # also screens these, always at the Monte Carlo order.
+    @pytest.mark.parametrize("name", ["psk16", "psk32", "qam256"])
+    def test_nondecreasing_beyond_the_known_names(self, name):
+        vals = mi_discrete_array(self.RHOS, from_name(name), hermite_rule(MC_QUAD_ORDER))
         assert np.diff(vals).min() >= 0.0
